@@ -7,39 +7,28 @@ its restriction to the tangent hyperplane u^perp carries the principal radii
 of curvature; ``validate`` samples those radii to certify smoothness and
 strict convexity.
 
-Families
---------
-Ball(dim, radius)                   h(x) = radius * |x|
-Ellipsoid(shape)                    h(x) = sqrt(x' A x), A positive definite
-Spheroid(axis, equatorial, polar)   ellipsoid of revolution
-Revolution(axis, profile)           h(x) = |x| g(<x,e>/|x|), profile supplied
-                                    with two derivatives (no silent numeric
-                                    differentiation)
-HarmonicPerturbation(base, ...)     base plus eps * |x| p(<x,e>/|x|) for an
-                                    odd polynomial p of degree <= 7
-MinkowskiSum(parts)                 sum of support functions
-Homothet(base, scale, shift)        scale * h_base + <shift, x>
-Erosion(base, radius)               h_base - radius on unit directions
-
 Bodies are immutable value objects; jets are recomputed on demand, never
-cached.  All closed-form families serialize to a {"family", "params"} JSON
-document via ``body_to_dict`` / ``body_from_dict``.
+cached.  ``FAMILIES`` maps each document family name to its class; those
+families serialize to a {"family", "params"} JSON document whose params are
+the class fields, via ``body_to_dict`` / ``body_from_dict``.  ``Revolution``
+takes a user-supplied profile and does not serialize.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
 
 from .sampling import as_rng
-from .weingarten import tangent_frame
+from .weingarten import _restrict, tangent_frame
 
 __all__ = [
     "SupportJet",
     "ValidationReport",
     "ConvexBody",
+    "FAMILIES",
     "Ball",
     "Ellipsoid",
     "Spheroid",
@@ -101,9 +90,7 @@ class SupportJet:
 class ConvexBody:
     """Shared behavior for support-function families (duck-typed elsewhere)."""
 
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
+    dim: int  # ambient dimension n
 
     def support(self, x) -> float:
         raise NotImplementedError
@@ -128,18 +115,16 @@ class ConvexBody:
 
 @dataclass(frozen=True)
 class Ball(ConvexBody):
-    dimension: int
-    radius: float = 1.0
+    """h(x) = r|x|; every radius of curvature equals r; width = 2r."""
+
+    dim: int
+    radius: float
 
     def __post_init__(self):
-        if self.dimension < 2:
+        if self.dim < 2:
             raise ValueError("dimension must be at least 2")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.dimension
 
     def support(self, x) -> float:
         x = _as_point(x)
@@ -148,7 +133,7 @@ class Ball(ConvexBody):
     def jet(self, u) -> SupportJet:
         u = _as_direction(u)
         grad = self.radius * u
-        hess = self.radius * (np.eye(self.dimension) - np.outer(u, u))
+        hess = self.radius * (np.eye(self.dim) - np.outer(u, u))
         return SupportJet(self.radius, grad, hess)
 
     @property
@@ -158,10 +143,10 @@ class Ball(ConvexBody):
 
 @dataclass(frozen=True)
 class Ellipsoid(ConvexBody):
-    """h(x) = sqrt(x' A x) for a positive definite shape matrix A.
+    """h(x) = sqrt(x'Ax), A positive definite; width(u) = 2 sqrt(u'Au).
 
-    The diagonal case A = diag(a_1^2, ..., a_n^2) is the ellipsoid with
-    semiaxes a_i.
+    The tangential Hessian carries the curvature.  The diagonal case
+    A = diag(a_1^2, ..., a_n^2) is the ellipsoid with semiaxes a_i.
     """
 
     shape: tuple
@@ -219,11 +204,11 @@ def _revolution_jet(u, axis, g, dg, ddg, n):
 
 @dataclass(frozen=True)
 class Spheroid(ConvexBody):
-    """Ellipsoid of revolution: equatorial semiaxis a, polar semiaxis b.
+    """Revolution ellipsoid; pole radii a^2/b (umbilic), equator (a, ..., a, b^2/a).
 
-    The support profile is g(t) = sqrt(a^2 + (b^2 - a^2) t^2) in t = <u, e>.
-    The principal radii of curvature are a^2/b at the poles and
-    (a, ..., a, b^2/a) on the equator.
+    The equatorial semiaxis is a and the polar semiaxis is b along the unit
+    axis e.  The support profile is g(t) = sqrt(a^2 + (b^2 - a^2) t^2) in
+    t = <u, e>, and the listed values are the principal radii of curvature.
     """
 
     axis: tuple
@@ -361,7 +346,7 @@ def _odd_poly_d2(c: np.ndarray, t):
 
 @dataclass(frozen=True)
 class HarmonicPerturbation(ConvexBody):
-    """Base body plus eps * |x| p(<x,e>/|x|) for an odd polynomial p.
+    """h + eps |x| p(<x,e>/|x|) for an odd polynomial p; widths are unchanged.
 
     ``odd_coeffs`` are the coefficients of t, t^3, t^5, t^7 (degree <= 7).
     Oddness makes the perturbation cancel from the width, so perturbing a
@@ -429,7 +414,7 @@ class HarmonicPerturbation(ConvexBody):
 
 @dataclass(frozen=True)
 class MinkowskiSum(ConvexBody):
-    """Minkowski sum of bodies; support functions and jets add."""
+    """Minkowski sum; support functions add, so radii of curvature add at each normal."""
 
     parts: tuple
 
@@ -481,7 +466,7 @@ class MinkowskiSum(ConvexBody):
 
 @dataclass(frozen=True)
 class Homothet(ConvexBody):
-    """scale * K + shift: support scale * h_K(x) + <shift, x>."""
+    """scale * K + shift: h = scale * h_K + <shift, x>; radii and widths scale too."""
 
     base: ConvexBody
     scale: float
@@ -528,7 +513,7 @@ class Homothet(ConvexBody):
 
 @dataclass(frozen=True)
 class Erosion(ConvexBody):
-    """Inner parallel body at distance r: support h_K - r on unit directions.
+    """Inner parallel body: h = h_K - r|x|, so every radius of curvature drops by r.
 
     Valid as long as every principal radius of curvature of the base exceeds
     r (a ball of radius r then rolls freely inside the base body); otherwise
@@ -642,10 +627,7 @@ def validate(body, samples: int = 128, seed=0) -> ValidationReport:
     max_radius = -np.inf
     argmin = dirs[0]
     for u in dirs:
-        frame = tangent_frame(u)
-        hess = body.jet(u).hessian
-        restricted = frame.basis.T @ hess @ frame.basis
-        vals = np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
+        vals = np.linalg.eigvalsh(_restrict(body.jet(u).hessian, tangent_frame(u)))
         if vals[0] < min_radius:
             min_radius = float(vals[0])
             argmin = u
@@ -663,87 +645,69 @@ def validate(body, samples: int = 128, seed=0) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # serialization
 
+# document family name -> class; the document params are the class fields
+FAMILIES = {
+    "ball": Ball,
+    "ellipsoid": Ellipsoid,
+    "spheroid": Spheroid,
+    "harmonic_perturbation": HarmonicPerturbation,
+    "minkowski_sum": MinkowskiSum,
+    "homothet": Homothet,
+    "erosion": Erosion,
+}
+_FAMILY_OF = {cls: name for name, cls in FAMILIES.items()}
+_SCALARS = {"int": int, "float": float}
+
+
+def _to_json(value):
+    if isinstance(value, ConvexBody):
+        return body_to_dict(value)
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def _from_json(value, kind):
+    """Document value -> field value: body documents, lists to tuples, scalar casts."""
+    if isinstance(value, dict):
+        return body_from_dict(value)
+    if isinstance(value, list):
+        return tuple(_from_json(v, None) for v in value)
+    return _SCALARS.get(kind, lambda v: v)(value)
+
 
 def body_to_dict(body) -> dict:
     """Serialize a closed-form body to a {"family", "params"} document.
 
     ``Revolution`` carries arbitrary callables and does not serialize.
     """
-    if isinstance(body, Ball):
-        return {"family": "ball", "params": {"dim": body.dimension, "radius": body.radius}}
-    if isinstance(body, Ellipsoid):
-        return {"family": "ellipsoid", "params": {"shape": [list(r) for r in body.shape]}}
-    if isinstance(body, Spheroid):
-        return {
-            "family": "spheroid",
-            "params": {
-                "axis": list(body.axis),
-                "equatorial": body.equatorial,
-                "polar": body.polar,
-            },
-        }
-    if isinstance(body, HarmonicPerturbation):
-        return {
-            "family": "harmonic_perturbation",
-            "params": {
-                "base": body_to_dict(body.base),
-                "axis": list(body.axis),
-                "odd_coeffs": list(body.odd_coeffs),
-                "epsilon": body.epsilon,
-            },
-        }
-    if isinstance(body, MinkowskiSum):
-        return {
-            "family": "minkowski_sum",
-            "params": {"parts": [body_to_dict(p) for p in body.parts]},
-        }
-    if isinstance(body, Homothet):
-        return {
-            "family": "homothet",
-            "params": {
-                "base": body_to_dict(body.base),
-                "scale": body.scale,
-                "shift": list(body.shift),
-            },
-        }
-    if isinstance(body, Erosion):
-        return {
-            "family": "erosion",
-            "params": {"base": body_to_dict(body.base), "radius": body.radius},
-        }
-    raise ValueError(f"body of type {type(body).__name__} does not serialize")
+    family = _FAMILY_OF.get(type(body))
+    if family is None:
+        raise ValueError(f"body of type {type(body).__name__} does not serialize")
+    params = {f.name: _to_json(getattr(body, f.name)) for f in fields(body)}
+    return {"family": family, "params": params}
 
 
 def body_from_dict(doc: dict):
-    """Inverse of ``body_to_dict``; raises ValueError on malformed documents."""
-    if not isinstance(doc, dict) or "family" not in doc or "params" not in doc:
+    """Inverse of ``body_to_dict``; raises ValueError on malformed documents.
+
+    Fields with a default (``epsilon``, ``shift``) are optional; every other
+    field is required, and a key that is not a field is refused.
+    """
+    if not isinstance(doc, dict) or "family" not in doc or not isinstance(doc.get("params"), dict):
         raise ValueError('expected {"family": ..., "params": {...}}')
-    family = doc["family"]
-    p = doc["params"]
+    family, params = doc["family"], doc["params"]
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise ValueError(f"unknown body family {family!r}")
+    spec = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(params) - set(spec))
+    missing = [name for name, f in spec.items() if f.default is MISSING and name not in params]
+    if unknown:
+        raise ValueError(f"unknown parameters {unknown} for family {family!r}")
+    if missing:
+        raise ValueError(f"missing parameters {missing} for family {family!r}")
     try:
-        if family == "ball":
-            return Ball(int(p["dim"]), float(p["radius"]))
-        if family == "ellipsoid":
-            return Ellipsoid(tuple(map(tuple, p["shape"])))
-        if family == "spheroid":
-            return Spheroid(tuple(p["axis"]), float(p["equatorial"]), float(p["polar"]))
-        if family == "harmonic_perturbation":
-            return HarmonicPerturbation(
-                body_from_dict(p["base"]),
-                tuple(p["axis"]),
-                tuple(p["odd_coeffs"]),
-                float(p.get("epsilon", 1.0)),
-            )
-        if family == "minkowski_sum":
-            return MinkowskiSum(tuple(body_from_dict(q) for q in p["parts"]))
-        if family == "homothet":
-            return Homothet(
-                body_from_dict(p["base"]),
-                float(p["scale"]),
-                tuple(p.get("shift", ())),
-            )
-        if family == "erosion":
-            return Erosion(body_from_dict(p["base"]), float(p["radius"]))
-    except (KeyError, TypeError) as exc:
+        return cls(**{name: _from_json(v, spec[name].type) for name, v in params.items()})
+    except TypeError as exc:
         raise ValueError(f"malformed parameters for family {family!r}: {exc}") from exc
-    raise ValueError(f"unknown body family {family!r}")

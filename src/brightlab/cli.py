@@ -13,15 +13,14 @@ Config schema (JSON object, all keys optional unless a scenario needs them):
     {"schema": 1, "scenario": "verify-wedge", "seed": 7, "tolerance": 1e-8,
      "out": "report.json", ...scenario keys...}
 
-Report schema:
+Report schema ("inputs" echoes the resolved scenario parameters):
 
     {"schema": 1, "scenario": str, "seed": int, "inputs": {...},
      "checks": [{"name": str, "value": float, "tol": float, "pass": bool}],
      "extras": {...}, "wall_time_s": float, "version": str}
 
 Body documents are {"family": str, "params": {...}} as accepted by
-``body_from_dict`` (families: ball, ellipsoid, spheroid,
-harmonic_perturbation, minkowski_sum, homothet, erosion).
+``body_from_dict``; ``brightlab gallery`` lists the families.
 """
 
 from __future__ import annotations
@@ -29,19 +28,20 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import inspect
 import json
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__
-from .body import body_from_dict
+from .body import FAMILIES, body_from_dict
 from .errors import PreconditionError
 from .lemma_lab import (
     antipodal_falsification,
@@ -106,94 +106,6 @@ _SPHEROID_5D = {
 _BALL_5D = {"family": "ball", "params": {"dim": 5, "radius": 1.0}}
 _BALL_3D = {"family": "ball", "params": {"dim": 3, "radius": 1.0}}
 
-# scenario -> (defaults, keys the config may set, whether a seed is required)
-_SCENARIO_TABLE: dict[str, tuple[dict, frozenset, bool]] = {
-    "verify-wedge": (
-        {
-            "body": _HOMOTHET_4D,
-            "base": _ELLIPSOID_4D,
-            "grades": [1, 2, 3],
-            "scale": 0.7,
-            "betas": None,
-            "samples": 100,
-            "tolerance": 1e-8,
-        },
-        frozenset({"body", "base", "grades", "scale", "betas", "samples"}),
-        True,
-    ),
-    "brightness": (
-        {
-            "body": _BALL_3D,
-            "k": 2,
-            "num_frames": 20,
-            "nodes": None,
-            "tolerance": 1e-6,
-        },
-        frozenset({"body", "k", "num_frames", "nodes"}),
-        True,
-    ),
-    "proportionality": (
-        {
-            "body": _HOMOTHET_4D,
-            "base": _ELLIPSOID_4D,
-            "k": 2,
-            "num_frames": 50,
-            "nodes": 256,
-            "tolerance": 1e-5,
-        },
-        frozenset({"body", "base", "k", "num_frames", "nodes"}),
-        True,
-    ),
-    "umbilic-search": (
-        {
-            "body": _SPHEROID_5D,
-            "base": _BALL_5D,
-            "objective": "umbilic",
-            "budget": 4000,
-            "tolerance": 1e-6,
-        },
-        frozenset({"body", "base", "objective", "budget"}),
-        True,
-    ),
-    "lemma-campaign": (
-        {
-            "mode": "antipodal",
-            "m_len": 6,
-            # grade default depends on the mode: 2 for the antipodal sweep,
-            # 1 for the solver (the smallest instance with known roots).
-            "k": None,
-            "trials": 100000,
-            "residual_tol": 1e-9,
-            "min_spread": 1e-3,
-            # solver mode
-            "a": 1.0,
-            "b": 2.0,
-            "m": 3,
-            "n": 4,
-            "solutions": 25,
-            "tolerance": 1e-6,
-        },
-        frozenset(
-            {"mode", "m_len", "k", "trials", "residual_tol", "min_spread", "a", "b", "m", "n", "solutions"}
-        ),
-        True,
-    ),
-    "gallery": ({"tolerance": 0.0}, frozenset(), False),
-    "ratio-e48": (
-        {
-            "body": _HOMOTHET_4D,
-            "base": _ELLIPSOID_4D,
-            "i": 1,
-            "j": 2,
-            "num_frames": 20,
-            "nodes": 256,
-            "tolerance": 1e-6,
-        },
-        frozenset({"body", "base", "i", "j", "num_frames", "nodes"}),
-        True,
-    ),
-}
-
 
 # ---------------------------------------------------------------------------
 # config plumbing
@@ -215,8 +127,8 @@ def _load_config(path: str) -> dict:
 
 def _resolve_params(scenario: str, args: argparse.Namespace) -> tuple[dict, Optional[int], Optional[str]]:
     """Merge defaults <- config <- CLI flags; returns (params, seed, out)."""
-    defaults, allowed, needs_seed = _SCENARIO_TABLE[scenario]
-    params = copy.deepcopy(defaults)
+    spec = _SCENARIOS[scenario]
+    params = copy.deepcopy(spec.defaults)
     seed = None
     out = None
     if args.config is not None:
@@ -234,9 +146,7 @@ def _resolve_params(scenario: str, args: argparse.Namespace) -> tuple[dict, Opti
                 seed = value
             elif key == "out":
                 out = value
-            elif key == "tolerance":
-                params["tolerance"] = value
-            elif key in allowed:
+            elif key in spec.defaults:
                 params[key] = value
             else:
                 raise ConfigError(f"unknown config key {key!r} for scenario {scenario!r}")
@@ -248,15 +158,30 @@ def _resolve_params(scenario: str, args: argparse.Namespace) -> tuple[dict, Opti
         params["tolerance"] = args.tolerance
     if seed is not None and (not isinstance(seed, int) or seed < 0):
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    if needs_seed and seed is None:
+    if spec.needs_seed and seed is None:
         raise ConfigError(
             f"scenario {scenario!r} is randomized and requires an explicit --seed "
             "(or a \"seed\" config key); implicit wall-clock entropy is refused"
         )
-    params["threads"] = max(1, args.threads)
     if not isinstance(params.get("tolerance"), (int, float)):
         raise ConfigError("tolerance must be a number")
+    params["tolerance"] = float(params["tolerance"])
+    _check_counts(params)
     return params, seed, out
+
+
+def _check_counts(params: dict) -> None:
+    """Count keys must be integers >= 1; floats, bools and strings are refused."""
+    for key in ("samples", "num_frames", "trials", "solutions", "budget"):
+        if key not in params:
+            continue
+        value = params[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{key!r} must be an integer >= 1, got {value!r}")
+
+
+def _nodes(params: dict) -> Optional[int]:
+    return None if params["nodes"] is None else int(params["nodes"])
 
 
 def _body(params: dict, key: str):
@@ -267,7 +192,7 @@ def _body(params: dict, key: str):
 
 
 # ---------------------------------------------------------------------------
-# scenario runners: params, seed -> (checks, extras, inputs echo)
+# scenario runners: params, seed -> (checks, extras[, csv rows])
 
 
 def _run_verify_wedge(params: dict, seed: int):
@@ -280,80 +205,51 @@ def _run_verify_wedge(params: dict, seed: int):
             raise ConfigError("betas must align with grades")
     else:
         betas = [float(params["scale"]) ** k for k in grades]
-    samples = int(params["samples"])
-    tol = float(params["tolerance"])
-    dirs = haar_directions(body.dim, samples, as_rng(seed))
+    tol = params["tolerance"]
+    dirs = haar_directions(body.dim, params["samples"], as_rng(seed))
     checks = []
     for k, beta in zip(grades, betas):
         worst = max(wedge_identity_defect(body, base, k, beta, u) for u in dirs)
         checks.append(Check(f"wedge_defect_k{k}", worst, tol))
-    inputs = {
-        "body": params["body"],
-        "base": params["base"],
-        "grades": grades,
-        "betas": betas,
-        "samples": samples,
-        "tolerance": tol,
-    }
-    return checks, {}, inputs
+    return checks, {}
 
 
 def _run_brightness(params: dict, seed: int):
     body = _body(params, "body")
-    k = int(params["k"])
-    num_frames = int(params["num_frames"])
-    nodes = params["nodes"] if params["nodes"] is None else int(params["nodes"])
-    tol = float(params["tolerance"])
-    samples = projection_function(body, k, num_frames, seed, nodes=nodes, threads=params["threads"])
+    samples = projection_function(
+        body, int(params["k"]), params["num_frames"], seed, nodes=_nodes(params)
+    )
     vols = np.asarray([v for _, v in samples])
     mid = float(np.median(vols))
     spread = float((vols.max() - vols.min()) / max(abs(mid), 1e-300))
-    checks = [Check("brightness_spread_rel", spread, tol)]
+    checks = [Check("brightness_spread_rel", spread, params["tolerance"])]
     extras = {
         "volume_median": mid,
         "volume_min": float(vols.min()),
         "volume_max": float(vols.max()),
     }
-    inputs = {
-        "body": params["body"],
-        "k": k,
-        "num_frames": num_frames,
-        "nodes": nodes,
-        "tolerance": tol,
-    }
-    return checks, extras, inputs
+    return checks, extras
 
 
 def _run_proportionality(params: dict, seed: int):
     body = _body(params, "body")
     base = _body(params, "base")
-    k = int(params["k"])
-    num_frames = int(params["num_frames"])
-    nodes = params["nodes"] if params["nodes"] is None else int(params["nodes"])
-    tol = float(params["tolerance"])
     report = proportionality_test(
-        body, base, k, num_frames, seed, nodes=nodes, threads=params["threads"]
+        body, base, int(params["k"]), params["num_frames"], seed, nodes=_nodes(params)
     )
+    tol = params["tolerance"]
     checks = [Check("proportionality_max_rel_deviation", report.max_rel_deviation, tol)]
-    extras = {"constant": report.constant, "excluded": report.excluded}
-    inputs = {
-        "body": params["body"],
-        "base": params["base"],
-        "k": k,
-        "num_frames": num_frames,
-        "nodes": nodes,
-        "tolerance": tol,
-    }
-    return checks, extras, inputs
+    return checks, {"constant": report.constant, "excluded": report.excluded}
 
 
 def _run_umbilic_search(params: dict, seed: int):
     body = _body(params, "body")
     base = _body(params, "base")
     objective = str(params["objective"])
-    budget = int(params["budget"])
-    tol = float(params["tolerance"])
-    result = antipodal_search(body, base, seed=seed, budget=budget, objective=objective, tol=tol)
+    tol = params["tolerance"]
+    result = antipodal_search(
+        body, base, seed=seed, budget=params["budget"], objective=objective, tol=tol
+    )
     value = result.r_defect if objective == "antipodal" else result.umbilic.defect
     checks = [Check("search_defect", value, tol)]
     extras = {
@@ -365,26 +261,16 @@ def _run_umbilic_search(params: dict, seed: int):
         "evaluations": result.evaluations,
         "objective": objective,
     }
-    inputs = {
-        "body": params["body"],
-        "base": params["base"],
-        "objective": objective,
-        "budget": budget,
-        "tolerance": tol,
-    }
-    return checks, extras, inputs
+    return checks, extras
 
 
 def _run_lemma_campaign(params: dict, seed: int):
     mode = str(params["mode"])
-    tol = float(params["tolerance"])
     if mode == "antipodal":
-        mlen = int(params["m_len"])
-        k = 2 if params["k"] is None else int(params["k"])
-        trials = int(params["trials"])
+        trials = params["trials"]
         report = antipodal_falsification(
-            mlen,
-            k,
+            int(params["m_len"]),
+            2 if params["k"] is None else int(params["k"]),
             trials,
             seed=seed,
             tol=float(params["residual_tol"]),
@@ -398,30 +284,13 @@ def _run_lemma_campaign(params: dict, seed: int):
             "best_x": [float(v) for v in report.best_x] if report.best_x is not None else None,
             "trials": trials,
         }
-        inputs = {
-            "mode": mode,
-            "m_len": mlen,
-            "k": k,
-            "trials": trials,
-            "residual_tol": float(params["residual_tol"]),
-            "min_spread": float(params["min_spread"]),
-            "tolerance": tol,
-        }
-        rows = [("trial", "residual", "spread", "violation")]
-        eligible = report.rows[:, 1] >= report.min_spread
-        hits = (report.rows[:, 0] < report.residual_tol) & eligible
-        for idx in range(report.rows.shape[0]):
-            rows.append(
-                (idx, f"{report.rows[idx, 0]:.6e}", f"{report.rows[idx, 1]:.6e}", int(hits[idx]))
-            )
-        return checks, extras, inputs, rows
+        return checks, extras, _campaign_rows(report)
     if mode == "solver":
         a, b = float(params["a"]), float(params["b"])
         k = 1 if params["k"] is None else int(params["k"])
         m, n = int(params["m"]), int(params["n"])
-        wanted = int(params["solutions"])
+        wanted = params["solutions"]
         cset = enumerate_candidates(a, b, k, m, n)
-        cand = np.asarray([c.value for c in cset.candidates])
         found = find_hypothesis_solutions(a, b, k, m, n, wanted, seed=seed)
         worst = 0.0
         rows = [("solution", "residual", "worst_candidate_distance")]
@@ -430,102 +299,133 @@ def _run_lemma_campaign(params: dict, seed: int):
             worst = max(worst, dist)
             rows.append((idx, f"{hypothesis_residual(inst).max():.3e}", f"{dist:.3e}"))
         checks = [
-            Check("candidate_match_worst", worst, tol),
+            Check("candidate_match_worst", worst, params["tolerance"]),
             Check("solution_shortfall", float(wanted - len(found)), 0.0),
         ]
         extras = {
             "solutions_found": len(found),
             "candidate_values": [float(v) for v in cset.values()],
         }
-        inputs = {
-            "mode": mode,
-            "a": a,
-            "b": b,
-            "k": k,
-            "m": m,
-            "n": n,
-            "solutions": wanted,
-            "tolerance": tol,
-        }
-        return checks, extras, inputs, rows
+        return checks, extras, rows
     raise ConfigError(f"unknown lemma-campaign mode {mode!r} (expected 'antipodal' or 'solver')")
 
 
-_GALLERY = [
-    (
-        "ball",
-        "Ball(dim, radius)",
-        "h(x) = r|x|; every radius of curvature equals r; width = 2r.",
-    ),
-    (
-        "ellipsoid",
-        "Ellipsoid(shape A, SPD)",
-        "h(x) = sqrt(x'Ax); width(u) = 2 sqrt(u'Au); curvature from the tangential Hessian.",
-    ),
-    (
-        "spheroid",
-        "Spheroid(axis, equatorial a, polar b)",
-        "revolution body; polar radii of curvature a^2/b (umbilic), equatorial (a, ..., a, b^2/a).",
-    ),
-    (
-        "harmonic_perturbation",
-        "HarmonicPerturbation(base, axis, odd_coeffs, epsilon)",
-        "h += eps |x| p(t) with odd p; widths are unchanged, so a ball base keeps constant width.",
-    ),
-    (
-        "minkowski_sum",
-        "MinkowskiSum(parts)",
-        "support functions add; radii of curvature add at the same normal.",
-    ),
-    (
-        "homothet",
-        "Homothet(base, scale, shift)",
-        "h = scale*h0 + <shift, x>; radii scale by the ratio, widths too.",
-    ),
-    (
-        "erosion",
-        "Erosion(base, radius)",
-        "h = h0 - r|x| (inner parallel body); every radius of curvature drops by r.",
-    ),
-]
+def _campaign_rows(report):
+    """Per-trial CSV rows, built only when the CSV is written."""
+    yield ("trial", "residual", "spread", "violation")
+    eligible = report.rows[:, 1] >= report.min_spread
+    hits = (report.rows[:, 0] < report.residual_tol) & eligible
+    for idx in range(report.rows.shape[0]):
+        yield (idx, f"{report.rows[idx, 0]:.6e}", f"{report.rows[idx, 1]:.6e}", int(hits[idx]))
 
 
 def _run_gallery(params: dict, seed):
-    for name, ctor, facts in _GALLERY:
-        print(f"{name:22s} {ctor}")
-        print(f"{'':22s} {facts}")
-    return [], {"families": [name for name, _, _ in _GALLERY]}, {}
+    for name, cls in FAMILIES.items():
+        print(f"{name:22s} {cls.__name__}({', '.join(f.name for f in fields(cls))})")
+        print(f"{'':22s} {inspect.getdoc(cls).splitlines()[0]}")
+    return [], {"families": list(FAMILIES)}
 
 
 def _run_ratio_e48(params: dict, seed: int):
     body = _body(params, "body")
     base = _body(params, "base")
     i, j = int(params["i"]), int(params["j"])
-    num_frames = int(params["num_frames"])
-    nodes = params["nodes"] if params["nodes"] is None else int(params["nodes"])
-    tol = float(params["tolerance"])
-    defect = ratio_consistency_check(body, base, i, j, num_frames, seed, nodes=nodes)
-    checks = [Check("cross_grade_ratio_defect", defect, tol)]
-    inputs = {
-        "body": params["body"],
-        "base": params["base"],
-        "i": i,
-        "j": j,
-        "num_frames": num_frames,
-        "nodes": nodes,
-        "tolerance": tol,
-    }
-    return checks, {}, inputs
+    defect = ratio_consistency_check(
+        body, base, i, j, params["num_frames"], seed, nodes=_nodes(params)
+    )
+    return [Check("cross_grade_ratio_defect", defect, params["tolerance"])], {}
 
 
-_SCENARIOS: dict[str, Callable] = {
-    "verify-wedge": _run_verify_wedge,
-    "brightness": _run_brightness,
-    "proportionality": _run_proportionality,
-    "umbilic-search": _run_umbilic_search,
-    "lemma-campaign": _run_lemma_campaign,
-    "gallery": _run_gallery,
-    "ratio-e48": _run_ratio_e48,
+@dataclass(frozen=True)
+class Scenario:
+    run: Callable  # params, seed -> (checks, extras[, csv rows])
+    defaults: dict  # every key a config may set, "tolerance" included
+    help: str
+    needs_seed: bool = True
+
+
+_SCENARIOS: dict[str, Scenario] = {
+    "verify-wedge": Scenario(
+        _run_verify_wedge,
+        {
+            "body": _HOMOTHET_4D,
+            "base": _ELLIPSOID_4D,
+            "grades": [1, 2, 3],
+            "scale": 0.7,
+            "betas": None,
+            "samples": 100,
+            "tolerance": 1e-8,
+        },
+        "exterior-power identity defects for a body pair over random directions",
+    ),
+    "brightness": Scenario(
+        _run_brightness,
+        {"body": _BALL_3D, "k": 2, "num_frames": 20, "nodes": None, "tolerance": 1e-6},
+        "constancy of the k-th projection function over random subspaces",
+    ),
+    "proportionality": Scenario(
+        _run_proportionality,
+        {
+            "body": _HOMOTHET_4D,
+            "base": _ELLIPSOID_4D,
+            "k": 2,
+            "num_frames": 50,
+            "nodes": 256,
+            "tolerance": 1e-5,
+        },
+        "ratios V_k(K|U)/V_k(K0|U) over random subspaces",
+    ),
+    "umbilic-search": Scenario(
+        _run_umbilic_search,
+        {
+            "body": _SPHEROID_5D,
+            "base": _BALL_5D,
+            "objective": "umbilic",
+            "budget": 4000,
+            "tolerance": 1e-6,
+        },
+        "antipodal search for a common relative umbilic direction",
+    ),
+    "lemma-campaign": Scenario(
+        _run_lemma_campaign,
+        {
+            "mode": "antipodal",
+            "m_len": 6,
+            # grade default depends on the mode: 2 for the antipodal sweep,
+            # 1 for the solver (the smallest instance with known roots).
+            "k": None,
+            "trials": 100000,
+            "residual_tol": 1e-9,
+            "min_spread": 1e-3,
+            # solver mode
+            "a": 1.0,
+            "b": 2.0,
+            "m": 3,
+            "n": 4,
+            "solutions": 25,
+            "tolerance": 1e-6,
+        },
+        "randomized campaigns for the subset-product relation lemmas",
+    ),
+    "gallery": Scenario(
+        _run_gallery,
+        {"tolerance": 0.0},
+        "print the built-in body families and their closed-form properties",
+        needs_seed=False,
+    ),
+    "ratio-e48": Scenario(
+        _run_ratio_e48,
+        {
+            "body": _HOMOTHET_4D,
+            "base": _ELLIPSOID_4D,
+            "i": 1,
+            "j": 2,
+            "num_frames": 20,
+            "nodes": 256,
+            "tolerance": 1e-6,
+        },
+        "cross-grade consistency of projection-volume ratio exponents",
+    ),
 }
 
 
@@ -563,23 +463,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="verification scenarios for projection functions of smooth convex bodies",
     )
     sub = parser.add_subparsers(dest="command", metavar="scenario")
-    help_lines = {
-        "verify-wedge": "exterior-power identity defects for a body pair over random directions",
-        "brightness": "constancy of the k-th projection function over random subspaces",
-        "proportionality": "ratios V_k(K|U)/V_k(K0|U) over random subspaces",
-        "umbilic-search": "antipodal search for a common relative umbilic direction",
-        "lemma-campaign": "randomized campaigns for the subset-product relation lemmas",
-        "gallery": "print the built-in body families and their closed-form properties",
-        "ratio-e48": "cross-grade consistency of projection-volume ratio exponents",
-    }
-    for name in _SCENARIOS:
-        p = sub.add_parser(name, help=help_lines[name])
+    for name, spec in _SCENARIOS.items():
+        p = sub.add_parser(name, help=spec.help)
         p.add_argument("--config", help="JSON config path (merged over scenario defaults)")
         p.add_argument("--seed", type=int, help="PRNG seed (required for randomized scenarios)")
         p.add_argument("--out", help="report path (default: <scenario>-report.json)")
         p.add_argument("--csv", action="store_true", help="also export CSV next to the report")
         p.add_argument("--tolerance", type=float, help="override the scenario check tolerance")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for projections")
     return parser
 
 
@@ -593,7 +483,7 @@ def main(argv=None) -> int:
     try:
         params, seed, out = _resolve_params(args.command, args)
         start = time.perf_counter()
-        result = _SCENARIOS[args.command](params, seed)
+        checks, extras, *rows = _SCENARIOS[args.command].run(params, seed)
         wall = time.perf_counter() - start
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -602,8 +492,7 @@ def main(argv=None) -> int:
         print(f"error: invalid scenario inputs: {exc}", file=sys.stderr)
         return 2
 
-    checks, extras, inputs = result[0], result[1], result[2]
-    csv_rows = result[3] if len(result) > 3 else [("name", "value", "tol", "pass")] + [
+    csv_rows = rows[0] if rows else [("name", "value", "tol", "pass")] + [
         (c.name, f"{c.value:.12e}", f"{c.tol:.6e}", int(c.passed)) for c in checks
     ]
 
@@ -611,7 +500,7 @@ def main(argv=None) -> int:
         "schema": 1,
         "scenario": args.command,
         "seed": seed if seed is not None else 0,
-        "inputs": inputs,
+        "inputs": params,
         "checks": [c.to_dict() for c in checks],
         "extras": extras,
         "wall_time_s": wall,

@@ -16,14 +16,13 @@ the width of the segment.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gamma, pi
 
 import numpy as np
 
 from .sampling import as_rng, haar_directions, hemisphere_grid
-from .weingarten import tangent_frame
+from .weingarten import _restrict, tangent_frame
 
 __all__ = [
     "SubspaceFrame",
@@ -123,11 +122,41 @@ def _surface_area(k: int) -> float:
     return 2.0 * pi ** (k / 2.0) / gamma(k / 2.0)
 
 
-def _curvature_density(kbody, u) -> tuple[float, float]:
-    frame = tangent_frame(u)
+def _curvature_density(kbody, u) -> float:
+    """h(u) * det of the tangential Hessian at u, from one jet."""
     jet = kbody.jet(u)
-    restricted = frame.basis.T @ jet.hessian @ frame.basis
-    return jet.value, float(np.linalg.det(0.5 * (restricted + restricted.T)))
+    return jet.value * float(np.linalg.det(_restrict(jet.hessian, tangent_frame(u))))
+
+
+def _circle_rule(nodes):
+    nodes = 256 if nodes is None else int(nodes)
+    if nodes < 8:
+        raise ValueError("circle rule needs at least 8 nodes")
+    theta = 2.0 * pi * np.arange(nodes) / nodes
+    return np.column_stack([np.cos(theta), np.sin(theta)]), np.full(nodes, pi / nodes)
+
+
+def _product_rule(nodes):
+    nodes = 32 if nodes is None else int(nodes)
+    if nodes < 4:
+        raise ValueError("product rule needs at least 4 polar nodes")
+    t, wt = np.polynomial.legendre.leggauss(nodes)
+    n_az = 2 * nodes
+    ct = np.repeat(t, n_az)
+    st = np.sqrt(1.0 - ct * ct)
+    phi = np.tile(2.0 * pi * np.arange(n_az) / n_az, nodes)
+    dirs = np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
+    return dirs, np.repeat(wt, n_az) * (2.0 * pi / n_az) / 3.0
+
+
+def _qmc_rule(k, nodes, seed):
+    if seed is None:
+        raise ValueError("quasi-Monte Carlo volumes need an explicit seed")
+    nodes = 4096 if nodes is None else int(nodes)
+    if nodes < 16:
+        raise ValueError("quasi-Monte Carlo needs at least 16 nodes")
+    # hemisphere sampling assumes h * det is even in u; a translated body breaks that
+    return hemisphere_grid(k, nodes, seed), np.full(nodes, _surface_area(k) / (k * nodes))
 
 
 def volume_from_support(
@@ -148,50 +177,36 @@ def volume_from_support(
     if k == 1:
         length = kbody.support(np.ones(1)) + kbody.support(-np.ones(1))
         return (float(length), 0.0) if return_stderr else float(length)
+    # each rule's weights include the 1/k of the formula in the module docstring
     if k == 2:
-        nodes = 256 if nodes is None else int(nodes)
-        if nodes < 8:
-            raise ValueError("circle rule needs at least 8 nodes")
-        theta = 2.0 * pi * np.arange(nodes) / nodes
-        total = 0.0
-        for th in theta:
-            u = np.array([np.cos(th), np.sin(th)])
-            h, det = _curvature_density(kbody, u)
-            total += h * det
-        vol = 0.5 * total * (2.0 * pi / nodes)
-        return (float(vol), 0.0) if return_stderr else float(vol)
-    if k == 3:
-        nodes = 32 if nodes is None else int(nodes)
-        if nodes < 4:
-            raise ValueError("product rule needs at least 4 polar nodes")
-        t, wt = np.polynomial.legendre.leggauss(nodes)
-        n_az = 2 * nodes
-        phis = 2.0 * pi * np.arange(n_az) / n_az
-        total = 0.0
-        for ct, w in zip(t, wt):
-            st = np.sqrt(1.0 - ct * ct)
-            for ph in phis:
-                u = np.array([st * np.cos(ph), st * np.sin(ph), ct])
-                h, det = _curvature_density(kbody, u)
-                total += w * h * det
-        vol = total * (2.0 * pi / n_az) / 3.0
-        return (float(vol), 0.0) if return_stderr else float(vol)
-    # k >= 4: seeded quasi-Monte Carlo over the sphere
-    if seed is None:
-        raise ValueError("quasi-Monte Carlo volumes need an explicit seed")
-    nodes = 4096 if nodes is None else int(nodes)
-    if nodes < 16:
-        raise ValueError("quasi-Monte Carlo needs at least 16 nodes")
-    dirs = hemisphere_grid(k, nodes, seed)
-    vals = np.empty(nodes)
-    for s, u in enumerate(dirs):
-        # integrand is even in u, so hemisphere sampling is unbiased
-        h, det = _curvature_density(kbody, u)
-        vals[s] = h * det
-    mean = float(vals.mean())
-    vol = _surface_area(k) * mean / k
-    stderr = _surface_area(k) * float(vals.std(ddof=1)) / np.sqrt(nodes) / k
-    return (vol, stderr) if return_stderr else vol
+        dirs, weights = _circle_rule(nodes)
+    elif k == 3:
+        dirs, weights = _product_rule(nodes)
+    else:
+        dirs, weights = _qmc_rule(k, nodes, seed)
+    vals = np.array([_curvature_density(kbody, u) for u in dirs])
+    vol = float(np.sum(weights * vals))
+    if not return_stderr:
+        return vol
+    if k == 2 or k == 3:
+        return vol, 0.0  # deterministic rules carry no sampling error
+    return vol, _surface_area(k) * float(vals.std(ddof=1)) / np.sqrt(vals.size) / k
+
+
+def _shadow_volumes(bodies, k: int, num_frames: int, seed, nodes):
+    """Haar k-frames drawn from child seeds of ``seed``, and the shadow volumes.
+
+    Returns the frames and a (num_frames, len(bodies)) array of V_k; body i
+    uses quasi-Monte Carlo seed i, which matters only for k >= 4.
+    """
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    children = ss.spawn(num_frames)
+    frames = [random_subspace(bodies[0].dim, k, np.random.default_rng(c)) for c in children]
+    vols = np.empty((num_frames, len(bodies)))
+    for row, frame in zip(vols, frames):
+        for i, body in enumerate(bodies):
+            row[i] = volume_from_support(project(body, frame), nodes=nodes, seed=i)
+    return frames, vols
 
 
 def projection_function(
@@ -200,26 +215,13 @@ def projection_function(
     num_frames: int,
     seed,
     nodes: int | None = None,
-    threads: int = 1,
 ) -> list[tuple[SubspaceFrame, float]]:
     """Sampled projection function: Haar frames with V_k of each shadow.
 
-    Frames are drawn from child seeds spawned deterministically off ``seed``,
-    so per-frame work parallelizes without changing results (``threads``).
+    Frames are drawn from child seeds spawned deterministically off ``seed``.
     """
-    ss = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
-    children = ss.spawn(num_frames)
-    frames = [random_subspace(body.dim, k, np.random.default_rng(c)) for c in children]
-
-    def vol(frame):
-        return volume_from_support(project(body, frame), nodes=nodes, seed=0)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vols = list(pool.map(vol, frames))
-    else:
-        vols = [vol(f) for f in frames]
-    return list(zip(frames, vols))
+    frames, vols = _shadow_volumes([body], k, num_frames, seed, nodes)
+    return [(f, float(v)) for f, v in zip(frames, vols[:, 0])]
 
 
 @dataclass(frozen=True)
@@ -234,31 +236,17 @@ class ProportionalityReport:
 
 
 def proportionality_test(
-    body, base, k: int, num_frames: int, seed, nodes: int | None = None, threads: int = 1
+    body, base, k: int, num_frames: int, seed, nodes: int | None = None
 ) -> ProportionalityReport:
     """Test V_k(K|U) = alpha V_k(K0|U) over Haar-random k-subspaces.
 
     alpha is the median ratio; degenerate samples (vanishing base volume)
     are excluded with a warning and counted in the report.
     """
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(num_frames)
-    frames = [random_subspace(body.dim, k, np.random.default_rng(c)) for c in children]
-
-    def pair(frame):
-        vb = volume_from_support(project(body, frame), nodes=nodes, seed=0)
-        v0 = volume_from_support(project(base, frame), nodes=nodes, seed=1)
-        return vb, v0
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(pair, frames))
-    else:
-        pairs = [pair(f) for f in frames]
-
+    _, vols = _shadow_volumes([body, base], k, num_frames, seed, nodes)
     ratios = []
     excluded = 0
-    for vb, v0 in pairs:
+    for vb, v0 in vols:
         if abs(v0) < 1e-12:
             excluded += 1
             continue
@@ -296,11 +284,9 @@ def ratio_consistency_check(
     kid_i, kid_j = ss.spawn(2)
 
     def exponents(grade, kid):
+        _, vols = _shadow_volumes([body, base], grade, num_frames, kid, nodes)
         vals = []
-        for c in kid.spawn(num_frames):
-            frame = random_subspace(body.dim, grade, np.random.default_rng(c))
-            vb = volume_from_support(project(body, frame), nodes=nodes, seed=0)
-            v0 = volume_from_support(project(base, frame), nodes=nodes, seed=1)
+        for vb, v0 in vols:
             if abs(vb) < 1e-12:
                 warnings.warn("skipping a degenerate zero-volume sample")
                 continue

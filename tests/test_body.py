@@ -1,5 +1,7 @@
 """Support-function families: jets, widths, validation, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +277,30 @@ class TestSerialization:
             body_from_dict({"params": {}})
         with pytest.raises(ValueError):
             body_from_dict({"family": "ball", "params": {"dim": 3}})
+
+    def test_unknown_params_key_rejected(self):
+        with pytest.raises(ValueError, match="colour"):
+            body_from_dict({"family": "ball", "params": {"dim": 3, "radius": 1.0, "colour": 1}})
+
+    def test_epsilon_and_shift_are_optional(self):
+        ball = {"family": "ball", "params": {"dim": 3, "radius": 1.0}}
+        homothet = body_from_dict({"family": "homothet", "params": {"base": ball, "scale": 2.0}})
+        assert homothet.shift == (0.0, 0.0, 0.0)
+        pert = body_from_dict(
+            {
+                "family": "harmonic_perturbation",
+                "params": {"base": ball, "axis": [0.0, 0.0, 1.0], "odd_coeffs": [0.1]},
+            }
+        )
+        assert pert.epsilon == 1.0
+
+    def test_homothet_over_ellipsoid_document(self):
+        body = Homothet(Ellipsoid(np.diag([1.0, 4.0])), 0.5, (0.25, -1.0))
+        expected = (
+            '{"family": "homothet", "params": {"base": {"family": "ellipsoid", "params": '
+            '{"shape": [[1.0, 0.0], [0.0, 4.0]]}}, "scale": 0.5, "shift": [0.25, -1.0]}}'
+        )
+        assert json.dumps(body_to_dict(body)) == expected
 
 
 class TestArgumentChecks:

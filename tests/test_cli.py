@@ -1,19 +1,28 @@
 """End-to-end CLI contract: exit codes, report schema, determinism, CSV."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from brightlab.body import FAMILIES
+
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def run_cli(*args, cwd):
+    # the subprocess runs in cwd, so a relative PYTHONPATH would not resolve
+    pythonpath = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, "-m", "brightlab.cli", *args],
         cwd=cwd,
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
     )
 
 
@@ -82,6 +91,24 @@ class TestExitCodes:
     def test_unknown_subcommand_exits_two(self, tmp_path):
         proc = run_cli("frobnicate", cwd=tmp_path)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "scenario, key, value",
+        [
+            ("verify-wedge", "samples", 2.7),
+            ("verify-wedge", "samples", 0),
+            ("brightness", "num_frames", True),
+            ("lemma-campaign", "trials", "100"),
+            ("lemma-campaign", "solutions", -1),
+            ("umbilic-search", "budget", 4000.0),
+        ],
+    )
+    def test_count_keys_must_be_positive_integers(self, tmp_path, scenario, key, value):
+        cfg = write_config(tmp_path / "c.json", {key: value})
+        proc = run_cli(scenario, "--config", cfg, "--seed", "1", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert repr(key) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestReportSchema:
@@ -209,24 +236,11 @@ class TestScenarios:
         for family in ("ball", "ellipsoid", "spheroid", "homothet", "erosion"):
             assert family in proc.stdout
 
-    def test_threads_flag_keeps_results(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {"num_frames": 6, "nodes": 64})
-        a = run_cli(
-            "proportionality", "--config", cfg, "--seed", "10", "--out", "a.json", cwd=tmp_path
-        )
-        b = run_cli(
-            "proportionality",
-            "--config",
-            cfg,
-            "--seed",
-            "10",
-            "--out",
-            "b.json",
-            "--threads",
-            "4",
-            cwd=tmp_path,
-        )
-        assert a.returncode == 0 and b.returncode == 0
-        ra = json.loads((tmp_path / "a.json").read_text())
-        rb = json.loads((tmp_path / "b.json").read_text())
-        assert ra["checks"] == rb["checks"]
+    def test_gallery_and_readme_list_every_family(self, tmp_path):
+        proc = run_cli("gallery", cwd=tmp_path)
+        assert proc.returncode == 0
+        readme = (ROOT / "README.md").read_text()
+        table = readme.split("## Body families", 1)[1].split("\n## ", 1)[0]
+        for name, cls in FAMILIES.items():
+            assert f"{name} " in proc.stdout and f" {cls.__name__}(" in proc.stdout
+            assert f"| `{name}` | `{cls.__name__}(" in table

@@ -147,14 +147,6 @@ class TestVolumes:
 
 
 class TestProjectionFunction:
-    def test_threading_preserves_results_and_order(self):
-        serial = projection_function(E4, 2, 12, seed=5, nodes=64, threads=1)
-        threaded = projection_function(E4, 2, 12, seed=5, nodes=64, threads=4)
-        assert len(serial) == len(threaded) == 12
-        for (fa, va), (fb, vb) in zip(serial, threaded):
-            assert np.allclose(fa.columns, fb.columns)
-            assert va == pytest.approx(vb, rel=1e-14)
-
     def test_ball_projection_function_is_constant(self):
         samples = projection_function(Ball(4, 1.0), 2, 16, seed=6, nodes=64)
         vols = np.array([v for _, v in samples])
@@ -162,6 +154,15 @@ class TestProjectionFunction:
 
 
 class TestProportionality:
+    def test_ratios_match_two_projection_functions_on_one_seed(self):
+        report = proportionality_test(K4, E4, 2, 12, seed=5, nodes=64)
+        body = projection_function(K4, 2, 12, seed=5, nodes=64)
+        base = projection_function(E4, 2, 12, seed=5, nodes=64)
+        for (fb, _), (f0, _) in zip(body, base):
+            assert np.array_equal(fb.columns, f0.columns)
+        expected = np.array([vb for _, vb in body]) / np.array([v0 for _, v0 in base])
+        assert np.array_equal(report.ratios, expected)
+
     def test_homothet_pair_ratio(self):
         report = proportionality_test(K4, E4, 2, 50, seed=3, nodes=256)
         assert report.constant == pytest.approx(0.49, abs=1e-12)
