@@ -7,6 +7,14 @@ its restriction to the tangent hyperplane u^perp carries the principal radii
 of curvature; ``validate`` samples those radii to certify smoothness and
 strict convexity.
 
+Every family evaluates jets two ways.  ``jet(u)`` takes one unit direction
+and returns a ``SupportJet``; it serves searches that move one direction at
+a time.  ``jets(U)`` takes an (m, n) array of unit directions and returns
+the tuple (values (m,), gradients (m, n), Hessians (m, n, n)) whose i-th
+entries equal ``jet(U[i])``; quadratures and samplers use it.  Both refuse
+directions that are not unit length.  ``Revolution`` calls its profile
+callables on arrays of t in ``jets``, so profiles must accept numpy arrays.
+
 Bodies are immutable value objects; jets are recomputed on demand, never
 cached.  ``FAMILIES`` maps each document family name to its class; those
 families serialize to a {"family", "params"} JSON document whose params are
@@ -22,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .sampling import as_rng
-from .weingarten import _restrict, tangent_frame
+from .weingarten import _restrict_all, _unit_rows, tangent_frames
 
 __all__ = [
     "SupportJet",
@@ -66,6 +74,15 @@ def _as_direction(u) -> np.ndarray:
     return u
 
 
+def _outers(a: np.ndarray) -> np.ndarray:
+    """Stacked outer products a[i] a[i]^T of the rows of a."""
+    return a[:, :, None] * a[:, None, :]
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + np.swapaxes(m, 1, 2))
+
+
 def _unitize(v, name: str) -> tuple[float, ...]:
     v = np.asarray(v, dtype=float)
     nrm = float(np.linalg.norm(v))
@@ -96,6 +113,9 @@ class ConvexBody:
         raise NotImplementedError
 
     def jet(self, u) -> SupportJet:
+        raise NotImplementedError
+
+    def jets(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def width(self, u) -> float:
@@ -135,6 +155,11 @@ class Ball(ConvexBody):
         grad = self.radius * u
         hess = self.radius * (np.eye(self.dim) - np.outer(u, u))
         return SupportJet(self.radius, grad, hess)
+
+    def jets(self, u):
+        u = _unit_rows(u)
+        r = self.radius
+        return np.full(len(u), float(r)), r * u, r * (np.eye(self.dim) - _outers(u))
 
     @property
     def isotropic(self) -> bool:
@@ -183,6 +208,15 @@ class Ellipsoid(ConvexBody):
         hess = a / h - np.outer(au, au) / h**3
         return SupportJet(h, grad, 0.5 * (hess + hess.T))
 
+    def jets(self, u):
+        u = _unit_rows(u)
+        a = self.matrix
+        au = u @ a  # rows (A u)^T, A is symmetric
+        h = np.sqrt(np.einsum("ij,ij->i", u, au))
+        hh = h[:, None, None]
+        hess = a / hh - _outers(au) / hh**3
+        return h, au / h[:, None], _symmetrized(hess)
+
 
 def _revolution_support(x, axis, g):
     rho = np.sqrt(x @ x)
@@ -200,6 +234,17 @@ def _revolution_jet(u, axis, g, dg, ddg, n):
     w = axis - t * u
     hess = g2 * np.outer(w, w) + (gv - t * g1) * (np.eye(n) - np.outer(u, u))
     return value, grad, 0.5 * (hess + hess.T)
+
+
+def _revolution_jets(u, axis, g, dg, ddg):
+    """``_revolution_jet`` at each row of u; g, dg and ddg are called on arrays."""
+    t = np.clip(u @ axis, -1.0, 1.0)
+    gv, g1, g2 = (np.broadcast_to(np.asarray(f(t), dtype=float), t.shape) for f in (g, dg, ddg))
+    c = gv - t * g1
+    grad = g1[:, None] * axis + c[:, None] * u
+    w = axis - t[:, None] * u
+    hess = g2[:, None, None] * _outers(w) + c[:, None, None] * (np.eye(u.shape[1]) - _outers(u))
+    return gv, grad, _symmetrized(hess)
 
 
 @dataclass(frozen=True)
@@ -248,6 +293,18 @@ class Spheroid(ConvexBody):
         hess = (a2 * np.eye(self.dim) + d * np.outer(e, e)) / h
         hess -= np.outer(au, au) / h**3
         return SupportJet(h, grad, 0.5 * (hess + hess.T))
+
+    def jets(self, u):
+        u = _unit_rows(u)
+        e = self.axis_vector
+        a2 = self.equatorial**2
+        d = self.polar**2 - a2
+        au = a2 * u + d * (u @ e)[:, None] * e
+        h = np.sqrt(np.einsum("ij,ij->i", u, au))
+        hh = h[:, None, None]
+        hess = (a2 * np.eye(self.dim) + d * np.outer(e, e)) / hh
+        hess -= _outers(au) / hh**3
+        return h, au / h[:, None], _symmetrized(hess)
 
     @property
     def revolution_axis(self) -> np.ndarray:
@@ -316,6 +373,9 @@ class Revolution(ConvexBody):
         g, dg, ddg = self._derivatives()
         value, grad, hess = _revolution_jet(u, self.axis_vector, g, dg, ddg, self.dim)
         return SupportJet(value, grad, hess)
+
+    def jets(self, u):
+        return _revolution_jets(_unit_rows(u), self.axis_vector, *self._derivatives())
 
     @property
     def revolution_axis(self) -> np.ndarray:
@@ -402,6 +462,18 @@ class HarmonicPerturbation(ConvexBody):
             base.hessian + self.epsilon * hess,
         )
 
+    def jets(self, u):
+        u = _unit_rows(u)
+        c = self._coeffs
+        pert = _revolution_jets(
+            u,
+            self.axis_vector,
+            lambda t: _odd_poly(c, t),
+            lambda t: _odd_poly_d1(c, t),
+            lambda t: _odd_poly_d2(c, t),
+        )
+        return tuple(b + self.epsilon * p for b, p in zip(self.base.jets(u), pert))
+
     @property
     def revolution_axis(self) -> Optional[np.ndarray]:
         if self.base.isotropic:
@@ -441,6 +513,9 @@ class MinkowskiSum(ConvexBody):
             sum(j.gradient for j in jets),
             sum(j.hessian for j in jets),
         )
+
+    def jets(self, u):
+        return tuple(sum(parts) for parts in zip(*(p.jets(u) for p in self.parts)))
 
     @property
     def isotropic(self) -> bool:
@@ -501,6 +576,12 @@ class Homothet(ConvexBody):
             self.scale * base.hessian,
         )
 
+    def jets(self, u):
+        u = _unit_rows(u)
+        values, grads, hess = self.base.jets(u)
+        t = self.shift_vector
+        return self.scale * values + u @ t, self.scale * grads + t, self.scale * hess
+
     @property
     def isotropic(self) -> bool:
         # translation does not affect the Hessian, so curvature stays isotropic
@@ -543,6 +624,12 @@ class Erosion(ConvexBody):
             base.gradient - self.radius * u,
             base.hessian - self.radius * (np.eye(n) - np.outer(u, u)),
         )
+
+    def jets(self, u):
+        u = _unit_rows(u)
+        values, grads, hess = self.base.jets(u)
+        r = self.radius
+        return values - r, grads - r * u, hess - r * (np.eye(self.dim) - _outers(u))
 
     @property
     def isotropic(self) -> bool:
@@ -623,19 +710,14 @@ def validate(body, samples: int = 128, seed=0) -> ValidationReport:
 
     rng = as_rng(seed)
     dirs = haar_directions(body.dim, samples, rng)
-    min_radius = np.inf
-    max_radius = -np.inf
-    argmin = dirs[0]
-    for u in dirs:
-        vals = np.linalg.eigvalsh(_restrict(body.jet(u).hessian, tangent_frame(u)))
-        if vals[0] < min_radius:
-            min_radius = float(vals[0])
-            argmin = u
-        max_radius = max(max_radius, float(vals[-1]))
+    _, _, hess = body.jets(dirs)
+    radii = np.linalg.eigvalsh(_restrict_all(hess, tangent_frames(dirs)))
+    first = int(np.argmin(radii[:, 0]))  # the first of tied minima
+    min_radius = float(radii[first, 0])
     return ValidationReport(
         min_radius=min_radius,
-        max_radius=max_radius,
-        argmin_direction=argmin,
+        max_radius=float(radii[:, -1].max()),
+        argmin_direction=dirs[first],
         is_c2_plus=bool(min_radius > 0.0),
         samples=samples,
         seed=seed,

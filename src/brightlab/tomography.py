@@ -9,8 +9,21 @@ support jet by
 
 evaluated with a trapezoid rule on the circle for k = 2 (spectrally exact
 for smooth bodies), a Gauss-Legendre x uniform-azimuth product rule for
-k = 3, and seeded quasi-Monte Carlo for k >= 4.  For k = 1 the volume is
-the width of the segment.
+k = 3, and seeded quasi-Monte Carlo for k >= 4.  For k = 1 the sphere is
+{+1, -1} and the formula gives the width h(1) + h(-1) of the segment.
+
+The quasi-Monte Carlo rule evaluates antithetic pairs: a scrambled Sobol
+grid G on the upper hemisphere together with -G, each node at half weight.
+The odd part of h * det cancels within each pair, so a translated body
+(whose support gains the odd term <t, u>) has no bias, and for an even
+integrand the estimate equals the hemisphere estimate.  Its standard error
+comes from the spread of the pair means.
+
+Each volume is one batched evaluation: the jets of every node, their
+tangent frames, the restricted Hessians B^T H B, a stacked determinant and a
+weighted sum.  Shadow volumes over many frames and bodies share one
+quadrature rule (quasi-Monte Carlo seed 0), so quadrature noise cancels in
+volume ratios.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from math import gamma, pi
 import numpy as np
 
 from .sampling import as_rng, haar_directions, hemisphere_grid
-from .weingarten import _restrict, tangent_frame
+from .weingarten import _restrict_all, _unit_rows, tangent_frames
 
 __all__ = [
     "SubspaceFrame",
@@ -105,6 +118,12 @@ class ProjectedBody:
             f.T @ jet.hessian @ f,
         )
 
+    def jets(self, w):
+        """Batched ``jet``: the chain rule applied to the source jets at w F^T."""
+        f = self.frame.columns
+        values, grads, hess = self.source.jets(_unit_rows(w) @ f.T)
+        return values, grads @ f, f.T @ hess @ f
+
     def width(self, w) -> float:
         return self.support(np.asarray(w, dtype=float)) + self.support(-np.asarray(w, dtype=float))
 
@@ -122,10 +141,9 @@ def _surface_area(k: int) -> float:
     return 2.0 * pi ** (k / 2.0) / gamma(k / 2.0)
 
 
-def _curvature_density(kbody, u) -> float:
-    """h(u) * det of the tangential Hessian at u, from one jet."""
-    jet = kbody.jet(u)
-    return jet.value * float(np.linalg.det(_restrict(jet.hessian, tangent_frame(u))))
+def _width_rule():
+    # S^0 = {+1, -1} with counting measure; the 0 x 0 tangential determinant is 1
+    return np.array([[1.0], [-1.0]]), np.ones(2)
 
 
 def _circle_rule(nodes):
@@ -155,8 +173,26 @@ def _qmc_rule(k, nodes, seed):
     nodes = 4096 if nodes is None else int(nodes)
     if nodes < 16:
         raise ValueError("quasi-Monte Carlo needs at least 16 nodes")
-    # hemisphere sampling assumes h * det is even in u; a translated body breaks that
-    return hemisphere_grid(k, nodes, seed), np.full(nodes, _surface_area(k) / (k * nodes))
+    grid = hemisphere_grid(k, nodes, seed)
+    # antithetic pairs: rows i and nodes + i are u and -u
+    return np.vstack([grid, -grid]), np.full(2 * nodes, _surface_area(k) / (2 * k * nodes))
+
+
+def _quadrature_rule(k: int, nodes, seed):
+    """Directions and weights for V_k; each rule's weights include the 1/k."""
+    if k == 1:
+        return _width_rule()
+    if k == 2:
+        return _circle_rule(nodes)
+    if k == 3:
+        return _product_rule(nodes)
+    return _qmc_rule(k, nodes, seed)
+
+
+def _densities(kbody, dirs) -> np.ndarray:
+    """h * det of the tangential Hessian at every direction, from one batched jet."""
+    values, _, hess = kbody.jets(dirs)
+    return values * np.linalg.det(_restrict_all(hess, tangent_frames(dirs)))
 
 
 def volume_from_support(
@@ -169,43 +205,38 @@ def volume_from_support(
 
     nodes means: circle nodes for k = 2 (default 256, minimum 8), polar
     Gauss-Legendre nodes for k = 3 with 2*nodes uniform azimuths (default
-    32, minimum 4), and quasi-Monte Carlo sample count for k >= 4 (default
-    4096, minimum 16, ``seed`` required; pass ``return_stderr=True`` to also
-    get the standard error of the estimate).
+    32, minimum 4), and quasi-Monte Carlo antithetic pairs for k >= 4
+    (default 4096 pairs, minimum 16, ``seed`` required; pass
+    ``return_stderr=True`` to also get the standard error of the estimate).
+    nodes is ignored for k = 1.
     """
     k = kbody.dim
-    if k == 1:
-        length = kbody.support(np.ones(1)) + kbody.support(-np.ones(1))
-        return (float(length), 0.0) if return_stderr else float(length)
-    # each rule's weights include the 1/k of the formula in the module docstring
-    if k == 2:
-        dirs, weights = _circle_rule(nodes)
-    elif k == 3:
-        dirs, weights = _product_rule(nodes)
-    else:
-        dirs, weights = _qmc_rule(k, nodes, seed)
-    vals = np.array([_curvature_density(kbody, u) for u in dirs])
+    dirs, weights = _quadrature_rule(k, nodes, seed)
+    vals = _densities(kbody, dirs)
     vol = float(np.sum(weights * vals))
     if not return_stderr:
         return vol
-    if k == 2 or k == 3:
+    if k <= 3:
         return vol, 0.0  # deterministic rules carry no sampling error
-    return vol, _surface_area(k) * float(vals.std(ddof=1)) / np.sqrt(vals.size) / k
+    pair_means = vals.reshape(2, -1).mean(axis=0)
+    return vol, _surface_area(k) * float(pair_means.std(ddof=1)) / np.sqrt(pair_means.size) / k
 
 
 def _shadow_volumes(bodies, k: int, num_frames: int, seed, nodes):
     """Haar k-frames drawn from child seeds of ``seed``, and the shadow volumes.
 
-    Returns the frames and a (num_frames, len(bodies)) array of V_k; body i
-    uses quasi-Monte Carlo seed i, which matters only for k >= 4.
+    Returns the frames and a (num_frames, len(bodies)) array of V_k.  The
+    quadrature rule is built once (quasi-Monte Carlo seed 0 for k >= 4) and
+    every body and frame is integrated on it, so noise cancels in ratios.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = ss.spawn(num_frames)
     frames = [random_subspace(bodies[0].dim, k, np.random.default_rng(c)) for c in children]
+    dirs, weights = _quadrature_rule(k, nodes, seed=0)
     vols = np.empty((num_frames, len(bodies)))
     for row, frame in zip(vols, frames):
         for i, body in enumerate(bodies):
-            row[i] = volume_from_support(project(body, frame), nodes=nodes, seed=i)
+            row[i] = np.sum(weights * _densities(project(body, frame), dirs))
     return frames, vols
 
 

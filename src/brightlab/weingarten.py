@@ -41,6 +41,7 @@ __all__ = [
     "RevolutionRelationDefects",
     "DetRatioReport",
     "tangent_frame",
+    "tangent_frames",
     "reverse_weingarten",
     "relative_map",
     "wedge_identity_defect",
@@ -105,6 +106,36 @@ def tangent_frame(u, rule: str = "householder") -> TangentFrame:
     return TangentFrame(u=u, basis=basis)
 
 
+def _unit_rows(u) -> np.ndarray:
+    """An (m, n) array of unit directions as floats; non-unit rows are refused."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2:
+        raise ValueError("expected an (m, n) array of directions")
+    nrm = np.linalg.norm(u, axis=1)
+    bad = np.flatnonzero(np.abs(nrm - 1.0) > 1e-12)
+    if bad.size:
+        raise ValueError(f"direction must be unit length, |u[{bad[0]}]| = {nrm[bad[0]]!r}")
+    return u
+
+
+def tangent_frames(u) -> np.ndarray:
+    """Householder frames of u^perp for each row of an (m, n) array of unit directions.
+
+    Returns an (m, n, n-1) array whose i-th slice is
+    ``tangent_frame(u[i]).basis``, the u = e_1 case included.
+    """
+    u = _unit_rows(u)
+    n = u.shape[1]
+    v = -u
+    v[:, 0] += 1.0
+    vv = np.einsum("ij,ij->i", v, v)
+    near = vv < 1e-28
+    vv[near] = 1.0
+    basis = np.eye(n)[:, 1:] - 2.0 * v[:, :, None] * v[:, None, 1:] / vv[:, None, None]
+    basis[near] = np.eye(n)[:, 1:]
+    return basis
+
+
 @dataclass(frozen=True)
 class SelfAdjointMap:
     """A self-adjoint map on u^perp expressed in a tangent frame."""
@@ -141,6 +172,12 @@ class EigenProfile:
 def _restrict(hessian: np.ndarray, frame: TangentFrame) -> np.ndarray:
     m = frame.basis.T @ hessian @ frame.basis
     return 0.5 * (m + m.T)
+
+
+def _restrict_all(hessians: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """``_restrict`` over a stack: B^T H B for each (hessian, basis) slice."""
+    m = np.swapaxes(bases, 1, 2) @ hessians @ bases
+    return 0.5 * (m + np.swapaxes(m, 1, 2))
 
 
 def reverse_weingarten(body, u, frame: Optional[TangentFrame] = None) -> SelfAdjointMap:

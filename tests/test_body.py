@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brightlab.body import (
+    FAMILIES,
     Ball,
     Ellipsoid,
     Erosion,
@@ -24,6 +25,7 @@ from brightlab.body import (
     validate,
 )
 from brightlab.sampling import as_rng, haar_directions
+from brightlab.tomography import project, random_subspace
 
 E4 = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21]))
 
@@ -154,6 +156,46 @@ class TestSpheroid:
         assert vals[0] == pytest.approx(0.0, abs=1e-12)
         assert vals[1] == pytest.approx(a)
         assert vals[2] == pytest.approx(b * b / a)
+
+
+def batched_bodies():
+    """Every sample family, the numeric-derivative revolution, and a shadow."""
+    return [
+        *all_families(),
+        Revolution(
+            (0.0, 0.0, 1.0), RadialProfile(spheroid_profile(1.0, 0.8).g), numeric_derivatives=True
+        ),
+        project(Homothet(E4, 0.7, (0.1, 0.0, -0.2, 0.0)), random_subspace(4, 3, 0)),
+    ]
+
+
+class TestBatchedJets:
+    def test_every_registered_family_has_jets_and_a_sample(self):
+        sampled = {type(b) for b in all_families()}
+        for name, cls in [*FAMILIES.items(), ("(revolution)", Revolution)]:
+            assert "jets" in vars(cls), name
+            assert cls in sampled, name
+
+    @pytest.mark.parametrize("body", batched_bodies(), ids=lambda b: type(b).__name__)
+    def test_batched_jets_match_single_jets(self, body):
+        eye = np.eye(body.dim)
+        dirs = np.vstack([eye[0], -eye[-1], haar_directions(body.dim, 30, as_rng(7))])
+        values, grads, hess = body.jets(dirs)
+        assert values.shape == (len(dirs),)
+        assert grads.shape == dirs.shape
+        assert hess.shape == (len(dirs), body.dim, body.dim)
+        for i, u in enumerate(dirs):
+            jet = body.jet(u)
+            np.testing.assert_allclose(values[i], jet.value, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(grads[i], jet.gradient, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(hess[i], jet.hessian, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("body", batched_bodies(), ids=lambda b: type(b).__name__)
+    def test_batched_jets_reject_non_unit_rows(self, body):
+        dirs = haar_directions(body.dim, 3, as_rng(8))
+        dirs[1] *= 2.0
+        with pytest.raises(ValueError):
+            body.jets(dirs)
 
 
 class TestRevolution:

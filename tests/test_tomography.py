@@ -1,5 +1,7 @@
 """Projections, shadow volumes, proportionality, and homothety fitting."""
 
+from math import gamma, pi
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,13 @@ from brightlab.tomography import (
 
 E4 = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21]))
 K4 = Homothet(E4, 0.7, (0.1, 0.0, -0.2, 0.0))
+A6 = np.diag([1.0, 1.69, 0.64, 1.21, 0.81, 1.44])
+E6 = Ellipsoid(A6)
+SHIFT6 = (0.3, -0.2, 0.1, 0.0, 0.4, 0.05)
+
+
+def unit_ball_volume(k: int) -> float:
+    return pi ** (k / 2) / gamma(k / 2 + 1)
 
 
 class DegeneratePoint:
@@ -37,6 +46,10 @@ class DegeneratePoint:
     def jet(self, u):
         u = np.asarray(u, dtype=float)
         return SupportJet(0.0, np.zeros(self._n), np.zeros((self._n, self._n)))
+
+    def jets(self, u):
+        m = len(u)
+        return np.zeros(m), np.zeros((m, self._n)), np.zeros((m, self._n, self._n))
 
 
 class TestSubspaces:
@@ -134,6 +147,60 @@ class TestVolumes:
         assert stderr < 1e-2
         assert vol == pytest.approx(np.pi**2 / 2.0, abs=5e-3)
 
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_qmc_translation_invariance(self, k):
+        # the odd term <t, u> det cancels within each antithetic pair
+        for seed in range(3):
+            frame = random_subspace(6, k, seed)
+            for body in (Ball(6, 1.0), E6):
+                still = volume_from_support(project(body, frame), nodes=512, seed=seed)
+                moved = volume_from_support(
+                    project(Homothet(body, 1.0, SHIFT6), frame), nodes=512, seed=seed
+                )
+                assert moved == pytest.approx(still, rel=1e-12)
+            ball = volume_from_support(
+                project(Homothet(Ball(6, 1.0), 1.0, SHIFT6), frame), nodes=512, seed=seed
+            )
+            assert ball == pytest.approx(unit_ball_volume(k), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_qmc_rotation_invariance(self, k):
+        rng = np.random.default_rng(k)
+        for seed in range(3):
+            frame = random_subspace(6, k, seed)
+            rot = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+            # rotating body and subspace together leaves the shadow unchanged
+            turned = Ellipsoid(rot @ A6 @ rot.T)
+            same = volume_from_support(
+                project(turned, SubspaceFrame(rot @ frame.columns)), nodes=1024, seed=0
+            )
+            vol, err = volume_from_support(
+                project(E6, frame), nodes=1024, seed=0, return_stderr=True
+            )
+            assert same == pytest.approx(vol, rel=1e-12)
+            # rotating the shadow inside its subspace moves the nodes, not the volume
+            spin = np.linalg.qr(rng.standard_normal((k, k)))[0]
+            vol2, err2 = volume_from_support(
+                project(E6, SubspaceFrame(frame.columns @ spin)),
+                nodes=1024,
+                seed=0,
+                return_stderr=True,
+            )
+            assert abs(vol2 - vol) <= err + err2
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_qmc_ellipsoid_shadow_within_stderr(self, k):
+        # the shadow of sqrt(x'Ax) on F has shape F'AF: volume sqrt(det F'AF) kappa_k
+        for seed in range(10):
+            frame = random_subspace(6, k, seed)
+            exact = np.sqrt(np.linalg.det(frame.columns.T @ A6 @ frame.columns))
+            exact *= unit_ball_volume(k)
+            vol, err = volume_from_support(
+                project(E6, frame), nodes=4096, seed=0, return_stderr=True
+            )
+            assert 0.0 < err < 0.01 * exact
+            assert abs(vol - exact) <= err
+
     def test_qmc_requires_seed(self):
         frame = random_subspace(5, 4, 10)
         with pytest.raises(ValueError):
@@ -154,10 +221,11 @@ class TestProjectionFunction:
 
 
 class TestProportionality:
-    def test_ratios_match_two_projection_functions_on_one_seed(self):
-        report = proportionality_test(K4, E4, 2, 12, seed=5, nodes=64)
-        body = projection_function(K4, 2, 12, seed=5, nodes=64)
-        base = projection_function(E4, 2, 12, seed=5, nodes=64)
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_ratios_match_two_projection_functions_on_one_seed(self, k):
+        report = proportionality_test(K4, E4, k, 12, seed=5, nodes=64)
+        body = projection_function(K4, k, 12, seed=5, nodes=64)
+        base = projection_function(E4, k, 12, seed=5, nodes=64)
         for (fb, _), (f0, _) in zip(body, base):
             assert np.array_equal(fb.columns, f0.columns)
         expected = np.array([vb for _, vb in body]) / np.array([v0 for _, v0 in base])
@@ -168,6 +236,13 @@ class TestProportionality:
         assert report.constant == pytest.approx(0.49, abs=1e-12)
         assert report.max_rel_deviation < 1e-5
         assert report.excluded == 0
+
+    def test_shifted_homothet_pair_at_k4_has_exact_constant(self):
+        # common nodes and antithetic pairs: the shift and the QMC noise cancel
+        body = Homothet(Ellipsoid(A6[:5, :5]), 0.7, SHIFT6[:5])
+        report = proportionality_test(body, Ellipsoid(A6[:5, :5]), 4, 8, seed=11, nodes=1024)
+        assert report.constant == pytest.approx(0.7**4, rel=1e-12)
+        assert report.max_rel_deviation < 1e-12
 
     def test_generic_pair_is_not_proportional(self):
         report = proportionality_test(E4, Ball(4, 1.0), 2, 20, seed=4, nodes=128)

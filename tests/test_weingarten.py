@@ -23,6 +23,7 @@ from brightlab.weingarten import (
     revolution_eigenstructure,
     revolution_relations_check,
     tangent_frame,
+    tangent_frames,
     umbilic_check,
     wedge_identity_defect,
 )
@@ -40,6 +41,25 @@ class TestTangentFrame:
             assert basis.shape == (5, 4)
             assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-12)
             assert np.abs(basis.T @ u).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_stacked_frames_match_single_frames(self, n):
+        # e_1 takes the identity branch; -e_1 and e_n the reflection
+        eye = np.eye(n)
+        dirs = np.vstack([eye[0], -eye[0], eye[-1], haar_directions(n, 20, as_rng(2))])
+        bases = tangent_frames(dirs)
+        assert bases.shape == (len(dirs), n, n - 1)
+        for u, basis in zip(dirs, bases):
+            np.testing.assert_allclose(basis, tangent_frame(u).basis, rtol=0, atol=1e-14)
+        assert np.array_equal(bases[0], eye[:, 1:])
+
+    def test_stacked_frames_reject_non_unit_rows(self):
+        dirs = haar_directions(3, 4, as_rng(3))
+        dirs[2] *= 1.001
+        with pytest.raises(ValueError, match="unit length"):
+            tangent_frames(dirs)
+        with pytest.raises(ValueError):
+            tangent_frames(dirs[0])
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
