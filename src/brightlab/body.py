@@ -252,8 +252,9 @@ class Spheroid(ConvexBody):
     """Revolution ellipsoid; pole radii a^2/b (umbilic), equator (a, ..., a, b^2/a).
 
     The equatorial semiaxis is a and the polar semiaxis is b along the unit
-    axis e.  The support profile is g(t) = sqrt(a^2 + (b^2 - a^2) t^2) in
-    t = <u, e>, and the listed values are the principal radii of curvature.
+    axis e, so the shape matrix is A = a^2 I + (b^2 - a^2) e e^T and the
+    support profile is g(t) = sqrt(a^2 + (b^2 - a^2) t^2) in t = <u, e>; the
+    listed values are the principal radii of curvature.
     """
 
     axis: tuple
@@ -275,36 +276,14 @@ class Spheroid(ConvexBody):
     def axis_vector(self) -> np.ndarray:
         return np.asarray(self.axis, dtype=float)
 
-    def support(self, x) -> float:
-        x = _as_point(x)
+    @property
+    def matrix(self) -> np.ndarray:
         e = self.axis_vector
         a2 = self.equatorial**2
-        d = self.polar**2 - a2
-        return np.sqrt(a2 * (x @ x) + d * (x @ e) ** 2)
+        return a2 * np.eye(self.dim) + (self.polar**2 - a2) * np.outer(e, e)
 
-    def jet(self, u) -> SupportJet:
-        u = _as_direction(u)
-        e = self.axis_vector
-        a2 = self.equatorial**2
-        d = self.polar**2 - a2
-        au = a2 * u + d * float(u @ e) * e
-        h = float(np.sqrt(u @ au))
-        grad = au / h
-        hess = (a2 * np.eye(self.dim) + d * np.outer(e, e)) / h
-        hess -= np.outer(au, au) / h**3
-        return SupportJet(h, grad, 0.5 * (hess + hess.T))
-
-    def jets(self, u):
-        u = _unit_rows(u)
-        e = self.axis_vector
-        a2 = self.equatorial**2
-        d = self.polar**2 - a2
-        au = a2 * u + d * (u @ e)[:, None] * e
-        h = np.sqrt(np.einsum("ij,ij->i", u, au))
-        hh = h[:, None, None]
-        hess = (a2 * np.eye(self.dim) + d * np.outer(e, e)) / hh
-        hess -= _outers(au) / hh**3
-        return h, au / h[:, None], _symmetrized(hess)
+    # the ellipsoid algebra reads only ``self.matrix``
+    support, jet, jets = Ellipsoid.support, Ellipsoid.jet, Ellipsoid.jets
 
     @property
     def revolution_axis(self) -> np.ndarray:

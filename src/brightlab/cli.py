@@ -19,6 +19,10 @@ Report schema ("inputs" echoes the resolved scenario parameters):
      "checks": [{"name": str, "value": float, "tol": float, "pass": bool}],
      "extras": {...}, "wall_time_s": float, "version": str}
 
+Reports are strict JSON: a non-finite number (say, the best residual of a
+campaign in which no trial was eligible) is written as null, and a check
+whose value is null has failed.
+
 Body documents are {"family": str, "params": {...}} as accepted by
 ``body_from_dict``; ``brightlab gallery`` lists the families.
 """
@@ -30,6 +34,7 @@ import copy
 import csv
 import inspect
 import json
+import math
 import os
 import sys
 import tempfile
@@ -191,13 +196,22 @@ def _body(params: dict, key: str):
         raise ConfigError(f"invalid {key!r} body document: {exc}") from exc
 
 
+def _pair(params: dict):
+    """The "body" and "base" bodies, which must share one dimension."""
+    body, base = _body(params, "body"), _body(params, "base")
+    if body.dim != base.dim:
+        raise ConfigError(
+            f"'body' is {body.dim}-dimensional but 'base' is {base.dim}-dimensional"
+        )
+    return body, base
+
+
 # ---------------------------------------------------------------------------
 # scenario runners: params, seed -> (checks, extras[, csv rows])
 
 
 def _run_verify_wedge(params: dict, seed: int):
-    body = _body(params, "body")
-    base = _body(params, "base")
+    body, base = _pair(params)
     grades = [int(k) for k in params["grades"]]
     if params["betas"] is not None:
         betas = [float(b) for b in params["betas"]]
@@ -232,8 +246,7 @@ def _run_brightness(params: dict, seed: int):
 
 
 def _run_proportionality(params: dict, seed: int):
-    body = _body(params, "body")
-    base = _body(params, "base")
+    body, base = _pair(params)
     report = proportionality_test(
         body, base, int(params["k"]), params["num_frames"], seed, nodes=_nodes(params)
     )
@@ -243,8 +256,7 @@ def _run_proportionality(params: dict, seed: int):
 
 
 def _run_umbilic_search(params: dict, seed: int):
-    body = _body(params, "body")
-    base = _body(params, "base")
+    body, base = _pair(params)
     objective = str(params["objective"])
     tol = params["tolerance"]
     result = antipodal_search(
@@ -275,9 +287,11 @@ def _run_lemma_campaign(params: dict, seed: int):
             seed=seed,
             tol=float(params["residual_tol"]),
             min_spread=float(params["min_spread"]),
-            keep_rows=True,
         )
         checks = [Check("violations_found", 1.0 if report.found_violation else 0.0, 0.0)]
+        if report.best_x is None:
+            # every trial fell below min_spread, so the campaign tested nothing
+            checks.append(Check("no_eligible_trial", 1.0, 0.0))
         extras = {
             "best_residual": report.best_residual,
             "best_gamma": report.best_gamma,
@@ -327,8 +341,7 @@ def _run_gallery(params: dict, seed):
 
 
 def _run_ratio_e48(params: dict, seed: int):
-    body = _body(params, "body")
-    base = _body(params, "base")
+    body, base = _pair(params)
     i, j = int(params["i"]), int(params["j"])
     defect = ratio_consistency_check(
         body, base, i, j, params["num_frames"], seed, nodes=_nodes(params)
@@ -457,6 +470,17 @@ def _write_csv(path: Path, rows: list[tuple]) -> None:
     _write_atomic(path, buffer.getvalue())
 
 
+def _strict(obj):
+    """``obj`` with every non-finite float as None, so it dumps as strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brightlab",
@@ -507,7 +531,7 @@ def main(argv=None) -> int:
         "version": __version__,
     }
     out_path = Path(out) if out is not None else Path(f"{args.command}-report.json")
-    _write_atomic(out_path, json.dumps(report, indent=2) + "\n")
+    _write_atomic(out_path, json.dumps(_strict(report), indent=2, allow_nan=False) + "\n")
     if args.csv:
         _write_csv(out_path.with_suffix(".csv"), csv_rows)
 

@@ -26,12 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import PreconditionError
+from .multilinear import _index_array
 from .sampling import as_rng
 
 __all__ = [
@@ -97,16 +99,21 @@ class HypothesisResiduals(NamedTuple):
 
 
 def _subset_products(values: np.ndarray, size: int) -> np.ndarray:
-    idx = np.array(list(combinations(range(values.size), size)), dtype=np.intp)
-    return np.prod(values[idx], axis=1)
+    """Products of ``values`` over every ``size``-subset, in lex subset order."""
+    return np.prod(values[_index_array(values.size, size)], axis=1)
+
+
+def _level_residuals(x: np.ndarray, y: np.ndarray, size: int, rhs: float) -> np.ndarray:
+    """x_I + y_I - rhs for every |I| = size."""
+    return _subset_products(x, size) + _subset_products(y, size) - rhs
 
 
 def hypothesis_residual(inst: RelationInstance) -> HypothesisResiduals:
     """Exact max residual of both equation levels over all subsets."""
     x = np.asarray(inst.x)
     y = np.asarray(inst.y)
-    res_k = np.abs(_subset_products(x, inst.k) + _subset_products(y, inst.k) - 2 * inst.a)
-    res_m = np.abs(_subset_products(x, inst.m) + _subset_products(y, inst.m) - 2 * inst.b)
+    res_k = np.abs(_level_residuals(x, y, inst.k, 2 * inst.a))
+    res_m = np.abs(_level_residuals(x, y, inst.m, 2 * inst.b))
     return HypothesisResiduals(float(res_k.max()), float(res_m.max()))
 
 
@@ -166,47 +173,20 @@ def infinite_family(t: float, n: int, k: int = 2, m: Optional[int] = None) -> Re
 # candidate enumeration (exact rational polynomial assembly)
 
 
-def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
+def _poly(terms: dict) -> np.ndarray:
+    """Object array of Fraction coefficients from {exponent: coefficient}."""
+    out = np.array([Fraction(0)] * (max(terms) + 1), dtype=object)
+    for e, c in terms.items():
+        out[e] = Fraction(c)
     return out
-
-
-def _poly_pow(p: list[Fraction], e: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for _ in range(e):
-        out = _poly_mul(out, p)
-    return out
-
-
-def _poly_add(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, pi in enumerate(p):
-        out[i] += pi
-    for j, qj in enumerate(q):
-        out[j] += qj
-    return out
-
-
-def _poly_scale(p: list[Fraction], c: Fraction) -> list[Fraction]:
-    return [c * pi for pi in p]
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
 
 
 def _positive_real_roots(coeffs: list[Fraction], imag_tol: float = 1e-9) -> list[float]:
     """Positive real roots via companion-matrix eigenvalues (ascending coeffs)."""
-    c = np.array([float(v) for v in _trim(coeffs)])
+    c = P.polytrim(np.array(coeffs, dtype=float))
     if c.size <= 1 or not np.any(c[1:]):
         return []
-    roots = np.polynomial.polynomial.polyroots(c)
+    roots = P.polyroots(c)
     out = []
     for r in roots:
         if abs(r.imag) <= imag_tol * (1.0 + abs(r.real)) and r.real > 1e-12:
@@ -214,13 +194,10 @@ def _positive_real_roots(coeffs: list[Fraction], imag_tol: float = 1e-9) -> list
     return sorted(out)
 
 
-def _constant_level_poly(a: Fraction, b: Fraction, n: int) -> list[Fraction]:
+def _constant_level_poly(a: Fraction, b: Fraction, n: int) -> np.ndarray:
     """z^{n-1} + (2a - z)^{n-1} - 2b, ascending coefficients."""
-    z = [Fraction(0), Fraction(1)]
-    mirror = [2 * a, Fraction(-1)]
-    poly = _poly_add(_poly_pow(z, n - 1), _poly_pow(mirror, n - 1))
-    poly[0] -= 2 * b
-    return _trim(poly)
+    level = P.polyadd(P.polypow(_poly({1: 1}), n - 1), P.polypow(_poly({0: 2 * a, 1: -1}), n - 1))
+    return P.polysub(level, _poly({0: 2 * b}))
 
 
 def case2_polynomial(a: float, b: float, l: int, n: int) -> list[Fraction]:
@@ -237,24 +214,19 @@ def case2_polynomial(a: float, b: float, l: int, n: int) -> list[Fraction]:
     """
     if not 2 <= l <= n - 2:
         raise ValueError("the parameterized branch needs 2 <= l <= n-2")
-    fa, fb = Fraction(a), Fraction(b)
-    lhs = [Fraction(0)] * ((l - 1) * (n - l) + 1)
-    lhs[(l - 1) * (n - l)] = (2 * fa) ** (n - 1)
-    low = (l - 1) * (n - l - 1)
-    if len(lhs) <= low:
-        lhs += [Fraction(0)] * (low + 1 - len(lhs))
-    lhs[low] += (2 * fa) ** (n - 1)
-    one_plus = lambda e: _trim([Fraction(1)] + [Fraction(0)] * (e - 1) + [Fraction(1)])  # noqa: E731
-    rhs = _poly_mul(_poly_pow(one_plus(n - l - 1), l - 1), _poly_pow(one_plus(l - 1), n - l))
-    rhs = _poly_scale(rhs, 2 * fb)
-    return _trim(_poly_add(lhs, _poly_scale(rhs, Fraction(-1))))
+    lead = (2 * Fraction(a)) ** (n - 1)
+    lhs = _poly({(l - 1) * (n - l): lead, (l - 1) * (n - l - 1): lead})
+    rhs = P.polymul(
+        P.polypow(_poly({0: 1, n - l - 1: 1}), l - 1), P.polypow(_poly({0: 1, l - 1: 1}), n - l)
+    )
+    return list(P.polysub(lhs, 2 * Fraction(b) * rhs))
 
 
-def _proportional_poly(a: Fraction, b: Fraction, k: int, n: int) -> list[Fraction]:
+def _proportional_poly(a: Fraction, b: Fraction, k: int, n: int) -> np.ndarray:
     """(2a - x^k)^{n-1} - (2b - x^{n-1})^k, ascending coefficients in x."""
-    xa = [2 * a] + [Fraction(0)] * (k - 1) + [Fraction(-1)]
-    xb = [2 * b] + [Fraction(0)] * (n - 2) + [Fraction(-1)]
-    return _trim(_poly_add(_poly_pow(xa, n - 1), _poly_scale(_poly_pow(xb, k), Fraction(-1))))
+    return P.polysub(
+        P.polypow(_poly({0: 2 * a, k: -1}), n - 1), P.polypow(_poly({0: 2 * b, n - 1: -1}), k)
+    )
 
 
 @dataclass(frozen=True)
@@ -376,79 +348,97 @@ def match_candidates(values, cset: CandidateSet, tol: float = 1e-6) -> float:
 # experimental hypothesis solver
 
 
-def _residual_and_jacobian(z: np.ndarray, n: int, k: int, m: int, a: float, b: float):
+# Solver limits: a run stops below _SOLVER_TOL or after _MAX_ITER damped
+# steps, and at most _MAX_RESTARTS random starts are tried.
+_SOLVER_TOL = 1e-11
+_MAX_RESTARTS = 10000
+_MAX_ITER = 80
+
+
+@lru_cache(maxsize=None)
+def _leave_one_out(n: int, size: int) -> np.ndarray:
+    """(S, size, size - 1) table: subset s of ``_index_array`` without its j-th entry."""
+    idx = _index_array(n, size)
+    keep = ~np.eye(size, dtype=bool)
+    loo = np.repeat(idx[:, None, :], size, axis=1)[:, keep].reshape(len(idx), size, size - 1)
+    loo.setflags(write=False)
+    return loo
+
+
+def _residual(z: np.ndarray, n: int, k: int, m: int, a: float, b: float) -> np.ndarray:
+    """Hypothesis equations at z = (x, y): the k-level rows, then the m-level rows."""
     x, y = z[:n], z[n:]
-    rows = []
-    jac = []
-    for size, rhs in ((k, 2 * a), (m, 2 * b)):
-        for idx in combinations(range(n), size):
-            px = float(np.prod(x[list(idx)]))
-            py = float(np.prod(y[list(idx)]))
-            rows.append(px + py - rhs)
-            grad = np.zeros(2 * n)
-            for i in idx:
-                others = [j for j in idx if j != i]
-                grad[i] = float(np.prod(x[others])) if others else 1.0
-                grad[n + i] = float(np.prod(y[others])) if others else 1.0
-            jac.append(grad)
-    return np.asarray(rows), np.asarray(jac)
+    return np.concatenate([_level_residuals(x, y, k, 2 * a), _level_residuals(x, y, m, 2 * b)])
+
+
+def _jacobian(z: np.ndarray, n: int, k: int, m: int) -> np.ndarray:
+    """Jacobian of ``_residual``: d x_I / d x_i is the product over I without i.
+
+    The leave-one-out products never divide by x_i, so zero entries are
+    exact, and a size-1 subset gives the empty product 1.
+    """
+    x, y = z[:n], z[n:]
+    blocks = []
+    for size in (k, m):
+        idx = _index_array(n, size)
+        loo = _leave_one_out(n, size)
+        rows = np.arange(len(idx))[:, None]
+        block = np.zeros((len(idx), 2 * n))
+        block[rows, idx] = np.prod(x[loo], axis=-1)
+        block[rows, n + idx] = np.prod(y[loo], axis=-1)
+        blocks.append(block)
+    return np.vstack(blocks)
 
 
 def find_hypothesis_solutions(
-    a: float,
-    b: float,
-    k: int,
-    m: int,
-    n: int,
-    solutions: int,
-    seed=0,
-    tol: float = 1e-11,
-    max_restarts: int = 10000,
-    max_iter: int = 80,
+    a: float, b: float, k: int, m: int, n: int, solutions: int, seed=0
 ) -> list[RelationInstance]:
     """Damped Gauss-Newton random-restart solver for the hypothesis system.
 
     Starts from uniform random positive points, takes least-squares Newton
     steps with backtracking, projects onto the closed positive orthant, and
-    keeps every run whose max residual falls below ``tol``.  Returns up to
-    ``solutions`` converged instances (an experimental oracle, not a
+    keeps every run whose max residual falls below ``_SOLVER_TOL``.  Returns
+    up to ``solutions`` converged instances (an experimental oracle, not a
     guaranteed enumeration).
     """
     rng = as_rng(seed)
     found: list[RelationInstance] = []
     scale = max(a, b) ** (1.0 / k)
-    for _ in range(max_restarts):
+    for _ in range(_MAX_RESTARTS):
         if len(found) >= solutions:
             break
         z = rng.uniform(0.05, 1.8, size=2 * n) * scale
-        for _ in range(max_iter):
-            f, jmat = _residual_and_jacobian(z, n, k, m, a, b)
+        for _ in range(_MAX_ITER):
+            f = _residual(z, n, k, m, a, b)
             norm0 = np.abs(f).max()
-            if norm0 < tol:
+            if norm0 < _SOLVER_TOL:
                 break
-            step, *_ = np.linalg.lstsq(jmat, -f, rcond=None)
+            step, *_ = np.linalg.lstsq(_jacobian(z, n, k, m), -f, rcond=None)
             lam = 1.0
             for _ in range(30):
                 cand = z + lam * step
                 cand[:n] = np.maximum(cand[:n], 0.0)
                 cand[n:] = np.maximum(cand[n:], 1e-12)
-                fc, _ = _residual_and_jacobian(cand, n, k, m, a, b)
-                if np.abs(fc).max() < norm0:
+                if np.abs(_residual(cand, n, k, m, a, b)).max() < norm0:
                     z = cand
                     break
                 lam *= 0.5
             else:
                 break
-        f, _ = _residual_and_jacobian(z, n, k, m, a, b)
-        if np.abs(f).max() < tol and z[n:].min() > 1e-9:
-            found.append(
-                RelationInstance(tuple(z[:n]), tuple(z[n:]), a, b, k, m)
-            )
+        if np.abs(_residual(z, n, k, m, a, b)).max() < _SOLVER_TOL and z[n:].min() > 1e-9:
+            found.append(RelationInstance(tuple(z[:n]), tuple(z[n:]), a, b, k, m))
     return found
 
 
 # ---------------------------------------------------------------------------
 # antipodal subset products
+
+
+def _antipodal_sums(x: np.ndarray, k: int) -> np.ndarray:
+    """x_I + x_{I*} over every |I| = k along the last axis, I* the mirror of I."""
+    idx = _index_array(x.shape[-1], k)
+    mirrored = x.shape[-1] - 1 - idx[:, ::-1]
+    return np.prod(x[..., idx], axis=-1) + np.prod(x[..., mirrored], axis=-1)
 
 
 class AntipodalCheckResult(NamedTuple):
@@ -478,9 +468,7 @@ def antipodal_product_check(
         raise ValueError("entries must be positive")
     if np.any(np.diff(x) < -1e-12):
         raise ValueError("entries must be sorted ascending")
-    idx = np.array(list(combinations(range(mlen), k)), dtype=np.intp)
-    mirrored = mlen - 1 - idx[:, ::-1]
-    sums = np.prod(x[idx], axis=1) + np.prod(x[mirrored], axis=1)
+    sums = _antipodal_sums(x, k)
     residual = float(np.abs(sums - 2.0 * gamma).max())
     holds = residual <= tol
     spread = float(x[-1] - x[0])
@@ -499,8 +487,12 @@ class FalsificationReport:
     best_gamma: float
     min_spread: float
     found_violation: bool
-    residual_tol: float = field(default=np.nan, compare=False)
-    rows: Optional[np.ndarray] = field(default=None, compare=False)
+    residual_tol: float
+    rows: np.ndarray = field(compare=False)  # (trials, 2): residual, spread
+
+
+# trials drawn and evaluated per batch, bounding the campaign's working memory
+_CHUNK = 100000
 
 
 def antipodal_falsification(
@@ -510,8 +502,6 @@ def antipodal_falsification(
     seed=0,
     tol: float = 1e-9,
     min_spread: float = 1e-3,
-    chunk: int = 100000,
-    keep_rows: bool = False,
 ) -> FalsificationReport:
     """Vectorized random search for non-constant antipodal solutions.
 
@@ -519,14 +509,12 @@ def antipodal_falsification(
     optimal for the squared residual (the subset-sum mean), and records the
     max equation residual.  A violation is a trial with spread >=
     ``min_spread`` and residual < ``tol``; the constancy statement predicts
-    none exist.  With ``keep_rows`` the report retains one (residual,
-    spread) row per trial for export.
+    none exist.  The report keeps one (residual, spread) row per trial for
+    export.
     """
     if mlen < 4 or not 2 <= k <= mlen - 2:
         raise ValueError("need M >= 4 and 2 <= k <= M - 2")
     rng = as_rng(seed)
-    idx = np.array(list(combinations(range(mlen), k)), dtype=np.intp)
-    mirrored = mlen - 1 - idx[:, ::-1]
     best_residual = np.inf
     best_x = None
     best_gamma = np.nan
@@ -534,15 +522,14 @@ def antipodal_falsification(
     row_chunks: list[np.ndarray] = []
     remaining = trials
     while remaining > 0:
-        size = min(chunk, remaining)
+        size = min(_CHUNK, remaining)
         remaining -= size
         x = np.sort(rng.uniform(0.2, 2.0, size=(size, mlen)), axis=1)
-        sums = np.prod(x[:, idx], axis=2) + np.prod(x[:, mirrored], axis=2)
+        sums = _antipodal_sums(x, k)
         gamma = sums.mean(axis=1) / 2.0
         residual = np.abs(sums - 2.0 * gamma[:, None]).max(axis=1)
         spread = x[:, -1] - x[:, 0]
-        if keep_rows:
-            row_chunks.append(np.column_stack([residual, spread]))
+        row_chunks.append(np.column_stack([residual, spread]))
         eligible = spread >= min_spread
         if np.any(eligible):
             sub = np.where(eligible)[0]
@@ -561,7 +548,7 @@ def antipodal_falsification(
         min_spread=min_spread,
         found_violation=found,
         residual_tol=tol,
-        rows=np.concatenate(row_chunks) if row_chunks else None,
+        rows=np.concatenate(row_chunks),
     )
 
 
@@ -584,8 +571,7 @@ def eigenvalue_relation_audit(r, r_tilde, k: int, beta: float, slack: float = 1e
         raise ValueError("profiles must be two equally long vectors")
     if not 1 <= k <= r.size:
         raise ValueError("grade out of range")
-    idx = np.array(list(combinations(range(r.size), k)), dtype=np.intp)
-    defect = float(np.abs(np.prod(r[idx], axis=1) + np.prod(rt[idx], axis=1) - 2 * beta).max())
+    defect = float(np.abs(_level_residuals(r, rt, k, 2 * beta)).max())
     scale = max(1.0, float(np.abs(rt).max()))
     antitone = bool(np.all(np.diff(rt) <= slack * scale))
     return RelationAudit(defect, antitone)

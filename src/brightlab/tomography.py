@@ -189,10 +189,13 @@ def _quadrature_rule(k: int, nodes, seed):
     return _qmc_rule(k, nodes, seed)
 
 
-def _densities(kbody, dirs) -> np.ndarray:
-    """h * det of the tangential Hessian at every direction, from one batched jet."""
+def _densities(kbody, dirs, frames) -> np.ndarray:
+    """h * det of the tangential Hessian at every direction, from one batched jet.
+
+    ``frames`` is ``tangent_frames(dirs)``; callers build it once per rule.
+    """
     values, _, hess = kbody.jets(dirs)
-    return values * np.linalg.det(_restrict_all(hess, tangent_frames(dirs)))
+    return values * np.linalg.det(_restrict_all(hess, frames))
 
 
 def volume_from_support(
@@ -212,7 +215,7 @@ def volume_from_support(
     """
     k = kbody.dim
     dirs, weights = _quadrature_rule(k, nodes, seed)
-    vals = _densities(kbody, dirs)
+    vals = _densities(kbody, dirs, tangent_frames(dirs))
     vol = float(np.sum(weights * vals))
     if not return_stderr:
         return vol
@@ -233,10 +236,11 @@ def _shadow_volumes(bodies, k: int, num_frames: int, seed, nodes):
     children = ss.spawn(num_frames)
     frames = [random_subspace(bodies[0].dim, k, np.random.default_rng(c)) for c in children]
     dirs, weights = _quadrature_rule(k, nodes, seed=0)
+    tangents = tangent_frames(dirs)
     vols = np.empty((num_frames, len(bodies)))
     for row, frame in zip(vols, frames):
         for i, body in enumerate(bodies):
-            row[i] = np.sum(weights * _densities(project(body, frame), dirs))
+            row[i] = np.sum(weights * _densities(project(body, frame), dirs, tangents))
     return frames, vols
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from brightlab.body import FAMILIES
@@ -109,6 +110,35 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert repr(key) in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+    @pytest.mark.parametrize(
+        "scenario", ["verify-wedge", "proportionality", "umbilic-search", "ratio-e48"]
+    )
+    def test_body_base_dimension_mismatch_exits_two(self, tmp_path, scenario):
+        ellipsoid_4d = {"family": "ellipsoid", "params": {"shape": np.eye(4).tolist()}}
+        ball_5d = {"family": "ball", "params": {"dim": 5, "radius": 1.0}}
+        cfg = write_config(tmp_path / "c.json", {"body": ellipsoid_4d, "base": ball_5d})
+        proc = run_cli(scenario, "--config", cfg, "--seed", "1", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "4-dimensional" in proc.stderr and "5-dimensional" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_campaign_without_eligible_trial_fails_with_strict_json(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"trials": 1000, "min_spread": 5.0})
+        proc = run_cli(
+            "lemma-campaign", "--config", cfg, "--seed", "1", "--out", "r.json", cwd=tmp_path
+        )
+        assert proc.returncode == 1
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse)
+        extras = report["extras"]
+        assert extras["best_residual"] is None and extras["best_gamma"] is None
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert failed == ["no_eligible_trial"]
 
 
 class TestReportSchema:

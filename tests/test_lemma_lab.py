@@ -1,5 +1,8 @@
 """Subset-product relation systems: residuals, candidates, campaigns."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -151,7 +154,48 @@ class TestEnumerateCandidates:
             assert match_candidates(inst.y, cset) < 1e-6
 
 
+class TestSolverEquations:
+    @pytest.mark.parametrize("k,m,n", [(1, 3, 4), (2, 4, 5), (1, 2, 5), (3, 5, 6)])
+    def test_jacobian_matches_central_differences(self, k, m, n):
+        from brightlab.lemma_lab import _jacobian, _residual
+
+        rng = np.random.default_rng(k * 100 + n)
+        a, b, step = 1.1, 1.7, 1e-6
+        for _ in range(3):
+            z = rng.uniform(0.3, 1.6, 2 * n)
+            z[rng.integers(n)] = 0.0  # a vanishing x entry
+            jac = _jacobian(z, n, k, m)
+            assert jac.shape == (comb(n, k) + comb(n, m), 2 * n)
+            for i in range(2 * n):
+                dz = np.zeros(2 * n)
+                dz[i] = step
+                fd = (_residual(z + dz, n, k, m, a, b) - _residual(z - dz, n, k, m, a, b)) / (2 * step)
+                np.testing.assert_allclose(jac[:, i], fd, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("k,m,n", [(1, 3, 4), (2, 4, 5)])
+    def test_residual_levels_match_hypothesis_residual(self, k, m, n):
+        from brightlab.lemma_lab import _residual
+
+        rng = np.random.default_rng(n)
+        inst = RelationInstance(
+            tuple(rng.uniform(0.0, 1.5, n)), tuple(rng.uniform(0.5, 1.5, n)), 1.2, 0.9, k, m
+        )
+        rows = np.abs(_residual(np.array(inst.x + inst.y), n, k, m, inst.a, inst.b))
+        assert rows.size == comb(n, k) + comb(n, m)
+        res = hypothesis_residual(inst)
+        assert rows[: comb(n, k)].max() == res.k_residual
+        assert rows[comb(n, k) :].max() == res.m_residual
+
+
 class TestCase2Polynomial:
+    def test_constant_level_polynomial_for_three_entries(self):
+        # z^2 + (2a - z)^2 - 2b = (4a^2 - 2b) - 4a z + 2 z^2
+        from brightlab.lemma_lab import _constant_level_poly
+
+        a, b = Fraction(13, 10), Fraction(7, 4)
+        assert list(_constant_level_poly(a, b, 3)) == [4 * a**2 - 2 * b, -4 * a, 2]
+
+
     @pytest.mark.parametrize("n,l", [(4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (6, 4)])
     def test_degree_bound_is_attained(self, n, l):
         poly = case2_polynomial(1.0, 2.0, l, n)
@@ -212,7 +256,7 @@ class TestAntipodalProducts:
         assert report.best_x[-1] - report.best_x[0] >= report.min_spread
 
     def test_falsification_row_retention(self):
-        report = antipodal_falsification(6, 2, 1000, seed=1, keep_rows=True)
+        report = antipodal_falsification(6, 2, 1000, seed=1)
         assert report.rows is not None
         assert report.rows.shape == (1000, 2)
         assert np.all(report.rows[:, 0] >= 0)
