@@ -33,6 +33,7 @@ import argparse
 import copy
 import csv
 import inspect
+import io
 import json
 import math
 import os
@@ -171,22 +172,29 @@ def _resolve_params(scenario: str, args: argparse.Namespace) -> tuple[dict, Opti
     if not isinstance(params.get("tolerance"), (int, float)):
         raise ConfigError("tolerance must be a number")
     params["tolerance"] = float(params["tolerance"])
-    _check_counts(params)
+    _check_integers(params)
     return params, seed, out
 
 
-def _check_counts(params: dict) -> None:
-    """Count keys must be integers >= 1; floats, bools and strings are refused."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_integers(params: dict) -> None:
+    """Count keys must be integers >= 1, and the other integer keys integers.
+
+    ``k`` and ``nodes`` may be null; floats, bools and strings are refused.
+    The library checks the ranges of the keys that are not counts.
+    """
     for key in ("samples", "num_frames", "trials", "solutions", "budget"):
-        if key not in params:
-            continue
-        value = params[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{key!r} must be an integer >= 1, got {value!r}")
-
-
-def _nodes(params: dict) -> Optional[int]:
-    return None if params["nodes"] is None else int(params["nodes"])
+        if key in params and not (_is_int(params[key]) and params[key] >= 1):
+            raise ConfigError(f"{key!r} must be an integer >= 1, got {params[key]!r}")
+    for key in ("k", "i", "j", "m_len", "m", "n", "nodes"):
+        if key in params and not (_is_int(params[key]) or key in ("k", "nodes") and params[key] is None):
+            raise ConfigError(f"{key!r} must be an integer, got {params[key]!r}")
+    grades = params.get("grades", [])
+    if not (isinstance(grades, list) and all(map(_is_int, grades))):
+        raise ConfigError(f"'grades' must be a list of integers, got {grades!r}")
 
 
 def _body(params: dict, key: str):
@@ -207,12 +215,13 @@ def _pair(params: dict):
 
 
 # ---------------------------------------------------------------------------
-# scenario runners: params, seed -> (checks, extras[, csv rows])
+# scenario runners: params, seed -> (checks, extras[, csv]), where csv() returns
+# the scenario's own CSV bytes; without it --csv writes the checks
 
 
 def _run_verify_wedge(params: dict, seed: int):
     body, base = _pair(params)
-    grades = [int(k) for k in params["grades"]]
+    grades = params["grades"]
     if params["betas"] is not None:
         betas = [float(b) for b in params["betas"]]
         if len(betas) != len(grades):
@@ -231,7 +240,7 @@ def _run_verify_wedge(params: dict, seed: int):
 def _run_brightness(params: dict, seed: int):
     body = _body(params, "body")
     samples = projection_function(
-        body, int(params["k"]), params["num_frames"], seed, nodes=_nodes(params)
+        body, params["k"], params["num_frames"], seed, nodes=params["nodes"]
     )
     vols = np.asarray([v for _, v in samples])
     mid = float(np.median(vols))
@@ -248,7 +257,7 @@ def _run_brightness(params: dict, seed: int):
 def _run_proportionality(params: dict, seed: int):
     body, base = _pair(params)
     report = proportionality_test(
-        body, base, int(params["k"]), params["num_frames"], seed, nodes=_nodes(params)
+        body, base, params["k"], params["num_frames"], seed, nodes=params["nodes"]
     )
     tol = params["tolerance"]
     checks = [Check("proportionality_max_rel_deviation", report.max_rel_deviation, tol)]
@@ -281,8 +290,8 @@ def _run_lemma_campaign(params: dict, seed: int):
     if mode == "antipodal":
         trials = params["trials"]
         report = antipodal_falsification(
-            int(params["m_len"]),
-            2 if params["k"] is None else int(params["k"]),
+            params["m_len"],
+            2 if params["k"] is None else params["k"],
             trials,
             seed=seed,
             tol=float(params["residual_tol"]),
@@ -292,17 +301,20 @@ def _run_lemma_campaign(params: dict, seed: int):
         if report.best_x is None:
             # every trial fell below min_spread, so the campaign tested nothing
             checks.append(Check("no_eligible_trial", 1.0, 0.0))
+        eligible, violation = _campaign_masks(report)
         extras = {
             "best_residual": report.best_residual,
             "best_gamma": report.best_gamma,
             "best_x": [float(v) for v in report.best_x] if report.best_x is not None else None,
             "trials": trials,
+            "eligible_trials": int(eligible.sum()),
+            "violations": int(violation.sum()),
         }
-        return checks, extras, _campaign_rows(report)
+        return checks, extras, lambda: _campaign_csv(report)
     if mode == "solver":
         a, b = float(params["a"]), float(params["b"])
-        k = 1 if params["k"] is None else int(params["k"])
-        m, n = int(params["m"]), int(params["n"])
+        k = 1 if params["k"] is None else params["k"]
+        m, n = params["m"], params["n"]
         wanted = params["solutions"]
         cset = enumerate_candidates(a, b, k, m, n)
         found = find_hypothesis_solutions(a, b, k, m, n, wanted, seed=seed)
@@ -320,17 +332,14 @@ def _run_lemma_campaign(params: dict, seed: int):
             "solutions_found": len(found),
             "candidate_values": [float(v) for v in cset.values()],
         }
-        return checks, extras, rows
+        return checks, extras, lambda: _csv(rows)
     raise ConfigError(f"unknown lemma-campaign mode {mode!r} (expected 'antipodal' or 'solver')")
 
 
-def _campaign_rows(report):
-    """Per-trial CSV rows, built only when the CSV is written."""
-    yield ("trial", "residual", "spread", "violation")
+def _campaign_masks(report):
+    """Eligible trials (spread >= min_spread) and violations among them (residual < tol)."""
     eligible = report.rows[:, 1] >= report.min_spread
-    hits = (report.rows[:, 0] < report.residual_tol) & eligible
-    for idx in range(report.rows.shape[0]):
-        yield (idx, f"{report.rows[idx, 0]:.6e}", f"{report.rows[idx, 1]:.6e}", int(hits[idx]))
+    return eligible, eligible & (report.rows[:, 0] < report.residual_tol)
 
 
 def _run_gallery(params: dict, seed):
@@ -342,16 +351,15 @@ def _run_gallery(params: dict, seed):
 
 def _run_ratio_e48(params: dict, seed: int):
     body, base = _pair(params)
-    i, j = int(params["i"]), int(params["j"])
     defect = ratio_consistency_check(
-        body, base, i, j, params["num_frames"], seed, nodes=_nodes(params)
+        body, base, params["i"], params["j"], params["num_frames"], seed, nodes=params["nodes"]
     )
     return [Check("cross_grade_ratio_defect", defect, params["tolerance"])], {}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    run: Callable  # params, seed -> (checks, extras[, csv rows])
+    run: Callable  # params, seed -> (checks, extras[, csv]); csv() -> CSV bytes
     defaults: dict  # every key a config may set, "tolerance" included
     help: str
     needs_seed: bool = True
@@ -446,12 +454,12 @@ _SCENARIOS: dict[str, Scenario] = {
 # report assembly and output
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -461,13 +469,100 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, rows: list[tuple]) -> None:
-    import io
-
+def _csv(rows: list[tuple]) -> bytes:
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerows(rows)
-    _write_atomic(path, buffer.getvalue())
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue().encode()
+
+
+# 10**(6 - e) for the decimal exponents e = -99 ... 99 of a %.6e field
+_SCALE = 10.0 ** (6 - np.arange(-99, 100))
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """ASCII decimal digits of integers in [0, 10**width), zero-padded to ``width`` columns."""
+    # unsigned 32-bit division by a constant is several times faster than int64
+    rest = values.astype(np.uint32 if width <= 9 else np.uint64)
+    out = np.empty((len(values), width), np.uint8)
+    for col in range(width - 1, -1, -1):
+        quotient = rest // 10
+        out[:, col] = rest - 10 * quotient
+        rest = quotient
+    return out + np.uint8(ord("0"))
+
+
+def _round7(x: np.ndarray, e: np.ndarray):
+    """rint(x * 10**(6 - e)), and whether the scaled value is too near a .5 tie.
+
+    The scaled value is below about 1e7 and off by a few ulps (< 1e-8), so
+    away from a tie its rint is that of the exact product.
+    """
+    scaled = x * _SCALE[e + 99]
+    return np.rint(scaled).astype(np.int64), np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
+
+
+def _sci6(x: np.ndarray) -> np.ndarray:
+    """``'%.6e' % v`` for every value of ``x``, as rows of ASCII bytes.
+
+    Positive finite values with a two-digit exponent are formatted from the
+    exact 7-digit mantissa m = rint(x * 10**(6 - e)), e = floor(log10 x),
+    renormalized once when m has 6 or 8 digits.  A value whose rounding a
+    scaling step cannot be sure of, or that the kernel does not cover, is
+    formatted by Python; when such a string is longer than 12 bytes every
+    row is left-padded with NUL bytes to its width.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(x))
+    sure = (x > 0) & (np.abs(e) < 99)  # false for 0, negatives, inf and nan
+    e = np.where(sure, e, 0).astype(np.int64)
+    positive = np.where(sure, x, 1.0)
+    m, tie = _round7(positive, e)
+    step = (m >= 10**7).astype(np.int64) - (m < 10**6)
+    moved = np.flatnonzero(step)
+    e[moved] += step[moved]
+    m[moved], tie_moved = _round7(positive[moved], e[moved])
+    tie[moved] |= tie_moved
+    sure &= ~tie
+    out = np.empty((len(x), 12), np.uint8)
+    out[:, [0, 2, 3, 4, 5, 6, 7]] = _digits(m, 7)
+    out[:, 1] = ord(".")
+    out[:, 8] = ord("e")
+    out[:, 9] = np.where(e < 0, ord("-"), ord("+"))
+    out[:, 10:] = _digits(np.abs(e), 2)
+    unsure = np.flatnonzero(~sure)
+    text = [("%.6e" % v).encode() for v in x[unsure]]
+    width = max(map(len, text), default=12)
+    out = np.pad(out, ((0, 0), (width - 12, 0)))
+    for row, field in zip(unsure, text):
+        out[row] = 0
+        out[row, width - len(field):] = np.frombuffer(field, np.uint8)
+    return out
+
+
+def _campaign_csv(report) -> bytes:
+    """Per-trial CSV of a falsification campaign, one row per trial.
+
+    The bytes are those ``csv.writer`` gives for the rows
+    ``%d,%.6e,%.6e,%d`` (trial, residual, spread, violation) under the
+    header ``trial,residual,spread,violation``, CRLF line ends included.
+    They are built column by column; the NUL bytes that pad variable-width
+    fields are dropped at the end.
+    """
+    rows = report.rows
+    trial = np.arange(len(rows))
+    width = len(str(max(len(rows) - 1, 0)))
+    index = _digits(trial, width)
+    index[:, :-1][trial[:, None] < 10 ** np.arange(width - 1, 0, -1)] = 0
+    violation = _campaign_masks(report)[1]
+
+    def constant(text: bytes) -> np.ndarray:
+        return np.broadcast_to(np.frombuffer(text, np.uint8), (len(rows), len(text)))
+
+    table = np.hstack([
+        index, constant(b","), _sci6(rows[:, 0]), constant(b","), _sci6(rows[:, 1]),
+        constant(b","), _digits(violation, 1), constant(b"\r\n"),
+    ]).ravel()
+    return b"trial,residual,spread,violation\r\n" + table[table != 0].tobytes()
 
 
 def _strict(obj):
@@ -507,18 +602,19 @@ def main(argv=None) -> int:
     try:
         params, seed, out = _resolve_params(args.command, args)
         start = time.perf_counter()
-        checks, extras, *rows = _SCENARIOS[args.command].run(params, seed)
+        checks, extras, *own_csv = _SCENARIOS[args.command].run(params, seed)
         wall = time.perf_counter() - start
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PreconditionError, ValueError) as exc:
+    except (PreconditionError, ValueError, TypeError, OverflowError, MemoryError) as exc:
+        # a mistyped value, or a size or magnitude no run could reach
         print(f"error: invalid scenario inputs: {exc}", file=sys.stderr)
         return 2
 
-    csv_rows = rows[0] if rows else [("name", "value", "tol", "pass")] + [
+    csv_bytes = own_csv[0] if own_csv else lambda: _csv([("name", "value", "tol", "pass")] + [
         (c.name, f"{c.value:.12e}", f"{c.tol:.6e}", int(c.passed)) for c in checks
-    ]
+    ])
 
     report = {
         "schema": 1,
@@ -531,9 +627,9 @@ def main(argv=None) -> int:
         "version": __version__,
     }
     out_path = Path(out) if out is not None else Path(f"{args.command}-report.json")
-    _write_atomic(out_path, json.dumps(_strict(report), indent=2, allow_nan=False) + "\n")
+    _write_atomic(out_path, (json.dumps(_strict(report), indent=2, allow_nan=False) + "\n").encode())
     if args.csv:
-        _write_csv(out_path.with_suffix(".csv"), csv_rows)
+        _write_atomic(out_path.with_suffix(".csv"), csv_bytes())
 
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

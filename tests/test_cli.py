@@ -1,5 +1,7 @@
 """End-to-end CLI contract: exit codes, report schema, determinism, CSV."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from brightlab import cli
 from brightlab.body import FAMILIES
+from brightlab.lemma_lab import FalsificationReport, antipodal_falsification
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -111,6 +116,28 @@ class TestExitCodes:
         assert repr(key) in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "scenario, config, needle",
+        [
+            ("lemma-campaign", {"mode": "solver", "a": None}, "invalid scenario inputs"),
+            ("proportionality", {"k": 2.5}, "'k'"),
+            ("lemma-campaign", {"m_len": 6.5}, "'m_len'"),
+            ("brightness", {"nodes": 2.7}, "'nodes'"),
+            ("lemma-campaign", {"mode": "solver", "m": 3.0}, "'m'"),
+            ("lemma-campaign", {"mode": "solver", "n": True}, "'n'"),
+            ("ratio-e48", {"i": 1.5}, "'i'"),
+            ("ratio-e48", {"j": "2"}, "'j'"),
+            ("verify-wedge", {"grades": [1, 2.5]}, "'grades'"),
+            ("verify-wedge", {"grades": 2}, "'grades'"),
+        ],
+    )
+    def test_integer_keys_and_mistyped_inputs_exit_two(
+        self, tmp_path, capsys, scenario, config, needle
+    ):
+        cfg = write_config(tmp_path / "c.json", config)
+        argv = [scenario, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 2
+        assert needle in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "scenario", ["verify-wedge", "proportionality", "umbilic-search", "ratio-e48"]
@@ -137,6 +164,7 @@ class TestExitCodes:
         report = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse)
         extras = report["extras"]
         assert extras["best_residual"] is None and extras["best_gamma"] is None
+        assert extras["eligible_trials"] == extras["violations"] == 0
         failed = [c["name"] for c in report["checks"] if not c["pass"]]
         assert failed == ["no_eligible_trial"]
 
@@ -179,7 +207,87 @@ class TestReportSchema:
         assert leftovers == []
 
 
+def row_by_row_campaign_csv(report) -> bytes:
+    """The campaign CSV as ``csv.writer`` writes it from one tuple per trial."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(("trial", "residual", "spread", "violation"))
+    eligible = report.rows[:, 1] >= report.min_spread
+    hits = (report.rows[:, 0] < report.residual_tol) & eligible
+    for idx in range(report.rows.shape[0]):
+        writer.writerow(
+            (idx, f"{report.rows[idx, 0]:.6e}", f"{report.rows[idx, 1]:.6e}", int(hits[idx]))
+        )
+    return buffer.getvalue().encode()
+
+
+def near_ties() -> np.ndarray:
+    """Values a 7-digit rounding can get wrong: (K + 1/2) * 10**j with K a 7-digit
+    integer, and their neighbours 1, 2 and 3 ulps away."""
+    rng = np.random.default_rng(0)
+    mantissas = np.concatenate([rng.integers(10**6, 10**7, 50), [10**6, 9999999]]) + 0.5
+    ties = np.concatenate([mantissas * 10.0**j for j in range(-106, 94, 5)])
+    values = [ties]
+    for direction in (np.inf, -np.inf):
+        step = ties
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            values.append(step)
+    return np.concatenate(values)
+
+
 class TestCsvExport:
+    @pytest.mark.parametrize("trials", [1, 9, 10, 11, 1001])
+    def test_campaign_csv_matches_row_by_row_writer(self, trials):
+        report = antipodal_falsification(6, 2, trials, seed=trials)
+        assert cli._campaign_csv(report) == row_by_row_campaign_csv(report)
+
+    def test_campaign_csv_marks_violations_and_odd_values(self):
+        residual_tol, min_spread = 1e-9, 1e-3
+        rows = np.array(
+            [
+                [1e-12, 0.5],  # violation
+                [1e-12, np.nextafter(min_spread, 0.0)],  # below min_spread
+                [1e-12, min_spread],  # at min_spread: violation
+                [residual_tol, 0.5],  # residual not below tol
+                [0.0, 1.0],  # violation, zero residual
+                [1e-120, 9.9999995],  # three-digit exponent, near tie
+                [np.inf, -0.0],
+                [np.nan, 1e99],
+            ]
+        )
+        report = FalsificationReport(
+            trials=len(rows),
+            best_residual=0.0,
+            best_x=None,
+            best_gamma=float("nan"),
+            min_spread=min_spread,
+            found_violation=True,
+            residual_tol=residual_tol,
+            rows=rows,
+        )
+        data = cli._campaign_csv(report)
+        assert data == row_by_row_campaign_csv(report)
+        flags = [line.rsplit(b",", 1)[1] for line in data.split(b"\r\n")[1:-1]]
+        assert flags == [b"1", b"0", b"1", b"0", b"1", b"1", b"0", b"0"]
+
+    def test_float_kernel_matches_percent_format(self):
+        rng = np.random.default_rng(1)
+        values = np.concatenate(
+            [
+                [0.0, -0.0, 9.9999995, 1e-99, 9.99999e98, 5e-324, 1.7976931348623157e308],
+                [np.inf, -np.inf, np.nan, -1.5],
+                10.0 ** np.arange(-100, 101),
+                near_ties(),
+                10.0 ** rng.uniform(-90, 90, 20000),
+                rng.uniform(0.0, 10.0, 20000),
+            ]
+        )
+        out = cli._sci6(values)
+        assert [row[row != 0].tobytes() for row in out] == [
+            ("%.6e" % v).encode() for v in values
+        ]
+
     def test_checks_csv(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"samples": 4})
         proc = run_cli(
@@ -215,6 +323,10 @@ class TestCsvExport:
         lines = (tmp_path / "camp.csv").read_text().strip().splitlines()
         assert lines[0] == "trial,residual,spread,violation"
         assert len(lines) == 51
+        extras = json.loads((tmp_path / "camp.json").read_text())["extras"]
+        spreads = antipodal_falsification(6, 2, 50, seed=4).rows[:, 1]
+        assert extras["eligible_trials"] == int(np.sum(spreads >= 1e-3))
+        assert extras["violations"] == sum(line.endswith(",1") for line in lines[1:]) == 0
 
 
 class TestScenarios:
@@ -274,3 +386,40 @@ class TestScenarios:
         for name, cls in FAMILIES.items():
             assert f"{name} " in proc.stdout and f" {cls.__name__}(" in proc.stdout
             assert f"| `{name}` | `{cls.__name__}(" in table
+
+
+# Counts small enough that any scenario runs in milliseconds.  A huge count is
+# a valid request for a long run, and so is a huge solver target "a" or "b"
+# (its residuals cannot reach the solver's absolute tolerance, so every
+# restart runs); the fuzzer gives those keys the other values only.
+SMALL_COUNTS = {"samples": 2, "num_frames": 1, "trials": 20, "solutions": 1, "budget": 20}
+LONG_WHEN_HUGE = {*SMALL_COUNTS, "a", "b"}
+MUTANTS = ["x", [], {}, None, 0, -1, -2.5, 2.5, True]
+HUGE = [10**12, 1e300]
+
+
+@st.composite
+def mutated_configs(draw):
+    scenario = draw(st.sampled_from(sorted(cli._SCENARIOS)))
+    defaults = cli._SCENARIOS[scenario].defaults
+    key = draw(st.sampled_from(sorted(defaults)))
+    value = draw(st.sampled_from(MUTANTS + ([] if key in LONG_WHEN_HUGE else HUGE)))
+    config = {k: v for k, v in SMALL_COUNTS.items() if k in defaults}
+    if scenario == "lemma-campaign":
+        config["mode"] = draw(st.sampled_from(["antipodal", "solver"]))
+    config[key] = value
+    return scenario, config
+
+
+class TestConfigFuzzer:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=mutated_configs())
+    def test_one_bad_key_never_raises(self, tmp_path, case):
+        scenario, config = case
+        cfg = write_config(tmp_path / "c.json", config)
+        argv = [scenario, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) in (0, 1, 2)
