@@ -162,22 +162,35 @@ def _resolve_params(scenario: str, args: argparse.Namespace) -> tuple[dict, Opti
         out = args.out
     if args.tolerance is not None:
         params["tolerance"] = args.tolerance
-    if seed is not None and (not isinstance(seed, int) or seed < 0):
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    if seed is not None and not (_is_int(seed) and seed >= 0):
+        raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
     if spec.needs_seed and seed is None:
         raise ConfigError(
             f"scenario {scenario!r} is randomized and requires an explicit --seed "
             "(or a \"seed\" config key); implicit wall-clock entropy is refused"
         )
-    if not isinstance(params.get("tolerance"), (int, float)):
-        raise ConfigError("tolerance must be a number")
-    params["tolerance"] = float(params["tolerance"])
+    _check_floats(params)
     _check_integers(params)
+    params["tolerance"] = float(params["tolerance"])
     return params, seed, out
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_floats(params: dict) -> None:
+    """``tolerance`` must be a number, and no float key takes a bool.
+
+    Python counts a bool as the integer 0 or 1, so ``true`` would otherwise
+    run as 1.0.  The runners convert the other float keys with ``float()``,
+    which refuses the remaining wrong types.
+    """
+    if not isinstance(params["tolerance"], (int, float)):
+        raise ConfigError("'tolerance' must be a number")
+    for key in ("tolerance", "scale", "residual_tol", "min_spread", "a", "b"):
+        if isinstance(params.get(key), bool):
+            raise ConfigError(f"{key!r} must be a number, not a bool, got {params[key]!r}")
 
 
 def _check_integers(params: dict) -> None:

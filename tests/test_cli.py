@@ -140,6 +140,35 @@ class TestExitCodes:
         assert needle in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "scenario, config, key",
+        [
+            ("verify-wedge", {"tolerance": True}, "tolerance"),
+            ("verify-wedge", {"scale": True}, "scale"),
+            ("brightness", {"seed": True}, "seed"),
+            ("lemma-campaign", {"min_spread": True}, "min_spread"),
+            ("lemma-campaign", {"residual_tol": False}, "residual_tol"),
+            ("lemma-campaign", {"mode": "solver", "a": True}, "a"),
+            ("lemma-campaign", {"mode": "solver", "b": False}, "b"),
+        ],
+    )
+    def test_bools_refused_for_seed_and_float_keys(self, tmp_path, capsys, scenario, config, key):
+        cfg = write_config(tmp_path / "c.json", config)
+        argv = [scenario, "--config", cfg, "--out", str(tmp_path / "r.json")]
+        if key != "seed":
+            argv += ["--seed", "1"]
+        assert cli.main(argv) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_grid_dimension_above_cap_exits_two(self, tmp_path):
+        ball = {"family": "ball", "params": {"dim": 66, "radius": 1.0}}
+        cfg = write_config(tmp_path / "c.json", {"body": ball, "k": 65, "num_frames": 1, "nodes": 16})
+        proc = run_cli("brightness", "--config", cfg, "--seed", "1", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "64" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
         "scenario", ["verify-wedge", "proportionality", "umbilic-search", "ratio-e48"]
     )
     def test_body_base_dimension_mismatch_exits_two(self, tmp_path, scenario):
@@ -394,7 +423,7 @@ class TestScenarios:
 # restart runs); the fuzzer gives those keys the other values only.
 SMALL_COUNTS = {"samples": 2, "num_frames": 1, "trials": 20, "solutions": 1, "budget": 20}
 LONG_WHEN_HUGE = {*SMALL_COUNTS, "a", "b"}
-MUTANTS = ["x", [], {}, None, 0, -1, -2.5, 2.5, True]
+MUTANTS = ["x", [], {}, None, 0, -1, -2.5, 2.5, True, False]
 HUGE = [10**12, 1e300]
 
 
@@ -408,7 +437,7 @@ def mutated_configs(draw):
     if scenario == "lemma-campaign":
         config["mode"] = draw(st.sampled_from(["antipodal", "solver"]))
     config[key] = value
-    return scenario, config
+    return scenario, config, value
 
 
 class TestConfigFuzzer:
@@ -419,7 +448,9 @@ class TestConfigFuzzer:
     )
     @given(case=mutated_configs())
     def test_one_bad_key_never_raises(self, tmp_path, case):
-        scenario, config = case
+        scenario, config, value = case
         cfg = write_config(tmp_path / "c.json", config)
         argv = [scenario, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
-        assert cli.main(argv) in (0, 1, 2)
+        code = cli.main(argv)
+        # no key takes a bool, the float keys included
+        assert code == 2 if isinstance(value, bool) else code in (0, 1, 2)
