@@ -15,7 +15,7 @@ import numpy as np
 
 from brightlab.body import Ellipsoid, Homothet
 from brightlab.sampling import haar_directions
-from brightlab.weingarten import wedge_identity_defect
+from brightlab.weingarten import wedge_identity_defects
 
 
 def main() -> int:
@@ -42,10 +42,8 @@ def main() -> int:
         row = [f"{scale:<8.3f}"]
         for k in grades:
             beta = scale**k + args.beta_off
-            worst = max(
-                wedge_identity_defect(body, base, k, beta, u)
-                for u in haar_directions(base.dim, args.samples, seed=(args.seed, k))
-            )
+            dirs = haar_directions(base.dim, args.samples, seed=(args.seed, k))
+            worst = wedge_identity_defects(body, base, k, beta, dirs).max()
             row.append(f"{worst:<12.3e}")
         print("".join(row))
     return 0

@@ -56,9 +56,9 @@ from .lemma_lab import (
     hypothesis_residual,
     match_candidates,
 )
-from .sampling import as_rng, haar_directions
+from .sampling import as_rng, haar_directions, median
 from .tomography import projection_function, proportionality_test, ratio_consistency_check
-from .weingarten import antipodal_search, wedge_identity_defect
+from .weingarten import antipodal_search, wedge_identity_defects
 
 __all__ = ["main", "ConfigError", "Check"]
 
@@ -245,7 +245,7 @@ def _run_verify_wedge(params: dict, seed: int):
     dirs = haar_directions(body.dim, params["samples"], as_rng(seed))
     checks = []
     for k, beta in zip(grades, betas):
-        worst = max(wedge_identity_defect(body, base, k, beta, u) for u in dirs)
+        worst = float(wedge_identity_defects(body, base, k, beta, dirs).max())
         checks.append(Check(f"wedge_defect_k{k}", worst, tol))
     return checks, {}
 
@@ -256,7 +256,7 @@ def _run_brightness(params: dict, seed: int):
         body, params["k"], params["num_frames"], seed, nodes=params["nodes"]
     )
     vols = np.asarray([v for _, v in samples])
-    mid = float(np.median(vols))
+    mid = median(vols)
     spread = float((vols.max() - vols.min()) / max(abs(mid), 1e-300))
     checks = [Check("brightness_spread_rel", spread, params["tolerance"])]
     extras = {

@@ -34,7 +34,7 @@ from numpy.polynomial import polynomial as P
 
 from .errors import PreconditionError
 from .multilinear import _index_array
-from .sampling import as_rng
+from .sampling import as_rng, median
 
 __all__ = [
     "RelationInstance",
@@ -145,7 +145,7 @@ def ratio_conclusion_check(
     if ratio_tol is None:
         ratio_tol = float(np.sqrt(tol))
     ratios = np.asarray(inst.x) / np.asarray(inst.y)
-    med = float(np.median(ratios))
+    med = median(ratios)
     return bool(np.abs(ratios - med).max() <= ratio_tol * max(1.0, abs(med)))
 
 

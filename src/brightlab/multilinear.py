@@ -2,7 +2,9 @@
 
 The k-th exterior power of an m x m matrix A is represented concretely as the
 C(m,k) x C(m,k) matrix of k x k minors over the lexicographically ordered
-basis e_I = e_{i_1} ^ ... ^ e_{i_k}, i_1 < ... < i_k.  On top of that sit:
+basis e_I = e_{i_1} ^ ... ^ e_{i_k}, i_1 < ... < i_k; ``compound`` takes
+the minors of a whole (..., m, m) stack in one batched determinant.  On top
+of that sit:
 
 * decomposable k-vectors and the Gram-determinant inner product,
 * symmetric bilinear forms on k-vectors, their first-Bianchi defect, and a
@@ -36,6 +38,7 @@ __all__ = [
     "CommonEigenbasis",
     "PolarizationResult",
     "multi_indices",
+    "compound",
     "wedge_power",
     "gram_inner",
     "decompose",
@@ -210,6 +213,24 @@ class CompoundMatrix:
         return KVector(self.matrix @ xi.coords, self.m, self.k)
 
 
+def compound(a, k: int) -> np.ndarray:
+    """All k x k minors det(A[I, J]) of every m x m matrix in an (..., m, m) stack.
+
+    Returns an (..., C(m,k), C(m,k)) array over lex-ordered row/column sets;
+    each slice is computed exactly as for a single matrix, so it equals
+    ``wedge_power`` of that slice bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    m = a.shape[-1]
+    _check_grade(m, k)
+    idx = _index_array(m, k)
+    # sub[..., p, q] = A[..., idx[p], :][..., idx[q]]; batched LU determinants
+    sub = a[..., idx[:, None, :, None], idx[None, :, None, :]]
+    return np.linalg.det(sub)
+
+
 def wedge_power(a, k: int) -> CompoundMatrix:
     """Matrix of all k x k minors det(A[I, J]) over lex-ordered row/column sets.
 
@@ -219,12 +240,7 @@ def wedge_power(a, k: int) -> CompoundMatrix:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    m = a.shape[0]
-    _check_grade(m, k)
-    idx = _index_array(m, k)
-    # sub[p, q] = A[idx[p], :][:, idx[q]]; batched LU determinants
-    sub = a[idx[:, None, :, None], idx[None, :, None, :]]
-    return CompoundMatrix(np.linalg.det(sub), m, k)
+    return CompoundMatrix(compound(a, k), a.shape[0], k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Seeded direction sampling helpers.
+"""Seeded direction sampling helpers, and the median of a sample.
 
 Everything here is deterministic given the seed, so test failures and CLI
 reports reproduce exactly.
@@ -212,3 +212,19 @@ def hemisphere_grid(n: int, count: int, seed) -> np.ndarray:
     flip = v[:, -1] < 0.0
     v[flip] *= -1.0
     return v
+
+
+def median(values) -> float:
+    """Median of the entries of ``values``, the same float ``np.median`` gives.
+
+    The middle of the sorted entries, or the mean of the two middle ones for
+    an even count, and NaN when any entry is NaN.  ``np.median`` would import
+    ``numpy.ma`` on its first call, about 15 ms of every run that needs it.
+    """
+    s = np.sort(np.asarray(values, dtype=float), axis=None)
+    if not s.size:
+        raise ValueError("median of an empty sample")
+    if np.isnan(s[-1]):  # sort puts NaN last
+        return float("nan")
+    h = s.size // 2
+    return float(s[h] if s.size % 2 else (s[h - 1] + s[h]) / 2)

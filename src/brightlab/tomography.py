@@ -34,7 +34,7 @@ from math import gamma, pi
 
 import numpy as np
 
-from .sampling import as_rng, haar_directions, hemisphere_grid
+from .sampling import as_rng, haar_directions, hemisphere_grid, median
 from .weingarten import _restrict_all, _unit_rows, tangent_frames
 
 __all__ = [
@@ -291,7 +291,7 @@ def proportionality_test(
     if not ratios:
         raise ValueError("all samples were degenerate")
     ratios = np.asarray(ratios)
-    alpha = float(np.median(ratios))
+    alpha = median(ratios)
     max_rel = float(np.abs(ratios / alpha - 1.0).max())
     return ProportionalityReport(alpha, ratios, max_rel, excluded, seed)
 
@@ -352,8 +352,8 @@ def homothety_fit(body, base, samples: int = 256, seed=0) -> HomothetyFit:
     """
     rng = as_rng(seed)
     dirs = haar_directions(body.dim, samples, rng)
-    h_body = np.array([body.support(u) for u in dirs])
-    h_base = np.array([base.support(u) for u in dirs])
+    h_body = body.jets(dirs)[0]
+    h_base = base.jets(dirs)[0]
     design = np.column_stack([h_base, dirs])
     coef, *_ = np.linalg.lstsq(design, h_body, rcond=None)
     residual = float(np.abs(design @ coef - h_body).max())

@@ -18,6 +18,17 @@ for every direction, with both sides expressed in one frame of u^perp
 (u^perp and (-u)^perp coincide as subspaces).  This module measures the
 defect of that identity, searches for antipodal umbilic directions, and
 checks the eigenvalue structure of bodies of revolution.
+
+The sweeps are batched: arrays of directions in, one ``jets`` call per
+body, ``tangent_frames``, the restricted Hessians B^T H B as one stack,
+then stacked linear algebra.  ``wedge_identity_defects`` takes the k-th
+compounds of all maps at +-u and the base maps at u with one
+``multilinear.compound`` call and one stacked operator norm.  Every
+relative map comes from one stacked path (``_relative_maps``); the umbilic
+search scores its whole grid with it in one call, and only its compass
+refinement, which takes a step as soon as the step improves, evaluates one
+candidate at a time.  The single-direction functions are wrappers over
+the stacked ones.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ __all__ = [
     "reverse_weingarten",
     "relative_map",
     "wedge_identity_defect",
+    "wedge_identity_defects",
     "relative_wedge_defect",
     "eigen_profile",
     "antipodal_search",
@@ -169,13 +181,8 @@ class EigenProfile:
 # maps
 
 
-def _restrict(hessian: np.ndarray, frame: TangentFrame) -> np.ndarray:
-    m = frame.basis.T @ hessian @ frame.basis
-    return 0.5 * (m + m.T)
-
-
 def _restrict_all(hessians: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """``_restrict`` over a stack: B^T H B for each (hessian, basis) slice."""
+    """B^T H B, symmetrized, for each (hessian, basis) slice of the two stacks."""
     m = np.swapaxes(bases, 1, 2) @ hessians @ bases
     return 0.5 * (m + np.swapaxes(m, 1, 2))
 
@@ -189,18 +196,33 @@ def reverse_weingarten(body, u, frame: Optional[TangentFrame] = None) -> SelfAdj
     u = np.asarray(u, dtype=float)
     if frame is None:
         frame = tangent_frame(u)
-    return SelfAdjointMap(frame, _restrict(body.jet(u).hessian, frame))
+    return SelfAdjointMap(frame, _restrict_all(body.jet(u).hessian[None], frame.basis[None])[0])
 
 
-def _psd_inv_sqrt(matrix: np.ndarray, what: str) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(matrix)
-    floor = 1e-12 * max(1.0, float(np.abs(vals).max()))
-    if vals.min() <= floor:
+def _psd_inv_sqrt(matrices: np.ndarray, what: str) -> np.ndarray:
+    """S^{-1/2} of each slice of an (m, d, d) stack of symmetric matrices.
+
+    Raises PreconditionError naming the smallest eigenvalue of the first
+    slice that is not positive definite.
+    """
+    vals, vecs = np.linalg.eigh(matrices)
+    floor = 1e-12 * np.maximum(1.0, np.abs(vals).max(axis=1))
+    bad = np.flatnonzero(vals.min(axis=1) <= floor)
+    if bad.size:
         raise PreconditionError(
             f"{what} is not positive definite: smallest eigenvalue "
-            f"{vals.min():.6e}"
+            f"{vals[bad[0]].min():.6e}"
         )
-    return (vecs / np.sqrt(vals)) @ vecs.T
+    return (vecs / np.sqrt(vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+
+
+def _relative_maps(body, base, u: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """L0^{-1/2} L L0^{-1/2} at each row of u, in the frame of the matching slice of ``bases``."""
+    l0 = _restrict_all(base.jets(u)[2], bases)
+    l1 = _restrict_all(body.jets(u)[2], bases)
+    s = _psd_inv_sqrt(l0, "base reverse Weingarten map")
+    m = s @ l1 @ s
+    return 0.5 * (m + np.swapaxes(m, 1, 2))
 
 
 def relative_map(body, base, u, frame: Optional[TangentFrame] = None) -> SelfAdjointMap:
@@ -212,43 +234,48 @@ def relative_map(body, base, u, frame: Optional[TangentFrame] = None) -> SelfAdj
     u = np.asarray(u, dtype=float)
     if frame is None:
         frame = tangent_frame(u)
-    l0 = _restrict(base.jet(u).hessian, frame)
-    l1 = _restrict(body.jet(u).hessian, frame)
-    s = _psd_inv_sqrt(l0, "base reverse Weingarten map")
-    m = s @ l1 @ s
-    return SelfAdjointMap(frame, 0.5 * (m + m.T))
+    return SelfAdjointMap(frame, _relative_maps(body, base, u[None], frame.basis[None])[0])
 
 
-def _check_symmetric_body(base, u, rng, tol: float = 1e-9) -> None:
-    """Verify h0(v) = h0(-v) on the given direction plus a small sample."""
-    dirs = [np.asarray(u, dtype=float)]
-    dirs.extend(haar_directions(base.dim, 8, rng))
-    worst = 0.0
-    for v in dirs:
-        hv = base.support(v)
-        worst = max(worst, abs(hv - base.support(-v)) / max(1.0, abs(hv)))
+def _check_symmetric_body(base, u: np.ndarray, rng, tol: float = 1e-9) -> None:
+    """Verify h0(v) = h0(-v) on the rows of u plus 8 Haar directions drawn from rng."""
+    v = np.vstack([u, haar_directions(base.dim, 8, rng)])
+    hv, hmv = np.split(base.jets(np.vstack([v, -v]))[0], 2)
+    worst = float(np.max(np.abs(hv - hmv) / np.maximum(1.0, np.abs(hv))))
     if worst > tol:
         raise PreconditionError(
             f"base body is not centrally symmetric: relative support gap {worst:.3e}"
         )
 
 
-def wedge_identity_defect(body, base, k: int, beta: float, u, seed=0) -> float:
-    """Operator-norm defect of wedge^k L(u) + wedge^k L(-u) = 2 beta wedge^k L0(u).
+def wedge_identity_defects(body, base, k: int, beta: float, u, seed=0) -> np.ndarray:
+    """Operator-norm defects of wedge^k L(u) + wedge^k L(-u) = 2 beta wedge^k L0(u).
 
-    All three maps are expressed in the deterministic frame built at u (and
-    reused at -u).  The base body must be centrally symmetric; this is
-    checked on a seeded sample of directions.
+    One defect per row of the (m, n) array u, from one batched pass: the
+    jets at +-u, the frames built at u (reused at -u), the restricted
+    Hessians, their stacked k-th compounds and a stacked 2-norm.  The base
+    body must be centrally symmetric; this is checked once, on the rows of u
+    and 8 Haar directions drawn from ``seed``.
     """
-    u = np.asarray(u, dtype=float)
+    u = _unit_rows(u)
     _check_symmetric_body(base, u, as_rng(seed))
-    frame = tangent_frame(u)
-    lu = reverse_weingarten(body, u, frame).matrix
-    lmu = reverse_weingarten(body, -u, frame).matrix
-    l0 = reverse_weingarten(base, u, frame).matrix
-    lhs = multilinear.wedge_power(lu, k).matrix + multilinear.wedge_power(lmu, k).matrix
-    rhs = 2.0 * beta * multilinear.wedge_power(l0, k).matrix
-    return float(np.linalg.norm(lhs - rhs, 2))
+    bases = tangent_frames(u)
+    hessians = np.concatenate([body.jets(np.vstack([u, -u]))[2], base.jets(u)[2]])
+    maps = _restrict_all(hessians, np.concatenate([bases, bases, bases]))
+    lu, lmu, l0 = np.split(multilinear.compound(maps, k), 3)
+    return np.linalg.norm(lu + lmu - 2.0 * beta * l0, 2, axis=(1, 2))
+
+
+def wedge_identity_defect(body, base, k: int, beta: float, u, seed=0) -> float:
+    """``wedge_identity_defects`` at the single direction u."""
+    u = np.asarray(u, dtype=float)
+    return float(wedge_identity_defects(body, base, k, beta, u[None], seed)[0])
+
+
+def _antipodal_maps(body, base, u: np.ndarray) -> np.ndarray:
+    """Relative maps at u and -u, both in the frame built at u."""
+    basis = tangent_frame(u).basis
+    return _relative_maps(body, base, np.stack([u, -u]), np.stack([basis, basis]))
 
 
 def relative_wedge_defect(
@@ -262,10 +289,8 @@ def relative_wedge_defect(
     would signal a genuine contradiction).
     """
     u = np.asarray(u, dtype=float)
-    _check_symmetric_body(base, u, as_rng(seed))
-    frame = tangent_frame(u)
-    mu = relative_map(body, base, u, frame).matrix
-    mmu = relative_map(body, base, -u, frame).matrix
+    _check_symmetric_body(base, u[None], as_rng(seed))
+    mu, mmu = _antipodal_maps(body, base, u)
     d = len(multilinear.multi_indices(mu.shape[0], k))
     lhs = multilinear.wedge_power(mu, k).matrix + multilinear.wedge_power(mmu, k).matrix
     defect = float(np.linalg.norm(lhs - 2.0 * beta * np.eye(d), 2))
@@ -313,9 +338,7 @@ class AntipodalSearchResult:
 def umbilic_check(body, base, u0, tol: float = 1e-8) -> UmbilicResult:
     """Evaluate how close +-u0 is to an antipodal pair of relative umbilics."""
     u0 = np.asarray(u0, dtype=float)
-    frame = tangent_frame(u0)
-    m_pos = relative_map(body, base, u0, frame).matrix
-    m_neg = relative_map(body, base, -u0, frame).matrix
+    m_pos, m_neg = _antipodal_maps(body, base, u0)
     nm1 = m_pos.shape[0]
     r0 = float((np.trace(m_pos) + np.trace(m_neg)) / (2 * nm1))
     eye = np.eye(nm1)
@@ -323,22 +346,29 @@ def umbilic_check(body, base, u0, tol: float = 1e-8) -> UmbilicResult:
         float(np.linalg.norm(m_pos - r0 * eye, 2)),
         float(np.linalg.norm(m_neg - r0 * eye, 2)),
     )
-    points = (body.jet(u0).gradient, body.jet(-u0).gradient)
+    points = tuple(body.jets(np.stack([u0, -u0]))[1])
     return UmbilicResult(u0, r0, defect, points, bool(defect <= tol))
 
 
-def _profile_pair(body, base, u):
-    r_pos = eigen_profile(body, base, u).values
-    r_neg = eigen_profile(body, base, -u).values
-    return r_pos, r_neg
+def _profiles(body, base, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending relative radii at +u and -u for each row of u, two (m, n-1) arrays.
+
+    The rows are evaluated in the order u[0], -u[0], u[1], ..., so a
+    degenerate base raises at the first direction a one-by-one scan meets.
+    """
+    v = np.stack([u, -u], axis=1).reshape(-1, u.shape[1])
+    vals = np.linalg.eigvalsh(_relative_maps(body, base, v, tangent_frames(v)))
+    vals = vals.reshape(len(u), 2, -1)
+    return vals[:, 0], vals[:, 1]
 
 
-def _search_objective(body, base, u, objective: str) -> float:
-    r_pos, r_neg = _profile_pair(body, base, u)
-    f = float(np.sum((r_pos - r_neg) ** 2))
+def _search_objective(body, base, u: np.ndarray, objective: str) -> np.ndarray:
+    """Search objective at each row of u (see ``antipodal_search``)."""
+    r_pos, r_neg = _profiles(body, base, u)
+    f = np.sum((r_pos - r_neg) ** 2, axis=1)
     if objective == "umbilic":
-        f += float(np.sum((r_pos - r_pos.mean()) ** 2))
-        f += float(np.sum((r_neg - r_neg.mean()) ** 2))
+        f += np.sum((r_pos - r_pos.mean(axis=1, keepdims=True)) ** 2, axis=1)
+        f += np.sum((r_neg - r_neg.mean(axis=1, keepdims=True)) ** 2, axis=1)
     return f
 
 
@@ -373,14 +403,13 @@ def antipodal_search(
 
     def f(u):
         nonlocal evals
-        evals += 1
+        evals += len(u)
         return _search_objective(body, base, u, objective)
 
     grid = hemisphere_grid(n, max(8, budget // 4), seed)
-    best_u = grid[0]
-    best_f = f(grid[0])
-    for u in grid[1:]:
-        val = f(u)
+    values = f(grid)
+    best_u, best_f = grid[0], values[0]
+    for u, val in zip(grid[1:], values[1:]):
         if val < best_f - max(1e-18, 1e-12 * best_f):
             best_f, best_u = val, u
 
@@ -393,7 +422,7 @@ def antipodal_search(
             for sign in (1.0, -1.0):
                 cand = best_u + sign * step * b
                 cand /= np.linalg.norm(cand)
-                val = f(cand)
+                val = f(cand[None])[0]
                 if val < best_f - max(1e-18, 1e-12 * best_f):
                     best_f, best_u = val, cand
                     improved = True
@@ -401,8 +430,8 @@ def antipodal_search(
             step *= 0.5
 
     umb = umbilic_check(body, base, best_u, tol)
-    r_pos, r_neg = _profile_pair(body, base, best_u)
-    r_defect = float(np.linalg.norm(r_pos - r_neg))
+    r_pos, r_neg = _profiles(body, base, best_u[None])
+    r_defect = float(np.linalg.norm(r_pos[0] - r_neg[0]))
     converged = r_defect <= tol if objective == "antipodal" else umb.defect <= tol
     return AntipodalSearchResult(
         umbilic=umb,
@@ -557,16 +586,13 @@ def det_ratio_constancy(body, base, samples: int = 64, seed=0) -> DetRatioReport
     The ratio is the density of the top-order area measure of the body with
     respect to the base; for homothets it is constant (scale^{n-1}).
     """
-    rng = as_rng(seed)
-    dirs = haar_directions(body.dim, samples, rng)
-    ratios = np.empty(samples)
-    for s, u in enumerate(dirs):
-        frame = tangent_frame(u)
-        det_body = reverse_weingarten(body, u, frame).det()
-        det_base = reverse_weingarten(base, u, frame).det()
-        if abs(det_base) < 1e-14:
-            raise PreconditionError("base curvature determinant vanishes at a sample")
-        ratios[s] = det_body / det_base
+    dirs = haar_directions(body.dim, samples, as_rng(seed))
+    bases = tangent_frames(dirs)
+    det_body = np.linalg.det(_restrict_all(body.jets(dirs)[2], bases))
+    det_base = np.linalg.det(_restrict_all(base.jets(dirs)[2], bases))
+    if (np.abs(det_base) < 1e-14).any():
+        raise PreconditionError("base curvature determinant vanishes at a sample")
+    ratios = det_body / det_base
     mean = float(ratios.mean())
     max_rel = float(np.abs(ratios / mean - 1.0).max()) if mean != 0 else np.inf
     return DetRatioReport(mean, max_rel, ratios, seed)

@@ -15,6 +15,7 @@ from brightlab.multilinear import (
     SymKForm,
     bianchi_defect,
     common_eigenbasis,
+    compound,
     decompose,
     gram_inner,
     multi_indices,
@@ -141,6 +142,39 @@ class TestWedgePower:
             wedge_power(np.ones((2, 3)), 1)
         with pytest.raises(ValueError):
             CompoundMatrix(np.eye(3), 4, 2)
+
+
+class TestStackedCompound:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_slices_equal_single_matrix_powers_bit_for_bit(self, m):
+        a = np.random.default_rng(m).standard_normal((7, m, m))
+        for k in range(1, m + 1):
+            stacked = compound(a, k)
+            assert stacked.shape == (7,) + wedge_power(a[0], k).matrix.shape
+            for i in range(len(a)):
+                assert np.array_equal(stacked[i], wedge_power(a[i], k).matrix)
+
+    def test_leading_axes_and_cofactor_oracle(self):
+        a = np.random.default_rng(4).standard_normal((2, 3, 4, 4))
+        stacked = compound(a, 2)
+        assert stacked.shape == (2, 3, 6, 6)
+        for i, j in np.ndindex(2, 3):
+            np.testing.assert_allclose(stacked[i, j], wedge_oracle(a[i, j], 2), atol=1e-12)
+
+    @pytest.mark.parametrize("m, k", [(3, 2), (4, 2), (5, 3), (6, 4)])
+    def test_cauchy_binet_on_stacks(self, m, k):
+        rng = np.random.default_rng(10 * m + k)
+        a = rng.uniform(-1, 1, size=(9, m, m))
+        b = rng.uniform(-1, 1, size=(9, m, m))
+        np.testing.assert_allclose(compound(a @ b, k), compound(a, k) @ compound(b, k), atol=1e-12)
+
+    def test_shape_and_grade_validation(self):
+        with pytest.raises(ValueError):
+            compound(np.ones((4, 2, 3)), 1)
+        with pytest.raises(ValueError):
+            compound(np.ones(3), 1)
+        with pytest.raises(ValueError):
+            compound(np.ones((4, 3, 3)), 4)
 
 
 def normalized_psd(seed: int, m: int) -> np.ndarray:

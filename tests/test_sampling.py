@@ -1,5 +1,6 @@
-"""Seeded samplers: the scrambled Sobol sequence, the inverse normal CDF, grids."""
+"""Seeded samplers: the scrambled Sobol sequence, the inverse normal CDF, grids, the median."""
 
+import json
 import os
 import statistics
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brightlab.sampling import MAX_GRID_DIM, _ndtri, _sobol, hemisphere_grid
+from brightlab.sampling import MAX_GRID_DIM, _ndtri, _sobol, hemisphere_grid, median
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -119,8 +120,26 @@ class TestHemisphereGrid:
             hemisphere_grid(65, 8, 0)
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import brightlab.cli, sys; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+class TestMedian:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 101])
+    def test_equals_numpy_median_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.standard_normal(n), np.round(rng.uniform(-3, 3, n)), np.full(n, 0.1)):
+            assert median(values) == float(np.median(values))
+
+    def test_infinities_and_nan(self):
+        assert median([np.inf, 1.0, np.inf]) == np.inf
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(median([-np.inf, np.inf]))
+        for values in ([np.nan], [1.0, np.nan, 2.0], [np.nan, -np.inf, 3.0, 4.0]):
+            assert np.isnan(median(values)) and np.isnan(np.median(values))
+
+    def test_empty_sample_refused(self):
+        with pytest.raises(ValueError, match="empty"):
+            median([])
+
+
+def run_python(code):
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -129,4 +148,18 @@ def test_cli_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import brightlab.cli, sys; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    assert run_python(code) == "False"
+
+
+def test_brightness_run_loads_no_numpy_ma(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"num_frames": 3, "nodes": 16}))
+    argv = ["brightness", "--config", str(config), "--seed", "1", "--out", str(tmp_path / "b.json")]
+    code = f"import sys, brightlab.cli as c; c.main({argv!r}); print('numpy.ma' in sys.modules)"
+    assert run_python(code) == "False"
+    assert json.loads((tmp_path / "b.json").read_text())["checks"][0]["pass"]

@@ -26,10 +26,61 @@ from brightlab.weingarten import (
     tangent_frames,
     umbilic_check,
     wedge_identity_defect,
+    wedge_identity_defects,
 )
 
 E4 = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21]))
 K4 = Homothet(E4, 0.7, (0.1, 0.0, -0.2, 0.0))
+E6 = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21, 0.81, 1.44]))
+K6 = Homothet(E6, 0.7, (0.1, 0.0, -0.2, 0.0, 0.05, 0.0))
+SPHEROID_5D = Spheroid((0.0, 0.0, 0.0, 0.0, 1.0), 1.0, 1.4)
+
+# antipodal_search results pinned before the search objective was batched:
+# seed -> (evaluations, u0)
+UMBILIC_SEARCH_DEFAULTS = {
+    0: (1272, [-1.632751746698559e-06, 4.48875761681164e-06, -8.49459066880217e-06,
+               1.1063032753465312e-05, 0.9999999998913183]),
+    1: (1304, [-4.90627997212595e-06, -1.3020895709130206e-05, 1.517127174927664e-05,
+               -2.1461850552687618e-05, 0.999999999557803]),
+    2: (1288, [-1.6140013639573237e-05, 3.2774575488540585e-05, -3.961446436427081e-06,
+               3.0646986770379754e-05, 0.9999999988551982]),
+    3: (1296, [3.245990620141046e-05, -1.895001646095174e-06, -1.729401882509661e-05,
+               -8.413800067743141e-06, 0.9999999992864442]),
+    4: (1288, [4.085280070405409e-05, 3.0206650568337e-07, 4.239167765958405e-06,
+               -6.953396345592896e-06, 0.9999999991323187]),
+}
+ANTIPODAL_ELLIPSOIDS = {
+    0: (638, [-0.10595335107242451, 0.8379672026902638, 0.49787442604607646, 0.1967381775387473]),
+    1: (638, [0.43917051965253795, 0.7651377983820683, -0.17371026123370523, 0.43762786622572286]),
+}
+ANTIPODAL_PERTURBED = {
+    0: (632, [0.999999999999901, 4.4512836987749e-07, 1.7099979504893843e-10]),
+    1: (656, [0.9999999999999978, -6.739577305715856e-08, -4.316337185929236e-09]),
+}
+
+
+def wedge_defect_oracle(body, base, k, beta, u):
+    """The wedge identity defect at one direction, one map at a time."""
+    frame = tangent_frame(u)
+    lu = reverse_weingarten(body, u, frame).matrix
+    lmu = reverse_weingarten(body, -u, frame).matrix
+    l0 = reverse_weingarten(base, u, frame).matrix
+    lhs = wedge_power(lu, k).matrix + wedge_power(lmu, k).matrix
+    return np.linalg.norm(lhs - 2.0 * beta * wedge_power(l0, k).matrix, 2)
+
+
+class DentedBall(Ball):
+    """The unit ball with its Hessian scaled by a factor at each of a few directions."""
+
+    def __init__(self, dim, dents):
+        super().__init__(dim, 1.0)
+        object.__setattr__(self, "dents", dents)  # [(direction, factor), ...]
+
+    def jets(self, u):
+        values, gradients, hessians = super().jets(u)
+        for direction, factor in self.dents:
+            hessians[np.abs(u - direction).max(axis=1) < 1e-12] *= factor
+        return values, gradients, hessians
 
 
 class TestTangentFrame:
@@ -123,6 +174,12 @@ class TestRelativeMap:
                 sign = 1.0 if u[2] >= 0 else -1.0
                 return SupportJet(abs(u[2]), np.array([0.0, 0.0, sign]), np.zeros((3, 3)))
 
+            def jets(self, u):
+                u = np.asarray(u, dtype=float)
+                gradients = np.zeros_like(u)
+                gradients[:, 2] = np.where(u[:, 2] >= 0, 1.0, -1.0)
+                return np.abs(u[:, 2]), gradients, np.zeros((len(u), 3, 3))
+
         with pytest.raises(PreconditionError) as err:
             relative_map(flat, FlatBase(), np.array([0.0, 0.0, 1.0]))
         assert "smallest eigenvalue" in str(err.value)
@@ -155,6 +212,21 @@ class TestWedgeIdentity:
         with pytest.raises(PreconditionError) as err:
             wedge_identity_defect(E4, asym, 1, 1.0, np.array([1.0, 0.0, 0.0, 0.0]))
         assert "centrally symmetric" in str(err.value)
+        with pytest.raises(PreconditionError, match="centrally symmetric"):
+            wedge_identity_defects(E4, asym, 2, 1.0, haar_directions(4, 50, as_rng(13)))
+
+    @pytest.mark.parametrize(
+        "body, base, grades", [(K4, E4, (1, 2, 3)), (K6, E6, (2, 3, 4)), (E6, Ball(6, 1.0), (2, 5))]
+    )
+    def test_sweep_matches_per_direction_formula(self, body, base, grades):
+        dirs = haar_directions(body.dim, 40, as_rng(14))
+        for k in grades:
+            beta = 0.7**k
+            swept = wedge_identity_defects(body, base, k, beta, dirs)
+            assert swept.shape == (40,)
+            expected = [wedge_defect_oracle(body, base, k, beta, u) for u in dirs]
+            np.testing.assert_allclose(swept, expected, rtol=0, atol=1e-14)
+            assert wedge_identity_defect(body, base, k, beta, dirs[3]) == swept[3]
 
     def test_relative_version_matches_and_diagonalizes(self):
         dirs = haar_directions(4, 10, as_rng(8))
@@ -230,6 +302,40 @@ class TestUmbilic:
         res = antipodal_search(body, Ball(3, 1.0), seed=2, budget=2000, objective="antipodal")
         assert res.objective == "antipodal"
         assert res.r_defect < 1e-6
+
+    @pytest.mark.parametrize("seed", sorted(UMBILIC_SEARCH_DEFAULTS))
+    def test_search_defaults_pinned(self, seed):
+        evaluations, u0 = UMBILIC_SEARCH_DEFAULTS[seed]
+        res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=seed)
+        assert res.evaluations == evaluations
+        np.testing.assert_allclose(res.umbilic.u0, u0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "body, base, pins",
+        [
+            (E4, Ellipsoid(np.diag([1.44, 0.81, 1.0, 0.49])), ANTIPODAL_ELLIPSOIDS),
+            (
+                HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (0.0, 0.3), 0.2),
+                Ellipsoid(np.diag([1.0, 1.44, 0.81])),
+                ANTIPODAL_PERTURBED,
+            ),
+        ],
+    )
+    def test_antipodal_objective_pinned(self, body, base, pins):
+        for seed, (evaluations, u0) in pins.items():
+            res = antipodal_search(body, base, seed=seed, budget=2000, objective="antipodal")
+            assert res.evaluations == evaluations
+            np.testing.assert_allclose(res.umbilic.u0, u0, rtol=0, atol=1e-12)
+            assert res.converged
+
+    def test_degenerate_base_in_grid_raises_for_first_direction_scanned(self):
+        from brightlab.sampling import hemisphere_grid
+
+        grid = hemisphere_grid(3, 160, 5)
+        # -grid[4] comes before grid[9] in a one-by-one scan of +-grid
+        base = DentedBall(3, [(grid[9], -0.5), (-grid[4], -2.0)])
+        with pytest.raises(PreconditionError, match="smallest eigenvalue -2.000000e"):
+            antipodal_search(Ball(3, 2.0), base, seed=5, budget=640)
 
     def test_search_argument_validation(self):
         with pytest.raises(ValueError):
@@ -347,6 +453,10 @@ class TestDetRatio:
             def jet(self, u):
                 jet = super().jet(u)
                 return type(jet)(jet.value, jet.gradient, 0.0 * jet.hessian)
+
+            def jets(self, u):
+                values, gradients, hessians = super().jets(u)
+                return values, gradients, 0.0 * hessians
 
         with pytest.raises(PreconditionError):
             det_ratio_constancy(Ball(3, 1.0), FlatBase(3, 1.0), samples=4, seed=2)
