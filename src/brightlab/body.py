@@ -7,13 +7,14 @@ its restriction to the tangent hyperplane u^perp carries the principal radii
 of curvature; ``validate`` samples those radii to certify smoothness and
 strict convexity.
 
-Every family evaluates jets two ways.  ``jet(u)`` takes one unit direction
-and returns a ``SupportJet``; it serves searches that move one direction at
-a time.  ``jets(U)`` takes an (m, n) array of unit directions and returns
-the tuple (values (m,), gradients (m, n), Hessians (m, n, n)) whose i-th
-entries equal ``jet(U[i])``; quadratures and samplers use it.  Both refuse
-directions that are not unit length.  ``Revolution`` calls its profile
-callables on arrays of t in ``jets``, so profiles must accept numpy arrays.
+Jets have one path.  Each family defines ``jets(U)``, which takes an (m, n)
+array of unit directions and returns the tuple (values (m,), gradients
+(m, n), Hessians (m, n, n)).  ``ConvexBody.jet(u)`` wraps it at one unit
+direction and returns a ``SupportJet``.  Both refuse directions that are
+not unit length.  Each family also keeps its scalar ``support(x)``, the
+independent oracle that ``finite_difference_jet`` differentiates.
+``Revolution`` calls its profile callables on arrays of t, so profiles must
+accept numpy arrays.
 
 Bodies are immutable value objects; jets are recomputed on demand, never
 cached.  ``FAMILIES`` maps each document family name to its class; those
@@ -24,6 +25,7 @@ takes a user-supplied profile and does not serialize.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Optional
 
@@ -52,8 +54,6 @@ __all__ = [
     "body_from_dict",
 ]
 
-UNIT_TOL = 1e-12
-
 
 def _as_point(x) -> np.ndarray:
     x = np.asarray(x)
@@ -65,13 +65,8 @@ def _as_point(x) -> np.ndarray:
 
 
 def _as_direction(u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
-        raise ValueError("expected a vector")
-    nrm = float(np.linalg.norm(u))
-    if abs(nrm - 1.0) > UNIT_TOL:
-        raise ValueError(f"direction must be unit length, |u| = {nrm!r}")
-    return u
+    """One unit direction, refused as ``_unit_rows`` refuses a row."""
+    return _unit_rows(np.asarray(u, dtype=float)[None])[0]
 
 
 def _outers(a: np.ndarray) -> np.ndarray:
@@ -113,7 +108,9 @@ class ConvexBody:
         raise NotImplementedError
 
     def jet(self, u) -> SupportJet:
-        raise NotImplementedError
+        """``jets`` at the single unit direction u."""
+        values, grads, hess = self.jets(_as_direction(u)[None])
+        return SupportJet(float(values[0]), grads[0], hess[0])
 
     def jets(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -149,12 +146,6 @@ class Ball(ConvexBody):
     def support(self, x) -> float:
         x = _as_point(x)
         return self.radius * np.sqrt(x @ x)
-
-    def jet(self, u) -> SupportJet:
-        u = _as_direction(u)
-        grad = self.radius * u
-        hess = self.radius * (np.eye(self.dim) - np.outer(u, u))
-        return SupportJet(self.radius, grad, hess)
 
     def jets(self, u):
         u = _unit_rows(u)
@@ -199,15 +190,6 @@ class Ellipsoid(ConvexBody):
         x = _as_point(x)
         return np.sqrt(x @ self.matrix @ x)
 
-    def jet(self, u) -> SupportJet:
-        u = _as_direction(u)
-        a = self.matrix
-        au = a @ u
-        h = float(np.sqrt(u @ au))
-        grad = au / h
-        hess = a / h - np.outer(au, au) / h**3
-        return SupportJet(h, grad, 0.5 * (hess + hess.T))
-
     def jets(self, u):
         u = _unit_rows(u)
         a = self.matrix
@@ -224,20 +206,8 @@ def _revolution_support(x, axis, g):
     return rho * g(t)
 
 
-def _revolution_jet(u, axis, g, dg, ddg, n):
-    """Jet of |x| g(<x,e>/|x|) at a unit direction."""
-    t = float(u @ axis)
-    t = min(1.0, max(-1.0, t))
-    gv, g1, g2 = float(g(t)), float(dg(t)), float(ddg(t))
-    value = gv
-    grad = g1 * axis + (gv - t * g1) * u
-    w = axis - t * u
-    hess = g2 * np.outer(w, w) + (gv - t * g1) * (np.eye(n) - np.outer(u, u))
-    return value, grad, 0.5 * (hess + hess.T)
-
-
 def _revolution_jets(u, axis, g, dg, ddg):
-    """``_revolution_jet`` at each row of u; g, dg and ddg are called on arrays."""
+    """Jets of |x| g(<x,e>/|x|) at the rows of u; g, dg and ddg are called on arrays."""
     t = np.clip(u @ axis, -1.0, 1.0)
     gv, g1, g2 = (np.broadcast_to(np.asarray(f(t), dtype=float), t.shape) for f in (g, dg, ddg))
     c = gv - t * g1
@@ -283,7 +253,7 @@ class Spheroid(ConvexBody):
         return a2 * np.eye(self.dim) + (self.polar**2 - a2) * np.outer(e, e)
 
     # the ellipsoid algebra reads only ``self.matrix``
-    support, jet, jets = Ellipsoid.support, Ellipsoid.jet, Ellipsoid.jets
+    support, jets = Ellipsoid.support, Ellipsoid.jets
 
     @property
     def revolution_axis(self) -> np.ndarray:
@@ -346,12 +316,6 @@ class Revolution(ConvexBody):
     def support(self, x) -> float:
         x = _as_point(x)
         return _revolution_support(x, self.axis_vector, self.profile.g)
-
-    def jet(self, u) -> SupportJet:
-        u = _as_direction(u)
-        g, dg, ddg = self._derivatives()
-        value, grad, hess = _revolution_jet(u, self.axis_vector, g, dg, ddg, self.dim)
-        return SupportJet(value, grad, hess)
 
     def jets(self, u):
         return _revolution_jets(_unit_rows(u), self.axis_vector, *self._derivatives())
@@ -423,24 +387,6 @@ class HarmonicPerturbation(ConvexBody):
         pert = _revolution_support(x, self.axis_vector, lambda t: _odd_poly(c, t))
         return self.base.support(x) + self.epsilon * pert
 
-    def jet(self, u) -> SupportJet:
-        u = _as_direction(u)
-        c = self._coeffs
-        value, grad, hess = _revolution_jet(
-            u,
-            self.axis_vector,
-            lambda t: _odd_poly(c, t),
-            lambda t: _odd_poly_d1(c, t),
-            lambda t: _odd_poly_d2(c, t),
-            self.dim,
-        )
-        base = self.base.jet(u)
-        return SupportJet(
-            base.value + self.epsilon * value,
-            base.gradient + self.epsilon * grad,
-            base.hessian + self.epsilon * hess,
-        )
-
     def jets(self, u):
         u = _unit_rows(u)
         c = self._coeffs
@@ -467,7 +413,7 @@ class HarmonicPerturbation(ConvexBody):
 class MinkowskiSum(ConvexBody):
     """Minkowski sum; support functions add, so radii of curvature add at each normal."""
 
-    parts: tuple
+    parts: tuple[ConvexBody, ...]
 
     def __post_init__(self):
         parts = tuple(self.parts)
@@ -484,14 +430,6 @@ class MinkowskiSum(ConvexBody):
     def support(self, x) -> float:
         x = _as_point(x)
         return sum(p.support(x) for p in self.parts)
-
-    def jet(self, u) -> SupportJet:
-        jets = [p.jet(u) for p in self.parts]
-        return SupportJet(
-            sum(j.value for j in jets),
-            sum(j.gradient for j in jets),
-            sum(j.hessian for j in jets),
-        )
 
     def jets(self, u):
         return tuple(sum(parts) for parts in zip(*(p.jets(u) for p in self.parts)))
@@ -546,15 +484,6 @@ class Homothet(ConvexBody):
         x = _as_point(x)
         return self.scale * self.base.support(x) + x @ self.shift_vector
 
-    def jet(self, u) -> SupportJet:
-        base = self.base.jet(u)
-        t = self.shift_vector
-        return SupportJet(
-            self.scale * base.value + float(u @ t),
-            self.scale * base.gradient + t,
-            self.scale * base.hessian,
-        )
-
     def jets(self, u):
         u = _unit_rows(u)
         values, grads, hess = self.base.jets(u)
@@ -594,15 +523,6 @@ class Erosion(ConvexBody):
     def support(self, x) -> float:
         x = _as_point(x)
         return self.base.support(x) - self.radius * np.sqrt(x @ x)
-
-    def jet(self, u) -> SupportJet:
-        base = self.base.jet(u)
-        n = self.dim
-        return SupportJet(
-            base.value - self.radius,
-            base.gradient - self.radius * u,
-            base.hessian - self.radius * (np.eye(n) - np.outer(u, u)),
-        )
 
     def jets(self, u):
         u = _unit_rows(u)
@@ -717,7 +637,6 @@ FAMILIES = {
     "erosion": Erosion,
 }
 _FAMILY_OF = {cls: name for name, cls in FAMILIES.items()}
-_SCALARS = {"int": int, "float": float}
 
 
 def _to_json(value):
@@ -728,13 +647,35 @@ def _to_json(value):
     return value
 
 
-def _from_json(value, kind):
-    """Document value -> field value: body documents, lists to tuples, scalar casts."""
+def _is_number(value) -> bool:
+    """A finite int or float; bools are refused."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
+
+
+def _is_array(value) -> bool:
+    return isinstance(value, list) and all(_is_number(v) or _is_array(v) for v in value)
+
+
+def _from_json(value):
+    """Document value -> field value: body documents, lists to tuples."""
     if isinstance(value, dict):
         return body_from_dict(value)
-    if isinstance(value, list):
-        return tuple(_from_json(v, None) for v in value)
-    return _SCALARS.get(kind, lambda v: v)(value)
+    return tuple(map(_from_json, value)) if isinstance(value, list) else value
+
+
+# field annotation -> (what its document value must be, the test of that, the conversion)
+_KINDS = {
+    "int": ("an integer", lambda v: _is_number(v) and isinstance(v, (int, np.integer)), int),
+    "float": ("a finite number", _is_number, float),
+    "tuple": ("a list of finite numbers", _is_array, _from_json),
+    "ConvexBody": ("a body document", lambda v: isinstance(v, dict), _from_json),
+    "tuple[ConvexBody, ...]": (
+        "a list of body documents",
+        lambda v: isinstance(v, list) and all(isinstance(d, dict) for d in v),
+        _from_json,
+    ),
+}
 
 
 def body_to_dict(body) -> dict:
@@ -753,7 +694,8 @@ def body_from_dict(doc: dict):
     """Inverse of ``body_to_dict``; raises ValueError on malformed documents.
 
     Fields with a default (``epsilon``, ``shift``) are optional; every other
-    field is required, and a key that is not a field is refused.
+    field is required, and a key that is not a field is refused.  A value of
+    the wrong kind for its field (see ``_KINDS``) is refused, not cast.
     """
     if not isinstance(doc, dict) or "family" not in doc or not isinstance(doc.get("params"), dict):
         raise ValueError('expected {"family": ..., "params": {...}}')
@@ -768,7 +710,13 @@ def body_from_dict(doc: dict):
         raise ValueError(f"unknown parameters {unknown} for family {family!r}")
     if missing:
         raise ValueError(f"missing parameters {missing} for family {family!r}")
+    kwargs = {}
+    for name, value in params.items():
+        expected, accepts, convert = _KINDS[spec[name].type]
+        if not accepts(value):
+            raise ValueError(f"{family!r} parameter {name!r} must be {expected}, got {value!r}")
+        kwargs[name] = convert(value)
     try:
-        return cls(**{name: _from_json(v, spec[name].type) for name, v in params.items()})
+        return cls(**kwargs)
     except TypeError as exc:
         raise ValueError(f"malformed parameters for family {family!r}: {exc}") from exc

@@ -34,6 +34,7 @@ from math import gamma, pi
 
 import numpy as np
 
+from .body import ConvexBody
 from .sampling import as_rng, haar_directions, hemisphere_grid, median
 from .weingarten import _restrict_all, _unit_rows, tangent_frames
 
@@ -88,7 +89,7 @@ def random_subspace(n: int, k: int, seed) -> SubspaceFrame:
     return SubspaceFrame(q)
 
 
-class ProjectedBody:
+class ProjectedBody(ConvexBody):
     """The shadow K|U as a k-dimensional body in frame coordinates."""
 
     def __init__(self, source, frame: SubspaceFrame):
@@ -105,27 +106,11 @@ class ProjectedBody:
         w = np.asarray(w)
         return self.source.support(self.frame.columns @ w)
 
-    def jet(self, w):
-        from .body import SupportJet, _as_direction
-
-        w = _as_direction(w)
-        f = self.frame.columns
-        # F is orthonormal, so F w is again a unit direction; chain rule
-        jet = self.source.jet(f @ w)
-        return SupportJet(
-            jet.value,
-            f.T @ jet.gradient,
-            f.T @ jet.hessian @ f,
-        )
-
     def jets(self, w):
-        """Batched ``jet``: the chain rule applied to the source jets at w F^T."""
+        """Chain rule on the source jets at the rows of w F^T, unit since F is orthonormal."""
         f = self.frame.columns
         values, grads, hess = self.source.jets(_unit_rows(w) @ f.T)
         return values, grads @ f, f.T @ hess @ f
-
-    def width(self, w) -> float:
-        return self.support(np.asarray(w, dtype=float)) + self.support(-np.asarray(w, dtype=float))
 
 
 def project(body, frame: SubspaceFrame) -> ProjectedBody:

@@ -84,38 +84,10 @@ class TangentFrame:
     basis: np.ndarray
 
 
-def tangent_frame(u, rule: str = "householder") -> TangentFrame:
-    """Deterministic orthonormal frame of u^perp.
-
-    The default rule reflects e_1 onto u with a Householder map and keeps
-    the remaining columns; ``rule="gram"`` QR-completes the coordinate basis
-    instead.  Both rules are deterministic; eigenvalues of restricted maps
-    do not depend on the rule.
-    """
+def tangent_frame(u) -> TangentFrame:
+    """``tangent_frames`` at the single unit direction u."""
     u = np.asarray(u, dtype=float)
-    n = u.size
-    nrm = float(np.linalg.norm(u))
-    if abs(nrm - 1.0) > 1e-12:
-        raise ValueError(f"direction must be unit length, |u| = {nrm!r}")
-    if rule == "householder":
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        v = e1 - u
-        vv = float(v @ v)
-        if vv < 1e-28:
-            basis = np.eye(n)[:, 1:]
-        else:
-            h = np.eye(n) - 2.0 * np.outer(v, v) / vv
-            basis = h[:, 1:]
-    elif rule == "gram":
-        order = np.argsort(np.abs(u), kind="stable")
-        cols = np.eye(n)[:, order[: n - 1]]
-        q, r = np.linalg.qr(np.column_stack([u, cols]))
-        q = q * np.sign(np.diag(r))[None, :]
-        basis = q[:, 1:]
-    else:
-        raise ValueError(f"unknown frame rule {rule!r}")
-    return TangentFrame(u=u, basis=basis)
+    return TangentFrame(u, tangent_frames(u[None])[0])
 
 
 def _unit_rows(u) -> np.ndarray:
@@ -133,8 +105,9 @@ def _unit_rows(u) -> np.ndarray:
 def tangent_frames(u) -> np.ndarray:
     """Householder frames of u^perp for each row of an (m, n) array of unit directions.
 
-    Returns an (m, n, n-1) array whose i-th slice is
-    ``tangent_frame(u[i]).basis``, the u = e_1 case included.
+    Returns an (m, n, n-1) array whose i-th slice reflects e_1 onto u[i]
+    and keeps the remaining columns (the identity columns when u[i] = e_1).
+    Eigenvalues of maps restricted to u^perp do not depend on the frame.
     """
     u = _unit_rows(u)
     n = u.shape[1]
@@ -196,7 +169,7 @@ def reverse_weingarten(body, u, frame: Optional[TangentFrame] = None) -> SelfAdj
     u = np.asarray(u, dtype=float)
     if frame is None:
         frame = tangent_frame(u)
-    return SelfAdjointMap(frame, _restrict_all(body.jet(u).hessian[None], frame.basis[None])[0])
+    return SelfAdjointMap(frame, _restrict_all(body.jets(u[None])[2], frame.basis[None])[0])
 
 
 def _psd_inv_sqrt(matrices: np.ndarray, what: str) -> np.ndarray:
@@ -489,7 +462,7 @@ def revolution_eigenstructure(body, u) -> RevolutionEigenstructure:
     v0 = (u - t * axis) / cos_phi
     w1 = -t * v0 + cos_phi * axis
 
-    hess = body.jet(u).hessian
+    hess = body.jets(u[None])[2][0]
     axial = float(w1 @ hess @ w1)
     axial_residual = float(np.linalg.norm(hess @ w1 - axial * w1))
 

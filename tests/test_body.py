@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from brightlab.body import (
     FAMILIES,
     Ball,
+    ConvexBody,
     Ellipsoid,
     Erosion,
     HarmonicPerturbation,
@@ -25,9 +26,17 @@ from brightlab.body import (
     validate,
 )
 from brightlab.sampling import as_rng, haar_directions
-from brightlab.tomography import project, random_subspace
+from brightlab.tomography import ProjectedBody, project, random_subspace
 
 E4 = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21]))
+NAN = float("nan")
+
+
+def document(family, **params):
+    return {"family": family, "params": params}
+
+
+BALL_DOC = document("ball", dim=3, radius=1.0)
 
 
 def spheroid_profile(a: float, b: float) -> RadialProfile:
@@ -59,6 +68,17 @@ def all_families():
     ]
 
 
+def batched_bodies():
+    """Every sample family, the numeric-derivative revolution, and a shadow."""
+    return [
+        *all_families(),
+        Revolution(
+            (0.0, 0.0, 1.0), RadialProfile(spheroid_profile(1.0, 0.8).g), numeric_derivatives=True
+        ),
+        project(Homothet(E4, 0.7, (0.1, 0.0, -0.2, 0.0)), random_subspace(4, 3, 0)),
+    ]
+
+
 class TestJetStructure:
     @pytest.mark.parametrize("body", all_families(), ids=lambda b: type(b).__name__)
     def test_euler_identities(self, body):
@@ -71,15 +91,20 @@ class TestJetStructure:
             assert np.abs(jet.hessian @ u).max() < 1e-9 * max(1.0, jet.value)
             assert np.allclose(jet.hessian, jet.hessian.T)
 
-    @pytest.mark.parametrize("body", all_families(), ids=lambda b: type(b).__name__)
+    # the numeric-derivative revolution differs from its own finite
+    # differences by about 1.6e-4; test_numeric_derivatives_track_analytic covers it
+    @pytest.mark.parametrize(
+        "body",
+        [b for b in batched_bodies() if not getattr(b, "numeric_derivatives", False)],
+        ids=lambda b: type(b).__name__,
+    )
     def test_jets_match_finite_differences(self, body):
-        rng = as_rng(1)
-        for u in haar_directions(body.dim, 10, rng):
-            jet = body.jet(u)
+        dirs = haar_directions(body.dim, 10, as_rng(1))
+        for u, grad, hess in zip(dirs, *body.jets(dirs)[1:]):
             num = finite_difference_jet(body, u)
-            scale = max(1.0, np.abs(jet.hessian).max())
-            assert np.abs(jet.gradient - num.gradient).max() < 1e-8
-            assert np.abs(jet.hessian - num.hessian).max() < 1e-6 * scale
+            scale = max(1.0, np.abs(hess).max())
+            assert np.abs(grad - num.gradient).max() < 1e-8
+            assert np.abs(hess - num.hessian).max() < 1e-6 * scale
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
@@ -158,23 +183,17 @@ class TestSpheroid:
         assert vals[2] == pytest.approx(b * b / a)
 
 
-def batched_bodies():
-    """Every sample family, the numeric-derivative revolution, and a shadow."""
-    return [
-        *all_families(),
-        Revolution(
-            (0.0, 0.0, 1.0), RadialProfile(spheroid_profile(1.0, 0.8).g), numeric_derivatives=True
-        ),
-        project(Homothet(E4, 0.7, (0.1, 0.0, -0.2, 0.0)), random_subspace(4, 3, 0)),
-    ]
-
-
 class TestBatchedJets:
     def test_every_registered_family_has_jets_and_a_sample(self):
         sampled = {type(b) for b in all_families()}
         for name, cls in [*FAMILIES.items(), ("(revolution)", Revolution)]:
             assert "jets" in vars(cls), name
             assert cls in sampled, name
+
+    def test_jet_is_one_wrapper_over_jets(self):
+        for cls in [*FAMILIES.values(), Revolution, ProjectedBody]:
+            assert "jet" not in vars(cls), cls.__name__
+            assert cls.jet is ConvexBody.jet, cls.__name__
 
     @pytest.mark.parametrize("body", batched_bodies(), ids=lambda b: type(b).__name__)
     def test_batched_jets_match_single_jets(self, body):
@@ -335,6 +354,38 @@ class TestSerialization:
             }
         )
         assert pert.epsilon == 1.0
+
+    @pytest.mark.parametrize(
+        "doc, family, key",
+        [
+            (document("ball", dim=3.7, radius=1.0), "ball", "dim"),
+            (document("ball", dim=3.0, radius=1.0), "ball", "dim"),
+            (document("ball", dim=True, radius=1.0), "ball", "dim"),
+            (document("ball", dim=3, radius=True), "ball", "radius"),
+            (document("ball", dim=3, radius=NAN), "ball", "radius"),
+            (document("ball", dim=3, radius=float("inf")), "ball", "radius"),
+            (document("ball", dim=3, radius="1.0"), "ball", "radius"),
+            (document("homothet", base=BALL_DOC, scale=NAN), "homothet", "scale"),
+            (document("homothet", base=1.0, scale=2.0), "homothet", "base"),
+            (document("minkowski_sum", parts=[1.0]), "minkowski_sum", "parts"),
+            (document("minkowski_sum", parts=BALL_DOC), "minkowski_sum", "parts"),
+            (document("spheroid", axis=[0, NAN, 1], equatorial=1, polar=2), "spheroid", "axis"),
+            (document("ellipsoid", shape=[[1, True], [True, 1]]), "ellipsoid", "shape"),
+            # a nested document names its own family
+            (
+                document("erosion", base=document("ball", dim=2.5, radius=1), radius=0),
+                "ball",
+                "dim",
+            ),
+        ],
+    )
+    def test_mistyped_values_refused_with_family_and_key(self, doc, family, key):
+        with pytest.raises(ValueError, match=f"'{family}' parameter '{key}'"):
+            body_from_dict(doc)
+
+    def test_integer_values_of_float_fields_are_accepted(self):
+        ball = body_from_dict({"family": "ball", "params": {"dim": 3, "radius": 2}})
+        assert ball.radius == 2.0 and isinstance(ball.radius, float)
 
     def test_homothet_over_ellipsoid_document(self):
         body = Homothet(Ellipsoid(np.diag([1.0, 4.0])), 0.5, (0.25, -1.0))

@@ -17,6 +17,7 @@ from brightlab.body import FAMILIES
 from brightlab.lemma_lab import FalsificationReport, antipodal_falsification
 
 ROOT = Path(__file__).resolve().parents[1]
+BALL_3D = {"family": "ball", "params": {"dim": 3, "radius": 1.0}}
 
 
 def run_cli(*args, cwd):
@@ -93,6 +94,26 @@ class TestExitCodes:
         proc = run_cli("brightness", "--config", cfg, "--seed", "1", cwd=tmp_path)
         assert proc.returncode == 2
         assert "torus" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ({"family": "ball", "params": {"dim": 3.7, "radius": 1.0}}, "dim"),
+            ({"family": "ball", "params": {"dim": 3, "radius": True}}, "radius"),
+            ({"family": "ball", "params": {"dim": 3, "radius": float("nan")}}, "radius"),
+            ({"family": "homothet", "params": {"base": BALL_3D, "scale": float("nan")}}, "scale"),
+            ({"family": "minkowski_sum", "params": {"parts": [1.0]}}, "parts"),
+        ],
+    )
+    def test_mistyped_body_document_exits_two(self, tmp_path, body, key):
+        config = {"body": body, "base": BALL_3D, "num_frames": 3}
+        cfg = write_config(tmp_path / "c.json", config)
+        argv = ["--config", cfg, "--seed", "1", "--out", "r.json"]
+        proc = run_cli("proportionality", *argv, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert repr(key) in proc.stderr and repr(body["family"]) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "r.json").exists()
 
     def test_unknown_subcommand_exits_two(self, tmp_path):
         proc = run_cli("frobnicate", cwd=tmp_path)

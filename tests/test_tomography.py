@@ -5,7 +5,7 @@ from math import gamma, pi
 import numpy as np
 import pytest
 
-from brightlab.body import Ball, Ellipsoid, Homothet, SupportJet
+from brightlab.body import Ball, Ellipsoid, Homothet
 from brightlab.sampling import as_rng, haar_directions
 from brightlab.tomography import (
     HomothetyFit,
@@ -42,10 +42,6 @@ class DegeneratePoint:
 
     def support(self, x) -> float:
         return 0.0
-
-    def jet(self, u):
-        u = np.asarray(u, dtype=float)
-        return SupportJet(0.0, np.zeros(self._n), np.zeros((self._n, self._n)))
 
     def jets(self, u):
         m = len(u)
