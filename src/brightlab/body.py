@@ -165,7 +165,7 @@ class Ellipsoid(ConvexBody):
     A = diag(a_1^2, ..., a_n^2) is the ellipsoid with semiaxes a_i.
     """
 
-    shape: tuple
+    shape: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         a = np.asarray(self.shape, dtype=float)
@@ -227,7 +227,7 @@ class Spheroid(ConvexBody):
     listed values are the principal radii of curvature.
     """
 
-    axis: tuple
+    axis: tuple[float, ...]
     equatorial: float
     polar: float
 
@@ -279,7 +279,7 @@ class RadialProfile:
 class Revolution(ConvexBody):
     """Body of revolution h(x) = |x| g(<x,e>/|x|) about the unit axis e."""
 
-    axis: tuple
+    axis: tuple[float, ...]
     profile: RadialProfile
     numeric_derivatives: bool = False
     fd_step: float = 1e-6
@@ -358,8 +358,8 @@ class HarmonicPerturbation(ConvexBody):
     """
 
     base: ConvexBody
-    axis: tuple
-    odd_coeffs: tuple
+    axis: tuple[float, ...]
+    odd_coeffs: tuple[float, ...]
     epsilon: float = 1.0
 
     def __post_init__(self):
@@ -462,7 +462,7 @@ class Homothet(ConvexBody):
 
     base: ConvexBody
     scale: float
-    shift: tuple = ()
+    shift: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -653,8 +653,14 @@ def _is_number(value) -> bool:
     return real and abs(value) <= sys.float_info.max
 
 
-def _is_array(value) -> bool:
-    return isinstance(value, list) and all(_is_number(v) or _is_array(v) for v in value)
+def _is_vector(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _is_matrix(value) -> bool:
+    """A list of equally long lists of finite numbers."""
+    rows_ok = isinstance(value, list) and all(map(_is_vector, value))
+    return rows_ok and len({len(row) for row in value}) <= 1
 
 
 def _from_json(value):
@@ -668,7 +674,12 @@ def _from_json(value):
 _KINDS = {
     "int": ("an integer", lambda v: _is_number(v) and isinstance(v, (int, np.integer)), int),
     "float": ("a finite number", _is_number, float),
-    "tuple": ("a list of finite numbers", _is_array, _from_json),
+    "tuple[float, ...]": ("a list of finite numbers", _is_vector, _from_json),
+    "tuple[tuple[float, ...], ...]": (
+        "a list of equally long lists of finite numbers",
+        _is_matrix,
+        _from_json,
+    ),
     "ConvexBody": ("a body document", lambda v: isinstance(v, dict), _from_json),
     "tuple[ConvexBody, ...]": (
         "a list of body documents",

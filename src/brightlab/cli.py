@@ -344,6 +344,8 @@ def _run_lemma_campaign(params: dict, seed: int):
         extras = {
             "solutions_found": len(found),
             "candidate_values": [float(v) for v in cset.values()],
+            "restarts": found.restarts,
+            "gauss_newton_steps": found.gauss_newton_steps,
         }
         return checks, extras, lambda: _csv(rows)
     raise ConfigError(f"unknown lemma-campaign mode {mode!r} (expected 'antipodal' or 'solver')")

@@ -18,12 +18,14 @@ This module evaluates hypothesis residuals exactly over all subsets (desk
 scale, N <= 8), enumerates the candidate sets with exact rational
 coefficient assembly followed by companion-matrix root finding, runs a
 damped Gauss-Newton random-restart solver as an experimental oracle for the
-hypothesis system, and provides large vectorized falsification campaigns
-for the antipodal variant.
+hypothesis system (blocks of restarts stepped in lockstep, with stacked
+residuals, Jacobians and minimum-norm least-squares steps), and provides
+large vectorized falsification campaigns for the antipodal variant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -44,6 +46,7 @@ __all__ = [
     "RelationAudit",
     "AntipodalCheckResult",
     "FalsificationReport",
+    "SolverSolutions",
     "hypothesis_residual",
     "ratio_conclusion_check",
     "infinite_family",
@@ -99,12 +102,12 @@ class HypothesisResiduals(NamedTuple):
 
 
 def _subset_products(values: np.ndarray, size: int) -> np.ndarray:
-    """Products of ``values`` over every ``size``-subset, in lex subset order."""
-    return np.prod(values[_index_array(values.size, size)], axis=1)
+    """Products of ``values`` over every ``size``-subset of the last axis, in lex subset order."""
+    return np.prod(values[..., _index_array(values.shape[-1], size)], axis=-1)
 
 
 def _level_residuals(x: np.ndarray, y: np.ndarray, size: int, rhs: float) -> np.ndarray:
-    """x_I + y_I - rhs for every |I| = size."""
+    """x_I + y_I - rhs for every |I| = size, along the last axis."""
     return _subset_products(x, size) + _subset_products(y, size) - rhs
 
 
@@ -353,6 +356,11 @@ def match_candidates(values, cset: CandidateSet, tol: float = 1e-6) -> float:
 _SOLVER_TOL = 1e-11
 _MAX_RESTARTS = 10000
 _MAX_ITER = 80
+# Backtracking halves the step up to _LINE_SEARCH_TRIES times.  A block
+# holds at most _BLOCK_ROWS starts, and one line-search pass evaluates about
+# as many candidate rows, which bounds the stacked arrays' memory.
+_LINE_SEARCH_TRIES = 30
+_BLOCK_ROWS = 4096
 
 
 @lru_cache(maxsize=None)
@@ -365,29 +373,102 @@ def _leave_one_out(n: int, size: int) -> np.ndarray:
     return loo
 
 
-def _residual(z: np.ndarray, n: int, k: int, m: int, a: float, b: float) -> np.ndarray:
-    """Hypothesis equations at z = (x, y): the k-level rows, then the m-level rows."""
-    x, y = z[:n], z[n:]
-    return np.concatenate([_level_residuals(x, y, k, 2 * a), _level_residuals(x, y, m, 2 * b)])
+def _residuals(z: np.ndarray, n: int, k: int, m: int, a: float, b: float) -> np.ndarray:
+    """Hypothesis equations at each row z = (x, y): the k-level columns, then the m-level ones."""
+    x, y = z[:, :n], z[:, n:]
+    return np.concatenate(
+        [_level_residuals(x, y, k, 2 * a), _level_residuals(x, y, m, 2 * b)], axis=1
+    )
 
 
-def _jacobian(z: np.ndarray, n: int, k: int, m: int) -> np.ndarray:
-    """Jacobian of ``_residual``: d x_I / d x_i is the product over I without i.
+def _jacobians(z: np.ndarray, n: int, k: int, m: int) -> np.ndarray:
+    """(R, rows, 2n) Jacobians of ``_residuals``: d x_I / d x_i is the product over I without i.
 
     The leave-one-out products never divide by x_i, so zero entries are
     exact, and a size-1 subset gives the empty product 1.
     """
-    x, y = z[:n], z[n:]
+    x, y = z[:, :n], z[:, n:]
     blocks = []
     for size in (k, m):
         idx = _index_array(n, size)
         loo = _leave_one_out(n, size)
         rows = np.arange(len(idx))[:, None]
-        block = np.zeros((len(idx), 2 * n))
-        block[rows, idx] = np.prod(x[loo], axis=-1)
-        block[rows, n + idx] = np.prod(y[loo], axis=-1)
+        block = np.zeros((len(z), len(idx), 2 * n))
+        block[:, rows, idx] = np.prod(x[:, loo], axis=-1)
+        block[:, rows, n + idx] = np.prod(y[:, loo], axis=-1)
         blocks.append(block)
-    return np.vstack(blocks)
+    return np.concatenate(blocks, axis=1)
+
+
+def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of jac[r] s = rhs[r] for every r.
+
+    A stacked SVD with ``np.linalg.lstsq``'s default cutoff: singular values
+    at or below eps * max(rows, cols) * sigma_max count as zero.
+    """
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(jac.shape[1:]) * s[:, :1]
+    coef = np.einsum("rik,ri->rk", u, rhs)
+    coef = np.divide(coef, s, out=np.zeros_like(coef), where=keep)
+    return np.einsum("rkj,rk->rj", vt, coef)
+
+
+def _gauss_newton_block(z: np.ndarray, n: int, k: int, m: int, a: float, b: float):
+    """Damped Gauss-Newton on every row of ``z`` in lockstep, updating ``z`` in place.
+
+    Each live row takes a minimum-norm least-squares step, then the first
+    lambda in 1, 1/2, ... (``_LINE_SEARCH_TRIES`` rungs) that lowers its max
+    residual after projection onto the positive orthant; a row with no such
+    lambda stops.
+    Returns the rows that reached ``_SOLVER_TOL`` with y > 1e-9, and the
+    number of least-squares steps each row took.
+    """
+    converged = np.zeros(len(z), dtype=bool)
+    steps = np.zeros(len(z), dtype=np.int64)
+    live = np.arange(len(z))
+    for it in range(_MAX_ITER + 1):
+        f = _residuals(z[live], n, k, m, a, b)
+        norm0 = np.abs(f).max(axis=1)
+        below = norm0 < _SOLVER_TOL
+        converged[live[below]] = True
+        live, f, norm0 = live[~below], f[~below], norm0[~below]
+        if it == _MAX_ITER or not live.size:
+            break
+        steps[live] += 1
+        step = _min_norm_steps(_jacobians(z[live], n, k, m), -f)
+        moved = np.zeros(len(live), dtype=bool)
+        pending = np.arange(len(live))
+        tried = 0
+        while pending.size and tried < _LINE_SEARCH_TRIES:
+            # the next rungs of the lambda ladder for every pending row at once
+            count = min(_LINE_SEARCH_TRIES - tried, max(1, _BLOCK_ROWS // pending.size))
+            lam = 0.5 ** np.arange(tried, tried + count)
+            cand = z[live[pending], None, :] + lam[:, None] * step[pending, None, :]
+            cand[..., :n] = np.maximum(cand[..., :n], 0.0)
+            cand[..., n:] = np.maximum(cand[..., n:], 1e-12)
+            res = np.abs(_residuals(cand.reshape(-1, 2 * n), n, k, m, a, b)).max(axis=1)
+            lower = res.reshape(len(pending), count) < norm0[pending, None]
+            hit = lower.any(axis=1)
+            first = lower.argmax(axis=1)
+            z[live[pending[hit]]] = cand[hit, first[hit]]
+            moved[pending[hit]] = True
+            pending = pending[~hit]
+            tried += count
+        live = live[moved]
+    return converged & (z[:, n:].min(axis=1) > 1e-9), steps
+
+
+class SolverSolutions(list):
+    """Converged ``RelationInstance`` list, in restart order, with the solver's counters.
+
+    ``restarts`` counts the random starts up to and including the one that
+    gave the last kept instance (all of them on a shortfall), and
+    ``gauss_newton_steps`` the least-squares steps those starts took; starts
+    drawn past the last kept instance do not count.
+    """
+
+    restarts = 0
+    gauss_newton_steps = 0
 
 
 def find_hypothesis_solutions(
@@ -398,35 +479,41 @@ def find_hypothesis_solutions(
     Starts from uniform random positive points, takes least-squares Newton
     steps with backtracking, projects onto the closed positive orthant, and
     keeps every run whose max residual falls below ``_SOLVER_TOL``.  Returns
-    up to ``solutions`` converged instances (an experimental oracle, not a
-    guaranteed enumeration).
+    up to ``solutions`` converged instances in restart order (an
+    experimental oracle, not a guaranteed enumeration) as a
+    ``SolverSolutions`` list.
+
+    The restarts run in blocks stepped in lockstep by
+    ``_gauss_newton_block``; a block of R starts is the same random stream
+    as R sequential starts, so the result is that of a restart-at-a-time
+    loop up to rounding in the least-squares steps.  Targets whose start
+    scale max(a, b)^(1/k) overflows at grade m are refused with a
+    ValueError before any start is drawn.
     """
-    rng = as_rng(seed)
-    found: list[RelationInstance] = []
     scale = max(a, b) ** (1.0 / k)
-    for _ in range(_MAX_RESTARTS):
-        if len(found) >= solutions:
-            break
-        z = rng.uniform(0.05, 1.8, size=2 * n) * scale
-        for _ in range(_MAX_ITER):
-            f = _residual(z, n, k, m, a, b)
-            norm0 = np.abs(f).max()
-            if norm0 < _SOLVER_TOL:
-                break
-            step, *_ = np.linalg.lstsq(_jacobian(z, n, k, m), -f, rcond=None)
-            lam = 1.0
-            for _ in range(30):
-                cand = z + lam * step
-                cand[:n] = np.maximum(cand[:n], 0.0)
-                cand[n:] = np.maximum(cand[n:], 1e-12)
-                if np.abs(_residual(cand, n, k, m, a, b)).max() < norm0:
-                    z = cand
-                    break
-                lam *= 0.5
-            else:
-                break
-        if np.abs(_residual(z, n, k, m, a, b)).max() < _SOLVER_TOL and z[n:].min() > 1e-9:
-            found.append(RelationInstance(tuple(z[:n]), tuple(z[n:]), a, b, k, m))
+    try:
+        top = scale**m
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise ValueError(
+            f"solver targets a = {a!r}, b = {b!r} are not representable: the start scale "
+            f"max(a, b)^(1/k) = {scale:.3e} overflows at grade m = {m}"
+        )
+    rng = as_rng(seed)
+    found = SolverSolutions()
+    drawn = 0
+    while len(found) < solutions and drawn < _MAX_RESTARTS:
+        wanted = solutions - len(found)
+        size = min(max(64, 2 * wanted), _BLOCK_ROWS, _MAX_RESTARTS - drawn)
+        z = rng.uniform(0.05, 1.8, size=(size, 2 * n)) * scale
+        ok, steps = _gauss_newton_block(z, n, k, m, a, b)
+        keep = np.flatnonzero(ok)[:wanted]
+        used = int(keep[-1]) + 1 if len(keep) == wanted else size
+        found.restarts = drawn + used
+        found.gauss_newton_steps += int(steps[:used].sum())
+        found.extend(RelationInstance(tuple(r[:n]), tuple(r[n:]), a, b, k, m) for r in z[keep])
+        drawn += size
     return found
 
 

@@ -377,6 +377,16 @@ class TestSerialization:
                 "ball",
                 "dim",
             ),
+            # vector and matrix fields need the right depth, and a matrix equal rows
+            (document("ellipsoid", shape=[[1, 0], [0]]), "ellipsoid", "shape"),
+            (document("ellipsoid", shape=[1, 0]), "ellipsoid", "shape"),
+            (document("spheroid", axis=[[0, 1], [1, 0]], equatorial=1, polar=2), "spheroid", "axis"),
+            (document("homothet", base=BALL_DOC, scale=2.0, shift=[[0, 0, 1]]), "homothet", "shift"),
+            (
+                document("harmonic_perturbation", base=BALL_DOC, axis=[0, 0, 1], odd_coeffs=[[1]]),
+                "harmonic_perturbation",
+                "odd_coeffs",
+            ),
         ],
     )
     def test_mistyped_values_refused_with_family_and_key(self, doc, family, key):

@@ -103,6 +103,11 @@ class TestExitCodes:
             ({"family": "ball", "params": {"dim": 3, "radius": float("nan")}}, "radius"),
             ({"family": "homothet", "params": {"base": BALL_3D, "scale": float("nan")}}, "scale"),
             ({"family": "minkowski_sum", "params": {"parts": [1.0]}}, "parts"),
+            ({"family": "ellipsoid", "params": {"shape": [[1, 0, 0], [0, 1], [0, 0, 1]]}}, "shape"),
+            (
+                {"family": "spheroid", "params": {"axis": [[0, 0, 1]], "equatorial": 1, "polar": 2}},
+                "axis",
+            ),
         ],
     )
     def test_mistyped_body_document_exits_two(self, tmp_path, body, key):
@@ -179,6 +184,16 @@ class TestExitCodes:
             argv += ["--seed", "1"]
         assert cli.main(argv) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_unrepresentable_solver_target_exits_two_quietly(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"mode": "solver", "a": 1.0, "b": 1e300})
+        argv = ["--config", cfg, "--seed", "1", "--out", "r.json"]
+        proc = run_cli("lemma-campaign", *argv, cwd=tmp_path)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "a = 1.0, b = 1e+300" in lines[0]
         assert not (tmp_path / "r.json").exists()
 
     def test_grid_dimension_above_cap_exits_two(self, tmp_path):
@@ -421,6 +436,9 @@ class TestScenarios:
         assert proc.returncode == 0
         report = json.loads((tmp_path / "s.json").read_text())
         assert report["extras"]["solutions_found"] == 4
+        # the start that gave the fourth solution, and the steps up to it
+        assert report["extras"]["restarts"] >= 4
+        assert report["extras"]["gauss_newton_steps"] >= report["extras"]["restarts"]
 
     def test_gallery_needs_no_seed(self, tmp_path):
         proc = run_cli("gallery", cwd=tmp_path)

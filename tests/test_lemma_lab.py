@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from brightlab import lemma_lab
 from brightlab.errors import PreconditionError
 from brightlab.lemma_lab import (
     RelationInstance,
@@ -157,34 +158,139 @@ class TestEnumerateCandidates:
 class TestSolverEquations:
     @pytest.mark.parametrize("k,m,n", [(1, 3, 4), (2, 4, 5), (1, 2, 5), (3, 5, 6)])
     def test_jacobian_matches_central_differences(self, k, m, n):
-        from brightlab.lemma_lab import _jacobian, _residual
-
         rng = np.random.default_rng(k * 100 + n)
         a, b, step = 1.1, 1.7, 1e-6
-        for _ in range(3):
-            z = rng.uniform(0.3, 1.6, 2 * n)
-            z[rng.integers(n)] = 0.0  # a vanishing x entry
-            jac = _jacobian(z, n, k, m)
-            assert jac.shape == (comb(n, k) + comb(n, m), 2 * n)
-            for i in range(2 * n):
-                dz = np.zeros(2 * n)
-                dz[i] = step
-                fd = (_residual(z + dz, n, k, m, a, b) - _residual(z - dz, n, k, m, a, b)) / (2 * step)
-                np.testing.assert_allclose(jac[:, i], fd, rtol=0, atol=1e-8)
+        z = rng.uniform(0.3, 1.6, (3, 2 * n))
+        z[np.arange(3), rng.integers(n, size=3)] = 0.0  # a vanishing x entry per row
+        jac = lemma_lab._jacobians(z, n, k, m)
+        assert jac.shape == (3, comb(n, k) + comb(n, m), 2 * n)
+        for i in range(2 * n):
+            dz = np.zeros(2 * n)
+            dz[i] = step
+            plus = lemma_lab._residuals(z + dz, n, k, m, a, b)
+            minus = lemma_lab._residuals(z - dz, n, k, m, a, b)
+            np.testing.assert_allclose(jac[:, :, i], (plus - minus) / (2 * step), rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("k,m,n", [(1, 3, 4), (2, 4, 5)])
     def test_residual_levels_match_hypothesis_residual(self, k, m, n):
-        from brightlab.lemma_lab import _residual
-
         rng = np.random.default_rng(n)
-        inst = RelationInstance(
-            tuple(rng.uniform(0.0, 1.5, n)), tuple(rng.uniform(0.5, 1.5, n)), 1.2, 0.9, k, m
-        )
-        rows = np.abs(_residual(np.array(inst.x + inst.y), n, k, m, inst.a, inst.b))
-        assert rows.size == comb(n, k) + comb(n, m)
-        res = hypothesis_residual(inst)
-        assert rows[: comb(n, k)].max() == res.k_residual
-        assert rows[comb(n, k) :].max() == res.m_residual
+        insts = [
+            RelationInstance(
+                tuple(rng.uniform(0.0, 1.5, n)), tuple(rng.uniform(0.5, 1.5, n)), 1.2, 0.9, k, m
+            )
+            for _ in range(3)
+        ]
+        z = np.array([inst.x + inst.y for inst in insts])
+        rows = np.abs(lemma_lab._residuals(z, n, k, m, 1.2, 0.9))
+        assert rows.shape == (3, comb(n, k) + comb(n, m))
+        for row, inst in zip(rows, insts):
+            res = hypothesis_residual(inst)
+            assert row[: comb(n, k)].max() == res.k_residual
+            assert row[comb(n, k) :].max() == res.m_residual
+
+
+def sequential_solutions(a, b, k, m, n, solutions, seed):
+    """Oracle: the restart-at-a-time damped Gauss-Newton loop, one np.linalg.lstsq per step.
+
+    Returns the converged z = (x, y) vectors in restart order, the restarts
+    drawn and the least-squares steps they took.
+    """
+
+    def residual(z):
+        return lemma_lab._residuals(z[None], n, k, m, a, b)[0]
+
+    rng = np.random.default_rng(seed)
+    scale = max(a, b) ** (1.0 / k)
+    found, restarts, steps = [], 0, 0
+    while len(found) < solutions and restarts < lemma_lab._MAX_RESTARTS:
+        restarts += 1
+        z = rng.uniform(0.05, 1.8, size=2 * n) * scale
+        for _ in range(lemma_lab._MAX_ITER):
+            f = residual(z)
+            norm0 = np.abs(f).max()
+            if norm0 < lemma_lab._SOLVER_TOL:
+                break
+            step, *_ = np.linalg.lstsq(lemma_lab._jacobians(z[None], n, k, m)[0], -f, rcond=None)
+            steps += 1
+            lam = 1.0
+            for _ in range(30):
+                cand = z + lam * step
+                cand[:n] = np.maximum(cand[:n], 0.0)
+                cand[n:] = np.maximum(cand[n:], 1e-12)
+                if np.abs(residual(cand)).max() < norm0:
+                    z = cand
+                    break
+                lam *= 0.5
+            else:
+                break
+        if np.abs(residual(z)).max() < lemma_lab._SOLVER_TOL and z[n:].min() > 1e-9:
+            found.append(z)
+    return found, restarts, steps
+
+
+def per_row_lstsq(jac, rhs):
+    return np.array([np.linalg.lstsq(j, r, rcond=None)[0] for j, r in zip(jac, rhs)])
+
+
+class TestBatchedSolver:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k,m,n", [(1, 3, 4), (2, 4, 5), (1, 2, 5), (3, 5, 6)])
+    def test_matches_sequential_restarts(self, k, m, n, seed):
+        ref, restarts, steps = sequential_solutions(1.1, 1.7, k, m, n, 12, seed)
+        got = find_hypothesis_solutions(1.1, 1.7, k, m, n, 12, seed=seed)
+        assert len(got) == len(ref) == 12
+        for inst, z in zip(got, ref):
+            np.testing.assert_allclose(inst.x + inst.y, z, rtol=0, atol=1e-12)
+        assert (got.restarts, got.gauss_newton_steps) == (restarts, steps)
+
+    def test_block_of_starts_is_the_sequential_stream(self):
+        block = np.random.default_rng(5).uniform(0.05, 1.8, size=(7, 8))
+        rng = np.random.default_rng(5)
+        rows = [rng.uniform(0.05, 1.8, size=8) for _ in range(7)]
+        assert np.array_equal(block, np.array(rows))
+
+    def test_no_row_converges(self, monkeypatch):
+        # (k, m, N) = (2, 3, 4) at a = 1.1, b = 1.7 has no solution the solver
+        # reaches; a cap of 70 starts is one block of 64 and one of 6
+        monkeypatch.setattr(lemma_lab, "_MAX_RESTARTS", 70)
+        ref, restarts, steps = sequential_solutions(1.1, 1.7, 2, 3, 4, 1, seed=0)
+        got = find_hypothesis_solutions(1.1, 1.7, 2, 3, 4, 1, seed=0)
+        assert got == ref == [] and got.restarts == restarts == 70
+        # stalled runs are chaotic: a rounding-level change in one step can
+        # flip a later line-search decision, so only the lstsq step itself
+        # reproduces the loop's count exactly
+        assert got.gauss_newton_steps == pytest.approx(steps, rel=0.02)
+        monkeypatch.setattr(lemma_lab, "_min_norm_steps", per_row_lstsq)
+        got = find_hypothesis_solutions(1.1, 1.7, 2, 3, 4, 1, seed=0)
+        assert got == [] and (got.restarts, got.gauss_newton_steps) == (restarts, steps)
+
+    @pytest.mark.parametrize(
+        "rows,cols,rank", [(8, 8, 8), (8, 8, 5), (12, 10, 10), (6, 10, 6), (9, 8, 0)]
+    )
+    def test_min_norm_steps_match_lstsq(self, rows, cols, rank):
+        rng = np.random.default_rng(rows * cols + rank)
+        jac = rng.normal(size=(5, rows, rank)) @ rng.normal(size=(5, rank, cols))
+        rhs = rng.normal(size=(5, rows))
+        got = lemma_lab._min_norm_steps(jac, rhs)
+        np.testing.assert_allclose(got, per_row_lstsq(jac, rhs), rtol=0, atol=1e-12)
+
+    def test_converged_row_with_vanishing_y_is_not_kept(self):
+        # x = 1 - c, y = c solves both levels at a = 1/2 for b = ((1-c)^3 + c^3) / 2
+        c = 1e-12
+        b = ((1 - c) ** 3 + c**3) / 2
+        z = np.array([[1 - c] * 4 + [c] * 4])
+        assert np.abs(lemma_lab._residuals(z, 4, 1, 3, 0.5, b)).max() < lemma_lab._SOLVER_TOL
+        ok, steps = lemma_lab._gauss_newton_block(z, 4, 1, 3, 0.5, b)
+        assert not ok[0] and steps[0] == 0
+
+    def test_zero_solutions_draws_nothing(self):
+        got = find_hypothesis_solutions(1.0, 2.0, 1, 3, 4, 0, seed=0)
+        assert got == [] and (got.restarts, got.gauss_newton_steps) == (0, 0)
+
+    @pytest.mark.parametrize("a,b", [(1.0, 1e300), (1e300, 1.0), (1.0, float("inf"))])
+    def test_unrepresentable_targets_refused_before_any_start(self, a, b):
+        with pytest.raises(ValueError, match="a = .*b = "):
+            find_hypothesis_solutions(a, b, 1, 3, 4, 1, seed=0)
 
 
 class TestCase2Polynomial:
