@@ -184,6 +184,14 @@ def _poly(terms: dict) -> np.ndarray:
     return out
 
 
+def _power(x: float, e) -> float:
+    """x ** e, or inf where the float power overflows."""
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
+
+
 def _positive_real_roots(coeffs: list[Fraction], imag_tol: float = 1e-9) -> list[float]:
     """Positive real roots via companion-matrix eigenvalues (ascending coeffs)."""
     c = P.polytrim(np.array(coeffs, dtype=float))
@@ -253,10 +261,6 @@ class CandidateSet:
         vals = sorted({round(c.value, 12) for c in self.candidates})
         return np.asarray(vals)
 
-    def contains(self, value: float, tol: float = 1e-6) -> bool:
-        vals = np.asarray([c.value for c in self.candidates])
-        return bool(np.any(np.abs(vals - value) <= tol * max(1.0, abs(value))))
-
 
 def enumerate_candidates(a: float, b: float, k: int, m: int, n: int) -> CandidateSet:
     """Enumerate the finite candidate set for y-values when m = N - 1.
@@ -285,8 +289,14 @@ def enumerate_candidates(a: float, b: float, k: int, m: int, n: int) -> Candidat
         raise ValueError("need 1 <= k < m <= N-1")
     if m != n - 1:
         raise ValueError("candidate enumeration is implemented for m = N-1 only")
-    gap = abs(a**m - b**k)
-    if gap < 1e-12 * max(1.0, a**m, b**k):
+    am, bk = _power(a, m), _power(b, k)
+    if not (math.isfinite(am) and math.isfinite(bk)):
+        raise ValueError(
+            f"candidate targets a = {a!r}, b = {b!r} are not representable: "
+            f"a^m or b^k overflows at grades k = {k}, m = {m}"
+        )
+    gap = abs(am - bk)
+    if gap < 1e-12 * max(1.0, am, bk):
         raise PreconditionError(
             f"degenerate exponent margin |a^m - b^k| = {gap:.3e}; "
             "a continuum of solutions exists"
@@ -340,7 +350,7 @@ def enumerate_candidates(a: float, b: float, k: int, m: int, n: int) -> Candidat
     return CandidateSet(tuple(cands), a, b, k, m, n)
 
 
-def match_candidates(values, cset: CandidateSet, tol: float = 1e-6) -> float:
+def match_candidates(values, cset: CandidateSet) -> float:
     """Worst distance from each value to its nearest candidate."""
     cand = np.asarray([c.value for c in cset.candidates])
     vals = np.atleast_1d(np.asarray(values, dtype=float))
@@ -488,18 +498,18 @@ def find_hypothesis_solutions(
     as R sequential starts, so the result is that of a restart-at-a-time
     loop up to rounding in the least-squares steps.  Targets whose start
     scale max(a, b)^(1/k) overflows at grade m are refused with a
-    ValueError before any start is drawn.
+    ValueError before any start is drawn.  At k = 1 every m-level sum is at
+    most (2a)^m, since x_i + y_i = 2a; a target 2b above that has no
+    solution, so the empty list is returned before any start is drawn.
     """
     scale = max(a, b) ** (1.0 / k)
-    try:
-        top = scale**m
-    except OverflowError:
-        top = math.inf
-    if not math.isfinite(top):
+    if not math.isfinite(_power(scale, m)):
         raise ValueError(
             f"solver targets a = {a!r}, b = {b!r} are not representable: the start scale "
             f"max(a, b)^(1/k) = {scale:.3e} overflows at grade m = {m}"
         )
+    if k == 1 and 2.0 * b > _power(2.0 * a, m):
+        return SolverSolutions()
     rng = as_rng(seed)
     found = SolverSolutions()
     drawn = 0

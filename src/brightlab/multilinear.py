@@ -33,13 +33,11 @@ from .sampling import as_rng
 __all__ = [
     "MultiIndex",
     "KVector",
-    "CompoundMatrix",
     "SymKForm",
     "CommonEigenbasis",
     "PolarizationResult",
     "multi_indices",
     "compound",
-    "wedge_power",
     "gram_inner",
     "decompose",
     "bianchi_defect",
@@ -191,34 +189,14 @@ def gram_inner(us, vs) -> float:
 # compound matrices
 
 
-@dataclass(frozen=True)
-class CompoundMatrix:
-    """The k-th exterior power of an m x m matrix on the lex basis."""
-
-    matrix: np.ndarray
-    m: int
-    k: int
-
-    def __post_init__(self):
-        _check_grade(self.m, self.k)
-        mat = np.asarray(self.matrix, dtype=float)
-        d = len(_index_tuples(self.m, self.k))
-        if mat.shape != (d, d):
-            raise ValueError(f"expected shape {(d, d)}, got {mat.shape}")
-        object.__setattr__(self, "matrix", mat)
-
-    def apply(self, xi: KVector) -> KVector:
-        if (xi.m, xi.k) != (self.m, self.k):
-            raise ValueError("k-vector does not match this exterior power")
-        return KVector(self.matrix @ xi.coords, self.m, self.k)
-
-
 def compound(a, k: int) -> np.ndarray:
     """All k x k minors det(A[I, J]) of every m x m matrix in an (..., m, m) stack.
 
     Returns an (..., C(m,k), C(m,k)) array over lex-ordered row/column sets;
-    each slice is computed exactly as for a single matrix, so it equals
-    ``wedge_power`` of that slice bit for bit.
+    each slice is computed exactly as for a single matrix, so it equals the
+    compound of that slice alone bit for bit.  Exterior powers are
+    multiplicative, compound(A @ B, k) equals compound(A, k) @ compound(B, k),
+    and compound(A, m) is the 1 x 1 matrix [det(A)].
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -229,18 +207,6 @@ def compound(a, k: int) -> np.ndarray:
     # sub[..., p, q] = A[..., idx[p], :][..., idx[q]]; batched LU determinants
     sub = a[..., idx[:, None, :, None], idx[None, :, None, :]]
     return np.linalg.det(sub)
-
-
-def wedge_power(a, k: int) -> CompoundMatrix:
-    """Matrix of all k x k minors det(A[I, J]) over lex-ordered row/column sets.
-
-    Exterior powers are multiplicative, wedge_power(AB, k) equals
-    wedge_power(A, k) @ wedge_power(B, k), and wedge_power(A, m) is det(A).
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    return CompoundMatrix(compound(a, k), a.shape[0], k)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +240,7 @@ class SymKForm:
         scale = max(1.0, float(np.abs(a).max()))
         if np.abs(a - a.T).max() > 1e-9 * scale:
             raise ValueError("expected a self-adjoint (symmetric) matrix")
-        return cls(wedge_power(a, k).matrix, a.shape[0], k)
+        return cls(compound(a, k), a.shape[0], k)
 
     def __add__(self, other: "SymKForm") -> "SymKForm":
         if (self.m, self.k) != (other.m, other.k):
@@ -526,9 +492,8 @@ def common_eigenbasis(
     g = 0.5 * (g + g.T)
     h = 0.5 * (h + h.T)
 
-    d = len(_index_tuples(m, k))
-    defect_matrix = wedge_power(g, k).matrix + wedge_power(h, k).matrix
-    defect_matrix -= beta * np.eye(d)
+    defect_matrix = compound(g, k) + compound(h, k)
+    defect_matrix -= beta * np.eye(len(defect_matrix))
     defect = float(np.linalg.norm(defect_matrix, 2))
     if defect > tol:
         raise PreconditionError(

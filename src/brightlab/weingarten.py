@@ -19,16 +19,17 @@ for every direction, with both sides expressed in one frame of u^perp
 defect of that identity, searches for antipodal umbilic directions, and
 checks the eigenvalue structure of bodies of revolution.
 
-The sweeps are batched: arrays of directions in, one ``jets`` call per
-body, ``tangent_frames``, the restricted Hessians B^T H B as one stack,
-then stacked linear algebra.  ``wedge_identity_defects`` takes the k-th
-compounds of all maps at +-u and the base maps at u with one
-``multilinear.compound`` call and one stacked operator norm.  Every
-relative map comes from one stacked path (``_relative_maps``); the umbilic
-search scores its whole grid with it in one call, and only its compass
-refinement, which takes a step as soon as the step improves, evaluates one
-candidate at a time.  The single-direction functions are wrappers over
-the stacked ones.
+The curvature maps have one stacked API: ``tangent_frames``,
+``reverse_weingarten``, ``relative_maps`` and ``wedge_identity_defects``
+take an (m, n) array of directions and return stacks, from one ``jets``
+call per body, the restricted Hessians B^T H B as one stack, then stacked
+linear algebra; one direction u is the stack ``u[None]``.
+``wedge_identity_defects`` takes the k-th compounds of all maps at +-u and
+the base maps at u with one ``multilinear.compound`` call and one stacked
+operator norm.  Every relative map comes from ``relative_maps``; the
+umbilic search scores its whole grid with it in one call, and only its
+compass refinement, which takes a step as soon as the step improves,
+evaluates one candidate (a stack of one) at a time.
 """
 
 from __future__ import annotations
@@ -43,22 +44,16 @@ from .errors import PreconditionError
 from .sampling import as_rng, haar_directions, hemisphere_grid
 
 __all__ = [
-    "TangentFrame",
-    "SelfAdjointMap",
-    "EigenProfile",
     "UmbilicResult",
     "AntipodalSearchResult",
     "RevolutionEigenstructure",
     "RevolutionRelationDefects",
     "DetRatioReport",
-    "tangent_frame",
     "tangent_frames",
     "reverse_weingarten",
-    "relative_map",
-    "wedge_identity_defect",
+    "relative_maps",
     "wedge_identity_defects",
     "relative_wedge_defect",
-    "eigen_profile",
     "antipodal_search",
     "umbilic_check",
     "revolution_eigenstructure",
@@ -69,25 +64,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # tangent frames
-
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """Orthonormal basis of u^perp, deterministic in u.
-
-    ``basis`` has shape (n, n-1) with columns orthonormal and orthogonal to
-    u.  Since u^perp = (-u)^perp, the frame built at u is reused verbatim at
-    the antipode whenever quantities at u and -u must be compared entrywise.
-    """
-
-    u: np.ndarray
-    basis: np.ndarray
-
-
-def tangent_frame(u) -> TangentFrame:
-    """``tangent_frames`` at the single unit direction u."""
-    u = np.asarray(u, dtype=float)
-    return TangentFrame(u, tangent_frames(u[None])[0])
 
 
 def _unit_rows(u) -> np.ndarray:
@@ -107,7 +83,10 @@ def tangent_frames(u) -> np.ndarray:
 
     Returns an (m, n, n-1) array whose i-th slice reflects e_1 onto u[i]
     and keeps the remaining columns (the identity columns when u[i] = e_1).
-    Eigenvalues of maps restricted to u^perp do not depend on the frame.
+    The columns of each slice are orthonormal and orthogonal to u[i]; since
+    u^perp = (-u)^perp, the frame built at u also serves at -u whenever maps
+    at u and -u must be compared entrywise.  Eigenvalues of maps restricted
+    to u^perp do not depend on the frame.
     """
     u = _unit_rows(u)
     n = u.shape[1]
@@ -121,35 +100,6 @@ def tangent_frames(u) -> np.ndarray:
     return basis
 
 
-@dataclass(frozen=True)
-class SelfAdjointMap:
-    """A self-adjoint map on u^perp expressed in a tangent frame."""
-
-    frame: TangentFrame
-    matrix: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues (frame independent)."""
-        return np.linalg.eigvalsh(self.matrix)
-
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix))
-
-
-@dataclass(frozen=True)
-class EigenProfile:
-    """Ascending eigenvalue profile of a relative Weingarten map."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-
-    def spread(self) -> float:
-        return float(self.values[-1] - self.values[0])
-
-
 # ---------------------------------------------------------------------------
 # maps
 
@@ -160,16 +110,16 @@ def _restrict_all(hessians: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, 1, 2))
 
 
-def reverse_weingarten(body, u, frame: Optional[TangentFrame] = None) -> SelfAdjointMap:
-    """Tangential Hessian of the support function at u in a frame of u^perp.
+def reverse_weingarten(body, u, bases=None) -> np.ndarray:
+    """Tangential Hessians of the support function at each row of u, an (m, n-1, n-1) stack.
 
-    If ``frame`` is given it must span u^perp (it may have been built at -u,
-    the subspaces agree); otherwise the deterministic frame at u is used.
+    ``bases`` is an (m, n, n-1) stack whose i-th slice spans u[i]^perp (it
+    may have been built at -u[i], the subspaces agree); by default
+    ``tangent_frames(u)``.
     """
-    u = np.asarray(u, dtype=float)
-    if frame is None:
-        frame = tangent_frame(u)
-    return SelfAdjointMap(frame, _restrict_all(body.jets(u[None])[2], frame.basis[None])[0])
+    if bases is None:
+        bases = tangent_frames(u)
+    return _restrict_all(body.jets(u)[2], bases)
 
 
 def _psd_inv_sqrt(matrices: np.ndarray, what: str) -> np.ndarray:
@@ -189,25 +139,18 @@ def _psd_inv_sqrt(matrices: np.ndarray, what: str) -> np.ndarray:
     return (vecs / np.sqrt(vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
 
 
-def _relative_maps(body, base, u: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """L0^{-1/2} L L0^{-1/2} at each row of u, in the frame of the matching slice of ``bases``."""
-    l0 = _restrict_all(base.jets(u)[2], bases)
-    l1 = _restrict_all(body.jets(u)[2], bases)
-    s = _psd_inv_sqrt(l0, "base reverse Weingarten map")
-    m = s @ l1 @ s
-    return 0.5 * (m + np.swapaxes(m, 1, 2))
+def relative_maps(body, base, u, bases=None) -> np.ndarray:
+    """L0^{-1/2} L L0^{-1/2} at each row of u, an (m, n-1, n-1) stack.
 
-
-def relative_map(body, base, u, frame: Optional[TangentFrame] = None) -> SelfAdjointMap:
-    """L0^{-1/2} L L0^{-1/2} on u^perp; eigenvalues are relative radii.
-
-    Raises PreconditionError naming the offending eigenvalue when the base
-    map is not positive definite at u.
+    The eigenvalues of each slice are the relative radii at u[i].  ``bases``
+    is as for ``reverse_weingarten``.  Raises PreconditionError naming the
+    offending eigenvalue when a base map is not positive definite.
     """
-    u = np.asarray(u, dtype=float)
-    if frame is None:
-        frame = tangent_frame(u)
-    return SelfAdjointMap(frame, _relative_maps(body, base, u[None], frame.basis[None])[0])
+    if bases is None:
+        bases = tangent_frames(u)
+    s = _psd_inv_sqrt(reverse_weingarten(base, u, bases), "base reverse Weingarten map")
+    m = s @ reverse_weingarten(body, u, bases) @ s
+    return 0.5 * (m + np.swapaxes(m, 1, 2))
 
 
 def _check_symmetric_body(base, u: np.ndarray, rng, tol: float = 1e-9) -> None:
@@ -239,16 +182,10 @@ def wedge_identity_defects(body, base, k: int, beta: float, u, seed=0) -> np.nda
     return np.linalg.norm(lu + lmu - 2.0 * beta * l0, 2, axis=(1, 2))
 
 
-def wedge_identity_defect(body, base, k: int, beta: float, u, seed=0) -> float:
-    """``wedge_identity_defects`` at the single direction u."""
-    u = np.asarray(u, dtype=float)
-    return float(wedge_identity_defects(body, base, k, beta, u[None], seed)[0])
-
-
 def _antipodal_maps(body, base, u: np.ndarray) -> np.ndarray:
     """Relative maps at u and -u, both in the frame built at u."""
-    basis = tangent_frame(u).basis
-    return _relative_maps(body, base, np.stack([u, -u]), np.stack([basis, basis]))
+    basis = tangent_frames(u[None])[0]
+    return relative_maps(body, base, np.stack([u, -u]), np.stack([basis, basis]))
 
 
 def relative_wedge_defect(
@@ -264,18 +201,12 @@ def relative_wedge_defect(
     u = np.asarray(u, dtype=float)
     _check_symmetric_body(base, u[None], as_rng(seed))
     mu, mmu = _antipodal_maps(body, base, u)
-    d = len(multilinear.multi_indices(mu.shape[0], k))
-    lhs = multilinear.wedge_power(mu, k).matrix + multilinear.wedge_power(mmu, k).matrix
-    defect = float(np.linalg.norm(lhs - 2.0 * beta * np.eye(d), 2))
+    lhs = multilinear.compound(mu, k) + multilinear.compound(mmu, k)
+    defect = float(np.linalg.norm(lhs - 2.0 * beta * np.eye(lhs.shape[0]), 2))
     n = body.dim
     if defect <= tol and k <= n - 2:
         multilinear.common_eigenbasis(mu, mmu, k, 2.0 * beta, tol=max(tol, 2.0 * defect))
     return defect
-
-
-def eigen_profile(body, base, u) -> EigenProfile:
-    """Ascending eigenvalues of the relative Weingarten map at u."""
-    return EigenProfile(relative_map(body, base, u).eigenvalues())
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +261,7 @@ def _profiles(body, base, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     degenerate base raises at the first direction a one-by-one scan meets.
     """
     v = np.stack([u, -u], axis=1).reshape(-1, u.shape[1])
-    vals = np.linalg.eigvalsh(_relative_maps(body, base, v, tangent_frames(v)))
+    vals = np.linalg.eigvalsh(relative_maps(body, base, v))
     vals = vals.reshape(len(u), 2, -1)
     return vals[:, 0], vals[:, 1]
 
@@ -389,9 +320,8 @@ def antipodal_search(
     step = 0.5
     min_step = 1e-7
     while step > min_step and evals + 2 * (n - 1) <= budget:
-        frame = tangent_frame(best_u)
         improved = False
-        for b in frame.basis.T:
+        for b in tangent_frames(best_u[None])[0].T:
             for sign in (1.0, -1.0):
                 cand = best_u + sign * step * b
                 cand /= np.linalg.norm(cand)
@@ -561,8 +491,8 @@ def det_ratio_constancy(body, base, samples: int = 64, seed=0) -> DetRatioReport
     """
     dirs = haar_directions(body.dim, samples, as_rng(seed))
     bases = tangent_frames(dirs)
-    det_body = np.linalg.det(_restrict_all(body.jets(dirs)[2], bases))
-    det_base = np.linalg.det(_restrict_all(base.jets(dirs)[2], bases))
+    det_body = np.linalg.det(reverse_weingarten(body, dirs, bases))
+    det_base = np.linalg.det(reverse_weingarten(base, dirs, bases))
     if (np.abs(det_base) < 1e-14).any():
         raise PreconditionError("base curvature determinant vanishes at a sample")
     ratios = det_body / det_base

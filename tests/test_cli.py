@@ -196,6 +196,30 @@ class TestExitCodes:
         assert "a = 1.0, b = 1e+300" in lines[0]
         assert not (tmp_path / "r.json").exists()
 
+    def test_overflowing_candidate_target_exits_two_quietly(self, tmp_path):
+        # a^m overflows in the candidate enumeration, which runs before the solver
+        cfg = write_config(tmp_path / "c.json", {"mode": "solver", "a": 1e300})
+        argv = ["--config", cfg, "--seed", "1", "--out", "r.json"]
+        proc = run_cli("lemma-campaign", *argv, cwd=tmp_path)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "a = 1e+300" in lines[0] and "m = 3" in lines[0]
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
+    def test_infeasible_solver_target_is_a_shortfall_at_once(self, tmp_path):
+        # k = 1: x_i + y_i = 2a caps every 3-level sum at (2a)^3 = 8 < 2b
+        cfg = write_config(tmp_path / "c.json", {"mode": "solver", "a": 1.0, "b": 1e12})
+        argv = ["--config", cfg, "--seed", "1", "--out", "r.json"]
+        proc = run_cli("lemma-campaign", *argv, cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        report = json.loads((tmp_path / "r.json").read_text())
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert failed == ["solution_shortfall"]
+        extras = report["extras"]
+        assert (extras["solutions_found"], extras["restarts"], extras["gauss_newton_steps"]) == (0, 0, 0)
+
     def test_grid_dimension_above_cap_exits_two(self, tmp_path):
         ball = {"family": "ball", "params": {"dim": 66, "radius": 1.0}}
         cfg = write_config(tmp_path / "c.json", {"body": ball, "k": 65, "num_frames": 1, "nodes": 16})

@@ -1,5 +1,6 @@
 """Subset-product relation systems: residuals, candidates, campaigns."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -120,7 +121,12 @@ class TestEnumerateCandidates:
         # direct substitution: both roots satisfy z^3 + (2-z)^3 = 4
         for z in (lo, hi):
             assert z**3 + (2.0 - z) ** 3 == pytest.approx(4.0, abs=1e-12)
-            assert cset.contains(z, tol=1e-9)
+            assert match_candidates(z, cset) <= 1e-9 * max(1.0, z)
+
+    @pytest.mark.parametrize("a,b,k", [(1e300, 2.0, 1), (2.0, 1e300, 2)])
+    def test_overflowing_targets_refused_with_value_error(self, a, b, k):
+        with pytest.raises(ValueError, match=re.escape(f"a = {a!r}, b = {b!r} ") + f".* k = {k}, m = 4"):
+            enumerate_candidates(a, b, k, 4, 5)
 
     def test_degenerate_margin_rejected(self):
         with pytest.raises(PreconditionError):
@@ -133,8 +139,8 @@ class TestEnumerateCandidates:
     def test_zero_branch_values_present(self):
         cset = enumerate_candidates(1.0, 2.0, 1, 3, 4)
         # a vanishing x slot forces y = (b/a)^{1/(N-1-k)} = sqrt(2) off-slot
-        assert cset.contains(np.sqrt(2.0), tol=1e-9)
-        assert cset.contains(2.0, tol=1e-9)
+        assert match_candidates(np.sqrt(2.0), cset) <= 1e-9 * np.sqrt(2.0)
+        assert match_candidates(2.0, cset) <= 1e-9 * 2.0
 
     def test_solver_solutions_land_on_candidates(self):
         cset = enumerate_candidates(1.0, 2.0, 1, 3, 4)
@@ -148,7 +154,7 @@ class TestEnumerateCandidates:
         cset = enumerate_candidates(1.0, 1.5, 2, 4, 5)
         s = 1.0 + np.sqrt(0.5)
         expected = np.sqrt(s)  # one of the two constant values
-        assert cset.contains(expected, tol=1e-9)
+        assert match_candidates(expected, cset) <= 1e-9 * max(1.0, expected)
         sols = find_hypothesis_solutions(1.0, 1.5, 2, 4, 5, solutions=8, seed=2)
         assert len(sols) >= 2
         for inst in sols:
@@ -287,6 +293,18 @@ class TestBatchedSolver:
         got = find_hypothesis_solutions(1.0, 2.0, 1, 3, 4, 0, seed=0)
         assert got == [] and (got.restarts, got.gauss_newton_steps) == (0, 0)
 
+    def test_infeasible_first_grade_target_returns_before_any_start(self):
+        # k = 1 forces x_i + y_i = 2a, so every 3-level sum is at most (2a)^3 = 8
+        got = find_hypothesis_solutions(1.0, 1e12, 1, 3, 4, 5, seed=0)
+        assert got == [] and (got.restarts, got.gauss_newton_steps) == (0, 0)
+        assert isinstance(got, lemma_lab.SolverSolutions)
+
+    def test_first_grade_bound_itself_is_not_refused(self):
+        # 2b = (2a)^3 is reached by x = 0, y = 2a
+        got = find_hypothesis_solutions(1.0, 4.0, 1, 3, 4, 1, seed=0)
+        assert len(got) == 1 and got.restarts >= 1
+        assert np.allclose(got[0].x, 0.0, atol=1e-9) and np.allclose(got[0].y, 2.0, atol=1e-9)
+
     @pytest.mark.parametrize("a,b", [(1.0, 1e300), (1e300, 1.0), (1.0, float("inf"))])
     def test_unrepresentable_targets_refused_before_any_start(self, a, b):
         with pytest.raises(ValueError, match="a = .*b = "):
@@ -387,13 +405,13 @@ class TestEigenvalueAudit:
     def test_pipeline_integration_with_relative_maps(self):
         from brightlab.body import Ellipsoid, Homothet
         from brightlab.sampling import as_rng, haar_directions
-        from brightlab.weingarten import eigen_profile
+        from brightlab.weingarten import relative_maps
 
         base = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21]))
         body = Homothet(base, 0.7, (0.1, 0.0, -0.2, 0.0))
         u = haar_directions(4, 1, as_rng(4))[0]
-        r = eigen_profile(body, base, u).values
-        r_tilde = eigen_profile(body, base, -u).values[::-1]
+        r, r_tilde = np.linalg.eigvalsh(relative_maps(body, base, np.stack([u, -u])))
+        r_tilde = r_tilde[::-1]
         audit = eigenvalue_relation_audit(r, r_tilde, 2, 0.49)
         assert audit.max_defect < 1e-7
         assert audit.antitone_ok

@@ -11,22 +11,18 @@ from brightlab.body import (
     Spheroid,
 )
 from brightlab.errors import PreconditionError
-from brightlab.multilinear import SymKForm, polarization_check, wedge_power
+from brightlab.multilinear import SymKForm, compound, polarization_check
 from brightlab.sampling import as_rng, haar_directions
 from brightlab.weingarten import (
-    TangentFrame,
     antipodal_search,
     det_ratio_constancy,
-    eigen_profile,
-    relative_map,
+    relative_maps,
     relative_wedge_defect,
     reverse_weingarten,
     revolution_eigenstructure,
     revolution_relations_check,
-    tangent_frame,
     tangent_frames,
     umbilic_check,
-    wedge_identity_defect,
     wedge_identity_defects,
 )
 
@@ -62,12 +58,12 @@ ANTIPODAL_PERTURBED = {
 
 def wedge_defect_oracle(body, base, k, beta, u):
     """The wedge identity defect at one direction, one map at a time."""
-    frame = tangent_frame(u)
-    lu = reverse_weingarten(body, u, frame).matrix
-    lmu = reverse_weingarten(body, -u, frame).matrix
-    l0 = reverse_weingarten(base, u, frame).matrix
-    lhs = wedge_power(lu, k).matrix + wedge_power(lmu, k).matrix
-    return np.linalg.norm(lhs - 2.0 * beta * wedge_power(l0, k).matrix, 2)
+    frame = tangent_frames(u[None])
+    lu = reverse_weingarten(body, u[None], frame)[0]
+    lmu = reverse_weingarten(body, -u[None], frame)[0]
+    l0 = reverse_weingarten(base, u[None], frame)[0]
+    lhs = compound(lu, k) + compound(lmu, k)
+    return np.linalg.norm(lhs - 2.0 * beta * compound(l0, k), 2)
 
 
 class DentedBall(Ball):
@@ -86,9 +82,8 @@ class DentedBall(Ball):
 
 class TestTangentFrame:
     def test_frames_are_orthonormal_and_span_u_perp(self):
-        for u in haar_directions(5, 20, as_rng(0)):
-            frame = tangent_frame(u)
-            basis = frame.basis
+        dirs = haar_directions(5, 20, as_rng(0))
+        for u, basis in zip(dirs, tangent_frames(dirs)):
             assert basis.shape == (5, 4)
             assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-12)
             assert np.abs(basis.T @ u).max() < 1e-12
@@ -101,7 +96,7 @@ class TestTangentFrame:
         bases = tangent_frames(dirs)
         assert bases.shape == (len(dirs), n, n - 1)
         for u, basis in zip(dirs, bases):
-            np.testing.assert_allclose(basis, tangent_frame(u).basis, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(basis, tangent_frames(u[None])[0], rtol=0, atol=1e-14)
         assert np.array_equal(bases[0], eye[:, 1:])
 
     def test_stacked_frames_reject_non_unit_rows(self):
@@ -115,48 +110,47 @@ class TestTangentFrame:
     def test_frame_choice_does_not_change_spectra(self):
         rng = as_rng(1)
         for u in haar_directions(4, 10, rng):
-            frame = tangent_frame(u)
+            frame = tangent_frames(u[None])
             q, _ = np.linalg.qr(rng.standard_normal((3, 3)))  # another basis of u^perp
-            rotated = TangentFrame(u, frame.basis @ q)
-            a = reverse_weingarten(E4, u, frame)
-            b = reverse_weingarten(E4, u, rotated)
-            assert np.allclose(a.eigenvalues(), b.eigenvalues(), atol=1e-10)
-            assert a.det() == pytest.approx(b.det(), rel=1e-10)
+            a = reverse_weingarten(E4, u[None], frame)[0]
+            b = reverse_weingarten(E4, u[None], frame @ q)[0]
+            assert np.allclose(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b), atol=1e-10)
+            assert np.linalg.det(a) == pytest.approx(np.linalg.det(b), rel=1e-10)
 
 
 class TestReverseWeingarten:
     def test_ball_map_is_radius_times_identity(self):
-        u = np.array([0.0, 1.0, 0.0])
+        u = np.array([[0.0, 1.0, 0.0]])
         m = reverse_weingarten(Ball(3, 2.5), u)
-        assert np.allclose(m.matrix, 2.5 * np.eye(2), atol=1e-12)
+        assert m.shape == (1, 2, 2)
+        assert np.allclose(m[0], 2.5 * np.eye(2), atol=1e-12)
 
     def test_spheroid_pole_and_equator(self):
         sph = Spheroid((0.0, 0.0, 1.0), 1.0, 1.4)
-        pole = reverse_weingarten(sph, np.array([0.0, 0.0, 1.0]))
-        assert np.allclose(pole.eigenvalues(), 1.0 / 1.4, atol=1e-12)
-        eq = reverse_weingarten(sph, np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(np.sort(eq.eigenvalues()), [1.0, 1.4**2], atol=1e-12)
+        pole, eq = np.linalg.eigvalsh(reverse_weingarten(sph, np.eye(3)[[2, 0]]))
+        assert np.allclose(pole, 1.0 / 1.4, atol=1e-12)
+        assert np.allclose(eq, [1.0, 1.4**2], atol=1e-12)
 
     def test_homothet_scales_the_map(self):
-        for u in haar_directions(4, 10, as_rng(2)):
-            frame = tangent_frame(u)
-            a = reverse_weingarten(K4, u, frame).matrix
-            b = reverse_weingarten(E4, u, frame).matrix
-            assert np.allclose(a, 0.7 * b, atol=1e-12)
+        dirs = haar_directions(4, 10, as_rng(2))
+        a = reverse_weingarten(K4, dirs)
+        b = reverse_weingarten(E4, dirs)
+        assert a.shape == (10, 3, 3)
+        assert np.allclose(a, 0.7 * b, atol=1e-12)
 
 
 class TestRelativeMap:
     def test_relative_to_unit_ball_is_plain_map(self):
-        for u in haar_directions(4, 5, as_rng(3)):
-            frame = tangent_frame(u)
-            rel = relative_map(E4, Ball(4, 1.0), u, frame).matrix
-            plain = reverse_weingarten(E4, u, frame).matrix
-            assert np.allclose(rel, plain, atol=1e-10)
+        dirs = haar_directions(4, 5, as_rng(3))
+        frames = tangent_frames(dirs)
+        rel = relative_maps(E4, Ball(4, 1.0), dirs, frames)
+        plain = reverse_weingarten(E4, dirs, frames)
+        assert np.allclose(rel, plain, atol=1e-10)
 
     def test_homothet_pair_is_isotropic(self):
-        for u in haar_directions(4, 10, as_rng(4)):
-            rel = relative_map(K4, E4, u)
-            assert np.allclose(rel.matrix, 0.7 * np.eye(3), atol=1e-10)
+        rel = relative_maps(K4, E4, haar_directions(4, 10, as_rng(4)))
+        assert rel.shape == (10, 3, 3)
+        assert np.allclose(rel, 0.7 * np.eye(3), atol=1e-10)
 
     def test_degenerate_base_raises_with_eigenvalue(self):
         flat = Homothet(Ball(3, 1.0), 1.0, (0.0, 0.0, 0.0))
@@ -174,7 +168,7 @@ class TestRelativeMap:
                 return np.abs(u[:, 2]), gradients, np.zeros((len(u), 3, 3))
 
         with pytest.raises(PreconditionError) as err:
-            relative_map(flat, FlatBase(), np.array([0.0, 0.0, 1.0]))
+            relative_maps(flat, FlatBase(), np.array([[0.0, 0.0, 1.0]]))
         assert "smallest eigenvalue" in str(err.value)
 
 
@@ -183,13 +177,13 @@ class TestWedgeIdentity:
         dirs = haar_directions(4, 25, as_rng(5))
         for k in (1, 2, 3):
             beta = 0.7**k
-            worst = max(wedge_identity_defect(K4, E4, k, beta, u) for u in dirs)
+            worst = wedge_identity_defects(K4, E4, k, beta, dirs).max()
             assert worst < 1e-10
 
     def test_translation_invariance(self):
         shifted = Homothet(E4, 1.0, (0.4, -0.1, 0.0, 0.2))
         dirs = haar_directions(4, 10, as_rng(6))
-        worst = max(wedge_identity_defect(shifted, E4, 2, 1.0, u) for u in dirs)
+        worst = wedge_identity_defects(shifted, E4, 2, 1.0, dirs).max()
         assert worst < 1e-10
 
     def test_asymmetric_perturbation_violates_beta_one(self):
@@ -197,13 +191,13 @@ class TestWedgeIdentity:
         # genuinely breaks central symmetry of the curvature
         body = HarmonicPerturbation(Ball(4, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.4), 0.3)
         dirs = haar_directions(4, 10, as_rng(7))
-        worst = max(wedge_identity_defect(body, Ball(4, 1.0), 2, 1.0, u) for u in dirs)
+        worst = wedge_identity_defects(body, Ball(4, 1.0), 2, 1.0, dirs).max()
         assert worst > 1e-3
 
     def test_asymmetric_base_rejected(self):
         asym = Homothet(E4, 1.0, (0.5, 0.0, 0.0, 0.0))
         with pytest.raises(PreconditionError) as err:
-            wedge_identity_defect(E4, asym, 1, 1.0, np.array([1.0, 0.0, 0.0, 0.0]))
+            wedge_identity_defects(E4, asym, 1, 1.0, np.array([[1.0, 0.0, 0.0, 0.0]]))
         assert "centrally symmetric" in str(err.value)
         with pytest.raises(PreconditionError, match="centrally symmetric"):
             wedge_identity_defects(E4, asym, 2, 1.0, haar_directions(4, 50, as_rng(13)))
@@ -219,7 +213,7 @@ class TestWedgeIdentity:
             assert swept.shape == (40,)
             expected = [wedge_defect_oracle(body, base, k, beta, u) for u in dirs]
             np.testing.assert_allclose(swept, expected, rtol=0, atol=1e-14)
-            assert wedge_identity_defect(body, base, k, beta, dirs[3]) == swept[3]
+            assert wedge_identity_defects(body, base, k, beta, dirs[3:4])[0] == swept[3]
 
     def test_relative_version_matches_and_diagonalizes(self):
         dirs = haar_directions(4, 10, as_rng(8))
@@ -236,14 +230,14 @@ class TestWedgeIdentity:
     def test_forms_from_both_sides_polarize_equal(self):
         # the two averaged wedge forms agree as forms, reconstructed from
         # decomposable evaluations alone
-        u = haar_directions(4, 1, as_rng(10))[0]
-        frame = tangent_frame(u)
+        u = haar_directions(4, 1, as_rng(10))
+        frame = tangent_frames(u)
         k, beta = 2, 0.7**2
-        lu = reverse_weingarten(K4, u, frame).matrix
-        lmu = reverse_weingarten(K4, -u, frame).matrix
-        l0 = reverse_weingarten(E4, u, frame).matrix
+        (lu,) = reverse_weingarten(K4, u, frame)
+        (lmu,) = reverse_weingarten(K4, -u, frame)
+        (l0,) = reverse_weingarten(E4, u, frame)
         lhs = SymKForm.from_map(lu, k) + SymKForm.from_map(lmu, k)
-        rhs = SymKForm(2.0 * beta * wedge_power(l0, k).matrix, 3, k)
+        rhs = SymKForm(2.0 * beta * compound(l0, k), 3, k)
         result = polarization_check(lhs, rhs, tol=1e-9)
         assert result.concluded and result.equal
 
@@ -337,10 +331,12 @@ class TestUmbilic:
             antipodal_search(Ball(3, 1.0), Ball(3, 1.0), budget=4)
 
     def test_eigen_profile_is_sorted(self):
-        u = haar_directions(4, 1, as_rng(12))[0]
-        prof = eigen_profile(E4, Ball(4, 1.0), u)
-        assert np.all(np.diff(prof.values) >= 0)
-        assert prof.spread() == pytest.approx(prof.values[-1] - prof.values[0])
+        # the relative radii the search compares are the ascending eigenvalues
+        # of the relative maps; against the unit ball they are E4's radii
+        dirs = haar_directions(4, 5, as_rng(12))
+        radii = np.linalg.eigvalsh(relative_maps(E4, Ball(4, 1.0), dirs))
+        assert np.all(np.diff(radii, axis=1) >= 0)
+        assert np.allclose(radii, np.linalg.eigvalsh(reverse_weingarten(E4, dirs)), atol=1e-10)
 
 
 class TestRevolutionStructure:
