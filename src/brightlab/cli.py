@@ -170,7 +170,7 @@ def _resolve_params(scenario: str, args: argparse.Namespace) -> tuple[dict, Opti
             "(or a \"seed\" config key); implicit wall-clock entropy is refused"
         )
     _check_floats(params)
-    _check_integers(params)
+    _check_integers(params, nullable_k=scenario == "lemma-campaign")
     params["tolerance"] = float(params["tolerance"])
     return params, seed, out
 
@@ -179,8 +179,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_floats(params: dict) -> None:
-    """``tolerance`` must be a number, and no float key takes a bool.
+    """``tolerance`` must be a number, no float key takes a bool, and
+    ``betas`` is null or a list of finite numbers.
 
     Python counts a bool as the integer 0 or 1, so ``true`` would otherwise
     run as 1.0.  The runners convert the other float keys with ``float()``,
@@ -191,19 +196,27 @@ def _check_floats(params: dict) -> None:
     for key in ("tolerance", "scale", "residual_tol", "min_spread", "a", "b"):
         if isinstance(params.get(key), bool):
             raise ConfigError(f"{key!r} must be a number, not a bool, got {params[key]!r}")
+    betas = params.get("betas")
+    if betas is not None and not (
+        isinstance(betas, list) and all(_is_number(b) and math.isfinite(b) for b in betas)
+    ):
+        raise ConfigError(f"'betas' must be null or a list of finite numbers, got {betas!r}")
 
 
-def _check_integers(params: dict) -> None:
+def _check_integers(params: dict, nullable_k: bool) -> None:
     """Count keys must be integers >= 1, and the other integer keys integers.
 
-    ``k`` and ``nodes`` may be null; floats, bools and strings are refused.
-    The library checks the ranges of the keys that are not counts.
+    ``nodes`` may be null (the rule's default), and so may ``k`` where the
+    scenario has a default for it (``nullable_k``); floats, bools and
+    strings are refused.  The library checks the ranges of the keys that
+    are not counts.
     """
     for key in ("samples", "num_frames", "trials", "solutions", "budget"):
         if key in params and not (_is_int(params[key]) and params[key] >= 1):
             raise ConfigError(f"{key!r} must be an integer >= 1, got {params[key]!r}")
+    nullable = ("nodes", "k") if nullable_k else ("nodes",)
     for key in ("k", "i", "j", "m_len", "m", "n", "nodes"):
-        if key in params and not (_is_int(params[key]) or key in ("k", "nodes") and params[key] is None):
+        if key in params and not (_is_int(params[key]) or key in nullable and params[key] is None):
             raise ConfigError(f"{key!r} must be an integer, got {params[key]!r}")
     grades = params.get("grades", [])
     if not (isinstance(grades, list) and all(map(_is_int, grades))):

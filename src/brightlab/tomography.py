@@ -7,35 +7,30 @@ support jet by
 
     V_k = (1/k) * integral over S^{k-1} of h * det(tangential Hessian),
 
-evaluated with a trapezoid rule on the circle for k = 2 (spectrally exact
-for smooth bodies), a Gauss-Legendre x uniform-azimuth product rule for
-k = 3, and seeded quasi-Monte Carlo for k >= 4.  For k = 1 the sphere is
-{+1, -1} and the formula gives the width h(1) + h(-1) of the segment.
-
-The quasi-Monte Carlo rule evaluates antithetic pairs: a scrambled Sobol
-grid G on the upper hemisphere together with -G, each node at half weight.
-The odd part of h * det cancels within each pair, so a translated body
-(whose support gains the odd term <t, u>) has no bias, and for an even
-integrand the estimate equals the hemisphere estimate.  Its standard error
-comes from the spread of the pair means.
+evaluated with one product Gauss rule on the sphere, built recursively.
+S^0 = {+1, -1}, so for k = 1 the formula gives the width h(1) + h(-1) of
+the segment; S^1 is a uniform circle (the trapezoid rule, spectrally exact
+for smooth bodies); above that u = (sqrt(1 - t^2) v, t) with v on S^{k-2},
+t from a Gauss-Gegenbauer rule with lam = (k - 2)/2 (Gauss-Legendre at
+k = 3) computed by Golub-Welsch, and v from the rule one grade down.  The
+rule is deterministic and maps onto itself under u -> -u, so the odd term
+<t, u> det that a translation adds to the integrand cancels to rounding.
 
 Each volume is one batched evaluation: the jets of every node, their
 tangent frames, the restricted Hessians B^T H B, a stacked determinant and a
-weighted sum.  Shadow volumes over many frames and bodies share one
-quadrature rule (quasi-Monte Carlo seed 0), so quadrature noise cancels in
-volume ratios.
+weighted sum.  Shadow volumes over many frames and bodies share one rule.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import gamma, pi
+from math import gamma, pi, sqrt
 
 import numpy as np
 
 from .body import ConvexBody
-from .sampling import as_rng, haar_directions, hemisphere_grid, median
+from .sampling import as_rng, haar_directions, median
 from .weingarten import _restrict_all, _unit_rows, tangent_frames
 
 __all__ = [
@@ -122,56 +117,70 @@ def project(body, frame: SubspaceFrame) -> ProjectedBody:
 # volumes
 
 
-def _surface_area(k: int) -> float:
-    return 2.0 * pi ** (k / 2.0) / gamma(k / 2.0)
+def _gegenbauer_rule(p: int, lam: float):
+    """p-point Gauss rule for the weight (1 - t^2)^(lam - 1/2) on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the Gegenbauer polynomials, and each weight is the weight
+    integral times the squared first entry of its eigenvector (Golub and
+    Welsch, Math. Comp. 23 (1969) 221-230).  The rule is symmetrized so that
+    t -> -t maps it onto itself exactly.
+    """
+    n = np.arange(1.0, p)
+    off = np.sqrt(n * (n + 2 * lam - 1) / (4 * (n + lam) * (n + lam - 1)))
+    t, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = sqrt(pi) * gamma(lam + 0.5) / gamma(lam + 1) * vecs[0] ** 2
+    return (t - t[::-1]) / 2, (w + w[::-1]) / 2
 
 
-def _width_rule():
-    # S^0 = {+1, -1} with counting measure; the 0 x 0 tangential determinant is 1
-    return np.array([[1.0], [-1.0]]), np.ones(2)
+def _sphere_rule(k: int, polar: int, circle: int):
+    """Directions on S^{k-1} and weights for its surface measure.
 
-
-def _circle_rule(nodes):
-    nodes = 256 if nodes is None else int(nodes)
-    if nodes < 8:
-        raise ValueError("circle rule needs at least 8 nodes")
-    theta = 2.0 * pi * np.arange(nodes) / nodes
-    return np.column_stack([np.cos(theta), np.sin(theta)]), np.full(nodes, pi / nodes)
-
-
-def _product_rule(nodes):
-    nodes = 32 if nodes is None else int(nodes)
-    if nodes < 4:
-        raise ValueError("product rule needs at least 4 polar nodes")
-    t, wt = np.polynomial.legendre.leggauss(nodes)
-    n_az = 2 * nodes
-    ct = np.repeat(t, n_az)
-    st = np.sqrt(1.0 - ct * ct)
-    phi = np.tile(2.0 * pi * np.arange(n_az) / n_az, nodes)
-    dirs = np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
-    return dirs, np.repeat(wt, n_az) * (2.0 * pi / n_az) / 3.0
-
-
-def _qmc_rule(k, nodes, seed):
-    if seed is None:
-        raise ValueError("quasi-Monte Carlo volumes need an explicit seed")
-    nodes = 4096 if nodes is None else int(nodes)
-    if nodes < 16:
-        raise ValueError("quasi-Monte Carlo needs at least 16 nodes")
-    grid = hemisphere_grid(k, nodes, seed)
-    # antithetic pairs: rows i and nodes + i are u and -u
-    return np.vstack([grid, -grid]), np.full(2 * nodes, _surface_area(k) / (2 * k * nodes))
-
-
-def _quadrature_rule(k: int, nodes, seed):
-    """Directions and weights for V_k; each rule's weights include the 1/k."""
+    S^0 is {+1, -1} and S^1 the uniform circle of ``circle`` nodes.  Above,
+    u = (sqrt(1 - t^2) v, t) with v on S^{k-2}: the measure is
+    (1 - t^2)^((k-3)/2) dt dv, so t takes a ``polar``-point Gauss-Gegenbauer
+    rule with lam = (k - 2)/2 and v the rule on S^{k-2}.
+    """
     if k == 1:
-        return _width_rule()
+        return np.array([[1.0], [-1.0]]), np.ones(2)
     if k == 2:
-        return _circle_rule(nodes)
+        theta = 2.0 * pi * np.arange(circle) / circle
+        return np.column_stack([np.cos(theta), np.sin(theta)]), np.full(circle, 2.0 * pi / circle)
+    t, wt = _gegenbauer_rule(polar, (k - 2) / 2)
+    v, wv = _sphere_rule(k - 1, polar, circle)
+    ct = np.repeat(t, len(v))
+    dirs = np.column_stack([np.sqrt(1.0 - ct * ct)[:, None] * np.tile(v, (polar, 1)), ct])
+    return dirs, np.outer(wt, wv).ravel()
+
+
+def _quadrature_rule(k: int, nodes):
+    """Directions and weights for V_k; the weights include the 1/k.
+
+    ``nodes`` is the circle's node count at k = 2 and the polar node count p
+    at k = 3.  At k >= 4 it is a budget: p is the largest integer with
+    p^(k-1) <= nodes.  Above k = 2 the circle has 2p nodes, so a rule has at
+    most 2 * nodes directions.  ``nodes`` is ignored at k = 1.
+    """
+    if k <= 2:
+        circle = 256 if nodes is None else nodes
+        if k == 2 and circle < 8:
+            raise ValueError(f"the circle rule at k = 2 needs nodes >= 8, got {circle}")
+        dirs, weights = _sphere_rule(k, 0, circle)
+        return dirs, weights / k
     if k == 3:
-        return _product_rule(nodes)
-    return _qmc_rule(k, nodes, seed)
+        nodes = polar = 32 if nodes is None else nodes
+    else:
+        nodes = 4096 if nodes is None else nodes
+        polar = round(max(nodes, 0) ** (1.0 / (k - 1)))
+        if polar ** (k - 1) > nodes:  # the float root rounded up
+            polar -= 1
+    if polar < 4:
+        raise ValueError(
+            f"the sphere rule at k = {k} needs at least 4 polar nodes, so nodes >= "
+            f"{4 if k == 3 else 4 ** (k - 1)}, got {nodes}"
+        )
+    dirs, weights = _sphere_rule(k, polar, 2 * polar)
+    return dirs, weights / k
 
 
 def _densities(kbody, dirs, frames) -> np.ndarray:
@@ -183,44 +192,30 @@ def _densities(kbody, dirs, frames) -> np.ndarray:
     return values * np.linalg.det(_restrict_all(hess, frames))
 
 
-def volume_from_support(
-    kbody,
-    nodes: int | None = None,
-    seed=None,
-    return_stderr: bool = False,
-):
+def volume_from_support(kbody, nodes: int | None = None) -> float:
     """k-dimensional volume of a smooth k-dimensional body from support jets.
 
     nodes means: circle nodes for k = 2 (default 256, minimum 8), polar
-    Gauss-Legendre nodes for k = 3 with 2*nodes uniform azimuths (default
-    32, minimum 4), and quasi-Monte Carlo antithetic pairs for k >= 4
-    (default 4096 pairs, minimum 16, ``seed`` required; pass
-    ``return_stderr=True`` to also get the standard error of the estimate).
-    nodes is ignored for k = 1.
+    Gauss-Legendre nodes for k = 3 with 2*nodes azimuths (default 32,
+    minimum 4), and for k >= 4 a budget of at most 2*nodes directions: p
+    polar nodes per angle, the largest p with p^(k-1) <= nodes, and 2p
+    azimuths (default 4096, minimum 4^(k-1)).  nodes is ignored for k = 1.
     """
-    k = kbody.dim
-    dirs, weights = _quadrature_rule(k, nodes, seed)
-    vals = _densities(kbody, dirs, tangent_frames(dirs))
-    vol = float(np.sum(weights * vals))
-    if not return_stderr:
-        return vol
-    if k <= 3:
-        return vol, 0.0  # deterministic rules carry no sampling error
-    pair_means = vals.reshape(2, -1).mean(axis=0)
-    return vol, _surface_area(k) * float(pair_means.std(ddof=1)) / np.sqrt(pair_means.size) / k
+    dirs, weights = _quadrature_rule(kbody.dim, nodes)
+    return float(np.sum(weights * _densities(kbody, dirs, tangent_frames(dirs))))
 
 
 def _shadow_volumes(bodies, k: int, num_frames: int, seed, nodes):
     """Haar k-frames drawn from child seeds of ``seed``, and the shadow volumes.
 
     Returns the frames and a (num_frames, len(bodies)) array of V_k.  The
-    quadrature rule is built once (quasi-Monte Carlo seed 0 for k >= 4) and
-    every body and frame is integrated on it, so noise cancels in ratios.
+    quadrature rule is built once and every body and frame is integrated on
+    it.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = ss.spawn(num_frames)
     frames = [random_subspace(bodies[0].dim, k, np.random.default_rng(c)) for c in children]
-    dirs, weights = _quadrature_rule(k, nodes, seed=0)
+    dirs, weights = _quadrature_rule(k, nodes)
     tangents = tangent_frames(dirs)
     vols = np.empty((num_frames, len(bodies)))
     for row, frame in zip(vols, frames):

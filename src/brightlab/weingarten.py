@@ -27,8 +27,9 @@ linear algebra; one direction u is the stack ``u[None]``.
 ``wedge_identity_defects`` takes the k-th compounds of all maps at +-u and
 the base maps at u with one ``multilinear.compound`` call and one stacked
 operator norm.  Every relative map comes from ``relative_maps``; the
-umbilic search scores its whole grid with it in one call, and only its
-compass refinement, which takes a step as soon as the step improves,
+umbilic search scores its whole grid (``sampling.hemisphere_grid``, seeded
+Haar directions flipped onto a hemisphere) with it in one call, and only
+its compass refinement, which takes a step as soon as the step improves,
 evaluates one candidate (a stack of one) at a time.
 """
 
@@ -292,9 +293,10 @@ def antipodal_search(
     |R(u) - R(-u)|^2, the quantity whose zero is guaranteed for continuous
     odd-symmetric data; use it to study generic body pairs.
 
-    The search runs a seeded low-discrepancy grid on a closed hemisphere
-    (ties keep the lowest grid index) followed by a derivative-free compass
-    refinement with shrinking tangent steps, stopping when the step falls
+    The search scans ``hemisphere_grid(n, max(8, budget // 4), seed)``,
+    seeded Haar directions on a closed hemisphere (ties keep the lowest grid
+    index), and follows it with a derivative-free compass refinement with
+    shrinking tangent steps, stopping when the step falls
     below 1e-7 or the evaluation budget is exhausted.  If the final defect
     exceeds ``tol`` the best candidate is returned flagged unconverged.
     """

@@ -155,6 +155,8 @@ class TestExitCodes:
             ("ratio-e48", {"j": "2"}, "'j'"),
             ("verify-wedge", {"grades": [1, 2.5]}, "'grades'"),
             ("verify-wedge", {"grades": 2}, "'grades'"),
+            ("verify-wedge", {"betas": "123"}, "'betas'"),
+            ("verify-wedge", {"betas": [True, 0.49, 0.343]}, "'betas'"),
         ],
     )
     def test_integer_keys_and_mistyped_inputs_exit_two(
@@ -164,6 +166,21 @@ class TestExitCodes:
         argv = [scenario, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
         assert cli.main(argv) == 2
         assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["brightness", "proportionality"])
+    def test_null_k_refused_outside_lemma_campaign(self, tmp_path, capsys, scenario):
+        cfg = write_config(tmp_path / "c.json", {"k": None, "num_frames": 2})
+        argv = [scenario, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 2
+        assert "'k' must be an integer, got None" in capsys.readouterr().err
+        # null nodes means the rule's default, in every scenario
+        write_config(tmp_path / "c.json", {"nodes": None, "num_frames": 2})
+        assert cli.main(argv) == 0
+
+    def test_null_k_is_the_lemma_campaign_default(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"k": None, "trials": 100})
+        argv = ["lemma-campaign", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 0
 
     @pytest.mark.parametrize(
         "scenario, config, key",
@@ -220,12 +237,13 @@ class TestExitCodes:
         extras = report["extras"]
         assert (extras["solutions_found"], extras["restarts"], extras["gauss_newton_steps"]) == (0, 0, 0)
 
-    def test_grid_dimension_above_cap_exits_two(self, tmp_path):
-        ball = {"family": "ball", "params": {"dim": 66, "radius": 1.0}}
-        cfg = write_config(tmp_path / "c.json", {"body": ball, "k": 65, "num_frames": 1, "nodes": 16})
+    def test_shadow_grade_beyond_the_node_budget_exits_two(self, tmp_path):
+        # at the default 4096 nodes a k = 8 shadow would get 3 polar nodes per angle
+        ball = {"family": "ball", "params": {"dim": 8, "radius": 1.0}}
+        cfg = write_config(tmp_path / "c.json", {"body": ball, "k": 8, "num_frames": 1})
         proc = run_cli("brightness", "--config", cfg, "--seed", "1", cwd=tmp_path)
         assert proc.returncode == 2
-        assert "64" in proc.stderr
+        assert "k = 8" in proc.stderr and "nodes >= 16384, got 4096" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(

@@ -24,10 +24,17 @@ K4 = Homothet(E4, 0.7, (0.1, 0.0, -0.2, 0.0))
 A6 = np.diag([1.0, 1.69, 0.64, 1.21, 0.81, 1.44])
 E6 = Ellipsoid(A6)
 SHIFT6 = (0.3, -0.2, 0.1, 0.0, 0.4, 0.05)
+# worst relative error of the shadow volumes of E6 at the default nodes, by grade
+CALIBRATION = {2: 1e-14, 3: 1e-14, 4: 1e-10, 5: 2e-5}
 
 
 def unit_ball_volume(k: int) -> float:
     return pi ** (k / 2) / gamma(k / 2 + 1)
+
+
+def ellipsoid_shadow_volume(a, frame) -> float:
+    """The shadow of sqrt(x'Ax) on F has shape F'AF: volume sqrt(det F'AF) kappa_k."""
+    return np.sqrt(np.linalg.det(frame.columns.T @ a @ frame.columns)) * unit_ball_volume(frame.k)
 
 
 class DegeneratePoint:
@@ -134,28 +141,25 @@ class TestVolumes:
         assert errors[-1] < 1e-8
         assert errors[-1] <= errors[0]
 
+    # the test_qmc_* tests check the rule at k >= 4
     def test_qmc_four_dimensional_ball(self):
-        # V_4(unit ball) = pi^2 / 2
-        frame = random_subspace(5, 4, 9)
-        vol, stderr = volume_from_support(
-            project(Ball(5, 1.0), frame), nodes=2048, seed=11, return_stderr=True
-        )
-        assert stderr < 1e-2
-        assert vol == pytest.approx(np.pi**2 / 2.0, abs=5e-3)
+        # h * det is constant on a ball, so V_k = kappa_k to rounding
+        for k in (4, 5):
+            frame = random_subspace(6, k, 9)
+            vol = volume_from_support(project(Ball(6, 1.0), frame))
+            assert vol == pytest.approx(unit_ball_volume(k), rel=1e-12)
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_qmc_translation_invariance(self, k):
-        # the odd term <t, u> det cancels within each antithetic pair
+        # the rule maps onto itself under u -> -u, so the odd term <t, u> det cancels
         for seed in range(3):
             frame = random_subspace(6, k, seed)
             for body in (Ball(6, 1.0), E6):
-                still = volume_from_support(project(body, frame), nodes=512, seed=seed)
-                moved = volume_from_support(
-                    project(Homothet(body, 1.0, SHIFT6), frame), nodes=512, seed=seed
-                )
+                still = volume_from_support(project(body, frame), nodes=512)
+                moved = volume_from_support(project(Homothet(body, 1.0, SHIFT6), frame), nodes=512)
                 assert moved == pytest.approx(still, rel=1e-12)
             ball = volume_from_support(
-                project(Homothet(Ball(6, 1.0), 1.0, SHIFT6), frame), nodes=512, seed=seed
+                project(Homothet(Ball(6, 1.0), 1.0, SHIFT6), frame), nodes=512
             )
             assert ball == pytest.approx(unit_ball_volume(k), rel=1e-12)
 
@@ -167,46 +171,57 @@ class TestVolumes:
             rot = np.linalg.qr(rng.standard_normal((6, 6)))[0]
             # rotating body and subspace together leaves the shadow unchanged
             turned = Ellipsoid(rot @ A6 @ rot.T)
-            same = volume_from_support(
-                project(turned, SubspaceFrame(rot @ frame.columns)), nodes=1024, seed=0
-            )
-            vol, err = volume_from_support(
-                project(E6, frame), nodes=1024, seed=0, return_stderr=True
-            )
+            same = volume_from_support(project(turned, SubspaceFrame(rot @ frame.columns)))
+            vol = volume_from_support(project(E6, frame))
             assert same == pytest.approx(vol, rel=1e-12)
             # rotating the shadow inside its subspace moves the nodes, not the volume
             spin = np.linalg.qr(rng.standard_normal((k, k)))[0]
-            vol2, err2 = volume_from_support(
-                project(E6, SubspaceFrame(frame.columns @ spin)),
-                nodes=1024,
-                seed=0,
-                return_stderr=True,
-            )
-            assert abs(vol2 - vol) <= err + err2
+            vol2 = volume_from_support(project(E6, SubspaceFrame(frame.columns @ spin)))
+            exact = ellipsoid_shadow_volume(A6, frame)
+            for v in (vol, vol2):
+                assert abs(v - exact) <= CALIBRATION[k] * exact
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_qmc_ellipsoid_shadow_within_stderr(self, k):
-        # the shadow of sqrt(x'Ax) on F has shape F'AF: volume sqrt(det F'AF) kappa_k
+        # a translated ellipsoid's shadows meet the closed form as closely as its own
+        body = Homothet(E6, 1.0, SHIFT6)
         for seed in range(10):
             frame = random_subspace(6, k, seed)
-            exact = np.sqrt(np.linalg.det(frame.columns.T @ A6 @ frame.columns))
-            exact *= unit_ball_volume(k)
-            vol, err = volume_from_support(
-                project(E6, frame), nodes=4096, seed=0, return_stderr=True
-            )
-            assert 0.0 < err < 0.01 * exact
-            assert abs(vol - exact) <= err
+            exact = ellipsoid_shadow_volume(A6, frame)
+            vol = volume_from_support(project(body, frame))
+            assert abs(vol - exact) <= CALIBRATION[k] * exact
 
-    def test_qmc_requires_seed(self):
-        frame = random_subspace(5, 4, 10)
-        with pytest.raises(ValueError):
-            volume_from_support(project(Ball(5, 1.0), frame))
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_ellipsoid_shadow_calibration(self, k):
+        # the rule's worst relative error at the default nodes, over 20 frames
+        worst = max(
+            abs(volume_from_support(project(E6, frame)) / ellipsoid_shadow_volume(A6, frame) - 1.0)
+            for frame in (random_subspace(6, k, seed) for seed in range(20))
+        )
+        assert worst <= CALIBRATION[k]
+
+    @pytest.mark.parametrize("k, least", [(3, 4), (4, 64), (5, 256), (8, 16384)])
+    def test_polar_rule_refuses_fewer_than_four_nodes(self, k, least):
+        shadow = project(Ball(8, 1.0), random_subspace(8, k, 10))
+        with pytest.raises(ValueError, match=f"k = {k} .* nodes >= {least}, got {least - 1}"):
+            volume_from_support(shadow, nodes=least - 1)
+        assert volume_from_support(shadow, nodes=least) == pytest.approx(
+            unit_ball_volume(k), rel=1e-12
+        )
+
+    def test_default_nodes_refused_above_k7(self):
+        # at 4096 a 7-dimensional sphere gets 3 polar nodes per angle
+        shadow = project(Ball(8, 1.0), random_subspace(8, 8, 10))
+        with pytest.raises(ValueError, match="k = 8 .* nodes >= 16384, got 4096"):
+            volume_from_support(shadow)
 
     def test_node_minimums_enforced(self):
         with pytest.raises(ValueError):
             volume_from_support(project(Ball(3, 1.0), random_subspace(3, 2, 0)), nodes=4)
         with pytest.raises(ValueError):
             volume_from_support(project(Ball(4, 1.0), random_subspace(4, 3, 0)), nodes=2)
+        with pytest.raises(ValueError):
+            volume_from_support(project(Ball(5, 1.0), random_subspace(5, 4, 0)), nodes=63)
 
 
 class TestProjectionFunction:
@@ -234,7 +249,7 @@ class TestProportionality:
         assert report.excluded == 0
 
     def test_shifted_homothet_pair_at_k4_has_exact_constant(self):
-        # common nodes and antithetic pairs: the shift and the QMC noise cancel
+        # common nodes on an antipodally symmetric rule: the shift and the rule error cancel
         body = Homothet(Ellipsoid(A6[:5, :5]), 0.7, SHIFT6[:5])
         report = proportionality_test(body, Ellipsoid(A6[:5, :5]), 4, 8, seed=11, nodes=1024)
         assert report.constant == pytest.approx(0.7**4, rel=1e-12)

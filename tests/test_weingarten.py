@@ -32,27 +32,26 @@ E6 = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21, 0.81, 1.44]))
 K6 = Homothet(E6, 0.7, (0.1, 0.0, -0.2, 0.0, 0.05, 0.0))
 SPHEROID_5D = Spheroid((0.0, 0.0, 0.0, 0.0, 1.0), 1.0, 1.4)
 
-# antipodal_search results pinned before the search objective was batched:
-# seed -> (evaluations, u0)
+# antipodal_search results on the seeded Haar hemisphere grid: seed -> (evaluations, u0)
 UMBILIC_SEARCH_DEFAULTS = {
-    0: (1272, [-1.632751746698559e-06, 4.48875761681164e-06, -8.49459066880217e-06,
-               1.1063032753465312e-05, 0.9999999998913183]),
-    1: (1304, [-4.90627997212595e-06, -1.3020895709130206e-05, 1.517127174927664e-05,
-               -2.1461850552687618e-05, 0.999999999557803]),
-    2: (1288, [-1.6140013639573237e-05, 3.2774575488540585e-05, -3.961446436427081e-06,
-               3.0646986770379754e-05, 0.9999999988551982]),
-    3: (1296, [3.245990620141046e-05, -1.895001646095174e-06, -1.729401882509661e-05,
-               -8.413800067743141e-06, 0.9999999992864442]),
-    4: (1288, [4.085280070405409e-05, 3.0206650568337e-07, 4.239167765958405e-06,
-               -6.953396345592896e-06, 0.9999999991323187]),
+    0: (1264, [4.27345296853446e-06, -1.2178352459823613e-05, -1.0789146863318967e-05,
+               1.7104254798677255e-05, 0.9999999997122322]),
+    1: (1264, [-2.3412734332802677e-05, -3.240897286283248e-06, 1.0874319794645425e-05,
+               1.5484615749699075e-05, 0.9999999995416582]),
+    2: (1280, [2.0871520284379643e-05, 1.976162639803694e-05, 8.206842541923517e-07,
+               -2.690134474579223e-05, 0.999999999224751]),
+    3: (1272, [-2.217391437072514e-05, -1.0682269693065877e-05, -3.624847874615164e-05,
+               1.4632164253731747e-05, 0.9999999989330772]),
+    4: (1296, [-1.1246598666914933e-05, -2.6033707392983904e-05, 1.910525591274735e-05,
+               1.821018427884314e-05, 0.9999999992495694]),
 }
 ANTIPODAL_ELLIPSOIDS = {
-    0: (638, [-0.10595335107242451, 0.8379672026902638, 0.49787442604607646, 0.1967381775387473]),
-    1: (638, [0.43917051965253795, 0.7651377983820683, -0.17371026123370523, 0.43762786622572286]),
+    0: (638, [0.1865168763949313, -0.19597346002732666, 0.950047103190218, 0.15561606441711276]),
+    1: (638, [-0.21424427007839494, -0.5093606231982167, -0.20485384406841473, 0.8078898754434873]),
 }
 ANTIPODAL_PERTURBED = {
-    0: (632, [0.999999999999901, 4.4512836987749e-07, 1.7099979504893843e-10]),
-    1: (656, [0.9999999999999978, -6.739577305715856e-08, -4.316337185929236e-09]),
+    0: (632, [0.9999999999952454, -3.0837315570437897e-06, 3.2799260401789104e-10]),
+    1: (628, [0.999999999998876, 1.4993268928010544e-06, -5.320276062510212e-10]),
 }
 
 
