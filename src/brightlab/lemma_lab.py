@@ -18,9 +18,13 @@ This module evaluates hypothesis residuals exactly over all subsets (desk
 scale, N <= 8), enumerates the candidate sets with exact rational
 coefficient assembly followed by companion-matrix root finding, runs a
 damped Gauss-Newton random-restart solver as an experimental oracle for the
-hypothesis system (blocks of restarts stepped in lockstep, with stacked
-residuals, Jacobians and minimum-norm least-squares steps), and provides
-large vectorized falsification campaigns for the antipodal variant.
+hypothesis system (normalized to a = 1, with blocks of restarts stepped in
+lockstep, stacked residuals, Jacobians and minimum-norm least-squares
+steps), and provides large vectorized falsification campaigns for the
+antipodal variant.  The antipodal check and campaign share one column-major
+kernel: each chunk of trials becomes contiguous columns, each subset
+product is built once from k columns, and each mirror-orbit sum
+x_I + x_{I*} once, in a working set of about 2^18 products per chunk.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import PreconditionError
-from .multilinear import _index_array
+from .multilinear import _index_array, _index_tuples, _rank_lookup
 from .sampling import as_rng, median
 
 __all__ = [
@@ -481,6 +485,25 @@ class SolverSolutions(list):
     gauss_newton_steps = 0
 
 
+def _normalized_targets(a: float, b: float, k: int, m: int) -> tuple[float, float]:
+    """The scale s = a^(1/k) and the target b' = b / s^m of the same system at a' = 1.
+
+    x, y -> x / s, y / s maps the solutions at (a, b) onto those at (1, b').
+    The power of two in s is taken from a's exponent exactly, so scaling
+    (a, b) by (t^k, t^m) for a power of two t scales s by t and leaves b'
+    unchanged, bit for bit.  b' underflows to 0 or overflows to inf where
+    the targets are too far apart.
+    """
+    mant, exp = math.frexp(a)
+    shift = exp // k
+    root = math.ldexp(mant, exp - shift * k) ** (1.0 / k)
+    try:
+        lifted = math.ldexp(b, -shift * m)
+    except OverflowError:
+        lifted = math.inf
+    return math.ldexp(root, shift), lifted / root**m
+
+
 def find_hypothesis_solutions(
     a: float, b: float, k: int, m: int, n: int, solutions: int, seed=0
 ) -> list[RelationInstance]:
@@ -493,22 +516,35 @@ def find_hypothesis_solutions(
     experimental oracle, not a guaranteed enumeration) as a
     ``SolverSolutions`` list.
 
-    The restarts run in blocks stepped in lockstep by
-    ``_gauss_newton_block``; a block of R starts is the same random stream
-    as R sequential starts, so the result is that of a restart-at-a-time
-    loop up to rounding in the least-squares steps.  Targets whose start
-    scale max(a, b)^(1/k) overflows at grade m are refused with a
-    ValueError before any start is drawn.  At k = 1 every m-level sum is at
-    most (2a)^m, since x_i + y_i = 2a; a target 2b above that has no
-    solution, so the empty list is returned before any start is drawn.
+    The solver works on the equivalent system at a' = 1, b' = b a^(-m/k)
+    (``_normalized_targets``) and maps its solutions back by a^(1/k), so
+    ``_SOLVER_TOL`` and the y > 1e-9 cutoff are relative to the targets'
+    scale, and (t^k a, t^m b) for a power of two t gives the same run with
+    every solution scaled by t.  The restarts run in blocks stepped in
+    lockstep by ``_gauss_newton_block``; a block of R starts is the same
+    random stream as R sequential starts, so the result is that of a
+    restart-at-a-time loop up to rounding in the least-squares steps.
+    Targets whose b' underflows to 0 or overflows, or whose start scale
+    max(1, b')^(1/k) overflows at grade m, are refused with a ValueError
+    before any start is drawn.  At k = 1 every m-level sum is at most
+    (2a)^m, since x_i + y_i = 2a; a target 2b above that has no solution,
+    so the empty list is returned before any start is drawn.
     """
-    scale = max(a, b) ** (1.0 / k)
+    if not (a > 0 and b > 0):
+        raise ValueError(f"solver targets must be positive, got a = {a!r}, b = {b!r}")
+    unit, b_unit = _normalized_targets(a, b, k, m)
+    if not 0.0 < b_unit < math.inf:
+        raise ValueError(
+            f"solver targets a = {a!r}, b = {b!r} are not representable: the target "
+            f"b a^(-m/k) = {b_unit:.3e} at a = 1 is not a positive finite number"
+        )
+    scale = max(1.0, b_unit) ** (1.0 / k)
     if not math.isfinite(_power(scale, m)):
         raise ValueError(
             f"solver targets a = {a!r}, b = {b!r} are not representable: the start scale "
-            f"max(a, b)^(1/k) = {scale:.3e} overflows at grade m = {m}"
+            f"max(1, b a^(-m/k))^(1/k) = {scale:.3e} overflows at grade m = {m}"
         )
-    if k == 1 and 2.0 * b > _power(2.0 * a, m):
+    if k == 1 and 2.0 * b_unit > _power(2.0, m):
         return SolverSolutions()
     rng = as_rng(seed)
     found = SolverSolutions()
@@ -517,12 +553,13 @@ def find_hypothesis_solutions(
         wanted = solutions - len(found)
         size = min(max(64, 2 * wanted), _BLOCK_ROWS, _MAX_RESTARTS - drawn)
         z = rng.uniform(0.05, 1.8, size=(size, 2 * n)) * scale
-        ok, steps = _gauss_newton_block(z, n, k, m, a, b)
+        ok, steps = _gauss_newton_block(z, n, k, m, 1.0, b_unit)
         keep = np.flatnonzero(ok)[:wanted]
         used = int(keep[-1]) + 1 if len(keep) == wanted else size
         found.restarts = drawn + used
         found.gauss_newton_steps += int(steps[:used].sum())
-        found.extend(RelationInstance(tuple(r[:n]), tuple(r[n:]), a, b, k, m) for r in z[keep])
+        z = z[keep] * unit
+        found.extend(RelationInstance(tuple(r[:n]), tuple(r[n:]), a, b, k, m) for r in z)
         drawn += size
     return found
 
@@ -531,11 +568,72 @@ def find_hypothesis_solutions(
 # antipodal subset products
 
 
-def _antipodal_sums(x: np.ndarray, k: int) -> np.ndarray:
-    """x_I + x_{I*} over every |I| = k along the last axis, I* the mirror of I."""
-    idx = _index_array(x.shape[-1], k)
-    mirrored = x.shape[-1] - 1 - idx[:, ::-1]
-    return np.prod(x[..., idx], axis=-1) + np.prod(x[..., mirrored], axis=-1)
+# A campaign evaluates its trials in chunks of _WORKING_SET // C(M, k) rows,
+# about _WORKING_SET subset products (2 MB) per chunk, which stays in cache.
+# A grade with more than _WORKING_SET subsets is refused up front.
+_WORKING_SET = 1 << 18
+
+
+def _antipodal_subset_count(mlen: int, k: int) -> int:
+    """C(M, k) for a valid antipodal grade, checked before any subset table is built."""
+    if mlen < 4 or not 2 <= k <= mlen - 2:
+        raise ValueError(f"need M >= 4 and 2 <= k <= M - 2, got m_len = {mlen}, k = {k}")
+    count = math.comb(mlen, k)
+    if count > _WORKING_SET:
+        raise ValueError(
+            f"m_len = {mlen}, k = {k} has C(m_len, k) = {count} subsets, "
+            f"above the ceiling of {_WORKING_SET}"
+        )
+    return count
+
+
+@lru_cache(maxsize=None)
+def _mirror_orbits(mlen: int, k: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Mirror orbits {I, I*} of the lex-ordered k-subsets, I* = {M-1-i : i in I}.
+
+    Returns the orbit of every subset, and for each orbit (numbered by its
+    first member in lex order) the lex positions of I and I*; a
+    self-mirrored subset is both.
+    """
+    rank = _rank_lookup(mlen, k)
+    orbit: dict[int, int] = {}
+    pairs = []
+    for pos, subset in enumerate(_index_tuples(mlen, k)):
+        mirror = rank[tuple(mlen - 1 - i for i in reversed(subset))]
+        if mirror >= pos:
+            orbit[pos] = orbit[mirror] = len(pairs)
+            pairs.append((pos, mirror))
+    return tuple(orbit[pos] for pos in range(len(orbit))), tuple(pairs)
+
+
+def _antipodal_extremes(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, max and min over |I| = k of S_I = x_I + x_{I*}, for each row of ``x``.
+
+    Column-major: the rows' entries become contiguous columns, each product
+    x_I is built once by multiplying its k columns in order, and each S_I
+    once per mirror orbit.  The mean adds S_I in lex order of I, so it
+    equals ``mean(axis=1)`` over the (rows, C(M, k)) table of sums.
+    """
+    cols = np.ascontiguousarray(x.T)
+    subsets = _index_tuples(x.shape[1], k)
+    prods = np.empty((len(subsets), len(x)))
+    for prod, (first, second, *rest) in zip(prods, subsets):
+        np.multiply(cols[first], cols[second], out=prod)
+        for i in rest:
+            prod *= cols[i]
+    orbit, pairs = _mirror_orbits(x.shape[1], k)
+    sums = np.empty((len(pairs), len(x)))
+    for out, (i, j) in zip(sums, pairs):
+        np.add(prods[i], prods[j], out=out)
+    total = sums[orbit[0]].copy()
+    for o in orbit[1:]:
+        total += sums[o]
+    return total / len(subsets), sums.max(axis=0), sums.min(axis=0)
+
+
+def _antipodal_residual(hi: np.ndarray, lo: np.ndarray, gamma) -> np.ndarray:
+    """max |S_I - 2 gamma| from the extremes of S_I; exact, since rounding is monotone."""
+    return np.maximum(hi - 2.0 * gamma, 2.0 * gamma - lo)
 
 
 class AntipodalCheckResult(NamedTuple):
@@ -556,17 +654,13 @@ def antipodal_product_check(
     the returned tuple reports the worst residual and the actual spread.
     """
     x = np.asarray(x, dtype=float)
-    mlen = x.size
-    if mlen < 4:
-        raise ValueError("need at least 4 entries")
-    if not 2 <= k <= mlen - 2:
-        raise ValueError("need 2 <= k <= M - 2")
+    _antipodal_subset_count(x.size, k)
     if x.min() <= 0:
         raise ValueError("entries must be positive")
     if np.any(np.diff(x) < -1e-12):
         raise ValueError("entries must be sorted ascending")
-    sums = _antipodal_sums(x, k)
-    residual = float(np.abs(sums - 2.0 * gamma).max())
+    _, hi, lo = _antipodal_extremes(x[None], k)
+    residual = float(_antipodal_residual(hi, lo, gamma)[0])
     holds = residual <= tol
     spread = float(x[-1] - x[0])
     if spread_tol is None:
@@ -588,10 +682,6 @@ class FalsificationReport:
     rows: np.ndarray = field(compare=False)  # (trials, 2): residual, spread
 
 
-# trials drawn and evaluated per batch, bounding the campaign's working memory
-_CHUNK = 100000
-
-
 def antipodal_falsification(
     mlen: int,
     k: int,
@@ -608,25 +698,27 @@ def antipodal_falsification(
     ``min_spread`` and residual < ``tol``; the constancy statement predicts
     none exist.  The report keeps one (residual, spread) row per trial for
     export.
+
+    Trials are drawn and evaluated in chunks of ``_WORKING_SET // C(M, k)``
+    rows; the draws form one random stream and the first global minimum
+    wins, so the report does not depend on the chunk size.
     """
-    if mlen < 4 or not 2 <= k <= mlen - 2:
-        raise ValueError("need M >= 4 and 2 <= k <= M - 2")
+    if trials < 1:
+        raise ValueError(f"a campaign needs trials >= 1, got {trials}")
+    chunk = _WORKING_SET // _antipodal_subset_count(mlen, k)
     rng = as_rng(seed)
     best_residual = np.inf
     best_x = None
     best_gamma = np.nan
     found = False
-    row_chunks: list[np.ndarray] = []
-    remaining = trials
-    while remaining > 0:
-        size = min(_CHUNK, remaining)
-        remaining -= size
-        x = np.sort(rng.uniform(0.2, 2.0, size=(size, mlen)), axis=1)
-        sums = _antipodal_sums(x, k)
-        gamma = sums.mean(axis=1) / 2.0
-        residual = np.abs(sums - 2.0 * gamma[:, None]).max(axis=1)
+    rows = np.empty((trials, 2))
+    for start in range(0, trials, chunk):
+        x = np.sort(rng.uniform(0.2, 2.0, size=(min(chunk, trials - start), mlen)), axis=1)
+        mean, hi, lo = _antipodal_extremes(x, k)
+        gamma = mean / 2.0
+        residual = _antipodal_residual(hi, lo, gamma)
         spread = x[:, -1] - x[:, 0]
-        row_chunks.append(np.column_stack([residual, spread]))
+        rows[start : start + len(x)] = np.column_stack([residual, spread])
         eligible = spread >= min_spread
         if np.any(eligible):
             sub = np.where(eligible)[0]
@@ -645,7 +737,7 @@ def antipodal_falsification(
         min_spread=min_spread,
         found_violation=found,
         residual_tol=tol,
-        rows=np.concatenate(row_chunks),
+        rows=rows,
     )
 
 

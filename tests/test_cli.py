@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +225,25 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert "a = 1e+300" in lines[0] and "m = 3" in lines[0]
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
+    def test_oversized_antipodal_grade_exits_two_before_building_tables(self, tmp_path, capsys):
+        # C(60, 30) is about 1.2e17 subsets; the campaign refuses the grade
+        # before enumerating any of them
+        cfg = write_config(tmp_path / "c.json", {"m_len": 60, "k": 30, "trials": 10})
+        argv = ["lemma-campaign", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = cli.main(argv)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "m_len = 60, k = 30" in err and "118264581564861424" in err
+        assert elapsed < 0.5 and peak < 1 << 20
         assert not (tmp_path / "r.json").exists()
 
     def test_infeasible_solver_target_is_a_shortfall_at_once(self, tmp_path):

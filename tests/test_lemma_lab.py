@@ -1,7 +1,10 @@
 """Subset-product relation systems: residuals, candidates, campaigns."""
 
+import math
 import re
+import time
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -198,9 +201,12 @@ class TestSolverEquations:
 def sequential_solutions(a, b, k, m, n, solutions, seed):
     """Oracle: the restart-at-a-time damped Gauss-Newton loop, one np.linalg.lstsq per step.
 
-    Returns the converged z = (x, y) vectors in restart order, the restarts
-    drawn and the least-squares steps they took.
+    Like the solver it runs at a' = 1, b' = b a^(-m/k) and scales its
+    solutions back by a^(1/k).  Returns the converged z = (x, y) vectors in
+    restart order, the restarts drawn and the least-squares steps they took.
     """
+    unit, b = lemma_lab._normalized_targets(a, b, k, m)
+    a = 1.0
 
     def residual(z):
         return lemma_lab._residuals(z[None], n, k, m, a, b)[0]
@@ -230,7 +236,7 @@ def sequential_solutions(a, b, k, m, n, solutions, seed):
             else:
                 break
         if np.abs(residual(z)).max() < lemma_lab._SOLVER_TOL and z[n:].min() > 1e-9:
-            found.append(z)
+            found.append(z * unit)
     return found, restarts, steps
 
 
@@ -305,10 +311,32 @@ class TestBatchedSolver:
         assert len(got) == 1 and got.restarts >= 1
         assert np.allclose(got[0].x, 0.0, atol=1e-9) and np.allclose(got[0].y, 2.0, atol=1e-9)
 
-    @pytest.mark.parametrize("a,b", [(1.0, 1e300), (1e300, 1.0), (1.0, float("inf"))])
+    @pytest.mark.parametrize(
+        "a,b", [(1.0, 1e300), (1e300, 1.0), (1.0, float("inf")), (1e-300, 1.0), (0.0, 1.0)]
+    )
     def test_unrepresentable_targets_refused_before_any_start(self, a, b):
         with pytest.raises(ValueError, match="a = .*b = "):
             find_hypothesis_solutions(a, b, 1, 3, 4, 1, seed=0)
+
+    @pytest.mark.parametrize("t", [2.0**-20, 2.0**20, 2.0**40])
+    @pytest.mark.parametrize("k,m,n", [(1, 3, 4), (2, 4, 5), (3, 5, 6)])
+    def test_scaled_targets_give_the_same_run_scaled(self, k, m, n, t):
+        # (t^k a, t^m b) is the system at (a, b) with x, y scaled by t
+        ref = find_hypothesis_solutions(1.1, 1.7, k, m, n, 6, seed=2)
+        got = find_hypothesis_solutions(t**k * 1.1, t**m * 1.7, k, m, n, 6, seed=2)
+        assert len(got) == len(ref) == 6
+        assert (got.restarts, got.gauss_newton_steps) == (ref.restarts, ref.gauss_newton_steps)
+        for scaled, inst in zip(got, ref):
+            assert scaled.x == tuple(t * v for v in inst.x)
+            assert scaled.y == tuple(t * v for v in inst.y)
+
+    def test_far_apart_targets_run_at_unit_scale(self):
+        # solved at the raw scale, where the residuals are near 1e12 and the
+        # absolute tolerance is out of reach, this shortfall took 89 s
+        start = time.perf_counter()
+        got = find_hypothesis_solutions(1e12, 2.0, 1, 3, 4, 200, seed=1)
+        assert time.perf_counter() - start < 10.0
+        assert got.restarts == lemma_lab._MAX_RESTARTS
 
 
 class TestCase2Polynomial:
@@ -384,6 +412,52 @@ class TestAntipodalProducts:
         assert report.rows is not None
         assert report.rows.shape == (1000, 2)
         assert np.all(report.rows[:, 0] >= 0)
+
+    @pytest.mark.parametrize("mlen,k", [(M, k) for M in range(4, 9) for k in range(2, M - 1)])
+    def test_kernel_matches_the_gather_formula(self, mlen, k):
+        rng = np.random.default_rng(10 * mlen + k)
+        x = np.sort(rng.uniform(0.2, 2.0, size=(3000, mlen)), axis=1)
+        idx = np.array(list(combinations(range(mlen), k)))
+        sums = np.prod(x[..., idx], axis=-1) + np.prod(x[..., mlen - 1 - idx[:, ::-1]], axis=-1)
+        gamma = sums.mean(axis=1) / 2.0
+        residual = np.abs(sums - 2.0 * gamma[:, None]).max(axis=1)
+        mean, hi, lo = lemma_lab._antipodal_extremes(x, k)
+        assert np.array_equal(mean / 2.0, gamma)
+        assert np.array_equal(lemma_lab._antipodal_residual(hi, lo, gamma), residual)
+
+    @pytest.mark.parametrize("budget", [15, 15 * 7 + 3, 15 * 1000])
+    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch, budget):
+        # C(6, 2) = 15 subsets, so the budgets give chunks of 1, 7 and 1000 rows
+        ref = antipodal_falsification(6, 2, 2500, seed=4)
+        monkeypatch.setattr(lemma_lab, "_WORKING_SET", budget)
+        got = antipodal_falsification(6, 2, 2500, seed=4)
+        assert np.array_equal(got.rows, ref.rows)
+        assert np.array_equal(got.best_x, ref.best_x)
+        assert (got.best_gamma, got.best_residual) == (ref.best_gamma, ref.best_residual)
+
+    @pytest.mark.parametrize("mlen,k", [(4, 2), (6, 2), (6, 3), (7, 3), (8, 5)])
+    def test_check_matches_a_combinations_brute_force(self, mlen, k):
+        xs = np.sort(np.random.default_rng(mlen + k).uniform(0.2, 2.0, size=mlen)).tolist()
+        gamma = 0.61
+        worst = max(
+            abs(
+                math.prod(xs[i] for i in subset)
+                + math.prod(xs[mlen - 1 - i] for i in reversed(subset))
+                - 2.0 * gamma
+            )
+            for subset in combinations(range(mlen), k)
+        )
+        assert antipodal_product_check(xs, gamma, k).max_equation_residual == worst
+
+    def test_campaign_size_is_checked_before_any_table(self, monkeypatch):
+        with pytest.raises(ValueError, match="trials >= 1, got 0"):
+            antipodal_falsification(6, 2, 0)
+        monkeypatch.setattr(lemma_lab, "_index_tuples", None)
+        monkeypatch.setattr(lemma_lab, "_rank_lookup", None)
+        with pytest.raises(ValueError, match=r"m_len = 60, k = 30 .* above the ceiling"):
+            antipodal_falsification(60, 30, 10)
+        with pytest.raises(ValueError, match=r"m_len = 60, k = 30 .* above the ceiling"):
+            antipodal_product_check(np.linspace(1.0, 2.0, 60), 1.0, 30)
 
 
 class TestEigenvalueAudit:
