@@ -41,6 +41,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -179,27 +180,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    """A finite int or float; bools, and ints beyond the float range, are refused."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 def _check_floats(params: dict) -> None:
-    """``tolerance`` must be a number, no float key takes a bool, and
-    ``betas`` is null or a list of finite numbers.
+    """The float keys must be finite numbers, and ``betas`` null or a list of them.
 
-    Python counts a bool as the integer 0 or 1, so ``true`` would otherwise
-    run as 1.0.  The runners convert the other float keys with ``float()``,
-    which refuses the remaining wrong types.
+    A string, a bool (which Python counts as the integer 0 or 1), null or a
+    non-finite value is refused, not cast: a NaN ``residual_tol`` would run
+    a campaign that can never find a violation.
     """
-    if not isinstance(params["tolerance"], (int, float)):
-        raise ConfigError("'tolerance' must be a number")
     for key in ("tolerance", "scale", "residual_tol", "min_spread", "a", "b"):
-        if isinstance(params.get(key), bool):
-            raise ConfigError(f"{key!r} must be a number, not a bool, got {params[key]!r}")
+        if key in params and not _is_finite(params[key]):
+            raise ConfigError(f"{key!r} must be a finite number, got {params[key]!r}")
     betas = params.get("betas")
-    if betas is not None and not (
-        isinstance(betas, list) and all(_is_number(b) and math.isfinite(b) for b in betas)
-    ):
+    if betas is not None and not (isinstance(betas, list) and all(map(_is_finite, betas))):
         raise ConfigError(f"'betas' must be null or a list of finite numbers, got {betas!r}")
 
 
@@ -503,20 +500,23 @@ def _csv(rows: list[tuple]) -> bytes:
     return buffer.getvalue().encode()
 
 
-# 10**(6 - e) for the decimal exponents e = -99 ... 99 of a %.6e field
-_SCALE = 10.0 ** (6 - np.arange(-99, 100))
-
-
-def _digits(values: np.ndarray, width: int) -> np.ndarray:
-    """ASCII decimal digits of integers in [0, 10**width), zero-padded to ``width`` columns."""
-    # unsigned 32-bit division by a constant is several times faster than int64
-    rest = values.astype(np.uint32 if width <= 9 else np.uint64)
-    out = np.empty((len(values), width), np.uint8)
-    for col in range(width - 1, -1, -1):
-        quotient = rest // 10
-        out[:, col] = rest - 10 * quotient
-        rest = quotient
-    return out + np.uint8(ord("0"))
+@lru_cache(maxsize=None)
+def _csv_words() -> tuple[np.ndarray, ...]:
+    """The lookup tables (scale, head, tail, exponent, four) of the campaign CSV
+    encoder, built on first use: scale[e + 99] = 10**(6 - e) for e = -99 ... 99,
+    and as little-endian ASCII words, head[q] = "d.ddd" (q = 1000 ... 9999) in
+    bytes 0-4 of a "<u8" word, tail[r] = "ddd" (r < 1000) in its bytes 5-7,
+    exponent[e + 99] = "e±XX" and four[n] = n < 10**4 as four digits."""
+    four = np.frombuffer(("%04d" * 10**4 % tuple(range(10**4))).encode(), "<u4")
+    wide = four.astype(np.uint64)
+    exponent = "".join(f"e{e:+03d}" for e in range(-99, 100))
+    return (
+        10.0 ** (6 - np.arange(-99, 100)),
+        wide & 0xFF | ord(".") << 8 | wide >> 8 << 16,
+        wide[:1000] >> 8 << 40,
+        np.frombuffer(exponent.encode(), "<u4"),
+        four,
+    )
 
 
 def _round7(x: np.ndarray, e: np.ndarray):
@@ -525,20 +525,19 @@ def _round7(x: np.ndarray, e: np.ndarray):
     The scaled value is below about 1e7 and off by a few ulps (< 1e-8), so
     away from a tie its rint is that of the exact product.
     """
-    scaled = x * _SCALE[e + 99]
-    return np.rint(scaled).astype(np.int64), np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
+    scaled = x * _csv_words()[0][e + 99]
+    return np.rint(scaled).astype(np.uint32), np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
 
 
-def _sci6(x: np.ndarray) -> np.ndarray:
-    """``'%.6e' % v`` for every value of ``x``, as rows of ASCII bytes.
+def _sci6_words(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``'%.6e' % v`` for every value of ``x`` as two words, and whether they are sure.
 
-    Positive finite values with a two-digit exponent are formatted from the
-    exact 7-digit mantissa m = rint(x * 10**(6 - e)), e = floor(log10 x),
-    renormalized once when m has 6 or 8 digits.  A value whose rounding a
-    scaling step cannot be sure of, or that the kernel does not cover, is
-    formatted by Python; when such a string is longer than 12 bytes every
-    row is left-padded with NUL bytes to its width.
-    """
+    With e = floor(log10 x) and the 7-digit mantissa m = rint(x * 10**(6 - e)),
+    renormalized once when m has 6 or 8 digits, "d.dddddd" is the "<u8" word
+    head[m // 1000] | tail[m % 1000] and "e±XX" the "<u4" word exponent[e + 99].
+    Zero, negative and non-finite values, three-digit exponents and near ties
+    are not sure."""
+    _, head, tail, exponent, _ = _csv_words()
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(x))
     sure = (x > 0) & (np.abs(e) < 99)  # false for 0, negatives, inf and nan
@@ -550,47 +549,54 @@ def _sci6(x: np.ndarray) -> np.ndarray:
     e[moved] += step[moved]
     m[moved], tie_moved = _round7(positive[moved], e[moved])
     tie[moved] |= tie_moved
-    sure &= ~tie
-    out = np.empty((len(x), 12), np.uint8)
-    out[:, [0, 2, 3, 4, 5, 6, 7]] = _digits(m, 7)
-    out[:, 1] = ord(".")
-    out[:, 8] = ord("e")
-    out[:, 9] = np.where(e < 0, ord("-"), ord("+"))
-    out[:, 10:] = _digits(np.abs(e), 2)
-    unsure = np.flatnonzero(~sure)
-    text = [("%.6e" % v).encode() for v in x[unsure]]
-    width = max(map(len, text), default=12)
-    out = np.pad(out, ((0, 0), (width - 12, 0)))
-    for row, field in zip(unsure, text):
-        out[row] = 0
-        out[row, width - len(field):] = np.frombuffer(field, np.uint8)
-    return out
+    high, low = np.divmod(m, np.uint32(1000))
+    return head[high] | tail[low], exponent[e + 99], sure & ~tie
+
+
+def _index_words(trial: np.ndarray, out: np.ndarray) -> None:
+    """Write each trial index into its row of ``out``, (len(trial), w) "<u4",
+    as w words of four ASCII digits, zero-padded."""
+    for col in range(out.shape[1] - 1, -1, -1):
+        trial, low = np.divmod(trial, 10**4)
+        out[:, col] = _csv_words()[4][low]
 
 
 def _campaign_csv(report) -> bytes:
-    """Per-trial CSV of a falsification campaign, one row per trial.
+    """Per-trial CSV of a falsification campaign: the bytes ``csv.writer`` gives
+    for the rows ``%d,%.6e,%.6e,%d`` (trial, residual, spread, violation) under
+    the header ``trial,residual,spread,violation``, CRLF line ends included.
 
-    The bytes are those ``csv.writer`` gives for the rows
-    ``%d,%.6e,%.6e,%d`` (trial, residual, spread, violation) under the
-    header ``trial,residual,spread,violation``, CRLF line ends included.
-    They are built column by column; the NUL bytes that pad variable-width
-    fields are dropped at the end.
+    Rows go into one fixed-width byte table (38 bytes below 10**8 trials) as
+    words (``_index_words``, ``_sci6_words``); each decade of the index is one
+    slab of it, trimmed to the index's width.  A row with a field that is not
+    sure is formatted by Python and spliced in between slabs.
     """
     rows = report.rows
-    trial = np.arange(len(rows))
     width = len(str(max(len(rows) - 1, 0)))
-    index = _digits(trial, width)
-    index[:, :-1][trial[:, None] < 10 ** np.arange(width - 1, 0, -1)] = 0
+    lead = 4 * -(-width // 4)
+    table = np.empty((len(rows), lead + 30), np.uint8)
+    _index_words(np.arange(len(rows)), table[:, :lead].view("<u4"))
+    record = table[:, lead:]
+    record[:] = np.frombuffer(b",d.dddddde+XX,d.dddddde+XX,0\r\n", np.uint8)
     violation = _campaign_masks(report)[1]
-
-    def constant(text: bytes) -> np.ndarray:
-        return np.broadcast_to(np.frombuffer(text, np.uint8), (len(rows), len(text)))
-
-    table = np.hstack([
-        index, constant(b","), _sci6(rows[:, 0]), constant(b","), _sci6(rows[:, 1]),
-        constant(b","), _digits(violation, 1), constant(b"\r\n"),
-    ]).ravel()
-    return b"trial,residual,spread,violation\r\n" + table[table != 0].tobytes()
+    record[:, 27] += violation
+    sure = np.ones(len(rows), bool)
+    for col, values in ((1, rows[:, 0]), (14, rows[:, 1])):
+        mantissa, exponent, ok = _sci6_words(values)
+        record[:, col : col + 8].view("<u8")[:, 0] = mantissa
+        record[:, col + 8 : col + 12].view("<u4")[:, 0] = exponent
+        sure &= ok
+    python = np.flatnonzero(~sure)
+    edges = [[0, len(rows)], 10 ** np.arange(1, width), python, python + 1]
+    edges = np.unique(np.concatenate(edges)).tolist()
+    out = [b"trial,residual,spread,violation\r\n"]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if sure[lo]:
+            out.append(table[lo:hi, lead - len(str(lo)) :].tobytes())
+        else:
+            out.append(b"%d,%.6e,%.6e,%d\r\n" % (lo, *rows[lo].tolist(), violation[lo]))
+    del table, record  # the join copies the text once more: free the table first
+    return b"".join(out)
 
 
 def _strict(obj):

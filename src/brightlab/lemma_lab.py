@@ -22,9 +22,10 @@ hypothesis system (normalized to a = 1, with blocks of restarts stepped in
 lockstep, stacked residuals, Jacobians and minimum-norm least-squares
 steps), and provides large vectorized falsification campaigns for the
 antipodal variant.  The antipodal check and campaign share one column-major
-kernel: each chunk of trials becomes contiguous columns, each subset
-product is built once from k columns, and each mirror-orbit sum
-x_I + x_{I*} once, in a working set of about 2^18 products per chunk.
+kernel: each chunk of trials is transposed once and sorted by a Batcher
+network of whole-column minima and maxima, each subset product is built once
+from k columns, and each mirror-orbit sum x_I + x_{I*} once, in a working
+set of about 2^18 products per chunk.
 """
 
 from __future__ import annotations
@@ -606,23 +607,37 @@ def _mirror_orbits(mlen: int, k: int) -> tuple[tuple[int, ...], tuple[tuple[int,
     return tuple(orbit[pos] for pos in range(len(orbit))), tuple(pairs)
 
 
-def _antipodal_extremes(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, max and min over |I| = k of S_I = x_I + x_{I*}, for each row of ``x``.
+@lru_cache(maxsize=None)
+def _sorting_network(size: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's merge exchange (Knuth, TAOCP 5.2.2, Algorithm M) on ``size``
+    wires, as (lower, upper) comparators: 12 at size 6."""
+    top = 1 << (size - 1).bit_length() >> 1
+    network, p = [], top
+    while p:
+        q, r, d = top, 0, p
+        while d:
+            network += [(i, i + d) for i in range(size - d) if i & p == r]
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    return tuple(network)
 
-    Column-major: the rows' entries become contiguous columns, each product
-    x_I is built once by multiplying its k columns in order, and each S_I
-    once per mirror orbit.  The mean adds S_I in lex order of I, so it
-    equals ``mean(axis=1)`` over the (rows, C(M, k)) table of sums.
+
+def _antipodal_extremes(cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, max and min over |I| = k of S_I = x_I + x_{I*}, for each column of ``cols``.
+
+    ``cols`` is (M, rows).  Each product x_I is built once by multiplying its
+    k rows of ``cols`` in order, and each S_I once per mirror orbit.  The mean
+    adds S_I in lex order of I, so it equals ``mean(axis=1)`` over the
+    (rows, C(M, k)) table of sums.
     """
-    cols = np.ascontiguousarray(x.T)
-    subsets = _index_tuples(x.shape[1], k)
-    prods = np.empty((len(subsets), len(x)))
+    subsets = _index_tuples(len(cols), k)
+    prods = np.empty((len(subsets), cols.shape[1]))
     for prod, (first, second, *rest) in zip(prods, subsets):
         np.multiply(cols[first], cols[second], out=prod)
         for i in rest:
             prod *= cols[i]
-    orbit, pairs = _mirror_orbits(x.shape[1], k)
-    sums = np.empty((len(pairs), len(x)))
+    orbit, pairs = _mirror_orbits(len(cols), k)
+    sums = np.empty((len(pairs), cols.shape[1]))
     for out, (i, j) in zip(sums, pairs):
         np.add(prods[i], prods[j], out=out)
     total = sums[orbit[0]].copy()
@@ -659,7 +674,7 @@ def antipodal_product_check(
         raise ValueError("entries must be positive")
     if np.any(np.diff(x) < -1e-12):
         raise ValueError("entries must be sorted ascending")
-    _, hi, lo = _antipodal_extremes(x[None], k)
+    _, hi, lo = _antipodal_extremes(x[:, None], k)
     residual = float(_antipodal_residual(hi, lo, gamma)[0])
     holds = residual <= tol
     spread = float(x[-1] - x[0])
@@ -713,19 +728,23 @@ def antipodal_falsification(
     found = False
     rows = np.empty((trials, 2))
     for start in range(0, trials, chunk):
-        x = np.sort(rng.uniform(0.2, 2.0, size=(min(chunk, trials - start), mlen)), axis=1)
-        mean, hi, lo = _antipodal_extremes(x, k)
+        stop = min(start + chunk, trials)
+        cols = list(rng.uniform(0.2, 2.0, size=(stop - start, mlen)).T)
+        for i, j in _sorting_network(mlen):
+            cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+        cols = np.array(cols)
+        mean, hi, lo = _antipodal_extremes(cols, k)
         gamma = mean / 2.0
         residual = _antipodal_residual(hi, lo, gamma)
-        spread = x[:, -1] - x[:, 0]
-        rows[start : start + len(x)] = np.column_stack([residual, spread])
+        spread = cols[-1] - cols[0]
+        rows[start:stop, 0], rows[start:stop, 1] = residual, spread
         eligible = spread >= min_spread
         if np.any(eligible):
             sub = np.where(eligible)[0]
             pos = sub[np.argmin(residual[sub])]
             if residual[pos] < best_residual:
                 best_residual = float(residual[pos])
-                best_x = x[pos].copy()
+                best_x = cols[:, pos].copy()
                 best_gamma = float(gamma[pos])
             if residual[pos] < tol:
                 found = True

@@ -22,17 +22,21 @@ ROOT = Path(__file__).resolve().parents[1]
 BALL_3D = {"family": "ball", "params": {"dim": 3, "radius": 1.0}}
 
 
-def run_cli(*args, cwd):
+def run_python(*args, cwd):
     # the subprocess runs in cwd, so a relative PYTHONPATH would not resolve
     pythonpath = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
-        [sys.executable, "-m", "brightlab.cli", *args],
+        [sys.executable, *args],
         cwd=cwd,
         capture_output=True,
         text=True,
         timeout=300,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
     )
+
+
+def run_cli(*args, cwd):
+    return run_python("-m", "brightlab.cli", *args, cwd=cwd)
 
 
 def write_config(path, doc):
@@ -147,7 +151,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "scenario, config, needle",
         [
-            ("lemma-campaign", {"mode": "solver", "a": None}, "invalid scenario inputs"),
+            ("lemma-campaign", {"mode": "solver", "a": None}, "'a'"),
             ("proportionality", {"k": 2.5}, "'k'"),
             ("lemma-campaign", {"m_len": 6.5}, "'m_len'"),
             ("brightness", {"nodes": 2.7}, "'nodes'"),
@@ -203,6 +207,33 @@ class TestExitCodes:
             argv += ["--seed", "1"]
         assert cli.main(argv) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "scenario, config, key",
+        [
+            ("lemma-campaign", {"residual_tol": "1e-9"}, "residual_tol"),
+            ("lemma-campaign", {"residual_tol": float("nan")}, "residual_tol"),
+            ("lemma-campaign", {"min_spread": float("nan")}, "min_spread"),
+            ("lemma-campaign", {"mode": "solver", "a": float("nan")}, "a"),
+            ("lemma-campaign", {"mode": "solver", "b": float("-inf")}, "b"),
+            ("lemma-campaign", {"mode": "solver", "b": 10**400}, "b"),
+            ("verify-wedge", {"scale": "0.7"}, "scale"),
+            ("verify-wedge", {"tolerance": None}, "tolerance"),
+            ("brightness", {"tolerance": float("inf")}, "tolerance"),
+        ],
+    )
+    def test_float_keys_must_be_finite_numbers(self, tmp_path, capsys, scenario, config, key):
+        cfg = write_config(tmp_path / "c.json", config)
+        argv = [scenario, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 2
+        assert f"{key!r} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_nan_tolerance_flag_exits_two(self, tmp_path, capsys):
+        argv = ["verify-wedge", "--seed", "1", "--tolerance", "nan"]
+        assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 2
+        assert "'tolerance' must be a finite number, got nan" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_unrepresentable_solver_target_exits_two_quietly(self, tmp_path):
@@ -365,10 +396,46 @@ def near_ties() -> np.ndarray:
 
 
 class TestCsvExport:
-    @pytest.mark.parametrize("trials", [1, 9, 10, 11, 1001])
+    @pytest.mark.parametrize("trials", [1, 9, 10, 11, 100, 1001, 10_001])
     def test_campaign_csv_matches_row_by_row_writer(self, trials):
         report = antipodal_falsification(6, 2, trials, seed=trials)
         assert cli._campaign_csv(report) == row_by_row_campaign_csv(report)
+
+    def test_python_rows_are_spliced_across_decades(self):
+        # rows 9 | 10 and 99 | 100 straddle decades of the trial index, whose
+        # slabs are trimmed to different widths
+        report = antipodal_falsification(6, 2, 10_000, seed=3)
+        odd = {
+            0: (0.0, 1.0),
+            9: (np.nan, 0.5),
+            10: (np.inf, -0.0),
+            99: (1e-120, 2.0),
+            5000: (9.9999995, 1e-3),  # a near tie
+            9999: (0.5, 0.0),
+        }
+        for row, values in odd.items():
+            report.rows[row] = values
+        assert cli._campaign_csv(report) == row_by_row_campaign_csv(report)
+
+    @pytest.mark.parametrize("words", [2, 3, 4])
+    def test_index_words_are_exact_beyond_eight_digits(self, words):
+        trial = np.array([0, 7, 99_999_999, 10**8, 10**12])
+        trial = trial[trial < 10 ** (4 * words)]
+        out = np.empty((len(trial), words), "<u4")
+        cli._index_words(trial, out)
+        assert [row.tobytes() for row in out] == [
+            b"%0*d" % (4 * words, t) for t in trial
+        ]
+
+    def test_import_builds_no_csv_table(self, tmp_path):
+        # the lookup tables are built on the first CSV export, not at import
+        code = (
+            "import numpy as np, brightlab.cli as cli\n"
+            "assert cli._csv_words.cache_info().currsize == 0\n"
+            "assert not [n for n, v in vars(cli).items() if isinstance(v, np.ndarray)]\n"
+        )
+        proc = run_python("-c", code, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
 
     def test_campaign_csv_marks_violations_and_odd_values(self):
         residual_tol, min_spread = 1e-9, 1e-3
@@ -411,10 +478,15 @@ class TestCsvExport:
                 rng.uniform(0.0, 10.0, 20000),
             ]
         )
-        out = cli._sci6(values)
-        assert [row[row != 0].tobytes() for row in out] == [
-            ("%.6e" % v).encode() for v in values
-        ]
+        mantissa, exponent, sure = cli._sci6_words(values)
+        words = np.hstack([
+            mantissa.astype("<u8").view(np.uint8).reshape(-1, 8),
+            exponent.astype("<u4").view(np.uint8).reshape(-1, 4),
+        ])
+        # a value that is not sure takes the Python path of _campaign_csv
+        fields = [row.tobytes() if ok else b"%.6e" % v for row, ok, v in zip(words, sure, values)]
+        assert fields == [("%.6e" % v).encode() for v in values]
+        assert sure[-40000:].mean() > 0.999
 
     def test_checks_csv(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"samples": 4})

@@ -421,9 +421,22 @@ class TestAntipodalProducts:
         sums = np.prod(x[..., idx], axis=-1) + np.prod(x[..., mlen - 1 - idx[:, ::-1]], axis=-1)
         gamma = sums.mean(axis=1) / 2.0
         residual = np.abs(sums - 2.0 * gamma[:, None]).max(axis=1)
-        mean, hi, lo = lemma_lab._antipodal_extremes(x, k)
+        mean, hi, lo = lemma_lab._antipodal_extremes(x.T, k)
         assert np.array_equal(mean / 2.0, gamma)
         assert np.array_equal(lemma_lab._antipodal_residual(hi, lo, gamma), residual)
+
+    @pytest.mark.parametrize("mlen", range(4, 65))
+    def test_sorting_network_matches_np_sort(self, mlen):
+        rng = np.random.default_rng(mlen)
+        x = rng.uniform(0.2, 2.0, size=(400, mlen))
+        x[::2] = np.round(x[::2], 1)  # many repeated values in every other row
+        if mlen <= 16:
+            # every 0-1 vector: a network that sorts them sorts every input
+            x = np.vstack([x, np.arange(1 << mlen)[:, None] >> np.arange(mlen) & 1])
+        cols = list(x.T)
+        for i, j in lemma_lab._sorting_network(mlen):
+            cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+        assert np.array_equal(np.array(cols), np.sort(x, axis=1).T)
 
     @pytest.mark.parametrize("budget", [15, 15 * 7 + 3, 15 * 1000])
     def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch, budget):
