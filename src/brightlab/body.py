@@ -115,11 +115,6 @@ class ConvexBody:
     def jets(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def width(self, u) -> float:
-        """h(u) + h(-u), the distance between the two supporting hyperplanes."""
-        u = _as_direction(u)
-        return self.support(u) + self.support(-u)
-
     # revolution metadata used by the weingarten module (duck-typed there)
     @property
     def revolution_axis(self) -> Optional[np.ndarray]:

@@ -303,6 +303,8 @@ def _run_umbilic_search(params: dict, seed: int):
         "r_defect": result.r_defect,
         "converged": result.converged,
         "evaluations": result.evaluations,
+        "objective_calls": result.objective_calls,
+        "objective_rows": result.objective_rows,
         "objective": objective,
     }
     return checks, extras

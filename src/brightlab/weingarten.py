@@ -28,9 +28,9 @@ linear algebra; one direction u is the stack ``u[None]``.
 the base maps at u with one ``multilinear.compound`` call and one stacked
 operator norm.  Every relative map comes from ``relative_maps``; the
 umbilic search scores its whole grid (``sampling.hemisphere_grid``, seeded
-Haar directions flipped onto a hemisphere) with it in one call, and only
-its compass refinement, which takes a step as soon as the step improves,
-evaluates one candidate (a stack of one) at a time.
+Haar directions flipped onto a hemisphere) with it in one call, and each
+sweep of its compass refinement scores the polls it has not yet walked in
+one call, again after every poll it accepts.
 """
 
 from __future__ import annotations
@@ -233,11 +233,22 @@ class UmbilicResult:
 
 @dataclass(frozen=True)
 class AntipodalSearchResult:
+    """Outcome of ``antipodal_search``.
+
+    ``evaluations`` counts the grid directions and the compass polls a
+    one-poll-at-a-time compass makes; the budget applies to it.
+    ``objective_calls`` counts the stacked objective calls and
+    ``objective_rows`` the directions they were given, speculative polls
+    (scored but never walked) included.
+    """
+
     umbilic: UmbilicResult
     r_defect: float
     converged: bool
     evaluations: int
     objective: str
+    objective_calls: int
+    objective_rows: int
 
 
 def umbilic_check(body, base, u0, tol: float = 1e-8) -> UmbilicResult:
@@ -297,7 +308,14 @@ def antipodal_search(
     seeded Haar directions on a closed hemisphere (ties keep the lowest grid
     index), and follows it with a derivative-free compass refinement with
     shrinking tangent steps, stopping when the step falls
-    below 1e-7 or the evaluation budget is exhausted.  If the final defect
+    below 1e-7 or the evaluation budget is exhausted.  A sweep polls
+    +-step along each column of the tangent frame at its starting point and
+    accepts a poll as soon as it improves; the polls after it start from the
+    accepted point.  The sweep scores all polls it has not walked in one
+    stacked call, and again after each accepted poll, so it reaches the same
+    points and counts the same ``evaluations`` as a compass that scores one
+    poll at a time; ``objective_calls`` and ``objective_rows`` report the
+    batching and the speculative polls it scored.  If the final defect
     exceeds ``tol`` the best candidate is returned flagged unconverged.
     """
     if objective not in ("umbilic", "antipodal"):
@@ -305,15 +323,28 @@ def antipodal_search(
     if budget < 16:
         raise ValueError("budget too small for a meaningful search")
     n = body.dim
-    evals = 0
+    calls = rows = 0
 
     def f(u):
-        nonlocal evals
-        evals += len(u)
+        nonlocal calls, rows
+        calls += 1
+        rows += len(u)
         return _search_objective(body, base, u, objective)
+
+    def score(polls):
+        # a degenerate base may sit at a poll the walk never reaches; after a
+        # failed batch score the next poll alone, which raises only if the
+        # walk would have raised there
+        try:
+            return f(polls)
+        except PreconditionError:
+            if len(polls) == 1:
+                raise
+            return f(polls[:1])
 
     grid = hemisphere_grid(n, max(8, budget // 4), seed)
     values = f(grid)
+    evals = len(grid)
     best_u, best_f = grid[0], values[0]
     for u, val in zip(grid[1:], values[1:]):
         if val < best_f - max(1e-18, 1e-12 * best_f):
@@ -322,15 +353,22 @@ def antipodal_search(
     step = 0.5
     min_step = 1e-7
     while step > min_step and evals + 2 * (n - 1) <= budget:
+        frame = tangent_frames(best_u[None])[0].T
+        moves = np.stack([sign * step * b for b in frame for sign in (1.0, -1.0)])
         improved = False
-        for b in tangent_frames(best_u[None])[0].T:
-            for sign in (1.0, -1.0):
-                cand = best_u + sign * step * b
+        walked = 0
+        while walked < len(moves):
+            polls = best_u + moves[walked:]
+            for cand in polls:
+                # the 1-D norm, not norm(axis=1): the two round differently
                 cand /= np.linalg.norm(cand)
-                val = f(cand[None])[0]
+            for cand, val in zip(polls, score(polls)):
+                walked += 1
+                evals += 1
                 if val < best_f - max(1e-18, 1e-12 * best_f):
                     best_f, best_u = val, cand
                     improved = True
+                    break
         if not improved:
             step *= 0.5
 
@@ -344,6 +382,8 @@ def antipodal_search(
         converged=bool(converged),
         evaluations=evals,
         objective=objective,
+        objective_calls=calls,
+        objective_rows=rows,
     )
 
 

@@ -32,6 +32,11 @@ E4 = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21]))
 NAN = float("nan")
 
 
+def width(body, u):
+    """h(u) + h(-u), the distance between the two supporting hyperplanes."""
+    return float(body.jets(np.stack([u, -u]))[0].sum())
+
+
 def document(family, **params):
     return {"family": family, "params": params}
 
@@ -126,7 +131,7 @@ class TestBall:
         assert np.allclose(jet.hessian, 2.0 * (np.eye(3) - np.outer(u, u)))
 
     def test_width_is_diameter(self):
-        assert Ball(4, 1.5).width(np.array([1.0, 0, 0, 0])) == pytest.approx(3.0)
+        assert width(Ball(4, 1.5), np.array([1.0, 0, 0, 0])) == pytest.approx(3.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -144,7 +149,7 @@ class TestEllipsoid:
     def test_width(self):
         e = Ellipsoid(np.diag([4.0, 1.0]))
         u = np.array([1.0, 0.0])
-        assert e.width(u) == pytest.approx(4.0)
+        assert width(e, u) == pytest.approx(4.0)
 
     def test_rejects_non_spd(self):
         with pytest.raises(ValueError):
@@ -242,7 +247,7 @@ class TestHarmonicPerturbation:
     def test_odd_part_cancels_from_width(self):
         body = HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (0.5, -0.3, 0.1), 0.1)
         for u in haar_directions(3, 50, as_rng(4)):
-            assert body.width(u) == pytest.approx(2.0, abs=1e-12)
+            assert width(body, u) == pytest.approx(2.0, abs=1e-12)
 
     def test_support_formula(self):
         body = HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (1.0,), 0.25)

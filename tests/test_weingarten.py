@@ -12,8 +12,9 @@ from brightlab.body import (
 )
 from brightlab.errors import PreconditionError
 from brightlab.multilinear import SymKForm, compound, polarization_check
-from brightlab.sampling import as_rng, haar_directions
+from brightlab.sampling import as_rng, haar_directions, hemisphere_grid
 from brightlab.weingarten import (
+    _search_objective,
     antipodal_search,
     det_ratio_constancy,
     relative_maps,
@@ -54,6 +55,15 @@ ANTIPODAL_PERTURBED = {
     1: (628, [0.999999999998876, 1.4993268928010544e-06, -5.320276062510212e-10]),
 }
 
+ANTIPODAL_PAIRS = [
+    (E4, Ellipsoid(np.diag([1.44, 0.81, 1.0, 0.49])), ANTIPODAL_ELLIPSOIDS),
+    (
+        HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (0.0, 0.3), 0.2),
+        Ellipsoid(np.diag([1.0, 1.44, 0.81])),
+        ANTIPODAL_PERTURBED,
+    ),
+]
+
 
 def wedge_defect_oracle(body, base, k, beta, u):
     """The wedge identity defect at one direction, one map at a time."""
@@ -63,6 +73,46 @@ def wedge_defect_oracle(body, base, k, beta, u):
     l0 = reverse_weingarten(base, u[None], frame)[0]
     lhs = compound(lu, k) + compound(lmu, k)
     return np.linalg.norm(lhs - 2.0 * beta * compound(l0, k), 2)
+
+
+def _poll(start, move):
+    cand = start + move
+    return cand / np.linalg.norm(cand)
+
+
+def compass_oracle(body, base, seed, budget=4000, objective="umbilic"):
+    """``antipodal_search``'s grid and compass, scoring one poll per objective call.
+
+    Returns the evaluation count, the final point and the walk: one
+    (sweep start, moves, poll index, accepted) entry per scored poll, where
+    poll i of a sweep sits at normalize(point + moves[i]).
+    """
+    n = body.dim
+    grid = hemisphere_grid(n, max(8, budget // 4), seed)
+    values = _search_objective(body, base, grid, objective)
+    evals = len(grid)
+    best_u, best_f = grid[0], values[0]
+    for u, val in zip(grid[1:], values[1:]):
+        if val < best_f - max(1e-18, 1e-12 * best_f):
+            best_f, best_u = val, u
+    walk = []
+    step = 0.5
+    while step > 1e-7 and evals + 2 * (n - 1) <= budget:
+        improved = False
+        frame = tangent_frames(best_u[None])[0].T
+        moves = [sign * step * b for b in frame for sign in (1.0, -1.0)]
+        for i, move in enumerate(moves):
+            cand = _poll(best_u, move)
+            val = _search_objective(body, base, cand[None], objective)[0]
+            evals += 1
+            accepted = val < best_f - max(1e-18, 1e-12 * best_f)
+            walk.append((best_u, moves, i, accepted))
+            if accepted:
+                best_f, best_u = val, cand
+                improved = True
+        if not improved:
+            step *= 0.5
+    return evals, best_u, walk
 
 
 class DentedBall(Ball):
@@ -296,17 +346,7 @@ class TestUmbilic:
         assert res.evaluations == evaluations
         np.testing.assert_allclose(res.umbilic.u0, u0, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "body, base, pins",
-        [
-            (E4, Ellipsoid(np.diag([1.44, 0.81, 1.0, 0.49])), ANTIPODAL_ELLIPSOIDS),
-            (
-                HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (0.0, 0.3), 0.2),
-                Ellipsoid(np.diag([1.0, 1.44, 0.81])),
-                ANTIPODAL_PERTURBED,
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("body, base, pins", ANTIPODAL_PAIRS)
     def test_antipodal_objective_pinned(self, body, base, pins):
         for seed, (evaluations, u0) in pins.items():
             res = antipodal_search(body, base, seed=seed, budget=2000, objective="antipodal")
@@ -322,6 +362,55 @@ class TestUmbilic:
         base = DentedBall(3, [(grid[9], -0.5), (-grid[4], -2.0)])
         with pytest.raises(PreconditionError, match="smallest eigenvalue -2.000000e"):
             antipodal_search(Ball(3, 2.0), base, seed=5, budget=640)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_stacked_compass_matches_one_poll_compass(self, seed):
+        evaluations, u0, _ = compass_oracle(SPHEROID_5D, Ball(5, 1.0), seed)
+        res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=seed)
+        assert res.evaluations == evaluations
+        assert np.array_equal(res.umbilic.u0, u0)
+        assert res.objective_rows >= evaluations
+
+    @pytest.mark.parametrize("pair", [0, 1])
+    def test_stacked_compass_matches_one_poll_compass_antipodal(self, pair):
+        body, base = ANTIPODAL_PAIRS[pair][:2]
+        for seed in range(4):
+            evaluations, u0, _ = compass_oracle(body, base, seed, 2000, "antipodal")
+            res = antipodal_search(body, base, seed=seed, budget=2000, objective="antipodal")
+            assert res.evaluations == evaluations
+            assert np.array_equal(res.umbilic.u0, u0)
+
+    def test_compass_batches_its_polls(self):
+        first, again = (antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=1) for _ in range(2))
+        # at most one call for the grid, one per sweep and one after each accepted poll
+        assert first.objective_calls <= 60
+        assert (first.objective_calls, first.objective_rows) == (
+            again.objective_calls,
+            again.objective_rows,
+        )
+
+    def test_degenerate_base_at_unwalked_poll_does_not_raise(self):
+        body = HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (0.3, -0.2), 0.1)
+        clean = antipodal_search(body, DentedBall(3, []), seed=5, budget=640)
+        start, moves, i, accepted = compass_oracle(body, DentedBall(3, []), 5, budget=640)[2][0]
+        assert accepted and i == 0
+        # poll 1 from the sweep's start is scored speculatively alongside poll
+        # 0; after poll 0 is accepted the walk moves on from the new point
+        base = DentedBall(3, [(_poll(start, moves[1]), -2.0)])
+        evaluations, u0, _ = compass_oracle(body, base, 5, budget=640)
+        res = antipodal_search(body, base, seed=5, budget=640)
+        assert res.evaluations == evaluations == clean.evaluations
+        assert np.array_equal(res.umbilic.u0, u0)
+        # the batch that met the dent was scored again poll by poll
+        assert res.objective_calls > clean.objective_calls
+
+    def test_degenerate_base_at_walked_poll_raises(self):
+        body = HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (0.3, -0.2), 0.1)
+        start, moves, i, _ = compass_oracle(body, DentedBall(3, []), 5, budget=640)[2][2]
+        base = DentedBall(3, [(_poll(start, moves[i]), -2.0)])
+        for search in (compass_oracle, antipodal_search):
+            with pytest.raises(PreconditionError, match="smallest eigenvalue -2.000000e"):
+                search(body, base, seed=5, budget=640)
 
     def test_search_argument_validation(self):
         with pytest.raises(ValueError):
