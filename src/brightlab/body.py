@@ -13,8 +13,8 @@ array of unit directions and returns the tuple (values (m,), gradients
 direction and returns a ``SupportJet``.  Both refuse directions that are
 not unit length.  Each family also keeps its scalar ``support(x)``, the
 independent oracle that ``finite_difference_jet`` differentiates.
-``Revolution`` calls its profile callables on arrays of t, so profiles must
-accept numpy arrays.
+``Revolution`` calls its profile g and its derivatives dg and ddg, all
+required, on arrays of t, so they must accept numpy arrays.
 
 Bodies are immutable value objects; jets are recomputed on demand, never
 cached.  ``FAMILIES`` maps each document family name to its class; those
@@ -26,13 +26,13 @@ takes a user-supplied profile and does not serialize.
 from __future__ import annotations
 
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
 
 from .sampling import as_rng
-from .weingarten import _restrict_all, _unit_rows, tangent_frames
+from .weingarten import _restrict_all, _symmetrized, _unit_rows, tangent_frames
 
 __all__ = [
     "SupportJet",
@@ -72,10 +72,6 @@ def _as_direction(u) -> np.ndarray:
 def _outers(a: np.ndarray) -> np.ndarray:
     """Stacked outer products a[i] a[i]^T of the rows of a."""
     return a[:, :, None] * a[:, None, :]
-
-
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.swapaxes(m, 1, 2))
 
 
 def _unitize(v, name: str) -> tuple[float, ...]:
@@ -257,17 +253,11 @@ class Spheroid(ConvexBody):
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Support profile g with its first two derivatives.
-
-    ``Revolution`` refuses profiles missing derivatives unless
-    ``numeric_derivatives=True`` is passed explicitly; the numeric fallback
-    uses 1-d central differences and is documented as less accurate.
-    """
+    """Support profile g with its first two derivatives dg and ddg, all required."""
 
     g: Callable[[float], float]
-    dg: Optional[Callable[[float], float]] = None
-    ddg: Optional[Callable[[float], float]] = None
-    label: str = ""
+    dg: Callable[[float], float]
+    ddg: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -276,19 +266,11 @@ class Revolution(ConvexBody):
 
     axis: tuple[float, ...]
     profile: RadialProfile
-    numeric_derivatives: bool = False
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         object.__setattr__(self, "axis", _unitize(self.axis, "axis"))
         if len(self.axis) < 2:
             raise ValueError("dimension must be at least 2")
-        missing = self.profile.dg is None or self.profile.ddg is None
-        if missing and not self.numeric_derivatives:
-            raise ValueError(
-                "profile derivatives are required; pass numeric_derivatives="
-                "True to opt into finite-difference profile derivatives"
-            )
 
     @property
     def dim(self) -> int:
@@ -298,22 +280,13 @@ class Revolution(ConvexBody):
     def axis_vector(self) -> np.ndarray:
         return np.asarray(self.axis, dtype=float)
 
-    def _derivatives(self):
-        g = self.profile.g
-        dg, ddg = self.profile.dg, self.profile.ddg
-        s = self.fd_step
-        if dg is None:
-            dg = lambda t: (g(t + s) - g(t - s)) / (2 * s)  # noqa: E731
-        if ddg is None:
-            ddg = lambda t: (g(t + s) - 2 * g(t) + g(t - s)) / s**2  # noqa: E731
-        return g, dg, ddg
-
     def support(self, x) -> float:
         x = _as_point(x)
         return _revolution_support(x, self.axis_vector, self.profile.g)
 
     def jets(self, u):
-        return _revolution_jets(_unit_rows(u), self.axis_vector, *self._derivatives())
+        p = self.profile
+        return _revolution_jets(_unit_rows(u), self.axis_vector, p.g, p.dg, p.ddg)
 
     @property
     def revolution_axis(self) -> np.ndarray:
@@ -538,18 +511,18 @@ class Erosion(ConvexBody):
 # finite differences and validation
 
 
-def finite_difference_jet(body, u, step: float = 1e-5, dtype=np.longdouble) -> SupportJet:
+def finite_difference_jet(body, u) -> SupportJet:
     """Central-difference jet of the support function, an analytic-free oracle.
 
-    Differences are taken on the homogeneous extension at the unit direction
-    u with the given step.  By default the stencil is evaluated in extended
-    precision so the second-difference roundoff stays far below the
-    truncation error at step 1e-5; pass ``dtype=np.float64`` to measure the
-    plain double-precision stencil.  The Hessian is symmetrized entrywise.
+    Differences of step 1e-5 are taken on the homogeneous extension at the
+    unit direction u.  The stencil is evaluated in extended precision
+    (``np.longdouble``) so the second-difference roundoff stays far below
+    the truncation error.  The Hessian is symmetrized entrywise.
     """
+    dtype = np.longdouble
     u = np.asarray(_as_direction(u), dtype=dtype)
     n = u.size
-    h = dtype(step)
+    h = dtype(1e-5)
 
     def f(x):
         return body.support(x)
@@ -589,8 +562,6 @@ class ValidationReport:
     max_radius: float
     argmin_direction: np.ndarray
     is_c2_plus: bool
-    samples: int
-    seed: object = field(default=None, compare=False)
 
 
 def validate(body, samples: int = 128, seed=0) -> ValidationReport:
@@ -613,8 +584,6 @@ def validate(body, samples: int = 128, seed=0) -> ValidationReport:
         max_radius=float(radii[:, -1].max()),
         argmin_direction=dirs[first],
         is_c2_plus=bool(min_radius > 0.0),
-        samples=samples,
-        seed=seed,
     )
 
 

@@ -341,12 +341,12 @@ def _run_lemma_campaign(params: dict, seed: int):
         k = 1 if params["k"] is None else params["k"]
         m, n = params["m"], params["n"]
         wanted = params["solutions"]
-        cset = enumerate_candidates(a, b, k, m, n)
+        cands = enumerate_candidates(a, b, k, m, n)
         found = find_hypothesis_solutions(a, b, k, m, n, wanted, seed=seed)
         worst = 0.0
         rows = [("solution", "residual", "worst_candidate_distance")]
         for idx, inst in enumerate(found):
-            dist = match_candidates(inst.y, cset)
+            dist = match_candidates(inst.y, cands)
             worst = max(worst, dist)
             rows.append((idx, f"{hypothesis_residual(inst).max():.3e}", f"{dist:.3e}"))
         checks = [
@@ -355,7 +355,7 @@ def _run_lemma_campaign(params: dict, seed: int):
         ]
         extras = {
             "solutions_found": len(found),
-            "candidate_values": [float(v) for v in cset.values()],
+            "candidate_values": sorted({round(float(v), 12) for v in cands}),
             "restarts": found.restarts,
             "gauss_newton_steps": found.gauss_newton_steps,
         }

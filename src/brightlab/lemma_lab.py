@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -45,8 +45,6 @@ from .sampling import as_rng, median
 
 __all__ = [
     "RelationInstance",
-    "Candidate",
-    "CandidateSet",
     "HypothesisResiduals",
     "RelationAudit",
     "AntipodalCheckResult",
@@ -93,10 +91,6 @@ class RelationInstance:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    @property
-    def size(self) -> int:
-        return len(self.x)
-
 
 class HypothesisResiduals(NamedTuple):
     k_residual: float
@@ -125,19 +119,13 @@ def hypothesis_residual(inst: RelationInstance) -> HypothesisResiduals:
     return HypothesisResiduals(float(res_k.max()), float(res_m.max()))
 
 
-def ratio_conclusion_check(
-    inst: RelationInstance,
-    tol: float = 1e-10,
-    ratio_tol: Optional[float] = None,
-    margin: float = 1e-9,
-) -> bool:
+def ratio_conclusion_check(inst: RelationInstance, tol: float = 1e-10) -> bool:
     """Check the forced conclusion x_i / y_i = constant.
 
     Preconditions: hypothesis residuals below ``tol`` and the margin
-    |a^m - b^k| >= ``margin`` * scale (the one-parameter family shows the
+    |a^m - b^k| >= 1e-9 * scale (the one-parameter family shows the
     conclusion genuinely fails without it).  The deviation tolerance for the
-    ratios defaults to sqrt(tol) since residual perturbations propagate
-    nonlinearly.
+    ratios is sqrt(tol), since residual perturbations propagate nonlinearly.
     """
     res = hypothesis_residual(inst)
     if res.max() > tol:
@@ -146,19 +134,18 @@ def ratio_conclusion_check(
         )
     gap = abs(inst.a**inst.m - inst.b**inst.k)
     scale = max(1.0, abs(inst.a) ** inst.m, abs(inst.b) ** inst.k)
-    if gap < margin * scale:
+    if gap < 1e-9 * scale:
         raise PreconditionError(
-            f"degenerate exponent margin: |a^m - b^k| = {gap:.3e} < {margin * scale:.3e}"
+            f"degenerate exponent margin: |a^m - b^k| = {gap:.3e} < {1e-9 * scale:.3e}"
         )
-    if ratio_tol is None:
-        ratio_tol = float(np.sqrt(tol))
+    ratio_tol = float(np.sqrt(tol))
     ratios = np.asarray(inst.x) / np.asarray(inst.y)
     med = median(ratios)
     return bool(np.abs(ratios - med).max() <= ratio_tol * max(1.0, abs(med)))
 
 
-def infinite_family(t: float, n: int, k: int = 2, m: Optional[int] = None) -> RelationInstance:
-    """Non-constant exact solutions in the degenerate case a = b = 1.
+def infinite_family(t: float, n: int) -> RelationInstance:
+    """Non-constant exact solutions in the degenerate case a = b = 1, at k = 2, m = N - 1.
 
     x = (1, ..., 1, t) and y = (1, ..., 1, 2 - t) satisfy both equation
     levels exactly for every subset size: any subset avoiding the last slot
@@ -170,11 +157,9 @@ def infinite_family(t: float, n: int, k: int = 2, m: Optional[int] = None) -> Re
         raise ValueError("t must lie in (0, 2) to keep all entries positive")
     if n < 3:
         raise ValueError("need N >= 3")
-    if m is None:
-        m = n - 1
     x = (1.0,) * (n - 1) + (float(t),)
     y = (1.0,) * (n - 1) + (float(2.0 - t),)
-    return RelationInstance(x, y, 1.0, 1.0, k, m)
+    return RelationInstance(x, y, 1.0, 1.0, 2, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +182,18 @@ def _power(x: float, e) -> float:
         return math.inf
 
 
-def _positive_real_roots(coeffs: list[Fraction], imag_tol: float = 1e-9) -> list[float]:
-    """Positive real roots via companion-matrix eigenvalues (ascending coeffs)."""
+def _positive_real_roots(coeffs: list[Fraction]) -> list[float]:
+    """Positive real roots via companion-matrix eigenvalues (ascending coeffs).
+
+    A root counts as real when its imaginary part is at most 1e-9 (1 + |real part|).
+    """
     c = P.polytrim(np.array(coeffs, dtype=float))
     if c.size <= 1 or not np.any(c[1:]):
         return []
     roots = P.polyroots(c)
     out = []
     for r in roots:
-        if abs(r.imag) <= imag_tol * (1.0 + abs(r.real)) and r.real > 1e-12:
+        if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real)) and r.real > 1e-12:
             out.append(float(r.real))
     return sorted(out)
 
@@ -245,30 +233,11 @@ def _proportional_poly(a: Fraction, b: Fraction, k: int, n: int) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class Candidate:
-    value: float
-    branch: str
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Finite set of admissible y-values with branch provenance."""
-
-    candidates: tuple
-    a: float
-    b: float
-    k: int
-    m: int
-    size: int
-
-    def values(self) -> np.ndarray:
-        vals = sorted({round(c.value, 12) for c in self.candidates})
-        return np.asarray(vals)
-
-
-def enumerate_candidates(a: float, b: float, k: int, m: int, n: int) -> CandidateSet:
+def enumerate_candidates(a: float, b: float, k: int, m: int, n: int) -> np.ndarray:
     """Enumerate the finite candidate set for y-values when m = N - 1.
+
+    Returns the candidates as a 1-D float array, branch by branch in the
+    order below; a value may repeat.
 
     Branches, ordered as in the constancy proof:
 
@@ -308,16 +277,16 @@ def enumerate_candidates(a: float, b: float, k: int, m: int, n: int) -> Candidat
         )
     fa, fb = Fraction(a), Fraction(b)
     two_a = 2.0 * a
-    cands: list[Candidate] = []
+    cands: list[float] = []
 
-    def push(value: float, branch: str):
+    def push(value: float):
         if value > 1e-12 and np.isfinite(value):
-            cands.append(Candidate(float(value), branch))
+            cands.append(float(value))
 
     if k == 1:
         const_roots = _positive_real_roots(_constant_level_poly(fa, fb, n))
         for z in const_roots:
-            push(z, "constant")
+            push(z)
         # singleton split: repeated value z2 solves the constant-level
         # polynomial, the lone value z1 a linear equation
         for z2 in const_roots:
@@ -326,14 +295,14 @@ def enumerate_candidates(a: float, b: float, k: int, m: int, n: int) -> Candidat
                 continue
             z1 = (2.0 * b - two_a * (two_a - z2) ** (n - 2)) / denom
             if z1 >= -1e-12:
-                push(two_a - z1, "singleton-split")
-            push(two_a - z2, "singleton-split")
+                push(two_a - z1)
+            push(two_a - z2)
         for l in range(2, n - 1):
             for t in _positive_real_roots(case2_polynomial(a, b, l, n)):
                 z1 = two_a / (1.0 + t ** (n - l - 1))
                 z2 = two_a * t ** (l - 1) / (1.0 + t ** (l - 1))
-                push(two_a - z1, f"split-l{l}")
-                push(two_a - z2, f"split-l{l}")
+                push(two_a - z1)
+                push(two_a - z2)
     else:
         for x in _positive_real_roots(_proportional_poly(fa, fb, k, n)):
             rest_a = 2.0 * a - x**k
@@ -343,21 +312,21 @@ def enumerate_candidates(a: float, b: float, k: int, m: int, n: int) -> Candidat
             y = rest_a ** (1.0 / k)
             if abs(y ** (n - 1) - rest_b) > 1e-7 * max(1.0, abs(rest_b)):
                 continue
-            push(y, "proportional")
-            push(x, "proportional")
+            push(y)
+            push(x)
 
     # a vanishing x entry pins the complementary y-values
     if n - 1 - k >= 1:
         y_star = (b / a) ** (1.0 / (n - 1 - k))
-        push(y_star, "zero-slot")
-        push(2.0 * a / y_star ** (k - 1), "zero-slot")
+        push(y_star)
+        push(2.0 * a / y_star ** (k - 1))
 
-    return CandidateSet(tuple(cands), a, b, k, m, n)
+    return np.asarray(cands, dtype=float)
 
 
-def match_candidates(values, cset: CandidateSet) -> float:
-    """Worst distance from each value to its nearest candidate."""
-    cand = np.asarray([c.value for c in cset.candidates])
+def match_candidates(values, cands) -> float:
+    """Worst distance from each value to its nearest candidate in ``cands``."""
+    cand = np.asarray(cands, dtype=float)
     vals = np.atleast_1d(np.asarray(values, dtype=float))
     return float(max(np.abs(cand - v).min() for v in vals))
 
@@ -658,15 +627,13 @@ class AntipodalCheckResult(NamedTuple):
     is_constant: bool
 
 
-def antipodal_product_check(
-    x, gamma: float, k: int, tol: float = 1e-10, spread_tol: Optional[float] = None
-) -> AntipodalCheckResult:
+def antipodal_product_check(x, gamma: float, k: int, tol: float = 1e-10) -> AntipodalCheckResult:
     """Check x_I + x_{I*} = 2 gamma for all |I| = k with mirrored I*.
 
     ``x`` must be sorted ascending and positive with M = len(x) >= 4 and
     2 <= k <= M - 2.  If every equation holds within ``tol`` the vector is
-    asserted constant within ``spread_tol`` (default sqrt(tol) scaled);
-    the returned tuple reports the worst residual and the actual spread.
+    asserted constant within sqrt(tol) max(1, x_M); the returned tuple
+    reports the worst residual and the actual spread.
     """
     x = np.asarray(x, dtype=float)
     _antipodal_subset_count(x.size, k)
@@ -678,8 +645,7 @@ def antipodal_product_check(
     residual = float(_antipodal_residual(hi, lo, gamma)[0])
     holds = residual <= tol
     spread = float(x[-1] - x[0])
-    if spread_tol is None:
-        spread_tol = float(np.sqrt(tol)) * max(1.0, float(x[-1]))
+    spread_tol = float(np.sqrt(tol)) * max(1.0, float(x[-1]))
     return AntipodalCheckResult(holds, residual, spread, spread <= spread_tol)
 
 
@@ -765,13 +731,13 @@ class RelationAudit(NamedTuple):
     antitone_ok: bool
 
 
-def eigenvalue_relation_audit(r, r_tilde, k: int, beta: float, slack: float = 1e-9) -> RelationAudit:
+def eigenvalue_relation_audit(r, r_tilde, k: int, beta: float) -> RelationAudit:
     """Audit r_I + r~_I = 2 beta over all |I| = k plus the pairing shape.
 
     For an ascending profile r paired with an antipodal profile r~ the
     product relations force r~ to be non-increasing; the audit reports the
     worst product defect and whether that monotone pairing holds within
-    ``slack``.
+    1e-9 max(1, max |r~|).
     """
     r = np.asarray(r, dtype=float)
     rt = np.asarray(r_tilde, dtype=float)
@@ -781,5 +747,5 @@ def eigenvalue_relation_audit(r, r_tilde, k: int, beta: float, slack: float = 1e
         raise ValueError("grade out of range")
     defect = float(np.abs(_level_residuals(r, rt, k, 2 * beta)).max())
     scale = max(1.0, float(np.abs(rt).max()))
-    antitone = bool(np.all(np.diff(rt) <= slack * scale))
+    antitone = bool(np.all(np.diff(rt) <= 1e-9 * scale))
     return RelationAudit(defect, antitone)

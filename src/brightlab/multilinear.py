@@ -327,7 +327,6 @@ def polarization_check(
     tol: float = 1e-10,
     seed=0,
     bianchi_samples: int = 16,
-    entry_tol: float | None = None,
 ) -> PolarizationResult:
     """Decide entrywise equality of two Bianchi forms from decomposables only.
 
@@ -337,16 +336,15 @@ def polarization_check(
     nothing (the alternating square form is the standard counterexample).
     If the quadratic values agree within ``tol`` on all sampled unit
     decomposables (every basis k-vector plus ``trials`` random frames), the
-    forms are asserted equal entrywise within ``entry_tol`` (default
-    ``100 * tol``); a violation of that assertion raises
+    forms are asserted equal entrywise within ``100 * tol``; a violation of
+    that assertion raises
     InternalInconsistencyError.  The maximal entry difference is returned.
     """
     if (a.m, a.k) != (b.m, b.k):
         raise ValueError("forms live on different spaces")
     if a.k < 2:
         raise ValueError("polarization over decomposables needs k >= 2")
-    if entry_tol is None:
-        entry_tol = 100.0 * tol
+    entry_tol = 100.0 * tol
     rng = as_rng(seed)
     defect_a = _sample_bianchi(a, rng, bianchi_samples)
     defect_b = _sample_bianchi(b, rng, bianchi_samples)
@@ -459,20 +457,13 @@ def _cluster_spans(values: np.ndarray, rel_tol: float) -> list[slice]:
     return spans
 
 
-def common_eigenbasis(
-    g,
-    h,
-    k: int,
-    beta: float,
-    tol: float = 1e-10,
-    cluster_rel_tol: float = 1e-7,
-) -> CommonEigenbasis:
+def common_eigenbasis(g, h, k: int, beta: float, tol: float = 1e-10) -> CommonEigenbasis:
     """Simultaneously diagonalize G and H given wedge^k G + wedge^k H = beta Id.
 
     The hypothesis is verified first (operator-norm defect below ``tol``,
     else PreconditionError quoting the measured defect).  Under it the two
     maps commute, so diagonalizing G and then diagonalizing H inside each
-    eigenvalue cluster of G (relative gap ``cluster_rel_tol``) produces a
+    eigenvalue cluster of G (relative gap 1e-7) produces a
     common orthonormal eigenbasis.  For k >= 2 at least one of the maps must
     be nonsingular; the returned flag names one such map, and a pair that
     looks jointly singular raises InternalInconsistencyError.
@@ -503,7 +494,7 @@ def common_eigenbasis(
 
     vals_g, vecs = np.linalg.eigh(g)
     basis = vecs.copy()
-    for span in _cluster_spans(vals_g, cluster_rel_tol):
+    for span in _cluster_spans(vals_g, 1e-7):
         block = basis[:, span]
         restricted = block.T @ h @ block
         restricted = 0.5 * (restricted + restricted.T)

@@ -247,7 +247,6 @@ class ProportionalityReport:
     ratios: np.ndarray
     max_rel_deviation: float
     excluded: int
-    seed: object
 
 
 def proportionality_test(
@@ -273,7 +272,7 @@ def proportionality_test(
     ratios = np.asarray(ratios)
     alpha = median(ratios)
     max_rel = float(np.abs(ratios / alpha - 1.0).max())
-    return ProportionalityReport(alpha, ratios, max_rel, excluded, seed)
+    return ProportionalityReport(alpha, ratios, max_rel, excluded)
 
 
 def ratio_consistency_check(

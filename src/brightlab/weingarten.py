@@ -105,10 +105,14 @@ def tangent_frames(u) -> np.ndarray:
 # maps
 
 
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """(M + M^T) / 2 for each slice of an (m, d, d) stack."""
+    return 0.5 * (m + np.swapaxes(m, 1, 2))
+
+
 def _restrict_all(hessians: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """B^T H B, symmetrized, for each (hessian, basis) slice of the two stacks."""
-    m = np.swapaxes(bases, 1, 2) @ hessians @ bases
-    return 0.5 * (m + np.swapaxes(m, 1, 2))
+    return _symmetrized(np.swapaxes(bases, 1, 2) @ hessians @ bases)
 
 
 def reverse_weingarten(body, u, bases=None) -> np.ndarray:
@@ -150,32 +154,31 @@ def relative_maps(body, base, u, bases=None) -> np.ndarray:
     if bases is None:
         bases = tangent_frames(u)
     s = _psd_inv_sqrt(reverse_weingarten(base, u, bases), "base reverse Weingarten map")
-    m = s @ reverse_weingarten(body, u, bases) @ s
-    return 0.5 * (m + np.swapaxes(m, 1, 2))
+    return _symmetrized(s @ reverse_weingarten(body, u, bases) @ s)
 
 
-def _check_symmetric_body(base, u: np.ndarray, rng, tol: float = 1e-9) -> None:
-    """Verify h0(v) = h0(-v) on the rows of u plus 8 Haar directions drawn from rng."""
-    v = np.vstack([u, haar_directions(base.dim, 8, rng)])
+def _check_symmetric_body(base, u: np.ndarray) -> None:
+    """Verify h0(v) = h0(-v), to 1e-9 relative, on the rows of u plus 8 Haar directions of seed 0."""
+    v = np.vstack([u, haar_directions(base.dim, 8, as_rng(0))])
     hv, hmv = np.split(base.jets(np.vstack([v, -v]))[0], 2)
     worst = float(np.max(np.abs(hv - hmv) / np.maximum(1.0, np.abs(hv))))
-    if worst > tol:
+    if worst > 1e-9:
         raise PreconditionError(
             f"base body is not centrally symmetric: relative support gap {worst:.3e}"
         )
 
 
-def wedge_identity_defects(body, base, k: int, beta: float, u, seed=0) -> np.ndarray:
+def wedge_identity_defects(body, base, k: int, beta: float, u) -> np.ndarray:
     """Operator-norm defects of wedge^k L(u) + wedge^k L(-u) = 2 beta wedge^k L0(u).
 
     One defect per row of the (m, n) array u, from one batched pass: the
     jets at +-u, the frames built at u (reused at -u), the restricted
     Hessians, their stacked k-th compounds and a stacked 2-norm.  The base
     body must be centrally symmetric; this is checked once, on the rows of u
-    and 8 Haar directions drawn from ``seed``.
+    and 8 Haar directions drawn from seed 0.
     """
     u = _unit_rows(u)
-    _check_symmetric_body(base, u, as_rng(seed))
+    _check_symmetric_body(base, u)
     bases = tangent_frames(u)
     hessians = np.concatenate([body.jets(np.vstack([u, -u]))[2], base.jets(u)[2]])
     maps = _restrict_all(hessians, np.concatenate([bases, bases, bases]))
@@ -189,24 +192,22 @@ def _antipodal_maps(body, base, u: np.ndarray) -> np.ndarray:
     return relative_maps(body, base, np.stack([u, -u]), np.stack([basis, basis]))
 
 
-def relative_wedge_defect(
-    body, base, k: int, beta: float, u, seed=0, tol: float = 1e-8
-) -> float:
+def relative_wedge_defect(body, base, k: int, beta: float, u) -> float:
     """Defect of wedge^k M(u) + wedge^k M(-u) = 2 beta Id for relative maps.
 
-    When the defect is below ``tol`` and k <= n-2, the simultaneous
+    When the defect is at most 1e-8 and k <= n-2, the simultaneous
     diagonalizability that the identity forces is verified by delegating to
     ``multilinear.common_eigenbasis`` (an InternalInconsistencyError there
     would signal a genuine contradiction).
     """
     u = np.asarray(u, dtype=float)
-    _check_symmetric_body(base, u[None], as_rng(seed))
+    _check_symmetric_body(base, u[None])
     mu, mmu = _antipodal_maps(body, base, u)
     lhs = multilinear.compound(mu, k) + multilinear.compound(mmu, k)
     defect = float(np.linalg.norm(lhs - 2.0 * beta * np.eye(lhs.shape[0]), 2))
     n = body.dim
-    if defect <= tol and k <= n - 2:
-        multilinear.common_eigenbasis(mu, mmu, k, 2.0 * beta, tol=max(tol, 2.0 * defect))
+    if defect <= 1e-8 and k <= n - 2:
+        multilinear.common_eigenbasis(mu, mmu, k, 2.0 * beta, tol=max(1e-8, 2.0 * defect))
     return defect
 
 
@@ -475,24 +476,13 @@ def revolution_relations_check(
     body, base, i: int, alpha: float, beta: float, u
 ) -> RevolutionRelationDefects:
     """Evaluate the three equatorial relations and their consequence."""
-    ax_body = _declared_axis(body) if not getattr(body, "isotropic", False) else None
-    ax_base = _declared_axis(base) if not getattr(base, "isotropic", False) else None
-    if ax_body is None and ax_base is None:
-        axis = None
-        for b in (body, base):
-            cand = _declared_axis(b)
-            if cand is not None:
-                axis = cand
-        if axis is None:
-            raise ValueError("neither body declares a revolution axis")
-    elif ax_body is None:
-        axis = ax_base
-    elif ax_base is None:
-        axis = ax_body
-    else:
-        if abs(float(ax_body @ ax_base)) < 1 - 1e-10:
-            raise ValueError("bodies do not share a revolution axis")
-        axis = ax_body
+    axes = [_declared_axis(b) for b in (body, base) if not getattr(b, "isotropic", False)]
+    axes = [ax for ax in axes if ax is not None]
+    if not axes:
+        raise ValueError("neither body declares a revolution axis")
+    if len(axes) == 2 and abs(float(axes[0] @ axes[1])) < 1 - 1e-10:
+        raise ValueError("bodies do not share a revolution axis")
+    axis = axes[0]
     n = body.dim
     if not (1 <= i <= n - 2):
         raise ValueError(f"grade i={i} must satisfy 1 <= i <= n-2")
@@ -522,7 +512,6 @@ class DetRatioReport:
     mean: float
     max_rel_deviation: float
     ratios: np.ndarray
-    seed: object
 
 
 def det_ratio_constancy(body, base, samples: int = 64, seed=0) -> DetRatioReport:
@@ -540,4 +529,4 @@ def det_ratio_constancy(body, base, samples: int = 64, seed=0) -> DetRatioReport
     ratios = det_body / det_base
     mean = float(ratios.mean())
     max_rel = float(np.abs(ratios / mean - 1.0).max()) if mean != 0 else np.inf
-    return DetRatioReport(mean, max_rel, ratios, seed)
+    return DetRatioReport(mean, max_rel, ratios)

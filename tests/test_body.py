@@ -56,7 +56,7 @@ def spheroid_profile(a: float, b: float) -> RadialProfile:
     def ddg(t):
         return d / g(t) - (d * t) ** 2 / g(t) ** 3
 
-    return RadialProfile(g, dg, ddg, label=f"spheroid a={a} b={b}")
+    return RadialProfile(g, dg, ddg)
 
 
 def all_families():
@@ -74,12 +74,9 @@ def all_families():
 
 
 def batched_bodies():
-    """Every sample family, the numeric-derivative revolution, and a shadow."""
+    """Every sample family and a shadow."""
     return [
         *all_families(),
-        Revolution(
-            (0.0, 0.0, 1.0), RadialProfile(spheroid_profile(1.0, 0.8).g), numeric_derivatives=True
-        ),
         project(Homothet(E4, 0.7, (0.1, 0.0, -0.2, 0.0)), random_subspace(4, 3, 0)),
     ]
 
@@ -96,13 +93,7 @@ class TestJetStructure:
             assert np.abs(jet.hessian @ u).max() < 1e-9 * max(1.0, jet.value)
             assert np.allclose(jet.hessian, jet.hessian.T)
 
-    # the numeric-derivative revolution differs from its own finite
-    # differences by about 1.6e-4; test_numeric_derivatives_track_analytic covers it
-    @pytest.mark.parametrize(
-        "body",
-        [b for b in batched_bodies() if not getattr(b, "numeric_derivatives", False)],
-        ids=lambda b: type(b).__name__,
-    )
+    @pytest.mark.parametrize("body", batched_bodies(), ids=lambda b: type(b).__name__)
     def test_jets_match_finite_differences(self, body):
         dirs = haar_directions(body.dim, 10, as_rng(1))
         for u, grad, hess in zip(dirs, *body.jets(dirs)[1:]):
@@ -224,23 +215,12 @@ class TestBatchedJets:
 
 class TestRevolution:
     def test_requires_explicit_numeric_opt_in(self):
-        profile = RadialProfile(lambda t: np.sqrt(1 + t * t))
-        with pytest.raises(ValueError):
-            Revolution((0.0, 1.0), profile)
-        body = Revolution((0.0, 1.0), profile, numeric_derivatives=True)
-        jet = body.jet(np.array([0.0, 1.0]))
-        assert jet.value == pytest.approx(np.sqrt(2.0))
-
-    def test_numeric_derivatives_track_analytic(self):
-        exact = Revolution((0.0, 0.0, 1.0), spheroid_profile(1.0, 0.8))
-        numeric = Revolution(
-            (0.0, 0.0, 1.0),
-            RadialProfile(spheroid_profile(1.0, 0.8).g),
-            numeric_derivatives=True,
-        )
-        for u in haar_directions(3, 10, as_rng(3)):
-            a, b = exact.jet(u), numeric.jet(u)
-            assert np.abs(a.hessian - b.hessian).max() < 1e-3
+        # there is no numeric fallback: a profile without dg and ddg is refused
+        g = spheroid_profile(1.0, 0.8).g
+        with pytest.raises(TypeError):
+            RadialProfile(g)
+        with pytest.raises(TypeError):
+            RadialProfile(g, dg=spheroid_profile(1.0, 0.8).dg)
 
 
 class TestHarmonicPerturbation:

@@ -556,6 +556,15 @@ class TestScenarios:
         assert report["extras"]["r0"] == pytest.approx(1.0 / 1.4, abs=1e-6)
         assert abs(report["extras"]["u0"][-1]) > 0.999
 
+    def test_wrong_beta_config_fails_every_grade(self, tmp_path):
+        # the shipped pair against betas 1e-3 above scale**k: a negative control
+        config = str(ROOT / "scripts" / "configs" / "verify_wedge_wrong_beta.json")
+        out = tmp_path / "w.json"
+        assert cli.main(["verify-wedge", "--config", config, "--seed", "1", "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["name"] for c in checks] == ["wedge_defect_k1", "wedge_defect_k2", "wedge_defect_k3"]
+        assert all(not c["pass"] and c["value"] > 1e-4 for c in checks)
+
     def test_ratio_e48_default_pair(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"num_frames": 6, "nodes": 64})
         proc = run_cli(

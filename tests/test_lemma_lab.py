@@ -139,6 +139,11 @@ class TestEnumerateCandidates:
         with pytest.raises(ValueError):
             enumerate_candidates(1.0, 2.0, 1, 2, 4)
 
+    def test_candidates_are_one_float_array(self):
+        cands = enumerate_candidates(1.0, 2.0, 1, 3, 4)
+        assert cands.ndim == 1 and cands.dtype == np.float64
+        assert np.all(cands > 0)
+
     def test_zero_branch_values_present(self):
         cset = enumerate_candidates(1.0, 2.0, 1, 3, 4)
         # a vanishing x slot forces y = (b/a)^{1/(N-1-k)} = sqrt(2) off-slot

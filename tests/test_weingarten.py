@@ -490,8 +490,13 @@ class TestRevolutionRelations:
     def test_non_parallel_axes_rejected(self):
         a = Spheroid((0.0, 0.0, 1.0), 1.0, 1.4)
         b = Spheroid((0.0, 1.0, 0.0), 1.0, 1.4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bodies do not share a revolution axis"):
             revolution_relations_check(a, b, 1, 1.0, 1.0, np.array([1.0, 0.0, 0.0]))
+
+    def test_isotropic_pair_rejected(self):
+        body = Homothet(Ball(3, 1.0), 1.3)
+        with pytest.raises(ValueError, match="neither body declares a revolution axis"):
+            revolution_relations_check(Ball(3, 1.0), body, 1, 1.3, 1.69, np.array([1.0, 0.0, 0.0]))
 
     def test_ball_base_acts_as_wildcard(self):
         sph = Spheroid((0.0, 0.0, 1.0), 1.0, 1.4)
