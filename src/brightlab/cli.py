@@ -253,10 +253,8 @@ def _run_verify_wedge(params: dict, seed: int):
         betas = [float(params["scale"]) ** k for k in grades]
     tol = params["tolerance"]
     dirs = haar_directions(body.dim, params["samples"], as_rng(seed))
-    checks = []
-    for k, beta in zip(grades, betas):
-        worst = float(wedge_identity_defects(body, base, k, beta, dirs).max())
-        checks.append(Check(f"wedge_defect_k{k}", worst, tol))
+    defects = wedge_identity_defects(body, base, grades, betas, dirs)
+    checks = [Check(f"wedge_defect_k{k}", float(d.max()), tol) for k, d in zip(grades, defects)]
     return checks, {}
 
 

@@ -2,9 +2,9 @@
 
 The k-th exterior power of an m x m matrix A is represented concretely as the
 C(m,k) x C(m,k) matrix of k x k minors over the lexicographically ordered
-basis e_I = e_{i_1} ^ ... ^ e_{i_k}, i_1 < ... < i_k; ``compound`` takes
-the minors of a whole (..., m, m) stack in one batched determinant.  On top
-of that sit:
+basis e_I = e_{i_1} ^ ... ^ e_{i_k}, i_1 < ... < i_k; ``compound`` expands the
+minors of an (..., m, m) stack along first rows, grade by grade, and ``det``
+(its top grade) serves every determinant in the package.  On top of that sit:
 
 * decomposable k-vectors and the Gram-determinant inner product,
 * symmetric bilinear forms on k-vectors, their first-Bianchi defect, and a
@@ -38,6 +38,7 @@ __all__ = [
     "PolarizationResult",
     "multi_indices",
     "compound",
+    "det",
     "gram_inner",
     "decompose",
     "bianchi_defect",
@@ -170,10 +171,7 @@ def decompose(vectors) -> KVector:
     u = _vector_stack(vectors)
     k, m = u.shape
     _check_grade(m, k)
-    idx = _index_array(m, k)
-    sub = u[:, idx]            # (k, D, k)
-    sub = np.swapaxes(sub, 0, 1)  # (D, k, k) row-major minors
-    return KVector(np.linalg.det(sub), m, k)
+    return KVector(det(np.swapaxes(u[:, _index_array(m, k)], 0, 1)), m, k)
 
 
 def gram_inner(us, vs) -> float:
@@ -182,31 +180,81 @@ def gram_inner(us, vs) -> float:
     v = _vector_stack(vs, expected_len=u.shape[0])
     if u.shape != v.shape:
         raise ValueError("frames must have matching shapes")
-    return float(np.linalg.det(u @ v.T))
+    return float(det(u @ v.T))
 
 
 # ---------------------------------------------------------------------------
 # compound matrices
 
 
+@lru_cache(maxsize=None)
+def _laplace_plan(m: int, k: int) -> tuple:
+    """Flat gather indices, a (j, rows * cols) pair per grade j = 2..k, for grade-k minors.
+
+    Grade j keeps the minors at rows in the j-subsets of {k-j, ..., m-1} and any columns,
+    row-major; term t of minor (I, J) is A[I[0], J[t]] times minor (I[1:], J - J[t]).
+    """
+    tables = []
+    below = {(r,): r - k + 1 for r in range(k - 1, m)}
+    for j in range(2, k + 1):
+        rows = list(combinations(range(k - j, m), j))
+        lower = _rank_lookup(m, j - 1)
+        drop = [[lower[c[:t] + c[t + 1:]] for t in range(j)] for c in _index_tuples(m, j)]
+        ia = np.array([r[0] for r in rows])[:, None, None] * m + _index_array(m, j)
+        il = np.array([below[r[1:]] for r in rows])[:, None, None] * len(lower) + np.array(drop)
+        tables.append((ia.transpose(2, 0, 1).reshape(j, -1), il.transpose(2, 0, 1).reshape(j, -1)))
+        below = {r: i for i, r in enumerate(rows)}
+    return tuple(tables)
+
+
+def _laplace(a: np.ndarray, k: int) -> np.ndarray:
+    """The (..., rows * cols) minors of ``_laplace_plan(m, k)``, on the transposed stack.
+
+    Chunks hold about 2^14 terms: larger temporaries fault back in per call.
+    """
+    m = a.shape[-1]
+    flat = a.reshape(-1, m * m).T.copy()
+    plan = _laplace_plan(m, k)
+    out = np.empty((len(_index_tuples(m, k)) ** 2, flat.shape[1]))
+    step = max(1, 2**14 // max((ia.size for ia, _ in plan), default=1))
+    for lo in range(0, flat.shape[1], step):
+        cols = flat[:, lo:lo + step]
+        minors = cols[(k - 1) * m:]
+        for ia, il in plan:
+            terms = cols[ia] * minors[il]
+            minors = terms[0]
+            for t in range(1, len(ia)):
+                (np.subtract if t % 2 else np.add)(minors, terms[t], out=minors)
+        out[:, lo:lo + step] = minors
+    return out.T.reshape(a.shape[:-2] + (-1,))
+
+
+def det(a) -> np.ndarray:
+    """Determinants of an (..., m, m) stack, each slice as if alone; (..., 0, 0) gives ones.
+
+    A 1 x 1 determinant is the entry itself and a 2 x 2 one is a*d - b*c.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim >= 2 and a.shape[-2:] == (0, 0):
+        return np.ones(a.shape[:-2])
+    return compound(a, a.shape[-1] if a.ndim else 1)[..., 0, 0]
+
+
 def compound(a, k: int) -> np.ndarray:
     """All k x k minors det(A[I, J]) of every m x m matrix in an (..., m, m) stack.
 
     Returns an (..., C(m,k), C(m,k)) array over lex-ordered row/column sets;
-    each slice is computed exactly as for a single matrix, so it equals the
-    compound of that slice alone bit for bit.  Exterior powers are
-    multiplicative, compound(A @ B, k) equals compound(A, k) @ compound(B, k),
-    and compound(A, m) is the 1 x 1 matrix [det(A)].
+    each slice is computed exactly as for a single matrix (Laplace expansion
+    along first rows), so it equals the compound of that slice alone bit for
+    bit.  Exterior powers are multiplicative, compound(A @ B, k) equals
+    compound(A, k) @ compound(B, k), and compound(A, m) is [[det(A)]].
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them")
     m = a.shape[-1]
     _check_grade(m, k)
-    idx = _index_array(m, k)
-    # sub[..., p, q] = A[..., idx[p], :][..., idx[q]]; batched LU determinants
-    sub = a[..., idx[:, None, :, None], idx[None, :, None, :]]
-    return np.linalg.det(sub)
+    return _laplace(a, k).reshape(a.shape[:-2] + (len(_index_tuples(m, k)),) * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from math import gamma, pi, sqrt
 import numpy as np
 
 from .body import ConvexBody
+from .multilinear import det
 from .sampling import as_rng, haar_directions, median
 from .weingarten import _restrict_all, _unit_rows, tangent_frames
 
@@ -186,10 +187,10 @@ def _quadrature_rule(k: int, nodes):
 def _densities(kbody, dirs, frames) -> np.ndarray:
     """h * det of the tangential Hessian at every direction, from one batched jet.
 
-    ``frames`` is ``tangent_frames(dirs)``; callers build it once per rule.
+    ``frames`` is ``tangent_frames(dirs)``, built once per rule; at k = 1 ``det`` gives 1.
     """
     values, _, hess = kbody.jets(dirs)
-    return values * np.linalg.det(_restrict_all(hess, frames))
+    return values * det(_restrict_all(hess, frames))
 
 
 def volume_from_support(kbody, nodes: int | None = None) -> float:

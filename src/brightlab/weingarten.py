@@ -24,9 +24,9 @@ The curvature maps have one stacked API: ``tangent_frames``,
 take an (m, n) array of directions and return stacks, from one ``jets``
 call per body, the restricted Hessians B^T H B as one stack, then stacked
 linear algebra; one direction u is the stack ``u[None]``.
-``wedge_identity_defects`` takes the k-th compounds of all maps at +-u and
-the base maps at u with one ``multilinear.compound`` call and one stacked
-operator norm.  Every relative map comes from ``relative_maps``; the
+``wedge_identity_defects`` builds the maps at +-u and the base maps at u
+once; each grade adds one ``multilinear.compound`` call and one stacked
+``eigvalsh``.  Every relative map comes from ``relative_maps``; the
 umbilic search scores its whole grid (``sampling.hemisphere_grid``, seeded
 Haar directions flipped onto a hemisphere) with it in one call, and each
 sweep of its compass refinement scores the polls it has not yet walked in
@@ -168,22 +168,25 @@ def _check_symmetric_body(base, u: np.ndarray) -> None:
         )
 
 
-def wedge_identity_defects(body, base, k: int, beta: float, u) -> np.ndarray:
+def wedge_identity_defects(body, base, grades, betas, u) -> np.ndarray:
     """Operator-norm defects of wedge^k L(u) + wedge^k L(-u) = 2 beta wedge^k L0(u).
 
-    One defect per row of the (m, n) array u, from one batched pass: the
-    jets at +-u, the frames built at u (reused at -u), the restricted
-    Hessians, their stacked k-th compounds and a stacked 2-norm.  The base
-    body must be centrally symmetric; this is checked once, on the rows of u
-    and 8 Haar directions drawn from seed 0.
+    Row i holds grade grades[i] with ratio betas[i] at each row of the (m, n)
+    array u.  The jets at +-u, frames and restricted Hessians serve every
+    grade; each adds a stacked compound and the largest |eigenvalue| of each
+    (symmetric) defect matrix.  The base body must be centrally symmetric;
+    this is checked once, on the rows of u and 8 Haar directions of seed 0.
     """
     u = _unit_rows(u)
     _check_symmetric_body(base, u)
     bases = tangent_frames(u)
     hessians = np.concatenate([body.jets(np.vstack([u, -u]))[2], base.jets(u)[2]])
     maps = _restrict_all(hessians, np.concatenate([bases, bases, bases]))
-    lu, lmu, l0 = np.split(multilinear.compound(maps, k), 3)
-    return np.linalg.norm(lu + lmu - 2.0 * beta * l0, 2, axis=(1, 2))
+    defects = np.empty((len(grades), len(u)))
+    for row, k, beta in zip(defects, grades, betas, strict=True):
+        lu, lmu, l0 = np.split(multilinear.compound(maps, k), 3)
+        row[:] = np.abs(np.linalg.eigvalsh(lu + lmu - 2.0 * beta * l0)).max(axis=1)
+    return defects
 
 
 def _antipodal_maps(body, base, u: np.ndarray) -> np.ndarray:
@@ -255,14 +258,14 @@ class AntipodalSearchResult:
 def umbilic_check(body, base, u0, tol: float = 1e-8) -> UmbilicResult:
     """Evaluate how close +-u0 is to an antipodal pair of relative umbilics."""
     u0 = np.asarray(u0, dtype=float)
-    m_pos, m_neg = _antipodal_maps(body, base, u0)
-    nm1 = m_pos.shape[0]
-    r0 = float((np.trace(m_pos) + np.trace(m_neg)) / (2 * nm1))
-    eye = np.eye(nm1)
-    defect = max(
-        float(np.linalg.norm(m_pos - r0 * eye, 2)),
-        float(np.linalg.norm(m_neg - r0 * eye, 2)),
-    )
+    return _umbilic(body, u0, _antipodal_maps(body, base, u0), tol)
+
+
+def _umbilic(body, u0, maps: np.ndarray, tol: float) -> UmbilicResult:
+    """``umbilic_check`` from the relative maps at +-u0, both in the frame built at u0."""
+    nm1 = maps.shape[1]
+    r0 = float((np.trace(maps[0]) + np.trace(maps[1])) / (2 * nm1))
+    defect = float(np.linalg.norm(maps - r0 * np.eye(nm1), 2, axis=(1, 2)).max())
     points = tuple(body.jets(np.stack([u0, -u0]))[1])
     return UmbilicResult(u0, r0, defect, points, bool(defect <= tol))
 
@@ -373,9 +376,9 @@ def antipodal_search(
         if not improved:
             step *= 0.5
 
-    umb = umbilic_check(body, base, best_u, tol)
-    r_pos, r_neg = _profiles(body, base, best_u[None])
-    r_defect = float(np.linalg.norm(r_pos[0] - r_neg[0]))
+    maps = _antipodal_maps(body, base, best_u)
+    umb = _umbilic(body, best_u, maps, tol)
+    r_defect = float(np.linalg.norm(np.subtract(*np.linalg.eigvalsh(maps))))
     converged = r_defect <= tol if objective == "antipodal" else umb.defect <= tol
     return AntipodalSearchResult(
         umbilic=umb,
@@ -522,8 +525,8 @@ def det_ratio_constancy(body, base, samples: int = 64, seed=0) -> DetRatioReport
     """
     dirs = haar_directions(body.dim, samples, as_rng(seed))
     bases = tangent_frames(dirs)
-    det_body = np.linalg.det(reverse_weingarten(body, dirs, bases))
-    det_base = np.linalg.det(reverse_weingarten(base, dirs, bases))
+    det_body = multilinear.det(reverse_weingarten(body, dirs, bases))
+    det_base = multilinear.det(reverse_weingarten(base, dirs, bases))
     if (np.abs(det_base) < 1e-14).any():
         raise PreconditionError("base curvature determinant vanishes at a sample")
     ratios = det_body / det_base

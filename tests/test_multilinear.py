@@ -16,6 +16,7 @@ from brightlab.multilinear import (
     common_eigenbasis,
     compound,
     decompose,
+    det,
     gram_inner,
     multi_indices,
     polarization_check,
@@ -175,6 +176,58 @@ class TestStackedCompound:
             compound(np.ones(3), 1)
         with pytest.raises(ValueError):
             compound(np.ones((4, 3, 3)), 4)
+
+
+def spd_stack(seed: int, count: int, m: int) -> np.ndarray:
+    """A (count, m, m) stack of well-conditioned symmetric positive definite matrices."""
+    a = np.random.default_rng(seed).standard_normal((count, m, m))
+    return a @ np.swapaxes(a, 1, 2) / m + np.eye(m)
+
+
+class TestLaplaceKernel:
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_compound_matches_cofactor_oracle_every_grade(self, m):
+        random = np.random.default_rng(20 + m).standard_normal((2, m, m))
+        for a in (random, spd_stack(30 + m, 2, m)):
+            for k in range(1, m + 1):
+                got = compound(a, k)
+                for i in range(len(a)):
+                    np.testing.assert_allclose(got[i], wedge_oracle(a[i], k), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_det_matches_lapack_on_spd_stacks(self, m):
+        a = spd_stack(40 + m, 50, m)
+        np.testing.assert_allclose(det(a), np.linalg.det(a), rtol=1e-13, atol=0)
+        assert np.array_equal(det(a), compound(a, m)[:, 0, 0])
+
+    def test_small_determinants_bit_for_bit(self):
+        a = np.random.default_rng(50).standard_normal((1000, 2, 2))
+        one = a[:, :1, :1]
+        assert np.array_equal(det(one), one[:, 0, 0])
+        assert np.array_equal(det(a), a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0])
+        assert det(np.zeros((0, 0))) == 1.0
+        assert np.array_equal(det(np.zeros((3, 4, 0, 0))), np.ones((3, 4)))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_det_slices_equal_single_matrices_bit_for_bit(self, m):
+        a = np.random.default_rng(60 + m).standard_normal((2, 3, m, m))
+        stacked = det(a)
+        assert stacked.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            assert stacked[i, j] == det(a[i, j])
+
+    def test_det_leaves_its_input_alone(self):
+        a = np.random.default_rng(70).standard_normal((5, 1, 1))
+        before = a.copy()
+        det(a)[:] = 0.0
+        compound(a, 1)[:] = 0.0
+        assert np.array_equal(a, before)
+
+    def test_det_shape_validation(self):
+        with pytest.raises(ValueError):
+            det(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            det(np.ones(3))
 
 
 def normalized_psd(seed: int, m: int) -> np.ndarray:

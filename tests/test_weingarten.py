@@ -224,15 +224,14 @@ class TestRelativeMap:
 class TestWedgeIdentity:
     def test_homothet_pair_satisfies_identity_all_grades(self):
         dirs = haar_directions(4, 25, as_rng(5))
-        for k in (1, 2, 3):
-            beta = 0.7**k
-            worst = wedge_identity_defects(K4, E4, k, beta, dirs).max()
-            assert worst < 1e-10
+        defects = wedge_identity_defects(K4, E4, [1, 2, 3], [0.7, 0.7**2, 0.7**3], dirs)
+        assert defects.shape == (3, 25)
+        assert defects.max() < 1e-10
 
     def test_translation_invariance(self):
         shifted = Homothet(E4, 1.0, (0.4, -0.1, 0.0, 0.2))
         dirs = haar_directions(4, 10, as_rng(6))
-        worst = wedge_identity_defects(shifted, E4, 2, 1.0, dirs).max()
+        worst = wedge_identity_defects(shifted, E4, [2], [1.0], dirs).max()
         assert worst < 1e-10
 
     def test_asymmetric_perturbation_violates_beta_one(self):
@@ -240,29 +239,54 @@ class TestWedgeIdentity:
         # genuinely breaks central symmetry of the curvature
         body = HarmonicPerturbation(Ball(4, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.4), 0.3)
         dirs = haar_directions(4, 10, as_rng(7))
-        worst = wedge_identity_defects(body, Ball(4, 1.0), 2, 1.0, dirs).max()
+        worst = wedge_identity_defects(body, Ball(4, 1.0), [2], [1.0], dirs).max()
         assert worst > 1e-3
 
     def test_asymmetric_base_rejected(self):
         asym = Homothet(E4, 1.0, (0.5, 0.0, 0.0, 0.0))
         with pytest.raises(PreconditionError) as err:
-            wedge_identity_defects(E4, asym, 1, 1.0, np.array([[1.0, 0.0, 0.0, 0.0]]))
+            wedge_identity_defects(E4, asym, [1], [1.0], np.array([[1.0, 0.0, 0.0, 0.0]]))
         assert "centrally symmetric" in str(err.value)
         with pytest.raises(PreconditionError, match="centrally symmetric"):
-            wedge_identity_defects(E4, asym, 2, 1.0, haar_directions(4, 50, as_rng(13)))
+            wedge_identity_defects(E4, asym, [2], [1.0], haar_directions(4, 50, as_rng(13)))
+
+    def test_grades_and_betas_must_align(self):
+        with pytest.raises(ValueError):
+            wedge_identity_defects(K4, E4, [1, 2], [0.7], haar_directions(4, 5, as_rng(17)))
 
     @pytest.mark.parametrize(
         "body, base, grades", [(K4, E4, (1, 2, 3)), (K6, E6, (2, 3, 4)), (E6, Ball(6, 1.0), (2, 5))]
     )
     def test_sweep_matches_per_direction_formula(self, body, base, grades):
         dirs = haar_directions(body.dim, 40, as_rng(14))
-        for k in grades:
-            beta = 0.7**k
-            swept = wedge_identity_defects(body, base, k, beta, dirs)
-            assert swept.shape == (40,)
+        betas = [0.7**k for k in grades]
+        defects = wedge_identity_defects(body, base, grades, betas, dirs)
+        assert defects.shape == (len(grades), 40)
+        single = wedge_identity_defects(body, base, grades, betas, dirs[3:4])
+        for k, beta, swept, one in zip(grades, betas, defects, single):
             expected = [wedge_defect_oracle(body, base, k, beta, u) for u in dirs]
             np.testing.assert_allclose(swept, expected, rtol=0, atol=1e-14)
-            assert wedge_identity_defects(body, base, k, beta, dirs[3:4])[0] == swept[3]
+            assert one[0] == swept[3]
+
+    @pytest.mark.parametrize("body, base", [(K4, E4), (K6, E6)])
+    def test_grade_sweep_equals_per_grade_rows_bit_for_bit(self, body, base):
+        dirs = haar_directions(body.dim, 30, as_rng(15))
+        grades, betas = [1, 2, 3], [0.7, 0.7**2, 0.7**3]
+        defects = wedge_identity_defects(body, base, grades, betas, dirs)
+        for row, k, beta in zip(defects, grades, betas):
+            assert np.array_equal(row, wedge_identity_defects(body, base, [k], [beta], dirs)[0])
+
+    def test_eigvalsh_norm_matches_spectral_norm(self):
+        # off-beta ratios make the defect matrices large, so the two norms
+        # are compared far from the rounding floor
+        dirs = haar_directions(4, 20, as_rng(16))
+        for k in (1, 2, 3):
+            beta = 1.1 * 0.7**k
+            defects = wedge_identity_defects(K4, E4, [k], [beta], dirs)[0]
+            expected = [wedge_defect_oracle(K4, E4, k, beta, u) for u in dirs]
+            scale = max(expected)
+            assert scale > 1e-2
+            np.testing.assert_allclose(defects, expected, rtol=0, atol=1e-15 * scale)
 
     def test_relative_version_matches_and_diagonalizes(self):
         dirs = haar_directions(4, 10, as_rng(8))
@@ -388,6 +412,27 @@ class TestUmbilic:
             again.objective_calls,
             again.objective_rows,
         )
+
+    @pytest.mark.parametrize("objective", ["umbilic", "antipodal"])
+    def test_final_point_is_certified_once(self, monkeypatch, objective):
+        from brightlab import weingarten
+
+        calls = []
+        counted = weingarten.relative_maps
+
+        def spy(body, base, u, bases=None):
+            calls.append(len(u))
+            return counted(body, base, u, bases)
+
+        monkeypatch.setattr(weingarten, "relative_maps", spy)
+        res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=1, objective=objective)
+        # one call per objective call, and one pair of maps at +-u0 that both
+        # the umbilic certificate and r_defect read
+        assert len(calls) == res.objective_calls + 1
+        assert calls[-1] == 2
+        u0 = res.umbilic.u0
+        r_pos, r_neg = np.linalg.eigvalsh(relative_maps(SPHEROID_5D, Ball(5, 1.0), np.stack([u0, -u0])))
+        assert res.r_defect == pytest.approx(np.linalg.norm(r_pos - r_neg), abs=1e-12)
 
     def test_degenerate_base_at_unwalked_poll_does_not_raise(self):
         body = HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (0.3, -0.2), 0.1)
