@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -239,7 +239,7 @@ def _pair(params: dict):
 
 # ---------------------------------------------------------------------------
 # scenario runners: params, seed -> (checks, extras[, csv]), where csv() returns
-# the scenario's own CSV bytes; without it --csv writes the checks
+# the scenario's own CSV as byte chunks; without it --csv writes the checks
 
 
 def _run_verify_wedge(params: dict, seed: int):
@@ -357,7 +357,7 @@ def _run_lemma_campaign(params: dict, seed: int):
             "restarts": found.restarts,
             "gauss_newton_steps": found.gauss_newton_steps,
         }
-        return checks, extras, lambda: _csv(rows)
+        return checks, extras, lambda: [_csv(rows)]
     raise ConfigError(f"unknown lemma-campaign mode {mode!r} (expected 'antipodal' or 'solver')")
 
 
@@ -384,7 +384,7 @@ def _run_ratio_e48(params: dict, seed: int):
 
 @dataclass(frozen=True)
 class Scenario:
-    run: Callable  # params, seed -> (checks, extras[, csv]); csv() -> CSV bytes
+    run: Callable  # params, seed -> (checks, extras[, csv]); csv() -> CSV byte chunks
     defaults: dict  # every key a config may set, "tolerance" included
     help: str
     needs_seed: bool = True
@@ -479,12 +479,12 @@ _SCENARIOS: dict[str, Scenario] = {
 # report assembly and output
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
+def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -561,42 +561,51 @@ def _index_words(trial: np.ndarray, out: np.ndarray) -> None:
         out[:, col] = _csv_words()[4][low]
 
 
-def _campaign_csv(report) -> bytes:
-    """Per-trial CSV of a falsification campaign: the bytes ``csv.writer`` gives
-    for the rows ``%d,%.6e,%.6e,%d`` (trial, residual, spread, violation) under
-    the header ``trial,residual,spread,violation``, CRLF line ends included.
+# Rows per chunk of the campaign CSV: the chunk's byte table (38 bytes a row
+# below 10**8 trials) and the kernels' temporaries stay near the L2 cache.
+_CSV_CHUNK = 1 << 16
 
-    Rows go into one fixed-width byte table (38 bytes below 10**8 trials) as
-    words (``_index_words``, ``_sci6_words``); each decade of the index is one
-    slab of it, trimmed to the index's width.  A row with a field that is not
-    sure is formatted by Python and spliced in between slabs.
+
+def _campaign_csv(report) -> Iterator[bytes]:
+    """Per-trial CSV of a falsification campaign, as byte chunks: the bytes
+    ``csv.writer`` gives for the rows ``%d,%.6e,%.6e,%d`` (trial, residual,
+    spread, violation) under the header ``trial,residual,spread,violation``,
+    CRLF line ends included.
+
+    Rows are formatted in fixed chunks of ``_CSV_CHUNK`` (2**16) rows, each
+    into one reused fixed-width byte table as words (``_index_words``,
+    ``_sci6_words``), so memory does not grow with the number of trials.
+    Each decade of the index is one slab of the table, trimmed to the
+    index's width; a row with a field that is not sure is formatted by
+    Python and yielded between slabs.
     """
     rows = report.rows
     width = len(str(max(len(rows) - 1, 0)))
     lead = 4 * -(-width // 4)
-    table = np.empty((len(rows), lead + 30), np.uint8)
-    _index_words(np.arange(len(rows)), table[:, :lead].view("<u4"))
-    record = table[:, lead:]
-    record[:] = np.frombuffer(b",d.dddddde+XX,d.dddddde+XX,0\r\n", np.uint8)
+    table = np.empty((min(len(rows), _CSV_CHUNK), lead + 30), np.uint8)
+    table[:, lead:] = np.frombuffer(b",d.dddddde+XX,d.dddddde+XX,0\r\n", np.uint8)
     violation = _campaign_masks(report)[1]
-    record[:, 27] += violation
-    sure = np.ones(len(rows), bool)
-    for col, values in ((1, rows[:, 0]), (14, rows[:, 1])):
-        mantissa, exponent, ok = _sci6_words(values)
-        record[:, col : col + 8].view("<u8")[:, 0] = mantissa
-        record[:, col + 8 : col + 12].view("<u4")[:, 0] = exponent
-        sure &= ok
-    python = np.flatnonzero(~sure)
-    edges = [[0, len(rows)], 10 ** np.arange(1, width), python, python + 1]
-    edges = np.unique(np.concatenate(edges)).tolist()
-    out = [b"trial,residual,spread,violation\r\n"]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if sure[lo]:
-            out.append(table[lo:hi, lead - len(str(lo)) :].tobytes())
-        else:
-            out.append(b"%d,%.6e,%.6e,%d\r\n" % (lo, *rows[lo].tolist(), violation[lo]))
-    del table, record  # the join copies the text once more: free the table first
-    return b"".join(out)
+    yield b"trial,residual,spread,violation\r\n"
+    for start in range(0, len(rows), _CSV_CHUNK):
+        stop = min(start + _CSV_CHUNK, len(rows))
+        block = table[: stop - start]
+        _index_words(np.arange(start, stop), block[:, :lead].view("<u4"))
+        record = block[:, lead:]
+        record[:, 27] = ord("0") + violation[start:stop]
+        sure = np.ones(stop - start, bool)
+        for col, values in ((1, rows[start:stop, 0]), (14, rows[start:stop, 1])):
+            mantissa, exponent, ok = _sci6_words(values)
+            record[:, col : col + 8].view("<u8")[:, 0] = mantissa
+            record[:, col + 8 : col + 12].view("<u4")[:, 0] = exponent
+            sure &= ok
+        python = start + np.flatnonzero(~sure)
+        edges = [[start, stop], 10 ** np.arange(1, width), python, python + 1]
+        edges = np.unique(np.clip(np.concatenate(edges), start, stop)).tolist()
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if sure[lo - start]:
+                yield block[lo - start : hi - start, lead - len(str(lo)) :].tobytes()
+            else:
+                yield b"%d,%.6e,%.6e,%d\r\n" % (lo, *rows[lo].tolist(), violation[lo])
 
 
 def _strict(obj):
@@ -610,6 +619,7 @@ def _strict(obj):
     return obj
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brightlab",
@@ -646,9 +656,9 @@ def main(argv=None) -> int:
         print(f"error: invalid scenario inputs: {exc}", file=sys.stderr)
         return 2
 
-    csv_bytes = own_csv[0] if own_csv else lambda: _csv([("name", "value", "tol", "pass")] + [
+    csv_chunks = own_csv[0] if own_csv else lambda: [_csv([("name", "value", "tol", "pass")] + [
         (c.name, f"{c.value:.12e}", f"{c.tol:.6e}", int(c.passed)) for c in checks
-    ])
+    ])]
 
     report = {
         "schema": 1,
@@ -661,9 +671,9 @@ def main(argv=None) -> int:
         "version": __version__,
     }
     out_path = Path(out) if out is not None else Path(f"{args.command}-report.json")
-    _write_atomic(out_path, (json.dumps(_strict(report), indent=2, allow_nan=False) + "\n").encode())
+    _write_atomic(out_path, [(json.dumps(_strict(report), indent=2, allow_nan=False) + "\n").encode()])
     if args.csv:
-        _write_atomic(out_path.with_suffix(".csv"), csv_bytes())
+        _write_atomic(out_path.with_suffix(".csv"), csv_chunks())
 
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

@@ -130,6 +130,27 @@ class TestExitCodes:
         proc = run_cli("frobnicate", cwd=tmp_path)
         assert proc.returncode == 2
 
+    def test_cached_parser_carries_nothing_between_calls(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"samples": 4})
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["verify-wedge", "--seed", "1", "--bogus"])
+        assert usage.value.code == 2
+        first = ["--config", cfg, "--seed", "3", "--tolerance", "1e-3", "--csv"]
+        assert cli.main(["verify-wedge", *first, "--out", str(tmp_path / "a.json")]) == 0
+        assert (tmp_path / "a.csv").exists()
+        # no seed, tolerance, --csv or out path is left over from the first call
+        plain = ["verify-wedge", "--config", cfg]
+        assert cli.main(plain) == 2 and "requires an explicit --seed" in capsys.readouterr().err
+        assert cli.main([*plain, "--seed", "1", "--out", str(tmp_path / "b.json")]) == 0
+        assert not (tmp_path / "b.csv").exists()
+        report = json.loads((tmp_path / "b.json").read_text())
+        assert report["seed"] == 1 and report["inputs"]["tolerance"] == 1e-8
+        assert cli._build_parser.cache_info().currsize == 1
+        # the parser is built on the first call, not at import
+        code = "import brightlab.cli as cli; assert cli._build_parser.cache_info().currsize == 0"
+        proc = run_python("-c", code, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize(
         "scenario, key, value",
         [
@@ -399,7 +420,7 @@ class TestCsvExport:
     @pytest.mark.parametrize("trials", [1, 9, 10, 11, 100, 1001, 10_001])
     def test_campaign_csv_matches_row_by_row_writer(self, trials):
         report = antipodal_falsification(6, 2, trials, seed=trials)
-        assert cli._campaign_csv(report) == row_by_row_campaign_csv(report)
+        assert b"".join(cli._campaign_csv(report)) == row_by_row_campaign_csv(report)
 
     def test_python_rows_are_spliced_across_decades(self):
         # rows 9 | 10 and 99 | 100 straddle decades of the trial index, whose
@@ -415,7 +436,62 @@ class TestCsvExport:
         }
         for row, values in odd.items():
             report.rows[row] = values
-        assert cli._campaign_csv(report) == row_by_row_campaign_csv(report)
+        assert b"".join(cli._campaign_csv(report)) == row_by_row_campaign_csv(report)
+
+    @pytest.mark.parametrize("trials", [2 * cli._CSV_CHUNK + 1, 100_001])
+    def test_python_rows_and_decades_at_chunk_seams(self, trials):
+        # Python-path rows on the last row of one chunk and the first of the
+        # next; at 100_001 trials the decade edge 10**5 falls inside a chunk
+        report = antipodal_falsification(6, 2, trials, seed=trials)
+        chunk = cli._CSV_CHUNK
+        odd = {
+            chunk - 1: (np.nan, 0.5),
+            chunk: (np.inf, -0.0),
+            2 * chunk - 1: (1e-120, 2.0),
+            2 * chunk: (9.9999995, 1e-3),  # a near tie
+            99_999: (0.5, 1e-120),
+            100_000: (-0.0, np.nan),
+        }
+        for row, values in odd.items():
+            if row < trials:
+                report.rows[row] = values
+        assert b"".join(cli._campaign_csv(report)) == row_by_row_campaign_csv(report)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 10])
+    def test_bytes_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
+        # chunks of 7 rows put the decade edges 10 and 100 inside a chunk and
+        # Python-path rows on seams; with 1 or 10 rows every decade edge is a seam
+        report = antipodal_falsification(6, 2, 1001, seed=5)
+        odd = [(np.nan, 1.0), (0.0, 1.0), (1e-120, 0.5), (np.inf, 2.0), (1.0, -1.0)]
+        report.rows[[6, 7, 69, 70, 1000]] = odd
+        expected = row_by_row_campaign_csv(report)
+        monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+        assert b"".join(cli._campaign_csv(report)) == expected
+
+    def test_export_memory_does_not_grow_with_trials(self):
+        report = antipodal_falsification(6, 2, 1_000_000, seed=1)
+        tracemalloc.start()
+        try:
+            size = sum(map(len, cli._campaign_csv(report)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 35 * 10**6  # the whole 36 MB file went by
+        assert peak < 16 * 10**6
+
+    def test_streaming_write_is_atomic(self, tmp_path):
+        def failing_chunks():
+            yield b"trial,residual,spread,violation\r\n"
+            raise RuntimeError("formatting failed")
+
+        fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+        old.write_bytes(b"old bytes")
+        for path in (fresh, old):
+            with pytest.raises(RuntimeError, match="formatting failed"):
+                cli._write_atomic(path, failing_chunks())
+        assert not fresh.exists()
+        assert old.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]  # no .tmp left
 
     @pytest.mark.parametrize("words", [2, 3, 4])
     def test_index_words_are_exact_beyond_eight_digits(self, words):
@@ -461,7 +537,7 @@ class TestCsvExport:
             residual_tol=residual_tol,
             rows=rows,
         )
-        data = cli._campaign_csv(report)
+        data = b"".join(cli._campaign_csv(report))
         assert data == row_by_row_campaign_csv(report)
         flags = [line.rsplit(b",", 1)[1] for line in data.split(b"\r\n")[1:-1]]
         assert flags == [b"1", b"0", b"1", b"0", b"1", b"1", b"0", b"0"]
