@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import MISSING, dataclass, fields
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -96,7 +96,12 @@ class SupportJet:
 
 
 class ConvexBody:
-    """Shared behavior for support-function families (duck-typed elsewhere)."""
+    """Shared behavior of the support-function families: ``jet`` wraps ``jets``.
+
+    A body is its support function and nothing more: no family declares a
+    symmetry.  A check that needs one measures it from the jets, as
+    ``weingarten.revolution_eigenstructure`` does for an axis of revolution.
+    """
 
     dim: int  # ambient dimension n
 
@@ -110,15 +115,6 @@ class ConvexBody:
 
     def jets(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
-
-    # revolution metadata used by the weingarten module (duck-typed there)
-    @property
-    def revolution_axis(self) -> Optional[np.ndarray]:
-        return None
-
-    @property
-    def isotropic(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -142,10 +138,6 @@ class Ball(ConvexBody):
         u = _unit_rows(u)
         r = self.radius
         return np.full(len(u), float(r)), r * u, r * (np.eye(self.dim) - _outers(u))
-
-    @property
-    def isotropic(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -246,10 +238,6 @@ class Spheroid(ConvexBody):
     # the ellipsoid algebra reads only ``self.matrix``
     support, jets = Ellipsoid.support, Ellipsoid.jets
 
-    @property
-    def revolution_axis(self) -> np.ndarray:
-        return self.axis_vector
-
 
 @dataclass(frozen=True)
 class RadialProfile:
@@ -287,10 +275,6 @@ class Revolution(ConvexBody):
     def jets(self, u):
         p = self.profile
         return _revolution_jets(_unit_rows(u), self.axis_vector, p.g, p.dg, p.ddg)
-
-    @property
-    def revolution_axis(self) -> np.ndarray:
-        return self.axis_vector
 
 
 def _odd_poly_coeffs(odd_coeffs) -> np.ndarray:
@@ -367,15 +351,6 @@ class HarmonicPerturbation(ConvexBody):
         )
         return tuple(b + self.epsilon * p for b, p in zip(self.base.jets(u), pert))
 
-    @property
-    def revolution_axis(self) -> Optional[np.ndarray]:
-        if self.base.isotropic:
-            return self.axis_vector
-        base_axis = self.base.revolution_axis
-        if base_axis is not None and abs(float(base_axis @ self.axis_vector)) > 1 - 1e-12:
-            return self.axis_vector
-        return None
-
 
 @dataclass(frozen=True)
 class MinkowskiSum(ConvexBody):
@@ -401,27 +376,6 @@ class MinkowskiSum(ConvexBody):
 
     def jets(self, u):
         return tuple(sum(parts) for parts in zip(*(p.jets(u) for p in self.parts)))
-
-    @property
-    def isotropic(self) -> bool:
-        return all(p.isotropic for p in self.parts)
-
-    @property
-    def revolution_axis(self) -> Optional[np.ndarray]:
-        axes = []
-        for p in self.parts:
-            if p.isotropic:
-                continue
-            ax = p.revolution_axis
-            if ax is None:
-                return None
-            axes.append(ax)
-        if not axes:
-            return None
-        for ax in axes[1:]:
-            if abs(float(axes[0] @ ax)) < 1 - 1e-12:
-                return None
-        return axes[0]
 
 
 @dataclass(frozen=True)
@@ -458,15 +412,6 @@ class Homothet(ConvexBody):
         t = self.shift_vector
         return self.scale * values + u @ t, self.scale * grads + t, self.scale * hess
 
-    @property
-    def isotropic(self) -> bool:
-        # translation does not affect the Hessian, so curvature stays isotropic
-        return self.base.isotropic
-
-    @property
-    def revolution_axis(self) -> Optional[np.ndarray]:
-        return self.base.revolution_axis
-
 
 @dataclass(frozen=True)
 class Erosion(ConvexBody):
@@ -497,14 +442,6 @@ class Erosion(ConvexBody):
         values, grads, hess = self.base.jets(u)
         r = self.radius
         return values - r, grads - r * u, hess - r * (np.eye(self.dim) - _outers(u))
-
-    @property
-    def isotropic(self) -> bool:
-        return self.base.isotropic
-
-    @property
-    def revolution_axis(self) -> Optional[np.ndarray]:
-        return self.base.revolution_axis
 
 
 # ---------------------------------------------------------------------------

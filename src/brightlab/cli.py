@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from . import __version__
-from .body import FAMILIES, body_from_dict
+from .body import FAMILIES, _is_number, body_from_dict
 from .errors import PreconditionError
 from .lemma_lab import (
     antipodal_falsification,
@@ -171,18 +171,13 @@ def _resolve_params(scenario: str, args: argparse.Namespace) -> tuple[dict, Opti
             "(or a \"seed\" config key); implicit wall-clock entropy is refused"
         )
     _check_floats(params)
-    _check_integers(params, nullable_k=scenario == "lemma-campaign")
+    _check_integers(params, scenario)
     params["tolerance"] = float(params["tolerance"])
     return params, seed, out
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A finite int or float; bools, and ints beyond the float range, are refused."""
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 def _check_floats(params: dict) -> None:
@@ -193,31 +188,36 @@ def _check_floats(params: dict) -> None:
     a campaign that can never find a violation.
     """
     for key in ("tolerance", "scale", "residual_tol", "min_spread", "a", "b"):
-        if key in params and not _is_finite(params[key]):
+        if key in params and not _is_number(params[key]):
             raise ConfigError(f"{key!r} must be a finite number, got {params[key]!r}")
     betas = params.get("betas")
-    if betas is not None and not (isinstance(betas, list) and all(map(_is_finite, betas))):
+    if betas is not None and not (isinstance(betas, list) and all(map(_is_number, betas))):
         raise ConfigError(f"'betas' must be null or a list of finite numbers, got {betas!r}")
 
 
-def _check_integers(params: dict, nullable_k: bool) -> None:
+def _check_integers(params: dict, scenario: str) -> None:
     """Count keys must be integers >= 1, and the other integer keys integers.
 
-    ``nodes`` may be null (the rule's default), and so may ``k`` where the
-    scenario has a default for it (``nullable_k``); floats, bools and
-    strings are refused.  The library checks the ranges of the keys that
-    are not counts.
+    A config that checks nothing is refused: ``grades`` must not be empty,
+    and ``brightness`` and ``proportionality``, which compare their frames
+    with one another, need ``num_frames`` >= 2 (``ratio-e48`` compares two
+    grades, so one frame each is a check).  ``nodes`` may be null (the
+    rule's default), and so may ``k`` in ``lemma-campaign``, whose default
+    depends on the mode; floats, bools and strings are refused.  The
+    library checks the ranges of the keys that are not counts.
     """
     for key in ("samples", "num_frames", "trials", "solutions", "budget"):
-        if key in params and not (_is_int(params[key]) and params[key] >= 1):
-            raise ConfigError(f"{key!r} must be an integer >= 1, got {params[key]!r}")
-    nullable = ("nodes", "k") if nullable_k else ("nodes",)
+        least = 2 if key == "num_frames" and scenario in ("brightness", "proportionality") else 1
+        if key in params and not (_is_int(params[key]) and params[key] >= least):
+            raise ConfigError(f"{key!r} must be an integer >= {least}, got {params[key]!r}")
+    nullable = ("nodes", "k") if scenario == "lemma-campaign" else ("nodes",)
     for key in ("k", "i", "j", "m_len", "m", "n", "nodes"):
         if key in params and not (_is_int(params[key]) or key in nullable and params[key] is None):
             raise ConfigError(f"{key!r} must be an integer, got {params[key]!r}")
-    grades = params.get("grades", [])
-    if not (isinstance(grades, list) and all(map(_is_int, grades))):
-        raise ConfigError(f"'grades' must be a list of integers, got {grades!r}")
+    if "grades" in params:
+        grades = params["grades"]
+        if not (isinstance(grades, list) and grades and all(map(_is_int, grades))):
+            raise ConfigError(f"'grades' must be a non-empty list of integers, got {grades!r}")
 
 
 def _body(params: dict, key: str):
@@ -333,7 +333,7 @@ def _run_lemma_campaign(params: dict, seed: int):
             "eligible_trials": int(eligible.sum()),
             "violations": int(violation.sum()),
         }
-        return checks, extras, lambda: _campaign_csv(report)
+        return checks, extras, lambda: _campaign_csv(report, violation)
     if mode == "solver":
         a, b = float(params["a"]), float(params["b"])
         k = 1 if params["k"] is None else params["k"]
@@ -566,11 +566,12 @@ def _index_words(trial: np.ndarray, out: np.ndarray) -> None:
 _CSV_CHUNK = 1 << 16
 
 
-def _campaign_csv(report) -> Iterator[bytes]:
+def _campaign_csv(report, violation: np.ndarray) -> Iterator[bytes]:
     """Per-trial CSV of a falsification campaign, as byte chunks: the bytes
     ``csv.writer`` gives for the rows ``%d,%.6e,%.6e,%d`` (trial, residual,
     spread, violation) under the header ``trial,residual,spread,violation``,
-    CRLF line ends included.
+    CRLF line ends included.  ``violation`` is the per-trial mask of
+    ``_campaign_masks``.
 
     Rows are formatted in fixed chunks of ``_CSV_CHUNK`` (2**16) rows, each
     into one reused fixed-width byte table as words (``_index_words``,
@@ -584,7 +585,6 @@ def _campaign_csv(report) -> Iterator[bytes]:
     lead = 4 * -(-width // 4)
     table = np.empty((min(len(rows), _CSV_CHUNK), lead + 30), np.uint8)
     table[:, lead:] = np.frombuffer(b",d.dddddde+XX,d.dddddde+XX,0\r\n", np.uint8)
-    violation = _campaign_masks(report)[1]
     yield b"trial,residual,spread,violation\r\n"
     for start in range(0, len(rows), _CSV_CHUNK):
         stop = min(start + _CSV_CHUNK, len(rows))

@@ -43,7 +43,6 @@ __all__ = [
     "decompose",
     "bianchi_defect",
     "polarization_check",
-    "square_form",
     "square_form_matrix",
     "common_eigenbasis",
 ]
@@ -453,29 +452,17 @@ def _square_form_matrix_cached(k: int) -> np.ndarray:
 
 
 def square_form_matrix(k: int) -> SymKForm:
-    """The form whose quadratic values are square_form, on wedge^k R^{2k}.
+    """The alternating square form on wedge^k R^{2k}, k even.
 
-    Symmetric only for even k, which is exactly when the quadratic form is
-    nonzero while still vanishing on every decomposable k-vector.
+    Its quadratic value at xi (``quadratic``) is the coefficient of
+    e_{1...2k} in xi ^ xi.  Symmetric only for even k, which is exactly when
+    the quadratic form is nonzero while still vanishing on every
+    decomposable k-vector (a wedge with a repeated factor), so vanishing on
+    decomposables does not polarize without the Bianchi identity.
     """
     if k < 2 or k % 2:
         raise ValueError("the alternating square form needs even k >= 2")
     return SymKForm(_square_form_matrix_cached(k), 2 * k, k)
-
-
-def square_form(xi: KVector) -> float:
-    """Coefficient of e_{1...2k} in xi ^ xi for a k-vector in R^{2k}, k even.
-
-    Decomposable arguments give zero (a wedge with a repeated factor); the
-    quadratic form itself is nonzero, so vanishing on decomposables does not
-    polarize without the Bianchi identity.
-    """
-    if xi.k % 2:
-        raise ValueError("xi ^ xi vanishes identically for odd grades")
-    if xi.m != 2 * xi.k:
-        raise ValueError("square_form needs ambient dimension m = 2k")
-    q = _square_form_matrix_cached(xi.k)
-    return float(xi.coords @ q @ xi.coords)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ one call, again after every poll it accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -411,29 +410,36 @@ class RevolutionEigenstructure:
     isotropy_residual: float
 
 
-def _declared_axis(body) -> Optional[np.ndarray]:
-    ax = getattr(body, "revolution_axis", None)
-    if ax is None:
-        return None
-    return np.asarray(ax, dtype=float)
+def _check_revolution_body(body, axis: np.ndarray, u: np.ndarray, t: float) -> None:
+    """Verify the radii at u recur, to 1e-9 relative, at u turned about the axis
+    onto 8 Haar directions of seed 0, each moved to the latitude t = <u, axis>."""
+    w = haar_directions(body.dim, 8, as_rng(0))
+    w -= np.outer(w @ axis, axis)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    v = np.vstack([u, t * axis + np.sqrt(1.0 - t * t) * w])
+    radii = np.linalg.eigvalsh(reverse_weingarten(body, v))
+    worst = float(np.max(np.abs(radii[1:] - radii[0]) / np.maximum(1.0, np.abs(radii[0]))))
+    if worst > 1e-9:
+        raise ValueError(
+            f"body is not a body of revolution about the axis: relative radius gap {worst:.3e}"
+        )
 
 
-def revolution_eigenstructure(body, u) -> RevolutionEigenstructure:
-    """Closed-form eigenstructure check for bodies of revolution."""
-    axis = _declared_axis(body)
-    if axis is None:
-        if getattr(body, "isotropic", False):
-            u_arr = np.asarray(u, dtype=float)
-            cand = np.zeros_like(u_arr)
-            cand[int(np.argmin(np.abs(u_arr)))] = 1.0
-            axis = cand - (cand @ u_arr) * u_arr
-            axis /= np.linalg.norm(axis)
-        else:
-            raise ValueError("body does not declare a revolution axis")
+def revolution_eigenstructure(body, axis, u) -> RevolutionEigenstructure:
+    """Closed-form eigenstructure check for a body of revolution about the unit axis.
+
+    A non-unit axis is refused as ``_unit_rows`` refuses a direction, and so
+    is u = +-axis.  The body is measured, not trusted: its radii at u must
+    recur at u turned about the axis (``_check_revolution_body``), or a
+    ValueError names the radius gap.  Unlike the pointwise residuals, this
+    catches a 3-D body of revolution checked about the wrong axis.
+    """
+    axis = _unit_rows(np.asarray(axis, dtype=float)[None])[0]
     u = np.asarray(u, dtype=float)
     t = float(u @ axis)
     if abs(t) > 1 - 1e-10:
         raise ValueError("direction must differ from the axis")
+    _check_revolution_body(body, axis, u, t)
     cos_phi = float(np.sqrt(1.0 - t * t))
     v0 = (u - t * axis) / cos_phi
     w1 = -t * v0 + cos_phi * axis
@@ -476,25 +482,23 @@ class RevolutionRelationDefects:
 
 
 def revolution_relations_check(
-    body, base, i: int, alpha: float, beta: float, u
+    body, base, axis, i: int, alpha: float, beta: float, u
 ) -> RevolutionRelationDefects:
-    """Evaluate the three equatorial relations and their consequence."""
-    axes = [_declared_axis(b) for b in (body, base) if not getattr(b, "isotropic", False)]
-    axes = [ax for ax in axes if ax is not None]
-    if not axes:
-        raise ValueError("neither body declares a revolution axis")
-    if len(axes) == 2 and abs(float(axes[0] @ axes[1])) < 1 - 1e-10:
-        raise ValueError("bodies do not share a revolution axis")
-    axis = axes[0]
+    """Evaluate the three equatorial relations and their consequence.
+
+    Both bodies are measured about the unit axis by
+    ``revolution_eigenstructure``, so a pair that is not co-axial about it
+    is refused with the radius gap; u must be orthogonal to the axis.
+    """
     n = body.dim
     if not (1 <= i <= n - 2):
         raise ValueError(f"grade i={i} must satisfy 1 <= i <= n-2")
     u = np.asarray(u, dtype=float)
-    if abs(float(u @ axis)) > 1e-8:
+    if abs(float(u @ np.asarray(axis, dtype=float))) > 1e-8:
         raise ValueError("direction must be equatorial (orthogonal to the axis)")
 
-    eb = revolution_eigenstructure(body, u)
-    e0 = revolution_eigenstructure(base, u)
+    eb = revolution_eigenstructure(body, axis, u)
+    e0 = revolution_eigenstructure(base, axis, u)
     x1, x = eb.axial, eb.equatorial
     y1, y = e0.axial, e0.equatorial
     mixed_i = abs(2 * x1 * x ** (i - 1) - 2 * alpha * y1 * y ** (i - 1))

@@ -203,7 +203,7 @@ def test_criterion_09_revolution_relations_for_homothetic_spheroids():
     u = np.array([1.0, 0.0, 0.0, 0.0])
     worst = 0.0
     for i in (1, 2):
-        defects = revolution_relations_check(body, base, i, 1.2**i, 1.2**3, u)
+        defects = revolution_relations_check(body, base, base.axis, i, 1.2**i, 1.2**3, u)
         worst = max(worst, defects.max_defect(), defects.consequence)
         assert defects.max_defect() < 1e-8
         assert defects.consequence < 1e-8

@@ -194,6 +194,32 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario, config, needle",
+        [
+            ("verify-wedge", {"grades": []}, "'grades' must be a non-empty list"),
+            ("brightness", {"num_frames": 1}, "'num_frames' must be an integer >= 2, got 1"),
+            ("proportionality", {"num_frames": 1}, "'num_frames' must be an integer >= 2, got 1"),
+        ],
+    )
+    def test_config_that_checks_nothing_exits_two(
+        self, tmp_path, capsys, scenario, config, needle
+    ):
+        # no grade, or one frame compared with itself, would pass with value 0
+        cfg = write_config(tmp_path / "c.json", config)
+        argv = [scenario, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_one_frame_per_grade_is_a_ratio_e48_check(self, tmp_path):
+        # ratio-e48 compares two grades, so a single frame still checks something
+        cfg = write_config(tmp_path / "c.json", {"num_frames": 1, "nodes": 64})
+        argv = ["ratio-e48", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert [c["name"] for c in report["checks"]] == ["cross_grade_ratio_defect"]
+
     @pytest.mark.parametrize("scenario", ["brightness", "proportionality"])
     def test_null_k_refused_outside_lemma_campaign(self, tmp_path, capsys, scenario):
         cfg = write_config(tmp_path / "c.json", {"k": None, "num_frames": 2})
@@ -313,7 +339,7 @@ class TestExitCodes:
     def test_shadow_grade_beyond_the_node_budget_exits_two(self, tmp_path):
         # at the default 4096 nodes a k = 8 shadow would get 3 polar nodes per angle
         ball = {"family": "ball", "params": {"dim": 8, "radius": 1.0}}
-        cfg = write_config(tmp_path / "c.json", {"body": ball, "k": 8, "num_frames": 1})
+        cfg = write_config(tmp_path / "c.json", {"body": ball, "k": 8, "num_frames": 2})
         proc = run_cli("brightness", "--config", cfg, "--seed", "1", cwd=tmp_path)
         assert proc.returncode == 2
         assert "k = 8" in proc.stderr and "nodes >= 16384, got 4096" in proc.stderr
@@ -401,6 +427,11 @@ def row_by_row_campaign_csv(report) -> bytes:
     return buffer.getvalue().encode()
 
 
+def exported_csv(report) -> bytes:
+    """The campaign CSV as the CLI streams it, from the violation mask it computes once."""
+    return b"".join(cli._campaign_csv(report, cli._campaign_masks(report)[1]))
+
+
 def near_ties() -> np.ndarray:
     """Values a 7-digit rounding can get wrong: (K + 1/2) * 10**j with K a 7-digit
     integer, and their neighbours 1, 2 and 3 ulps away."""
@@ -420,7 +451,7 @@ class TestCsvExport:
     @pytest.mark.parametrize("trials", [1, 9, 10, 11, 100, 1001, 10_001])
     def test_campaign_csv_matches_row_by_row_writer(self, trials):
         report = antipodal_falsification(6, 2, trials, seed=trials)
-        assert b"".join(cli._campaign_csv(report)) == row_by_row_campaign_csv(report)
+        assert exported_csv(report) == row_by_row_campaign_csv(report)
 
     def test_python_rows_are_spliced_across_decades(self):
         # rows 9 | 10 and 99 | 100 straddle decades of the trial index, whose
@@ -436,7 +467,7 @@ class TestCsvExport:
         }
         for row, values in odd.items():
             report.rows[row] = values
-        assert b"".join(cli._campaign_csv(report)) == row_by_row_campaign_csv(report)
+        assert exported_csv(report) == row_by_row_campaign_csv(report)
 
     @pytest.mark.parametrize("trials", [2 * cli._CSV_CHUNK + 1, 100_001])
     def test_python_rows_and_decades_at_chunk_seams(self, trials):
@@ -455,7 +486,7 @@ class TestCsvExport:
         for row, values in odd.items():
             if row < trials:
                 report.rows[row] = values
-        assert b"".join(cli._campaign_csv(report)) == row_by_row_campaign_csv(report)
+        assert exported_csv(report) == row_by_row_campaign_csv(report)
 
     @pytest.mark.parametrize("chunk", [1, 7, 10])
     def test_bytes_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
@@ -466,13 +497,14 @@ class TestCsvExport:
         report.rows[[6, 7, 69, 70, 1000]] = odd
         expected = row_by_row_campaign_csv(report)
         monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
-        assert b"".join(cli._campaign_csv(report)) == expected
+        assert exported_csv(report) == expected
 
     def test_export_memory_does_not_grow_with_trials(self):
         report = antipodal_falsification(6, 2, 1_000_000, seed=1)
+        violation = cli._campaign_masks(report)[1]
         tracemalloc.start()
         try:
-            size = sum(map(len, cli._campaign_csv(report)))
+            size = sum(map(len, cli._campaign_csv(report, violation)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -537,7 +569,7 @@ class TestCsvExport:
             residual_tol=residual_tol,
             rows=rows,
         )
-        data = b"".join(cli._campaign_csv(report))
+        data = exported_csv(report)
         assert data == row_by_row_campaign_csv(report)
         flags = [line.rsplit(b",", 1)[1] for line in data.split(b"\r\n")[1:-1]]
         assert flags == [b"1", b"0", b"1", b"0", b"1", b"1", b"0", b"0"]
@@ -680,7 +712,7 @@ class TestScenarios:
 # a valid request for a long run, and so is a huge solver target "a" or "b"
 # (its residuals cannot reach the solver's absolute tolerance, so every
 # restart runs); the fuzzer gives those keys the other values only.
-SMALL_COUNTS = {"samples": 2, "num_frames": 1, "trials": 20, "solutions": 1, "budget": 20}
+SMALL_COUNTS = {"samples": 2, "num_frames": 2, "trials": 20, "solutions": 1, "budget": 20}
 LONG_WHEN_HUGE = {*SMALL_COUNTS, "a", "b"}
 MUTANTS = ["x", [], {}, None, 0, -1, -2.5, 2.5, True, False]
 HUGE = [10**12, 1e300]

@@ -20,7 +20,6 @@ from brightlab.multilinear import (
     gram_inner,
     multi_indices,
     polarization_check,
-    square_form,
     square_form_matrix,
 )
 from brightlab.sampling import haar_directions
@@ -271,16 +270,17 @@ class TestSquareForm:
 
     def test_vanishes_on_decomposables(self):
         rng = np.random.default_rng(5)
+        q = square_form_matrix(2)
         for _ in range(200):
             xi = decompose(rng.standard_normal((2, 4)))
-            assert abs(square_form(xi)) < 1e-12
+            assert abs(q.quadratic(xi)) < 1e-12
 
     def test_nonzero_on_a_non_decomposable(self):
         # e1^e2 + e3^e4 squares to 2 e1^e2^e3^e4
         xi = KVector.basis(4, 2, (1, 2))
         zeta = KVector.basis(4, 2, (3, 4))
         mixed = KVector(xi.coords + zeta.coords, 4, 2)
-        assert square_form(mixed) == pytest.approx(2.0)
+        assert square_form_matrix(2).quadratic(mixed) == pytest.approx(2.0)
 
     def test_sign_pattern_matches_complement_permutation(self):
         q = square_form_matrix(2).matrix
@@ -292,8 +292,6 @@ class TestSquareForm:
     def test_odd_grade_rejected(self):
         with pytest.raises(ValueError):
             square_form_matrix(3)
-        with pytest.raises(ValueError):
-            square_form(KVector.basis(6, 3, (1, 2, 3)))
 
 
 class TestPolarization:
@@ -327,7 +325,7 @@ class TestPolarization:
         # the decomposable evidence would wrongly suggest Q = 0
         q = square_form_matrix(2)
         rng = np.random.default_rng(6)
-        worst = max(abs(square_form(decompose(rng.standard_normal((2, 4))))) for _ in range(100))
+        worst = max(abs(q.quadratic(decompose(rng.standard_normal((2, 4))))) for _ in range(100))
         assert worst < 1e-12
         assert np.abs(q.matrix).max() == 1.0
 

@@ -8,6 +8,7 @@ from brightlab.body import (
     Ellipsoid,
     HarmonicPerturbation,
     Homothet,
+    MinkowskiSum,
     Spheroid,
 )
 from brightlab.errors import PreconditionError
@@ -31,6 +32,7 @@ E4 = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21]))
 K4 = Homothet(E4, 0.7, (0.1, 0.0, -0.2, 0.0))
 E6 = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21, 0.81, 1.44]))
 K6 = Homothet(E6, 0.7, (0.1, 0.0, -0.2, 0.0, 0.05, 0.0))
+SPHEROID_4D = Spheroid((0.0, 0.0, 0.0, 1.0), 1.0, 1.4)
 SPHEROID_5D = Spheroid((0.0, 0.0, 0.0, 0.0, 1.0), 1.0, 1.4)
 
 # antipodal_search results on the seeded Haar hemisphere grid: seed -> (evaluations, u0)
@@ -477,7 +479,7 @@ class TestRevolutionStructure:
         a, b = 1.0, 1.4
         sph = Spheroid((0.0, 0.0, 0.0, 1.0), a, b)
         u = np.array([1.0, 0.0, 0.0, 0.0])
-        es = revolution_eigenstructure(sph, u)
+        es = revolution_eigenstructure(sph, sph.axis, u)
         assert es.equatorial == pytest.approx(a, abs=1e-10)
         assert es.axial == pytest.approx(b * b / a, abs=1e-10)
         assert es.axial_residual < 1e-10
@@ -490,7 +492,7 @@ class TestRevolutionStructure:
         t = 0.6
         c = np.sqrt(1 - t * t)
         u = np.array([c, 0.0, t])
-        es = revolution_eigenstructure(sph, u)
+        es = revolution_eigenstructure(sph, sph.axis, u)
         g = np.sqrt(a * a + d * t * t)
         g1 = d * t / g
         g2 = d / g - (d * t) ** 2 / g**3
@@ -498,18 +500,54 @@ class TestRevolutionStructure:
         assert es.axial == pytest.approx((1 - t * t) * g2 + g - t * g1, abs=1e-10)
 
     def test_ball_gets_wildcard_axis(self):
-        es = revolution_eigenstructure(Ball(4, 2.0), np.array([1.0, 0.0, 0.0, 0.0]))
-        assert es.axial == pytest.approx(2.0)
-        assert es.equatorial == pytest.approx(2.0)
+        # every axis is an axis of revolution of a ball
+        for axis in haar_directions(4, 3, as_rng(4)):
+            u = np.array([1.0, 0.0, 0.0, 0.0])
+            u -= (u @ axis) * axis
+            es = revolution_eigenstructure(Ball(4, 2.0), axis, u / np.linalg.norm(u))
+            assert es.axial == pytest.approx(2.0)
+            assert es.equatorial == pytest.approx(2.0)
 
     def test_axis_direction_rejected(self):
         sph = Spheroid((0.0, 0.0, 1.0), 1.0, 1.4)
-        with pytest.raises(ValueError):
-            revolution_eigenstructure(sph, np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="differ from the axis"):
+            revolution_eigenstructure(sph, sph.axis, np.array([0.0, 0.0, 1.0]))
+
+    def test_non_unit_axis_rejected(self):
+        sph = Spheroid((0.0, 0.0, 1.0), 1.0, 1.4)
+        u = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="unit length"):
+            revolution_eigenstructure(sph, (0.0, 0.0, 2.0), u)
+        with pytest.raises(ValueError, match="unit length"):
+            revolution_relations_check(sph, Ball(3, 1.0), (0.0, 0.0, 2.0), 1, 1.0, 1.96, u)
 
     def test_non_revolution_body_rejected(self):
-        with pytest.raises(ValueError):
-            revolution_eigenstructure(E4, np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="not a body of revolution"):
+            revolution_eigenstructure(E4, (0.0, 0.0, 0.0, 1.0), np.array([1.0, 0.0, 0.0, 0.0]))
+
+    def test_ellipsoid_with_two_equal_semiaxes_is_a_revolution_body(self):
+        # the spheroid of semiaxes (1, 1, 1, 1.4) about e4, given by its shape matrix
+        ell = Ellipsoid(np.diag([1.0, 1.0, 1.0, 1.96]))
+        u = np.array([0.6, 0.0, 0.0, 0.8])
+        es = revolution_eigenstructure(ell, (0.0, 0.0, 0.0, 1.0), u)
+        ref = revolution_eigenstructure(SPHEROID_4D, SPHEROID_4D.axis, u)
+        assert es.axial == pytest.approx(ref.axial, abs=1e-12)
+        assert es.equatorial == pytest.approx(ref.equatorial, abs=1e-12)
+        assert es.axial_residual < 1e-12 and es.isotropy_residual < 1e-12
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            MinkowskiSum((SPHEROID_4D, Ball(4, 0.5))),
+            HarmonicPerturbation(Ball(4, 1.0), (0.0, 0.0, 0.0, 1.0), (0.1, -0.05), 1.0),
+            Homothet(SPHEROID_4D, 1.3, (0.3, -1.0, 2.0, 0.5)),
+        ],
+        ids=["minkowski_sum", "harmonic_perturbation", "shifted_homothet"],
+    )
+    def test_coaxial_composites_accepted(self, body):
+        u = np.array([0.6, 0.0, 0.0, 0.8])
+        es = revolution_eigenstructure(body, SPHEROID_4D.axis, u)
+        assert es.axial_residual < 1e-10 and es.isotropy_residual < 1e-10
 
 
 class TestRevolutionRelations:
@@ -521,7 +559,7 @@ class TestRevolutionRelations:
         n = 4
         for i in (1, 2):
             alpha, beta = lam**i, lam ** (n - 1)
-            defects = revolution_relations_check(body, base, i, alpha, beta, u)
+            defects = revolution_relations_check(body, base, base.axis, i, alpha, beta, u)
             assert defects.max_defect() < 1e-8
             assert defects.consequence < 1e-8
 
@@ -529,24 +567,32 @@ class TestRevolutionRelations:
         base = Spheroid((0.0, 0.0, 0.0, 1.0), 1.0, 1.4)
         body = Homothet(base, 1.2, ())
         u = np.array([1.0, 0.0, 0.0, 0.0])
-        defects = revolution_relations_check(body, base, 1, 1.0, 1.0, u)
+        defects = revolution_relations_check(body, base, base.axis, 1, 1.0, 1.0, u)
         assert defects.max_defect() > 1e-2
 
     def test_non_parallel_axes_rejected(self):
         a = Spheroid((0.0, 0.0, 1.0), 1.0, 1.4)
         b = Spheroid((0.0, 1.0, 0.0), 1.0, 1.4)
-        with pytest.raises(ValueError, match="bodies do not share a revolution axis"):
-            revolution_relations_check(a, b, 1, 1.0, 1.0, np.array([1.0, 0.0, 0.0]))
+        # at u = e1 the Hessian of b has the block structure about a's axis; the
+        # radii of b change only as u turns about it
+        with pytest.raises(ValueError, match="not a body of revolution about the axis"):
+            revolution_relations_check(a, b, a.axis, 1, 1.0, 1.0, np.array([1.0, 0.0, 0.0]))
 
-    def test_isotropic_pair_rejected(self):
+    def test_isotropic_pair_holds_about_any_axis(self):
         body = Homothet(Ball(3, 1.0), 1.3)
-        with pytest.raises(ValueError, match="neither body declares a revolution axis"):
-            revolution_relations_check(Ball(3, 1.0), body, 1, 1.3, 1.69, np.array([1.0, 0.0, 0.0]))
+        for axis in haar_directions(3, 4, as_rng(9)):
+            u = np.cross(axis, [1.0, 0.0, 0.0])
+            u /= np.linalg.norm(u)
+            defects = revolution_relations_check(
+                Ball(3, 1.0), body, axis, 1, 1 / 1.3, 1 / 1.69, u
+            )
+            assert defects.max_defect() <= 1e-12
+            assert defects.consequence <= 1e-12
 
     def test_ball_base_acts_as_wildcard(self):
         sph = Spheroid((0.0, 0.0, 1.0), 1.0, 1.4)
         u = np.array([1.0, 0.0, 0.0])
-        defects = revolution_relations_check(sph, Ball(3, 1.0), 1, 1.0, 1.4**2, u)
+        defects = revolution_relations_check(sph, Ball(3, 1.0), sph.axis, 1, 1.0, 1.4**2, u)
         # x = (a, b^2/a) vs y = (1, 1): pure_i |2*1 - 2*1| = 0,
         # mixed relations with alpha=1, beta=b^2 hold at the equator
         assert defects.pure_i < 1e-10
@@ -557,12 +603,14 @@ class TestRevolutionRelations:
         base = Ball(3, 1.0)
         tilted = np.array([np.sqrt(1 - 0.04), 0.0, 0.2])
         with pytest.raises(ValueError):
-            revolution_relations_check(sph, base, 1, 1.0, 1.0, tilted)
+            revolution_relations_check(sph, base, sph.axis, 1, 1.0, 1.0, tilted)
 
     def test_grade_range_enforced(self):
         sph = Spheroid((0.0, 0.0, 1.0), 1.0, 1.4)
         with pytest.raises(ValueError):
-            revolution_relations_check(sph, Ball(3, 1.0), 2, 1.0, 1.0, np.array([1.0, 0, 0]))
+            revolution_relations_check(
+                sph, Ball(3, 1.0), sph.axis, 2, 1.0, 1.0, np.array([1.0, 0, 0])
+            )
 
 
 class TestDetRatio:
