@@ -38,7 +38,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -480,8 +479,11 @@ _SCENARIOS: dict[str, Scenario] = {
 
 
 def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write a fresh file beside ``path``, created 0666 less the umask as ``open``
+    would (not ``mkstemp``'s 0600, which the rename would keep), and rename it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)

@@ -16,9 +16,12 @@ k = 3) computed by Golub-Welsch, and v from the rule one grade down.  The
 rule is deterministic and maps onto itself under u -> -u, so the odd term
 <t, u> det that a translation adds to the integrand cancels to rounding.
 
-Each volume is one batched evaluation: the jets of every node, their
-tangent frames, the restricted Hessians B^T H B, a stacked determinant and a
-weighted sum.  Shadow volumes over many frames and bodies share one rule.
+Shadow volumes are evaluated in batches of frames F on one rule: each rule
+direction w lifts to F w on the source body and each tangent frame B to F B,
+so one jets call per body per batch of about JET_BATCH = 2^11 directions
+gives the source Hessians H, restricted directly as (F B)^T H (F B), then a
+stacked determinant and a weighted sum per frame.  ``volume_from_support``
+is the same kernel on one frame (the identity for a native body).
 """
 
 from __future__ import annotations
@@ -73,16 +76,19 @@ class SubspaceFrame:
         return self.columns.shape[1]
 
 
-def random_subspace(n: int, k: int, seed) -> SubspaceFrame:
-    """Haar-distributed k-frame in R^n: QR of a Gaussian matrix with the
-    sign convention that makes the factorization (hence the draw) unique."""
+def _haar_frames(n: int, k: int, rngs) -> np.ndarray:
+    """An (R, n, k) stack of Haar k-frames in R^n, one per generator: one
+    Gaussian (n, k) draw from each, one stacked QR, and the sign convention
+    that makes the factorization (hence the draw) unique."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = as_rng(seed)
-    g = rng.standard_normal((n, k))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))[None, :]
-    return SubspaceFrame(q)
+    q, r = np.linalg.qr(np.array([rng.standard_normal((n, k)) for rng in rngs]).reshape(-1, n, k))
+    return q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+
+
+def random_subspace(n: int, k: int, seed) -> SubspaceFrame:
+    """Haar-distributed k-frame in R^n, drawn as one frame of ``_haar_frames``."""
+    return SubspaceFrame(_haar_frames(n, k, [as_rng(seed)])[0])
 
 
 class ProjectedBody(ConvexBody):
@@ -116,6 +122,9 @@ def project(body, frame: SubspaceFrame) -> ProjectedBody:
 
 # ---------------------------------------------------------------------------
 # volumes
+
+# rule directions per ``body.jets`` call when shadow volumes are batched over frames
+JET_BATCH = 2**11
 
 
 def _gegenbauer_rule(p: int, lam: float):
@@ -184,13 +193,25 @@ def _quadrature_rule(k: int, nodes):
     return dirs, weights / k
 
 
-def _densities(kbody, dirs, frames) -> np.ndarray:
-    """h * det of the tangential Hessian at every direction, from one batched jet.
+def _lifted_volumes(body, columns, dirs, weights, tangents) -> np.ndarray:
+    """V_k of the shadows of ``body`` on each frame F of an (R, n, k) stack.
 
-    ``frames`` is ``tangent_frames(dirs)``, built once per rule; at k = 1 ``det`` gives 1.
+    The rule's directions lift to the rows of w F^T and its tangent frames
+    ``tangents`` (``tangent_frames(dirs)``) to F B, so the source Hessian is
+    restricted directly: (F B)^T H (F B), no k x k projected Hessian.  Frames
+    go in batches of about ``JET_BATCH`` directions, one ``body.jets`` call per
+    batch; at k = 1 F B has no column and ``det`` gives 1.
     """
-    values, _, hess = kbody.jets(dirs)
-    return values * det(_restrict_all(hess, frames))
+    m, (n, k) = len(dirs), columns.shape[1:]
+    step = max(1, JET_BATCH // m)
+    vols = np.empty(len(columns))
+    for start in range(0, len(columns), step):
+        f = columns[start : start + step]
+        values, _, hess = body.jets((dirs @ np.swapaxes(f, 1, 2)).reshape(-1, n))
+        lifted = (f[:, None] @ tangents).reshape(len(f) * m, n, k - 1)
+        dens = values * det(_restrict_all(hess, lifted))
+        vols[start : start + step] = np.sum(weights * dens.reshape(len(f), m), axis=1)
+    return vols
 
 
 def volume_from_support(kbody, nodes: int | None = None) -> float:
@@ -203,26 +224,26 @@ def volume_from_support(kbody, nodes: int | None = None) -> float:
     azimuths (default 4096, minimum 4^(k-1)).  nodes is ignored for k = 1.
     """
     dirs, weights = _quadrature_rule(kbody.dim, nodes)
-    return float(np.sum(weights * _densities(kbody, dirs, tangent_frames(dirs))))
+    if isinstance(kbody, ProjectedBody):
+        body, columns = kbody.source, kbody.frame.columns
+    else:
+        body, columns = kbody, np.eye(kbody.dim)
+    return float(_lifted_volumes(body, columns[None], dirs, weights, tangent_frames(dirs))[0])
 
 
 def _shadow_volumes(bodies, k: int, num_frames: int, seed, nodes):
     """Haar k-frames drawn from child seeds of ``seed``, and the shadow volumes.
 
     Returns the frames and a (num_frames, len(bodies)) array of V_k.  The
-    quadrature rule is built once and every body and frame is integrated on
-    it.
+    quadrature rule is built once and every body is integrated on it over
+    all the frames by ``_lifted_volumes``.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(num_frames)
-    frames = [random_subspace(bodies[0].dim, k, np.random.default_rng(c)) for c in children]
+    columns = _haar_frames(bodies[0].dim, k, map(np.random.default_rng, ss.spawn(num_frames)))
     dirs, weights = _quadrature_rule(k, nodes)
     tangents = tangent_frames(dirs)
-    vols = np.empty((num_frames, len(bodies)))
-    for row, frame in zip(vols, frames):
-        for i, body in enumerate(bodies):
-            row[i] = np.sum(weights * _densities(project(body, frame), dirs, tangents))
-    return frames, vols
+    vols = np.column_stack([_lifted_volumes(b, columns, dirs, weights, tangents) for b in bodies])
+    return [SubspaceFrame(c) for c in columns], vols
 
 
 def projection_function(

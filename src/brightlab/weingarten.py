@@ -432,8 +432,11 @@ def revolution_eigenstructure(body, axis, u) -> RevolutionEigenstructure:
     is u = +-axis.  The body is measured, not trusted: its radii at u must
     recur at u turned about the axis (``_check_revolution_body``), or a
     ValueError names the radius gap.  Unlike the pointwise residuals, this
-    catches a 3-D body of revolution checked about the wrong axis.
+    catches a 3-D body of revolution checked about the wrong axis.  Below
+    n = 3 there is no equatorial block, and the dimension is refused.
     """
+    if body.dim < 3:
+        raise ValueError(f"a body of revolution needs dimension n >= 3, got n = {body.dim}")
     axis = _unit_rows(np.asarray(axis, dtype=float)[None])[0]
     u = np.asarray(u, dtype=float)
     t = float(u @ axis)

@@ -412,6 +412,19 @@ class TestReportSchema:
         leftovers = [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
+    def test_report_and_csv_modes_follow_the_umask(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"mode": "antipodal", "trials": 50})
+        out = tmp_path / "r.json"
+        old = os.umask(0o022)
+        try:
+            argv = ["lemma-campaign", "--config", cfg, "--seed", "1", "--out", str(out), "--csv"]
+            assert cli.main(argv) == 0
+        finally:
+            os.umask(old)
+        for path in (out, out.with_suffix(".csv")):
+            assert path.stat().st_mode & 0o777 == 0o644, path.name
+        assert not [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+
 
 def row_by_row_campaign_csv(report) -> bytes:
     """The campaign CSV as ``csv.writer`` writes it from one tuple per trial."""

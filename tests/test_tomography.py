@@ -5,11 +5,14 @@ from math import gamma, pi
 import numpy as np
 import pytest
 
+from brightlab import tomography
 from brightlab.body import Ball, Ellipsoid, Homothet
 from brightlab.sampling import as_rng, haar_directions
 from brightlab.tomography import (
     HomothetyFit,
     SubspaceFrame,
+    _quadrature_rule,
+    _shadow_volumes,
     homothety_fit,
     project,
     projection_function,
@@ -222,6 +225,44 @@ class TestVolumes:
             volume_from_support(project(Ball(4, 1.0), random_subspace(4, 3, 0)), nodes=2)
         with pytest.raises(ValueError):
             volume_from_support(project(Ball(5, 1.0), random_subspace(5, 4, 0)), nodes=63)
+
+
+class TestBatchedShadows:
+    # nodes giving 2, 16, 32, 128 and 512 rule directions at k = 1 ... 5
+    NODES = {1: None, 2: 16, 3: 4, 4: 64, 5: 256}
+    BODIES = (E6, Homothet(E6, 0.7, SHIFT6), Ball(6, 1.3))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_batches_agree_with_one_frame_at_a_time(self, monkeypatch, k):
+        # batches of two frames, so 7 frames end on a partial batch of one
+        m = len(_quadrature_rule(k, self.NODES[k])[0])
+        monkeypatch.setattr(tomography, "JET_BATCH", 2 * m + 1)
+        frames, vols = _shadow_volumes(self.BODIES, k, 7, 17, self.NODES[k])
+        assert vols.shape == (7, 3)
+        for frame, row in zip(frames, vols):
+            for body, vol in zip(self.BODIES, row):
+                alone = volume_from_support(project(body, frame), nodes=self.NODES[k])
+                assert abs(vol - alone) <= 1e-14 * abs(alone)
+
+    def test_partial_batch_at_the_shipped_batch_size(self):
+        # 256 circle nodes put JET_BATCH // 256 frames in a batch; one more is left over
+        count = tomography.JET_BATCH // 256 + 1
+        frames, vols = _shadow_volumes(self.BODIES[:2], 2, count, 3, None)
+        for frame, row in zip(frames, vols):
+            exact = ellipsoid_shadow_volume(A6, frame)
+            assert row == pytest.approx([exact, 0.49 * exact], rel=1e-13)
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_frames_are_the_random_subspace_draws(self, k):
+        frames, _ = _shadow_volumes([Ball(6, 1.0)], k, 5, 21, self.NODES.get(k, 4096))
+        children = np.random.SeedSequence(21).spawn(5)
+        for frame, child in zip(frames, children):
+            alone = random_subspace(6, k, np.random.default_rng(child))
+            assert np.array_equal(frame.columns, alone.columns)
+
+    def test_native_ball_volume_is_unchanged(self):
+        # the value of the per-body rule before frames were batched, to the bit
+        assert volume_from_support(Ball(3, 1.0)) == 4.188790204786388
 
 
 class TestProjectionFunction:
