@@ -323,16 +323,15 @@ def _run_lemma_campaign(params: dict, seed: int):
         if report.best_x is None:
             # every trial fell below min_spread, so the campaign tested nothing
             checks.append(Check("no_eligible_trial", 1.0, 0.0))
-        eligible, violation = _campaign_masks(report)
         extras = {
             "best_residual": report.best_residual,
             "best_gamma": report.best_gamma,
             "best_x": [float(v) for v in report.best_x] if report.best_x is not None else None,
             "trials": trials,
-            "eligible_trials": int(eligible.sum()),
-            "violations": int(violation.sum()),
+            "eligible_trials": report.eligible_trials,
+            "violations": report.violations,
         }
-        return checks, extras, lambda: _campaign_csv(report, violation)
+        return checks, extras, lambda: _campaign_csv(report)
     if mode == "solver":
         a, b = float(params["a"]), float(params["b"])
         k = 1 if params["k"] is None else params["k"]
@@ -358,12 +357,6 @@ def _run_lemma_campaign(params: dict, seed: int):
         }
         return checks, extras, lambda: [_csv(rows)]
     raise ConfigError(f"unknown lemma-campaign mode {mode!r} (expected 'antipodal' or 'solver')")
-
-
-def _campaign_masks(report):
-    """Eligible trials (spread >= min_spread) and violations among them (residual < tol)."""
-    eligible = report.rows[:, 1] >= report.min_spread
-    return eligible, eligible & (report.rows[:, 0] < report.residual_tol)
 
 
 def _run_gallery(params: dict, seed):
@@ -521,63 +514,68 @@ def _csv_words() -> tuple[np.ndarray, ...]:
     )
 
 
-def _round7(x: np.ndarray, e: np.ndarray):
-    """rint(x * 10**(6 - e)), and whether the scaled value is too near a .5 tie.
-
-    The scaled value is below about 1e7 and off by a few ulps (< 1e-8), so
-    away from a tie its rint is that of the exact product.
-    """
-    scaled = x * _csv_words()[0][e + 99]
-    return np.rint(scaled).astype(np.uint32), np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
+_SCI6_WORK = ("f8", "f8", "intp", "intp", "<u8", "<u8", "<u4", "?", "?")
 
 
-def _sci6_words(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sci6_words(x: np.ndarray, work: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``'%.6e' % v`` for every value of ``x`` as two words, and whether they are sure.
 
     With e = floor(log10 x) and the 7-digit mantissa m = rint(x * 10**(6 - e)),
-    renormalized once when m has 6 or 8 digits, "d.dddddd" is the "<u8" word
-    head[m // 1000] | tail[m % 1000] and "e±XX" the "<u4" word exponent[e + 99].
-    Zero, negative and non-finite values, three-digit exponents and near ties
-    are not sure."""
-    _, head, tail, exponent, _ = _csv_words()
+    "d.dddddd" is the "<u8" word head[m // 1000] | tail[m % 1000] and "e±XX"
+    the "<u4" word exponent[e + 99].  Zero, negative and non-finite values,
+    three-digit exponents, decade edges (m not 7 digits) and near .5 ties
+    (where the rint of a scaled value a few ulps off may err) are not sure,
+    and their table indices are clipped.  Every step writes into ``work``, one
+    reused array of each ``_SCI6_WORK`` dtype, len(x) or longer, whose views are returned."""
+    scale, head, tail, exponent, _ = _csv_words()
+    f, g, e, m, mantissa, low, expo, sure, ok = (a[: len(x)] for a in work)
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(x))
-    sure = (x > 0) & (np.abs(e) < 99)  # false for 0, negatives, inf and nan
-    e = np.where(sure, e, 0).astype(np.int64)
-    positive = np.where(sure, x, 1.0)
-    m, tie = _round7(positive, e)
-    step = (m >= 10**7).astype(np.int64) - (m < 10**6)
-    moved = np.flatnonzero(step)
-    e[moved] += step[moved]
-    m[moved], tie_moved = _round7(positive[moved], e[moved])
-    tie[moved] |= tie_moved
-    high, low = np.divmod(m, np.uint32(1000))
-    return head[high] | tail[low], exponent[e + 99], sure & ~tie
+        np.floor(np.log10(x, out=f), out=f)
+        np.less(np.abs(f, out=g), 99, out=sure)  # false for 0, negatives, inf and nan
+        np.add(f, 99, out=e, casting="unsafe")
+        np.multiply(np.take(scale, e, out=g, mode="clip"), x, out=g)
+        np.rint(g, out=f)
+        sure &= np.greater_equal(g, 10**6, out=ok)  # false if e is too large
+        sure &= np.less(f, 10**7, out=ok)  # false if e is too small, or on a carry
+        np.subtract(0.5, np.abs(np.subtract(g, f, out=g), out=g), out=g)
+        sure &= np.greater_equal(g, 1e-6, out=ok)  # false near a .5 tie
+        np.copyto(m, f, casting="unsafe")
+    np.take(exponent, e, out=expo, mode="clip")
+    np.take(head, np.floor_divide(m, 1000, out=e), out=mantissa, mode="clip")
+    m -= np.multiply(e, 1000, out=e)
+    mantissa |= np.take(tail, m, out=low, mode="clip")
+    return mantissa, expo, sure
 
 
-def _index_words(trial: np.ndarray, out: np.ndarray) -> None:
-    """Write each trial index into its row of ``out``, (len(trial), w) "<u4",
-    as w words of four ASCII digits, zero-padded."""
-    for col in range(out.shape[1] - 1, -1, -1):
-        trial, low = np.divmod(trial, 10**4)
-        out[:, col] = _csv_words()[4][low]
+def _index_words(start: int, out: np.ndarray) -> None:
+    """Write the trial indices start, start + 1, ... into the rows of ``out``,
+    (rows, w) "<u4", as w words of four ASCII digits, zero-padded, by slices:
+    the last word runs through the table of words, and word j > 0 from the
+    right is constant over runs of 10**(4 j) trials."""
+    four, stop = _csv_words()[4], start + len(out)
+    for j in range(out.shape[1]):
+        run = 10 ** (4 * max(j, 1))
+        for lo in range(start - start % run, stop, run):
+            words = four[lo // run % 10**4] if j else four[max(start - lo, 0) : stop - lo]
+            out[max(lo - start, 0) : lo + run - start, -1 - j] = words
 
 
-# Rows per chunk of the campaign CSV: the chunk's byte table (38 bytes a row
-# below 10**8 trials) and the kernels' temporaries stay near the L2 cache.
+# Rows per chunk of the campaign CSV, for its byte table (38 bytes a row below
+# 10**8 trials) and formatting workspace (106 bytes a row); 2**17 is slower.
 _CSV_CHUNK = 1 << 16
 
 
-def _campaign_csv(report, violation: np.ndarray) -> Iterator[bytes]:
+def _campaign_csv(report) -> Iterator[bytes]:
     """Per-trial CSV of a falsification campaign, as byte chunks: the bytes
     ``csv.writer`` gives for the rows ``%d,%.6e,%.6e,%d`` (trial, residual,
     spread, violation) under the header ``trial,residual,spread,violation``,
-    CRLF line ends included.  ``violation`` is the per-trial mask of
-    ``_campaign_masks``.
+    CRLF line ends included.  A violation is a row with spread >=
+    ``report.min_spread`` and residual < ``report.residual_tol``.
 
     Rows are formatted in fixed chunks of ``_CSV_CHUNK`` (2**16) rows, each
-    into one reused fixed-width byte table as words (``_index_words``,
-    ``_sci6_words``), so memory does not grow with the number of trials.
+    into one reused fixed-width byte table as words (``_index_words``, and
+    ``_sci6_words`` on both fields at once in a reused workspace), so memory
+    does not grow with the number of trials.
     Each decade of the index is one slab of the table, trimmed to the
     index's width; a row with a field that is not sure is formatted by
     Python and yielded between slabs.
@@ -587,19 +585,21 @@ def _campaign_csv(report, violation: np.ndarray) -> Iterator[bytes]:
     lead = 4 * -(-width // 4)
     table = np.empty((min(len(rows), _CSV_CHUNK), lead + 30), np.uint8)
     table[:, lead:] = np.frombuffer(b",d.dddddde+XX,d.dddddde+XX,0\r\n", np.uint8)
+    work = [np.empty(2 * len(table), dtype) for dtype in _SCI6_WORK]
     yield b"trial,residual,spread,violation\r\n"
     for start in range(0, len(rows), _CSV_CHUNK):
         stop = min(start + _CSV_CHUNK, len(rows))
         block = table[: stop - start]
-        _index_words(np.arange(start, stop), block[:, :lead].view("<u4"))
+        _index_words(start, block[:, :lead].view("<u4"))
         record = block[:, lead:]
-        record[:, 27] = ord("0") + violation[start:stop]
-        sure = np.ones(stop - start, bool)
-        for col, values in ((1, rows[start:stop, 0]), (14, rows[start:stop, 1])):
-            mantissa, exponent, ok = _sci6_words(values)
-            record[:, col : col + 8].view("<u8")[:, 0] = mantissa
-            record[:, col + 8 : col + 12].view("<u4")[:, 0] = exponent
-            sure &= ok
+        chunk = rows[start:stop]
+        violation = (chunk[:, 1] >= report.min_spread) & (chunk[:, 0] < report.residual_tol)
+        record[:, 27] = ord("0") + violation
+        mantissa, exponent, sure = _sci6_words(chunk.ravel(), work)
+        fields = record[:, 1:27].reshape(-1, 2, 13)  # "d.dddddde+XX," twice
+        fields[..., :8].view("<u8")[..., 0] = mantissa.reshape(-1, 2)
+        fields[..., 8:12].view("<u4")[..., 0] = exponent.reshape(-1, 2)
+        sure = sure[0::2] & sure[1::2]
         python = start + np.flatnonzero(~sure)
         edges = [[start, stop], 10 ** np.arange(1, width), python, python + 1]
         edges = np.unique(np.clip(np.concatenate(edges), start, stop)).tolist()
@@ -607,7 +607,7 @@ def _campaign_csv(report, violation: np.ndarray) -> Iterator[bytes]:
             if sure[lo - start]:
                 yield block[lo - start : hi - start, lead - len(str(lo)) :].tobytes()
             else:
-                yield b"%d,%.6e,%.6e,%d\r\n" % (lo, *rows[lo].tolist(), violation[lo])
+                yield b"%d,%.6e,%.6e,%d\r\n" % (lo, *rows[lo].tolist(), violation[lo - start])
 
 
 def _strict(obj):

@@ -591,28 +591,30 @@ def _sorting_network(size: int) -> tuple[tuple[int, int], ...]:
     return tuple(network)
 
 
-def _antipodal_extremes(cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _antipodal_extremes(cols, k: int, work=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean, max and min over |I| = k of S_I = x_I + x_{I*}, for each column of ``cols``.
 
-    ``cols`` is (M, rows).  Each product x_I is built once by multiplying its
-    k rows of ``cols`` in order, and each S_I once per mirror orbit.  The mean
-    adds S_I in lex order of I, so it equals ``mean(axis=1)`` over the
-    (rows, C(M, k)) table of sums.
+    ``cols`` is M equal rows (an (M, rows) array or a list).  Each product
+    x_I is built once by multiplying its k rows in order, and each S_I once
+    per mirror orbit, in ``work``: a reused (2 C(M, k) + 3, >= rows) buffer
+    that holds the results.  The mean adds S_I in lex order of I, so it
+    equals ``mean(axis=1)`` over the (rows, C(M, k)) table of sums.
     """
     subsets = _index_tuples(len(cols), k)
-    prods = np.empty((len(subsets), cols.shape[1]))
+    orbit, pairs = _mirror_orbits(len(cols), k)
+    work = np.empty((2 * len(subsets) + 3, len(cols[0]))) if work is None else work[:, : len(cols[0])]
+    prods, sums, (mean, hi, lo) = work[: len(subsets)], work[len(subsets) : -3][: len(pairs)], work[-3:]
     for prod, (first, second, *rest) in zip(prods, subsets):
         np.multiply(cols[first], cols[second], out=prod)
         for i in rest:
             prod *= cols[i]
-    orbit, pairs = _mirror_orbits(len(cols), k)
-    sums = np.empty((len(pairs), cols.shape[1]))
     for out, (i, j) in zip(sums, pairs):
         np.add(prods[i], prods[j], out=out)
-    total = sums[orbit[0]].copy()
+    np.copyto(mean, sums[orbit[0]])
     for o in orbit[1:]:
-        total += sums[o]
-    return total / len(subsets), sums.max(axis=0), sums.min(axis=0)
+        mean += sums[o]
+    mean /= len(subsets)
+    return mean, sums.max(axis=0, out=hi), sums.min(axis=0, out=lo)
 
 
 def _antipodal_residual(hi: np.ndarray, lo: np.ndarray, gamma) -> np.ndarray:
@@ -660,6 +662,8 @@ class FalsificationReport:
     min_spread: float
     found_violation: bool
     residual_tol: float
+    eligible_trials: int  # spread >= min_spread
+    violations: int  # eligible trials with residual < residual_tol
     rows: np.ndarray = field(compare=False)  # (trials, 2): residual, spread
 
 
@@ -677,51 +681,63 @@ def antipodal_falsification(
     optimal for the squared residual (the subset-sum mean), and records the
     max equation residual.  A violation is a trial with spread >=
     ``min_spread`` and residual < ``tol``; the constancy statement predicts
-    none exist.  The report keeps one (residual, spread) row per trial for
-    export.
+    none exist.  Both must be positive: no residual is below a ``tol`` <= 0,
+    and a spread of 0 is the lemma's own conclusion.  The report keeps one
+    (residual, spread) row per trial for export.
 
     Trials are drawn and evaluated in chunks of ``_WORKING_SET // C(M, k)``
-    rows; the draws form one random stream and the first global minimum
-    wins, so the report does not depend on the chunk size.
+    rows in one set of buffers; the draws form one random stream and the
+    first global minimum wins, so the report does not depend on the chunk size.
     """
     if trials < 1:
         raise ValueError(f"a campaign needs trials >= 1, got {trials}")
-    chunk = _WORKING_SET // _antipodal_subset_count(mlen, k)
+    for key, value in (("residual_tol", tol), ("min_spread", min_spread)):
+        if not value > 0:
+            raise ValueError(f"{key!r} must be positive, got {value!r}")
+    chunk = min(_WORKING_SET // _antipodal_subset_count(mlen, k), trials)
     rng = as_rng(seed)
-    best_residual = np.inf
-    best_x = None
-    best_gamma = np.nan
-    found = False
+    draw, wires = np.empty((chunk, mlen)), np.empty((mlen + 1, chunk))
+    work = np.empty((2 * math.comb(mlen, k) + 3, chunk))
+    best_residual, best_x, best_gamma = np.inf, None, np.nan
+    eligible_trials = violations = 0
     rows = np.empty((trials, 2))
     for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
-        cols = list(rng.uniform(0.2, 2.0, size=(stop - start, mlen)).T)
+        draws = draw[: trials - start]
+        # Generator.uniform(0.2, 2.0) in place: 0.2 + (2.0 - 0.2) * next_double
+        rng.random(out=draws)
+        draws *= 2.0 - 0.2
+        draws += 0.2
+        wires[:mlen, : len(draws)] = draws.T
+        *cols, spare = wires[:, : len(draws)]
         for i, j in _sorting_network(mlen):
-            cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
-        cols = np.array(cols)
-        mean, hi, lo = _antipodal_extremes(cols, k)
-        gamma = mean / 2.0
-        residual = _antipodal_residual(hi, lo, gamma)
-        spread = cols[-1] - cols[0]
-        rows[start:stop, 0], rows[start:stop, 1] = residual, spread
-        eligible = spread >= min_spread
-        if np.any(eligible):
-            sub = np.where(eligible)[0]
-            pos = sub[np.argmin(residual[sub])]
+            np.minimum(cols[i], cols[j], out=spare)
+            np.maximum(cols[i], cols[j], out=cols[j])
+            cols[i], spare = spare, cols[i]
+        mean, hi, lo = _antipodal_extremes(cols, k, work)
+        # max |S_I - 2 gamma| with 2 gamma = mean, exactly (halving is exact)
+        residual, spread = rows[start : start + len(draws)].T
+        np.maximum(np.subtract(hi, mean, out=hi), np.subtract(mean, lo, out=lo), out=residual)
+        np.subtract(cols[-1], cols[0], out=spread)
+        ok = spread >= min_spread
+        count = int(np.count_nonzero(ok))
+        eligible_trials += count
+        violations += int(np.count_nonzero(ok & (residual < tol)))
+        if count:
+            pos = np.argmin(residual) if count == len(ok) else np.flatnonzero(ok)[np.argmin(residual[ok])]
             if residual[pos] < best_residual:
                 best_residual = float(residual[pos])
-                best_x = cols[:, pos].copy()
-                best_gamma = float(gamma[pos])
-            if residual[pos] < tol:
-                found = True
+                best_x = np.array([col[pos] for col in cols])
+                best_gamma = float(mean[pos]) / 2.0
     return FalsificationReport(
         trials=trials,
         best_residual=best_residual,
         best_x=best_x,
         best_gamma=best_gamma,
         min_spread=min_spread,
-        found_violation=found,
+        found_violation=violations > 0,
         residual_tol=tol,
+        eligible_trials=eligible_trials,
+        violations=violations,
         rows=rows,
     )
 

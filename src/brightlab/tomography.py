@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gamma, pi, sqrt
 
 import numpy as np
@@ -127,6 +128,7 @@ def project(body, frame: SubspaceFrame) -> ProjectedBody:
 JET_BATCH = 2**11
 
 
+@lru_cache(maxsize=None)
 def _gegenbauer_rule(p: int, lam: float):
     """p-point Gauss rule for the weight (1 - t^2)^(lam - 1/2) on [-1, 1].
 
@@ -134,13 +136,15 @@ def _gegenbauer_rule(p: int, lam: float):
     matrix of the Gegenbauer polynomials, and each weight is the weight
     integral times the squared first entry of its eigenvector (Golub and
     Welsch, Math. Comp. 23 (1969) 221-230).  The rule is symmetrized so that
-    t -> -t maps it onto itself exactly.
+    t -> -t maps it onto itself exactly.  Cached per (p, lam), read-only.
     """
     n = np.arange(1.0, p)
     off = np.sqrt(n * (n + 2 * lam - 1) / (4 * (n + lam) * (n + lam - 1)))
     t, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     w = sqrt(pi) * gamma(lam + 0.5) / gamma(lam + 1) * vecs[0] ** 2
-    return (t - t[::-1]) / 2, (w + w[::-1]) / 2
+    t, w = (t - t[::-1]) / 2, (w + w[::-1]) / 2
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def _sphere_rule(k: int, polar: int, circle: int):

@@ -277,6 +277,24 @@ class TestExitCodes:
         assert f"{key!r} must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"residual_tol": -1}, "residual_tol"),
+            ({"residual_tol": 0.0}, "residual_tol"),
+            ({"min_spread": 0}, "min_spread"),
+            ({"min_spread": -1e-3}, "min_spread"),
+        ],
+    )
+    def test_campaign_thresholds_that_can_never_fire_exit_two(self, tmp_path, capsys, config, key):
+        # a residual_tol <= 0 finds no violation, and a min_spread <= 0 would
+        # count a constant vector, the lemma's own conclusion, as one
+        cfg = write_config(tmp_path / "c.json", {"mode": "antipodal", "trials": 100, **config})
+        argv = ["lemma-campaign", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 2
+        assert f"{key!r} must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_nan_tolerance_flag_exits_two(self, tmp_path, capsys):
         argv = ["verify-wedge", "--seed", "1", "--tolerance", "nan"]
         assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 2
@@ -441,8 +459,20 @@ def row_by_row_campaign_csv(report) -> bytes:
 
 
 def exported_csv(report) -> bytes:
-    """The campaign CSV as the CLI streams it, from the violation mask it computes once."""
-    return b"".join(cli._campaign_csv(report, cli._campaign_masks(report)[1]))
+    """The campaign CSV as the CLI streams it."""
+    return b"".join(cli._campaign_csv(report))
+
+
+def sci6_workspace(size: int) -> list:
+    return [np.empty(size, dtype) for dtype in cli._SCI6_WORK]
+
+
+def sci6_fields(values: np.ndarray, work: list) -> tuple[list, np.ndarray]:
+    """The '%.6e' bytes of each value as ``_campaign_csv`` gets them: the words
+    of ``_sci6_words`` where they are sure and Python's elsewhere; and ``sure``."""
+    mantissa, exponent, sure = cli._sci6_words(values, work)
+    words = np.hstack([mantissa.view(np.uint8).reshape(-1, 8), exponent.view(np.uint8).reshape(-1, 4)])
+    return [row.tobytes() if ok else b"%.6e" % v for row, ok, v in zip(words, sure, values)], sure
 
 
 def near_ties() -> np.ndarray:
@@ -514,10 +544,9 @@ class TestCsvExport:
 
     def test_export_memory_does_not_grow_with_trials(self):
         report = antipodal_falsification(6, 2, 1_000_000, seed=1)
-        violation = cli._campaign_masks(report)[1]
         tracemalloc.start()
         try:
-            size = sum(map(len, cli._campaign_csv(report, violation)))
+            size = sum(map(len, cli._campaign_csv(report)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -538,15 +567,17 @@ class TestCsvExport:
         assert old.read_bytes() == b"old bytes"
         assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]  # no .tmp left
 
-    @pytest.mark.parametrize("words", [2, 3, 4])
+    @pytest.mark.parametrize("words", [1, 2, 3, 4])
     def test_index_words_are_exact_beyond_eight_digits(self, words):
-        trial = np.array([0, 7, 99_999_999, 10**8, 10**12])
-        trial = trial[trial < 10 ** (4 * words)]
-        out = np.empty((len(trial), words), "<u4")
-        cli._index_words(trial, out)
-        assert [row.tobytes() for row in out] == [
-            b"%0*d" % (4 * words, t) for t in trial
-        ]
+        # runs of 23 indices across the wraps of every word, up to 10**12
+        for start in (0, 7, 9_990, 99_999_990, 10**8 - 3, 10**12 - 11):
+            if start + 23 > 10 ** (4 * words):
+                continue
+            out = np.empty((23, words), "<u4")
+            cli._index_words(start, out)
+            assert [row.tobytes() for row in out] == [
+                b"%0*d" % (4 * words, t) for t in range(start, start + 23)
+            ]
 
     def test_import_builds_no_csv_table(self, tmp_path):
         # the lookup tables are built on the first CSV export, not at import
@@ -580,6 +611,8 @@ class TestCsvExport:
             min_spread=min_spread,
             found_violation=True,
             residual_tol=residual_tol,
+            eligible_trials=6,
+            violations=3,
             rows=rows,
         )
         data = exported_csv(report)
@@ -589,25 +622,57 @@ class TestCsvExport:
 
     def test_float_kernel_matches_percent_format(self):
         rng = np.random.default_rng(1)
+        # decade edges, where '%.6e' carries into the next decade: the tie
+        # 9.9999995 and its neighbours, and values above it that round up
+        ties_at_edges = 9.9999995 * 10.0 ** np.arange(-98, 99)
+        edges = np.concatenate([
+            ties_at_edges,
+            np.nextafter(ties_at_edges, 0.0),
+            np.nextafter(ties_at_edges, np.inf),
+            np.outer([9.9999997, 9.99999999, np.nextafter(10.0, 0.0)], 10.0 ** np.arange(-98, 99)).ravel(),
+        ])
+        # within 1e-6 of a .5 tie of the 7-digit mantissa, and just beyond it
+        offsets = np.array([-2e-6, -9e-7, -1e-7, 1e-7, 9e-7, 2e-6])
+        mantissas = rng.integers(10**6, 10**7, 200) + 0.5
+        ties = np.ravel((mantissas[:, None] + offsets) * 10.0 ** rng.integers(-104, 92, (200, 1)))
+        # zero, negatives, non-finite values, subnormals and three-digit exponents
+        never_sure = [
+            0.0, -0.0, -1.5, -1e-300, np.inf, -np.inf, np.nan,
+            5e-324, 1e-310, 1e-99, 1e99, 1e-100, 1e100, 1.5e-250, 1.7976931348623157e308,
+        ]
         values = np.concatenate(
             [
-                [0.0, -0.0, 9.9999995, 1e-99, 9.99999e98, 5e-324, 1.7976931348623157e308],
-                [np.inf, -np.inf, np.nan, -1.5],
+                [9.9999995, 9.99999e98],
                 10.0 ** np.arange(-100, 101),
                 near_ties(),
+                edges,
+                ties,
+                never_sure,
                 10.0 ** rng.uniform(-90, 90, 20000),
                 rng.uniform(0.0, 10.0, 20000),
             ]
         )
-        mantissa, exponent, sure = cli._sci6_words(values)
-        words = np.hstack([
-            mantissa.astype("<u8").view(np.uint8).reshape(-1, 8),
-            exponent.astype("<u4").view(np.uint8).reshape(-1, 4),
-        ])
-        # a value that is not sure takes the Python path of _campaign_csv
-        fields = [row.tobytes() if ok else b"%.6e" % v for row, ok, v in zip(words, sure, values)]
-        assert fields == [("%.6e" % v).encode() for v in values]
+        reused = sci6_workspace(len(values) + 7)
+        for chunk, work in ((values, sci6_workspace(len(values))), (values[::-1], reused), (values, reused)):
+            fields, sure = sci6_fields(chunk, work)
+            assert fields == [("%.6e" % v).encode() for v in chunk]
+        # the last chunk is ``values`` in a reused workspace
+        tail = sure[-40000 - len(never_sure) - len(ties) :]
+        assert not tail[: len(ties)].reshape(-1, 6)[:, 1:5].any()  # within 1e-6 of a tie
+        assert not tail[len(ties) : -40000].any()
         assert sure[-40000:].mean() > 0.999
+
+    @pytest.mark.parametrize("error", [1e-3, -1e-3])
+    def test_float_kernel_survives_an_inexact_log10(self, monkeypatch, error):
+        # a log10 off by 1e-3 puts e one off near every power of ten, where the
+        # scaled value then falls outside [1e6, 1e7): those values must not be sure
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x, out: np.add(log10(x, out=out), error, out=out))
+        offsets = np.concatenate([-np.geomspace(1e-8, 1e-2, 40), [0.0], np.geomspace(1e-8, 1e-2, 40)])
+        values = np.ravel(10.0 ** (np.arange(-50, 51)[:, None] + offsets))
+        fields, sure = sci6_fields(values, sci6_workspace(len(values)))
+        assert fields == [("%.6e" % v).encode() for v in values]
+        assert 0.5 < sure.mean() < 0.95
 
     def test_checks_csv(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"samples": 4})

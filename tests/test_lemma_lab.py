@@ -1,5 +1,6 @@
 """Subset-product relation systems: residuals, candidates, campaigns."""
 
+import hashlib
 import math
 import re
 import time
@@ -476,6 +477,109 @@ class TestAntipodalProducts:
             antipodal_falsification(60, 30, 10)
         with pytest.raises(ValueError, match=r"m_len = 60, k = 30 .* above the ceiling"):
             antipodal_product_check(np.linspace(1.0, 2.0, 60), 1.0, 30)
+
+
+# SHA-256 of rows.tobytes(), best_residual, best_gamma and best_x of campaigns
+# of 10**5 trials, recorded before the campaign ran in reused chunk buffers
+CAMPAIGN_PINS = {
+    (6, 2, 1): (
+        "0bf7fe35994dd45c0d4d04f2e5b64614a65c4cc496af1cafb7762c588bfcb23c",
+        0.011581227919838843,
+        0.27101277266844026,
+        [0.4680665285772883, 0.4923903079758239, 0.49433457391344016,
+         0.5490460731313354, 0.5546626625254214, 0.566633464509152],
+    ),
+    (6, 2, 2): (
+        "7d95bd18fe2a3f3fd10ea6bb538a854d6a4d8abe8a6daa22b6d9cdaeb48fc620",
+        0.023947820133572217,
+        0.43697733964628976,
+        [0.5406205815870821, 0.5775604172474667, 0.646138468668889,
+         0.6772693845202259, 0.7388202095805718, 0.7926982006686423],
+    ),
+    (6, 2, 3): (
+        "429670ae57476c8e4e470912c1d612af047c0a162b99dd2ab8dc4e39e699c130",
+        0.010677003388250172,
+        0.34103730581447994,
+        [0.5083106439256107, 0.5613720435670265, 0.5779198826555135,
+         0.5808742945091893, 0.6003578001794431, 0.6776938518473798],
+    ),
+    (8, 3, 1): (
+        "c88bc50d474746d63b83427b2fc50e7eb0c489563353c0b8c1e80183be1f27de",
+        0.020240473831509745,
+        0.045172046299290114,
+        [0.2085992557388321, 0.2490847989004682, 0.3328108810216468, 0.3517556485997395,
+         0.3699250784963851, 0.41604679899492314, 0.4628607913903899, 0.48445360035796],
+    ),
+    (8, 3, 2): (
+        "71d3f2ec0687fa70d2ca2f3e3b5d4eef702f08330bbbdabdaf0f18ebafdc75a8",
+        0.050537992594535286,
+        0.39092321059803287,
+        [0.5824134905907631, 0.6672340659696308, 0.7276864057767685, 0.7349876654603291,
+         0.7428633970606446, 0.7564636676755905, 0.7791863317192751, 0.8681097123184016],
+    ),
+    (8, 3, 3): (
+        "9ccf52fdd6ea203974457ba8847a9c0a7beb2cfd659836b3b18b9137335e2dd5",
+        0.010524569742924816,
+        0.1970957579820067,
+        [0.5083106439256107, 0.5358019200942529, 0.5613720435670265, 0.5779198826555135,
+         0.5808742945091893, 0.6003578001794431, 0.617936452778358, 0.6776938518473798],
+    ),
+}
+
+
+class TestCampaignWorkspace:
+    @pytest.mark.parametrize("mlen, k, seed", sorted(CAMPAIGN_PINS))
+    def test_campaign_matches_its_pinned_rows_and_best_trial(self, mlen, k, seed):
+        digest, residual, gamma, best_x = CAMPAIGN_PINS[mlen, k, seed]
+        report = antipodal_falsification(mlen, k, 100_000, seed=seed)
+        assert hashlib.sha256(report.rows.tobytes()).hexdigest() == digest
+        assert (report.best_residual, report.best_gamma) == (residual, gamma)
+        assert report.best_x.tolist() == best_x
+
+    @pytest.mark.parametrize("mlen, k, budget", [(6, 2, 15 * 7 + 3), (8, 3, 56 * 5), (6, 2, 1 << 18)])
+    def test_draws_are_generator_uniform_across_chunk_seams(self, monkeypatch, mlen, k, budget):
+        # with no comparator the rows come from the draws in the order drawn, so
+        # they must be those of one Generator.uniform call, whatever the chunks;
+        # a numpy build that fused the in-place multiply and add would differ
+        trials = 1000
+        monkeypatch.setattr(lemma_lab, "_sorting_network", lambda size: ())
+        monkeypatch.setattr(lemma_lab, "_WORKING_SET", budget)
+        report = antipodal_falsification(mlen, k, trials, seed=11)
+        draws = np.random.default_rng(11).uniform(0.2, 2.0, size=(trials, mlen))
+        mean, hi, lo = lemma_lab._antipodal_extremes(draws.T, k)
+        residual = lemma_lab._antipodal_residual(hi, lo, mean / 2.0)
+        assert np.array_equal(report.rows[:, 0], residual)
+        assert np.array_equal(report.rows[:, 1], draws[:, -1] - draws[:, 0])
+
+    @pytest.mark.parametrize("budget", [15 * 7 + 3, 1 << 18])
+    def test_counts_equal_the_masks_over_rows(self, monkeypatch, budget):
+        # thresholds loose enough that both counts lie strictly between 0 and trials
+        monkeypatch.setattr(lemma_lab, "_WORKING_SET", budget)
+        report = antipodal_falsification(6, 2, 5000, seed=2, tol=0.4, min_spread=0.8)
+        eligible = report.rows[:, 1] >= report.min_spread
+        violation = eligible & (report.rows[:, 0] < report.residual_tol)
+        assert report.eligible_trials == int(eligible.sum())
+        assert report.violations == int(violation.sum())
+        assert 0 < report.violations < report.eligible_trials < 5000
+        assert report.found_violation
+        assert type(report.eligible_trials) is int and type(report.violations) is int
+
+    @pytest.mark.parametrize(
+        "key, kwargs",
+        [
+            ("residual_tol", {"tol": 0.0}),
+            ("residual_tol", {"tol": -1.0}),
+            ("residual_tol", {"tol": float("nan")}),
+            ("min_spread", {"min_spread": 0.0}),
+            ("min_spread", {"min_spread": -1e-3}),
+            ("min_spread", {"min_spread": float("nan")}),
+        ],
+    )
+    def test_thresholds_that_can_never_fire_are_refused(self, key, kwargs):
+        # no residual is below tol <= 0, and a spread of 0 is the lemma's own
+        # conclusion, which must never count as a violation
+        with pytest.raises(ValueError, match=f"'{key}' must be positive"):
+            antipodal_falsification(6, 2, 10, **kwargs)
 
 
 class TestEigenvalueAudit:

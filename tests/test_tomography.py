@@ -125,6 +125,18 @@ class TestVolumes:
             vol = volume_from_support(project(E4, frame))
             assert vol == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("p, lam", [(32, 0.5), (16, 1.0), (6, 1.5)])
+    def test_polar_rule_is_cached_read_only(self, p, lam):
+        t, w = tomography._gegenbauer_rule(p, lam)
+        assert tomography._gegenbauer_rule(p, lam)[0] is t
+        for values in (t, w):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+        fresh_t, fresh_w = tomography._gegenbauer_rule.__wrapped__(p, lam)
+        assert np.array_equal(t, fresh_t) and np.array_equal(w, fresh_w)
+        # the Gauss rule integrates the weight itself exactly
+        assert w.sum() == pytest.approx(np.sqrt(np.pi) * gamma(lam + 0.5) / gamma(lam + 1), rel=1e-13)
+
     def test_circle_rule_converges_spectrally(self):
         frame = random_subspace(4, 2, 7)
         shadow = project(E4, frame)
