@@ -300,8 +300,7 @@ def _run_umbilic_search(params: dict, seed: int):
         "r_defect": result.r_defect,
         "converged": result.converged,
         "evaluations": result.evaluations,
-        "objective_calls": result.objective_calls,
-        "objective_rows": result.objective_rows,
+        "gauss_newton_steps": result.gauss_newton_steps,
         "objective": objective,
     }
     return checks, extras

@@ -635,8 +635,11 @@ def antipodal_product_check(x, gamma: float, k: int, tol: float = 1e-10) -> Anti
     ``x`` must be sorted ascending and positive with M = len(x) >= 4 and
     2 <= k <= M - 2.  If every equation holds within ``tol`` the vector is
     asserted constant within sqrt(tol) max(1, x_M); the returned tuple
-    reports the worst residual and the actual spread.
+    reports the worst residual and the actual spread.  ``tol`` must be
+    positive: no residual is below a ``tol`` <= 0 (or NaN).
     """
+    if not tol > 0:
+        raise ValueError(f"'tol' must be positive, got {tol!r}")
     x = np.asarray(x, dtype=float)
     _antipodal_subset_count(x.size, k)
     if x.min() <= 0:

@@ -29,8 +29,8 @@ once; each grade adds one ``multilinear.compound`` call and one stacked
 ``eigvalsh``.  Every relative map comes from ``relative_maps``; the
 umbilic search scores its whole grid (``sampling.hemisphere_grid``, seeded
 Haar directions flipped onto a hemisphere) with it in one call, and each
-sweep of its compass refinement scores the polls it has not yet walked in
-one call, again after every poll it accepts.
+Gauss-Newton iteration that polishes the best grid point evaluates its
+centre and 2(n-1) chart neighbours, at +-u each, in one call.
 """
 
 from __future__ import annotations
@@ -238,11 +238,10 @@ class UmbilicResult:
 class AntipodalSearchResult:
     """Outcome of ``antipodal_search``.
 
-    ``evaluations`` counts the grid directions and the compass polls a
-    one-poll-at-a-time compass makes; the budget applies to it.
-    ``objective_calls`` counts the stacked objective calls and
-    ``objective_rows`` the directions they were given, speculative polls
-    (scored but never walked) included.
+    ``evaluations`` counts the grid directions and the 2n - 1 directions of
+    each Gauss-Newton iteration; the budget applies to it.
+    ``gauss_newton_steps`` counts those iterations, each one stacked
+    ``relative_maps`` call, so evaluations = grid + (2n - 1) steps.
     """
 
     umbilic: UmbilicResult
@@ -250,8 +249,7 @@ class AntipodalSearchResult:
     converged: bool
     evaluations: int
     objective: str
-    objective_calls: int
-    objective_rows: int
+    gauss_newton_steps: int
 
 
 def umbilic_check(body, base, u0, tol: float = 1e-8) -> UmbilicResult:
@@ -291,6 +289,27 @@ def _search_objective(body, base, u: np.ndarray, objective: str) -> np.ndarray:
     return f
 
 
+def _residuals(maps: np.ndarray, bases: np.ndarray, objective: str) -> np.ndarray:
+    """Frame-free search residual at each of m points p, an (m, R) array.
+
+    ``maps`` are the relative maps at p[0], -p[0], p[1], ... in the frames
+    ``bases`` built at the p[i].  ``umbilic``: the entries of
+    A(+-p) - r (I - p p^T), with A = B M B^T and r the mean eigenvalue over
+    +-p.  ``antipodal``: tr M(p)^j - tr M(-p)^j for j = 1 ... n-1, which
+    vanish with equal spectra and, unlike sorted eigenvalues, stay smooth
+    where eigenvalues cross.
+    """
+    maps = maps.reshape(len(bases), 2, *maps.shape[1:])
+    d = maps.shape[-1]
+    if objective == "antipodal":
+        sums = (np.linalg.eigvalsh(maps)[..., None] ** np.arange(1, d + 1)).sum(axis=2)
+        return sums[:, 0] - sums[:, 1]
+    r = np.trace(maps, axis1=2, axis2=3).sum(axis=1) / (2 * d)
+    shifted = maps - r[:, None, None, None] * np.eye(d)
+    ambient = bases[:, None] @ shifted @ np.swapaxes(bases, 1, 2)[:, None]
+    return ambient.reshape(len(bases), -1)
+
+
 def antipodal_search(
     body,
     base,
@@ -308,75 +327,54 @@ def antipodal_search(
     odd-symmetric data; use it to study generic body pairs.
 
     The search scans ``hemisphere_grid(n, max(8, budget // 4), seed)``,
-    seeded Haar directions on a closed hemisphere (ties keep the lowest grid
-    index), and follows it with a derivative-free compass refinement with
-    shrinking tangent steps, stopping when the step falls
-    below 1e-7 or the evaluation budget is exhausted.  A sweep polls
-    +-step along each column of the tangent frame at its starting point and
-    accepts a poll as soon as it improves; the polls after it start from the
-    accepted point.  The sweep scores all polls it has not walked in one
-    stacked call, and again after each accepted poll, so it reaches the same
-    points and counts the same ``evaluations`` as a compass that scores one
-    poll at a time; ``objective_calls`` and ``objective_rows`` report the
-    batching and the speculative polls it scored.  If the final defect
-    exceeds ``tol`` the best candidate is returned flagged unconverged.
+    seeded Haar directions on a closed hemisphere, in one stacked call (ties
+    keep the lowest grid index), then polishes the best grid point by
+    undamped Gauss-Newton on ``_residuals`` in the tangent chart.  Each
+    iteration is one stacked ``relative_maps`` call at the centre u and at
+    normalize(u +- h b_i) for the columns b_i of B = ``tangent_frames(u)``,
+    h = 1e-6; with the central-difference Jacobian J the step is
+    u <- normalize(u - B lstsq(J, r)).  It stops when the centre's residual
+    norm fails to decrease (returning the previous centre), when it is at
+    most 1e-15, or when the next 2n - 1 directions would take
+    ``evaluations`` past ``budget``.  If the final defect exceeds ``tol``
+    the point is returned flagged unconverged.
     """
     if objective not in ("umbilic", "antipodal"):
         raise ValueError(f"unknown objective {objective!r}")
     if budget < 16:
         raise ValueError("budget too small for a meaningful search")
     n = body.dim
-    calls = rows = 0
-
-    def f(u):
-        nonlocal calls, rows
-        calls += 1
-        rows += len(u)
-        return _search_objective(body, base, u, objective)
-
-    def score(polls):
-        # a degenerate base may sit at a poll the walk never reaches; after a
-        # failed batch score the next poll alone, which raises only if the
-        # walk would have raised there
-        try:
-            return f(polls)
-        except PreconditionError:
-            if len(polls) == 1:
-                raise
-            return f(polls[:1])
-
     grid = hemisphere_grid(n, max(8, budget // 4), seed)
-    values = f(grid)
+    values = _search_objective(body, base, grid, objective)
     evals = len(grid)
     best_u, best_f = grid[0], values[0]
     for u, val in zip(grid[1:], values[1:]):
         if val < best_f - max(1e-18, 1e-12 * best_f):
             best_f, best_u = val, u
 
-    step = 0.5
-    min_step = 1e-7
-    while step > min_step and evals + 2 * (n - 1) <= budget:
-        frame = tangent_frames(best_u[None])[0].T
-        moves = np.stack([sign * step * b for b in frame for sign in (1.0, -1.0)])
-        improved = False
-        walked = 0
-        while walked < len(moves):
-            polls = best_u + moves[walked:]
-            for cand in polls:
-                # the 1-D norm, not norm(axis=1): the two round differently
-                cand /= np.linalg.norm(cand)
-            for cand, val in zip(polls, score(polls)):
-                walked += 1
-                evals += 1
-                if val < best_f - max(1e-18, 1e-12 * best_f):
-                    best_f, best_u = val, cand
-                    improved = True
-                    break
-        if not improved:
-            step *= 0.5
+    h, steps = 1e-6, 0
+    u, last, last_norm = best_u, best_u, np.inf
+    while evals + 2 * n - 1 <= budget:
+        frame = tangent_frames(u[None])[0]
+        polls = u + h * np.concatenate([frame.T, -frame.T])
+        points = np.vstack([u, polls / np.linalg.norm(polls, axis=1, keepdims=True)])
+        bases = tangent_frames(points)
+        v = np.stack([points, -points], axis=1).reshape(-1, n)
+        res = _residuals(relative_maps(body, base, v, bases.repeat(2, axis=0)), bases, objective)
+        evals, steps = evals + len(points), steps + 1
+        norm = np.linalg.norm(res[0])
+        if not norm < last_norm:
+            u = last
+            break
+        if norm <= 1e-15:
+            break
+        jac = (res[1:n] - res[n:]).T / (2.0 * h)
+        last, last_norm = u, norm
+        u = u - frame @ np.linalg.lstsq(jac, res[0], rcond=None)[0]
+        u = u / np.linalg.norm(u)
 
-    maps = _antipodal_maps(body, base, best_u)
-    umb = _umbilic(body, best_u, maps, tol)
+    maps = _antipodal_maps(body, base, u)
+    umb = _umbilic(body, u, maps, tol)
     r_defect = float(np.linalg.norm(np.subtract(*np.linalg.eigvalsh(maps))))
     converged = r_defect <= tol if objective == "antipodal" else umb.defect <= tol
     return AntipodalSearchResult(
@@ -385,8 +383,7 @@ def antipodal_search(
         converged=bool(converged),
         evaluations=evals,
         objective=objective,
-        objective_calls=calls,
-        objective_rows=rows,
+        gauss_newton_steps=steps,
     )
 
 

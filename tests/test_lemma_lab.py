@@ -406,6 +406,12 @@ class TestAntipodalProducts:
         with pytest.raises(ValueError):
             antipodal_product_check((-1.0, 1.0, 1.0, 1.0), 1.0, 2)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
+    def test_tolerance_that_can_never_hold_is_refused(self, tol):
+        # an exact constant vector would report neither hypothesis nor constancy
+        with pytest.raises(ValueError, match="'tol' must be positive"):
+            antipodal_product_check((1.3,) * 6, 1.3**2, 2, tol=tol)
+
     def test_falsification_finds_no_nonconstant_solution(self):
         report = antipodal_falsification(6, 2, 50000, seed=0)
         assert not report.found_violation

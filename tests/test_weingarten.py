@@ -13,9 +13,9 @@ from brightlab.body import (
 )
 from brightlab.errors import PreconditionError
 from brightlab.multilinear import SymKForm, compound, polarization_check
-from brightlab.sampling import as_rng, haar_directions, hemisphere_grid
+from brightlab.sampling import as_rng, haar_directions
 from brightlab.weingarten import (
-    _search_objective,
+    _residuals,
     antipodal_search,
     det_ratio_constancy,
     relative_maps,
@@ -35,34 +35,13 @@ K6 = Homothet(E6, 0.7, (0.1, 0.0, -0.2, 0.0, 0.05, 0.0))
 SPHEROID_4D = Spheroid((0.0, 0.0, 0.0, 1.0), 1.0, 1.4)
 SPHEROID_5D = Spheroid((0.0, 0.0, 0.0, 0.0, 1.0), 1.0, 1.4)
 
-# antipodal_search results on the seeded Haar hemisphere grid: seed -> (evaluations, u0)
-UMBILIC_SEARCH_DEFAULTS = {
-    0: (1264, [4.27345296853446e-06, -1.2178352459823613e-05, -1.0789146863318967e-05,
-               1.7104254798677255e-05, 0.9999999997122322]),
-    1: (1264, [-2.3412734332802677e-05, -3.240897286283248e-06, 1.0874319794645425e-05,
-               1.5484615749699075e-05, 0.9999999995416582]),
-    2: (1280, [2.0871520284379643e-05, 1.976162639803694e-05, 8.206842541923517e-07,
-               -2.690134474579223e-05, 0.999999999224751]),
-    3: (1272, [-2.217391437072514e-05, -1.0682269693065877e-05, -3.624847874615164e-05,
-               1.4632164253731747e-05, 0.9999999989330772]),
-    4: (1296, [-1.1246598666914933e-05, -2.6033707392983904e-05, 1.910525591274735e-05,
-               1.821018427884314e-05, 0.9999999992495694]),
-}
-ANTIPODAL_ELLIPSOIDS = {
-    0: (638, [0.1865168763949313, -0.19597346002732666, 0.950047103190218, 0.15561606441711276]),
-    1: (638, [-0.21424427007839494, -0.5093606231982167, -0.20485384406841473, 0.8078898754434873]),
-}
-ANTIPODAL_PERTURBED = {
-    0: (632, [0.9999999999952454, -3.0837315570437897e-06, 3.2799260401789104e-10]),
-    1: (628, [0.999999999998876, 1.4993268928010544e-06, -5.320276062510212e-10]),
-}
-
+# (body, base, seeds whose antipodal-objective certificates are pinned)
 ANTIPODAL_PAIRS = [
-    (E4, Ellipsoid(np.diag([1.44, 0.81, 1.0, 0.49])), ANTIPODAL_ELLIPSOIDS),
+    (E4, Ellipsoid(np.diag([1.44, 0.81, 1.0, 0.49])), (0, 1)),
     (
         HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (0.0, 0.3), 0.2),
         Ellipsoid(np.diag([1.0, 1.44, 0.81])),
-        ANTIPODAL_PERTURBED,
+        (0, 1, 2, 3),
     ),
 ]
 
@@ -75,46 +54,6 @@ def wedge_defect_oracle(body, base, k, beta, u):
     l0 = reverse_weingarten(base, u[None], frame)[0]
     lhs = compound(lu, k) + compound(lmu, k)
     return np.linalg.norm(lhs - 2.0 * beta * compound(l0, k), 2)
-
-
-def _poll(start, move):
-    cand = start + move
-    return cand / np.linalg.norm(cand)
-
-
-def compass_oracle(body, base, seed, budget=4000, objective="umbilic"):
-    """``antipodal_search``'s grid and compass, scoring one poll per objective call.
-
-    Returns the evaluation count, the final point and the walk: one
-    (sweep start, moves, poll index, accepted) entry per scored poll, where
-    poll i of a sweep sits at normalize(point + moves[i]).
-    """
-    n = body.dim
-    grid = hemisphere_grid(n, max(8, budget // 4), seed)
-    values = _search_objective(body, base, grid, objective)
-    evals = len(grid)
-    best_u, best_f = grid[0], values[0]
-    for u, val in zip(grid[1:], values[1:]):
-        if val < best_f - max(1e-18, 1e-12 * best_f):
-            best_f, best_u = val, u
-    walk = []
-    step = 0.5
-    while step > 1e-7 and evals + 2 * (n - 1) <= budget:
-        improved = False
-        frame = tangent_frames(best_u[None])[0].T
-        moves = [sign * step * b for b in frame for sign in (1.0, -1.0)]
-        for i, move in enumerate(moves):
-            cand = _poll(best_u, move)
-            val = _search_objective(body, base, cand[None], objective)[0]
-            evals += 1
-            accepted = val < best_f - max(1e-18, 1e-12 * best_f)
-            walk.append((best_u, moves, i, accepted))
-            if accepted:
-                best_f, best_u = val, cand
-                improved = True
-        if not improved:
-            step *= 0.5
-    return evals, best_u, walk
 
 
 class DentedBall(Ball):
@@ -365,20 +304,37 @@ class TestUmbilic:
         assert res.objective == "antipodal"
         assert res.r_defect < 1e-6
 
-    @pytest.mark.parametrize("seed", sorted(UMBILIC_SEARCH_DEFAULTS))
+    @pytest.mark.parametrize("seed", range(5))
     def test_search_defaults_pinned(self, seed):
-        evaluations, u0 = UMBILIC_SEARCH_DEFAULTS[seed]
-        res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=seed)
-        assert res.evaluations == evaluations
-        np.testing.assert_allclose(res.umbilic.u0, u0, rtol=0, atol=1e-12)
+        # the closed form, not a path: the relative umbilics are the poles +-e5
+        # with radius 1/1.4, certified to rounding
+        res, again = (antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=seed) for _ in range(2))
+        assert res.converged and res.umbilic.defect <= 1e-13
+        assert np.arccos(min(1.0, abs(res.umbilic.u0[-1]))) < 1e-6
+        assert res.umbilic.r0 == pytest.approx(1.0 / 1.4, abs=1e-12)
+        assert res.evaluations == 1000 + 9 * res.gauss_newton_steps <= 4000
+        assert np.array_equal(res.umbilic.u0, again.umbilic.u0)
+        assert (res.evaluations, res.gauss_newton_steps) == (again.evaluations, again.gauss_newton_steps)
 
     @pytest.mark.parametrize("body, base, pins", ANTIPODAL_PAIRS)
     def test_antipodal_objective_pinned(self, body, base, pins):
-        for seed, (evaluations, u0) in pins.items():
-            res = antipodal_search(body, base, seed=seed, budget=2000, objective="antipodal")
-            assert res.evaluations == evaluations
-            np.testing.assert_allclose(res.umbilic.u0, u0, rtol=0, atol=1e-12)
-            assert res.converged
+        for seed in pins:
+            res, again = (
+                antipodal_search(body, base, seed=seed, budget=2000, objective="antipodal")
+                for _ in range(2)
+            )
+            assert res.converged and res.r_defect <= 1e-13
+            assert res.evaluations == 500 + (2 * body.dim - 1) * res.gauss_newton_steps <= 2000
+            assert np.array_equal(res.umbilic.u0, again.umbilic.u0)
+            assert res.evaluations == again.evaluations
+
+    @pytest.mark.parametrize("budget", [64, 70])
+    def test_search_stays_within_a_tight_budget(self, budget):
+        # grids of 16 and 17 leave room for 5 iterations of 9 directions at
+        # n = 5, and the pole needs about 22: the budget ends the polish
+        res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=1, budget=budget)
+        assert res.evaluations == budget // 4 + 9 * res.gauss_newton_steps <= budget
+        assert res.evaluations + 9 > budget
 
     def test_degenerate_base_in_grid_raises_for_first_direction_scanned(self):
         from brightlab.sampling import hemisphere_grid
@@ -389,32 +345,6 @@ class TestUmbilic:
         with pytest.raises(PreconditionError, match="smallest eigenvalue -2.000000e"):
             antipodal_search(Ball(3, 2.0), base, seed=5, budget=640)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_stacked_compass_matches_one_poll_compass(self, seed):
-        evaluations, u0, _ = compass_oracle(SPHEROID_5D, Ball(5, 1.0), seed)
-        res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=seed)
-        assert res.evaluations == evaluations
-        assert np.array_equal(res.umbilic.u0, u0)
-        assert res.objective_rows >= evaluations
-
-    @pytest.mark.parametrize("pair", [0, 1])
-    def test_stacked_compass_matches_one_poll_compass_antipodal(self, pair):
-        body, base = ANTIPODAL_PAIRS[pair][:2]
-        for seed in range(4):
-            evaluations, u0, _ = compass_oracle(body, base, seed, 2000, "antipodal")
-            res = antipodal_search(body, base, seed=seed, budget=2000, objective="antipodal")
-            assert res.evaluations == evaluations
-            assert np.array_equal(res.umbilic.u0, u0)
-
-    def test_compass_batches_its_polls(self):
-        first, again = (antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=1) for _ in range(2))
-        # at most one call for the grid, one per sweep and one after each accepted poll
-        assert first.objective_calls <= 60
-        assert (first.objective_calls, first.objective_rows) == (
-            again.objective_calls,
-            again.objective_rows,
-        )
-
     @pytest.mark.parametrize("objective", ["umbilic", "antipodal"])
     def test_final_point_is_certified_once(self, monkeypatch, objective):
         from brightlab import weingarten
@@ -424,40 +354,83 @@ class TestUmbilic:
 
         def spy(body, base, u, bases=None):
             calls.append(len(u))
+            if bases is not None:
+                # each direction is mapped in a frame of its own u^perp
+                assert np.abs(np.einsum("ij,ijk->ik", u, bases)).max() < 1e-12
             return counted(body, base, u, bases)
 
         monkeypatch.setattr(weingarten, "relative_maps", spy)
         res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=1, objective=objective)
-        # one call per objective call, and one pair of maps at +-u0 that both
-        # the umbilic certificate and r_defect read
-        assert len(calls) == res.objective_calls + 1
-        assert calls[-1] == 2
+        # one call for the grid at +-grid, one per Gauss-Newton iteration at
+        # +-(centre and 8 chart neighbours), and one pair of maps at +-u0
+        # that both the umbilic certificate and r_defect read
+        assert res.gauss_newton_steps >= 1
+        assert calls == [2000] + [18] * res.gauss_newton_steps + [2]
         u0 = res.umbilic.u0
         r_pos, r_neg = np.linalg.eigvalsh(relative_maps(SPHEROID_5D, Ball(5, 1.0), np.stack([u0, -u0])))
         assert res.r_defect == pytest.approx(np.linalg.norm(r_pos - r_neg), abs=1e-12)
 
-    def test_degenerate_base_at_unwalked_poll_does_not_raise(self):
-        body = HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (0.3, -0.2), 0.1)
-        clean = antipodal_search(body, DentedBall(3, []), seed=5, budget=640)
-        start, moves, i, accepted = compass_oracle(body, DentedBall(3, []), 5, budget=640)[2][0]
-        assert accepted and i == 0
-        # poll 1 from the sweep's start is scored speculatively alongside poll
-        # 0; after poll 0 is accepted the walk moves on from the new point
-        base = DentedBall(3, [(_poll(start, moves[1]), -2.0)])
-        evaluations, u0, _ = compass_oracle(body, base, 5, budget=640)
-        res = antipodal_search(body, base, seed=5, budget=640)
-        assert res.evaluations == evaluations == clean.evaluations
-        assert np.array_equal(res.umbilic.u0, u0)
-        # the batch that met the dent was scored again poll by poll
-        assert res.objective_calls > clean.objective_calls
+    def test_polish_returns_the_previous_centre_when_the_residual_grows(self, monkeypatch):
+        from brightlab import weingarten
 
-    def test_degenerate_base_at_walked_poll_raises(self):
-        body = HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (0.3, -0.2), 0.1)
-        start, moves, i, _ = compass_oracle(body, DentedBall(3, []), 5, budget=640)[2][2]
-        base = DentedBall(3, [(_poll(start, moves[i]), -2.0)])
-        for search in (compass_oracle, antipodal_search):
-            with pytest.raises(PreconditionError, match="smallest eigenvalue -2.000000e"):
-                search(body, base, seed=5, budget=640)
+        centres = []
+        counted, residuals = weingarten.relative_maps, weingarten._residuals
+
+        def spy(body, base, u, bases=None):
+            centres.append(u[0])
+            return counted(body, base, u, bases)
+
+        def growing(maps, bases, objective):
+            # the second iteration's centre reads 1e6 times worse than the first
+            return residuals(maps, bases, objective) * 1e6 ** len(centres)
+
+        monkeypatch.setattr(weingarten, "relative_maps", spy)
+        monkeypatch.setattr(weingarten, "_residuals", growing)
+        res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=1)
+        assert res.gauss_newton_steps == 2 and res.evaluations == 1000 + 18
+        assert np.array_equal(res.umbilic.u0, centres[1])
+        assert not np.array_equal(centres[2], centres[1])
+
+    def test_residual_matches_its_definition(self):
+        body = HarmonicPerturbation(SPHEROID_5D, (0.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.3), 0.2)
+        base = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21, 0.81]))
+        points = haar_directions(5, 3, as_rng(16))
+        frames = tangent_frames(points)
+        v = np.stack([points, -points], axis=1).reshape(-1, 5)
+        maps = relative_maps(body, base, v, frames.repeat(2, axis=0))
+        umbilic, antipodal = (_residuals(maps, frames, objective) for objective in ("umbilic", "antipodal"))
+        for p, b, pair, res_u, res_a in zip(points, frames, maps.reshape(3, 2, 4, 4), umbilic, antipodal):
+            r0 = umbilic_check(body, base, p).r0
+            want = [b @ m @ b.T - r0 * (np.eye(5) - np.outer(p, p)) for m in pair]
+            np.testing.assert_allclose(res_u, np.ravel(want), rtol=0, atol=1e-13)
+            sums = [[np.trace(np.linalg.matrix_power(m, j)) for j in range(1, 5)] for m in pair]
+            np.testing.assert_allclose(res_a, np.subtract(*sums), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("objective", ["umbilic", "antipodal"])
+    def test_residual_does_not_depend_on_frame(self, objective):
+        points = haar_directions(5, 4, as_rng(13))
+        frames = tangent_frames(points)
+        q, _ = np.linalg.qr(as_rng(14).standard_normal((4, 4)))
+        body = HarmonicPerturbation(SPHEROID_5D, (0.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.3), 0.2)
+        base = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21, 0.81]))
+        v = np.stack([points, -points], axis=1).reshape(-1, 5)
+        residuals = [
+            _residuals(relative_maps(body, base, v, b.repeat(2, axis=0)), b, objective)
+            for b in (frames, frames @ q)
+        ]
+        assert np.abs(residuals[0]).max() > 1e-2
+        # ambient entries agree to 1e-13; power sums up to tr M^4 ~ 20 relatively
+        rtol, atol = (0.0, 1e-13) if objective == "umbilic" else (1e-13, 0.0)
+        np.testing.assert_allclose(residuals[1], residuals[0], rtol=rtol, atol=atol)
+
+    def test_residual_vanishes_for_a_ball_pair(self):
+        points = haar_directions(3, 6, as_rng(15))
+        frames = tangent_frames(points)
+        v = np.stack([points, -points], axis=1).reshape(-1, 3)
+        maps = relative_maps(Ball(3, 2.0), Ball(3, 1.0), v, frames.repeat(2, axis=0))
+        assert not _residuals(maps, frames, "antipodal").any()
+        # the umbilic residual is rounding, below the 1e-15 at which the search stops
+        assert np.linalg.norm(_residuals(maps, frames, "umbilic"), axis=1).max() <= 1e-15
 
     def test_search_argument_validation(self):
         with pytest.raises(ValueError):
