@@ -7,14 +7,17 @@ its restriction to the tangent hyperplane u^perp carries the principal radii
 of curvature; ``validate`` samples those radii to certify smoothness and
 strict convexity.
 
-Jets have one path.  Each family defines ``jets(U)``, which takes an (m, n)
-array of unit directions and returns the tuple (values (m,), gradients
-(m, n), Hessians (m, n, n)).  ``ConvexBody.jet(u)`` wraps it at one unit
-direction and returns a ``SupportJet``.  Both refuse directions that are
-not unit length.  Each family also keeps its scalar ``support(x)``, the
-independent oracle that ``finite_difference_jet`` differentiates.
-``Revolution`` calls its profile g and its derivatives dg and ddg, all
-required, on arrays of t, so they must accept numpy arrays.
+Jets have one path.  Each family defines ``jets(U, frames=None)``: for an
+(m, n) array of unit directions and an (m, n, j) stack of frames T it
+returns (values (m,), gradients (m, n), Hessians restricted to the frames
+T^T H T (m, j, j)), restricting each of its terms, so no n x n Hessian is
+built; None is the identity, the full (m, n, n) Hessians by the same
+formulas.  ``ConvexBody.jet(u)`` wraps it at one unit direction and
+returns a ``SupportJet``.  Both refuse directions that are not unit
+length.  Each family also keeps its scalar ``support(x)``, the independent
+oracle that ``finite_difference_jet`` differentiates.  ``Revolution``
+calls its profile g and its derivatives dg and ddg, all required, on
+arrays of t, so they must accept numpy arrays.
 
 Bodies are immutable value objects; jets are recomputed on demand, never
 cached.  ``FAMILIES`` maps each document family name to its class; those
@@ -27,12 +30,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
+from math import prod
 from typing import Callable
 
 import numpy as np
 
-from .sampling import as_rng
-from .weingarten import _restrict_all, _symmetrized, _unit_rows, tangent_frames
+from .sampling import as_rng, haar_directions
+from .weingarten import _symmetrized, _unit_rows, tangent_frames
 
 __all__ = [
     "SupportJet",
@@ -69,9 +74,25 @@ def _as_direction(u) -> np.ndarray:
     return _unit_rows(np.asarray(u, dtype=float)[None])[0]
 
 
-def _outers(a: np.ndarray) -> np.ndarray:
-    """Stacked outer products a[i] a[i]^T of the rows of a."""
-    return a[:, :, None] * a[:, None, :]
+def _in_frames(v: np.ndarray, frames) -> np.ndarray:
+    """T^T v at each row v and frame T, (m, j); v itself without frames (T = I)."""
+    return v if frames is None else np.einsum("mnj,mn->mj", frames, v)
+
+
+def _restricted(frames, n: int, a=None):
+    """T^T A T at each frame T (A = I when None); A itself without frames."""
+    if frames is None:
+        return np.eye(n) if a is None else a
+    rows = np.swapaxes(frames, 1, 2).copy()  # contiguous: stacked matmuls on views are slower
+    if a is not None:
+        rows = (rows.reshape(-1, n) @ a).reshape(rows.shape)  # T^T A
+    return rows @ frames
+
+
+def _tangential(u: np.ndarray, frames) -> np.ndarray:
+    """T^T (I - u u^T) T at each row u: the Hessian of |x| at the unit u, restricted."""
+    p = _in_frames(u, frames)
+    return _restricted(frames, u.shape[1]) - p[:, :, None] * p[:, None, :]
 
 
 def _unitize(v, name: str) -> tuple[float, ...]:
@@ -113,7 +134,7 @@ class ConvexBody:
         values, grads, hess = self.jets(_as_direction(u)[None])
         return SupportJet(float(values[0]), grads[0], hess[0])
 
-    def jets(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def jets(self, u, frames=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
 
@@ -134,10 +155,10 @@ class Ball(ConvexBody):
         x = _as_point(x)
         return self.radius * np.sqrt(x @ x)
 
-    def jets(self, u):
+    def jets(self, u, frames=None):
         u = _unit_rows(u)
         r = self.radius
-        return np.full(len(u), float(r)), r * u, r * (np.eye(self.dim) - _outers(u))
+        return np.full(len(u), float(r)), r * u, r * _tangential(u, frames)
 
 
 @dataclass(frozen=True)
@@ -173,13 +194,14 @@ class Ellipsoid(ConvexBody):
         x = _as_point(x)
         return np.sqrt(x @ self.matrix @ x)
 
-    def jets(self, u):
+    def jets(self, u, frames=None):
         u = _unit_rows(u)
         a = self.matrix
         au = u @ a  # rows (A u)^T, A is symmetric
         h = np.sqrt(np.einsum("ij,ij->i", u, au))
         hh = h[:, None, None]
-        hess = a / hh - _outers(au) / hh**3
+        p = _in_frames(au, frames)
+        hess = _restricted(frames, len(a), a) / hh - p[:, :, None] * p[:, None, :] / hh**3
         return h, au / h[:, None], _symmetrized(hess)
 
 
@@ -189,15 +211,15 @@ def _revolution_support(x, axis, g):
     return rho * g(t)
 
 
-def _revolution_jets(u, axis, g, dg, ddg):
+def _revolution_jets(u, frames, axis, g, dg, ddg):
     """Jets of |x| g(<x,e>/|x|) at the rows of u; g, dg and ddg are called on arrays."""
     t = np.clip(u @ axis, -1.0, 1.0)
     gv, g1, g2 = (np.broadcast_to(np.asarray(f(t), dtype=float), t.shape) for f in (g, dg, ddg))
     c = gv - t * g1
     grad = g1[:, None] * axis + c[:, None] * u
-    w = axis - t[:, None] * u
-    hess = g2[:, None, None] * _outers(w) + c[:, None, None] * (np.eye(u.shape[1]) - _outers(u))
-    return gv, grad, _symmetrized(hess)
+    p = _in_frames(axis - t[:, None] * u, frames)
+    hess = g2[:, None, None] * (p[:, :, None] * p[:, None, :])
+    return gv, grad, hess + c[:, None, None] * _tangential(u, frames)
 
 
 @dataclass(frozen=True)
@@ -272,9 +294,9 @@ class Revolution(ConvexBody):
         x = _as_point(x)
         return _revolution_support(x, self.axis_vector, self.profile.g)
 
-    def jets(self, u):
+    def jets(self, u, frames=None):
         p = self.profile
-        return _revolution_jets(_unit_rows(u), self.axis_vector, p.g, p.dg, p.ddg)
+        return _revolution_jets(_unit_rows(u), frames, self.axis_vector, p.g, p.dg, p.ddg)
 
 
 def _odd_poly_coeffs(odd_coeffs) -> np.ndarray:
@@ -284,19 +306,11 @@ def _odd_poly_coeffs(odd_coeffs) -> np.ndarray:
     return c
 
 
-def _odd_poly(c: np.ndarray, t):
-    powers = np.arange(c.size) * 2 + 1
-    return sum(ci * t**p for ci, p in zip(c, powers))
-
-
-def _odd_poly_d1(c: np.ndarray, t):
-    powers = np.arange(c.size) * 2 + 1
-    return sum(ci * p * t ** (p - 1) for ci, p in zip(c, powers))
-
-
-def _odd_poly_d2(c: np.ndarray, t):
-    powers = np.arange(c.size) * 2 + 1
-    return sum(ci * p * (p - 1) * t ** (p - 2) for ci, p in zip(c, powers) if p >= 2)
+def _odd_poly(c, t, d: int = 0):
+    """The d-th derivative of sum_i c_i t^(2i+1): c_i p (p-1) ... t^(p-d), p = 2i+1."""
+    powers = np.arange(len(c)) * 2 + 1
+    terms = (prod((ci, *range(p, p - d, -1))) * t ** (p - d) for ci, p in zip(c, powers) if p >= d)
+    return sum(terms)
 
 
 @dataclass(frozen=True)
@@ -329,27 +343,16 @@ class HarmonicPerturbation(ConvexBody):
     def axis_vector(self) -> np.ndarray:
         return np.asarray(self.axis, dtype=float)
 
-    @property
-    def _coeffs(self) -> np.ndarray:
-        return np.asarray(self.odd_coeffs, dtype=float)
-
     def support(self, x) -> float:
         x = _as_point(x)
-        c = self._coeffs
-        pert = _revolution_support(x, self.axis_vector, lambda t: _odd_poly(c, t))
+        pert = _revolution_support(x, self.axis_vector, partial(_odd_poly, self.odd_coeffs))
         return self.base.support(x) + self.epsilon * pert
 
-    def jets(self, u):
+    def jets(self, u, frames=None):
         u = _unit_rows(u)
-        c = self._coeffs
-        pert = _revolution_jets(
-            u,
-            self.axis_vector,
-            lambda t: _odd_poly(c, t),
-            lambda t: _odd_poly_d1(c, t),
-            lambda t: _odd_poly_d2(c, t),
-        )
-        return tuple(b + self.epsilon * p for b, p in zip(self.base.jets(u), pert))
+        profile = (partial(_odd_poly, self.odd_coeffs, d=d) for d in range(3))
+        pert = _revolution_jets(u, frames, self.axis_vector, *profile)
+        return tuple(b + self.epsilon * p for b, p in zip(self.base.jets(u, frames), pert))
 
 
 @dataclass(frozen=True)
@@ -374,8 +377,8 @@ class MinkowskiSum(ConvexBody):
         x = _as_point(x)
         return sum(p.support(x) for p in self.parts)
 
-    def jets(self, u):
-        return tuple(sum(parts) for parts in zip(*(p.jets(u) for p in self.parts)))
+    def jets(self, u, frames=None):
+        return tuple(sum(parts) for parts in zip(*(p.jets(u, frames) for p in self.parts)))
 
 
 @dataclass(frozen=True)
@@ -406,9 +409,9 @@ class Homothet(ConvexBody):
         x = _as_point(x)
         return self.scale * self.base.support(x) + x @ self.shift_vector
 
-    def jets(self, u):
+    def jets(self, u, frames=None):
         u = _unit_rows(u)
-        values, grads, hess = self.base.jets(u)
+        values, grads, hess = self.base.jets(u, frames)
         t = self.shift_vector
         return self.scale * values + u @ t, self.scale * grads + t, self.scale * hess
 
@@ -437,11 +440,11 @@ class Erosion(ConvexBody):
         x = _as_point(x)
         return self.base.support(x) - self.radius * np.sqrt(x @ x)
 
-    def jets(self, u):
+    def jets(self, u, frames=None):
         u = _unit_rows(u)
-        values, grads, hess = self.base.jets(u)
+        values, grads, hess = self.base.jets(u, frames)
         r = self.radius
-        return values - r, grads - r * u, hess - r * (np.eye(self.dim) - _outers(u))
+        return values - r, grads - r * u, hess - r * _tangential(u, frames)
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +511,8 @@ def validate(body, samples: int = 128, seed=0) -> ValidationReport:
     seen over the sample and whether all were strictly positive (a sampled,
     not exhaustive, certificate that the body is smooth and strictly convex).
     """
-    from .sampling import haar_directions
-
-    rng = as_rng(seed)
-    dirs = haar_directions(body.dim, samples, rng)
-    _, _, hess = body.jets(dirs)
-    radii = np.linalg.eigvalsh(_restrict_all(hess, tangent_frames(dirs)))
+    dirs = haar_directions(body.dim, samples, as_rng(seed))
+    radii = np.linalg.eigvalsh(body.jets(dirs, tangent_frames(dirs))[2])
     first = int(np.argmin(radii[:, 0]))  # the first of tied minima
     min_radius = float(radii[first, 0])
     return ValidationReport(

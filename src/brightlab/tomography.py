@@ -18,10 +18,12 @@ rule is deterministic and maps onto itself under u -> -u, so the odd term
 
 Shadow volumes are evaluated in batches of frames F on one rule: each rule
 direction w lifts to F w on the source body and each tangent frame B to F B,
-so one jets call per body per batch of about JET_BATCH = 2^11 directions
-gives the source Hessians H, restricted directly as (F B)^T H (F B), then a
-stacked determinant and a weighted sum per frame.  ``volume_from_support``
-is the same kernel on one frame (the identity for a native body).
+so one ``jets(F w, F B)`` call per body per batch of about JET_BATCH = 2^11
+directions gives the (k-1) x (k-1) blocks (F B)^T H (F B) of the source
+Hessians H, which each family restricts term by term without forming H;
+then a stacked determinant and a weighted sum per frame.
+``volume_from_support`` is the same kernel on one frame (the identity for a
+native body), and ``ProjectedBody.jets(w, T)`` is ``source.jets(w F^T, F T)``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .body import ConvexBody
 from .multilinear import det
 from .sampling import as_rng, haar_directions, median
-from .weingarten import _restrict_all, _unit_rows, tangent_frames
+from .weingarten import _unit_rows, tangent_frames
 
 __all__ = [
     "SubspaceFrame",
@@ -109,11 +111,12 @@ class ProjectedBody(ConvexBody):
         w = np.asarray(w)
         return self.source.support(self.frame.columns @ w)
 
-    def jets(self, w):
-        """Chain rule on the source jets at the rows of w F^T, unit since F is orthonormal."""
-        f = self.frame.columns
-        values, grads, hess = self.source.jets(_unit_rows(w) @ f.T)
-        return values, grads @ f, f.T @ hess @ f
+    def jets(self, w, frames=None):
+        """Chain rule: the source jets at the rows of w F^T (unit: F is orthonormal), frames F T."""
+        f, w = self.frame.columns, _unit_rows(w)
+        lifted = np.broadcast_to(f, (len(w), *f.shape)) if frames is None else f @ frames
+        values, grads, hess = self.source.jets(w @ f.T, lifted)
+        return values, grads @ f, hess
 
 
 def project(body, frame: SubspaceFrame) -> ProjectedBody:
@@ -197,24 +200,30 @@ def _quadrature_rule(k: int, nodes):
     return dirs, weights / k
 
 
-def _lifted_volumes(body, columns, dirs, weights, tangents) -> np.ndarray:
-    """V_k of the shadows of ``body`` on each frame F of an (R, n, k) stack.
+def _lifted_volumes(bodies, columns, dirs, weights) -> np.ndarray:
+    """V_k of the shadows of each body on each frame F of an (R, n, k) stack, (R, len(bodies)).
 
-    The rule's directions lift to the rows of w F^T and its tangent frames
-    ``tangents`` (``tangent_frames(dirs)``) to F B, so the source Hessian is
-    restricted directly: (F B)^T H (F B), no k x k projected Hessian.  Frames
-    go in batches of about ``JET_BATCH`` directions, one ``body.jets`` call per
-    batch; at k = 1 F B has no column and ``det`` gives 1.
+    The rule's directions lift to the rows of w F^T and their tangent frames
+    B (``tangent_frames(dirs)``) to F B, and each body's jets are
+    restricted to F B: the (k-1) x (k-1) blocks (F B)^T H (F B), no n x n or
+    k x k Hessian.  Frames go in batches of about ``JET_BATCH`` directions,
+    lifted once for every body, one ``body.jets`` call per body and batch;
+    at k = 1 F B has no column and ``det`` gives 1.
     """
     m, (n, k) = len(dirs), columns.shape[1:]
     step = max(1, JET_BATCH // m)
-    vols = np.empty(len(columns))
+    # [B_1 ... B_m] as one k x m(k-1) matrix: one matmul per frame lifts every B
+    row = tangent_frames(dirs).transpose(1, 0, 2).reshape(k, m * (k - 1))
+    vols = np.empty((len(columns), len(bodies)))
     for start in range(0, len(columns), step):
         f = columns[start : start + step]
-        values, _, hess = body.jets((dirs @ np.swapaxes(f, 1, 2)).reshape(-1, n))
-        lifted = (f[:, None] @ tangents).reshape(len(f) * m, n, k - 1)
-        dens = values * det(_restrict_all(hess, lifted))
-        vols[start : start + step] = np.sum(weights * dens.reshape(len(f), m), axis=1)
+        lifted = (f @ row).reshape(len(f), n, m, k - 1).transpose(0, 2, 1, 3)
+        lifted = lifted.reshape(len(f) * m, n, k - 1)
+        u = (dirs @ np.swapaxes(f, 1, 2)).reshape(-1, n)
+        for i, body in enumerate(bodies):
+            values, _, hess = body.jets(u, lifted)
+            dens = (values * det(hess)).reshape(len(f), m)
+            vols[start : start + step, i] = np.sum(weights * dens, axis=1)
     return vols
 
 
@@ -228,11 +237,7 @@ def volume_from_support(kbody, nodes: int | None = None) -> float:
     azimuths (default 4096, minimum 4^(k-1)).  nodes is ignored for k = 1.
     """
     dirs, weights = _quadrature_rule(kbody.dim, nodes)
-    if isinstance(kbody, ProjectedBody):
-        body, columns = kbody.source, kbody.frame.columns
-    else:
-        body, columns = kbody, np.eye(kbody.dim)
-    return float(_lifted_volumes(body, columns[None], dirs, weights, tangent_frames(dirs))[0])
+    return float(_lifted_volumes([kbody], np.eye(kbody.dim)[None], dirs, weights)[0, 0])
 
 
 def _shadow_volumes(bodies, k: int, num_frames: int, seed, nodes):
@@ -245,8 +250,7 @@ def _shadow_volumes(bodies, k: int, num_frames: int, seed, nodes):
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     columns = _haar_frames(bodies[0].dim, k, map(np.random.default_rng, ss.spawn(num_frames)))
     dirs, weights = _quadrature_rule(k, nodes)
-    tangents = tangent_frames(dirs)
-    vols = np.column_stack([_lifted_volumes(b, columns, dirs, weights, tangents) for b in bodies])
+    vols = _lifted_volumes(bodies, columns, dirs, weights)
     return [SubspaceFrame(c) for c in columns], vols
 
 
@@ -283,19 +287,14 @@ def proportionality_test(
     alpha is the median ratio; degenerate samples (vanishing base volume)
     are excluded with a warning and counted in the report.
     """
-    _, vols = _shadow_volumes([body, base], k, num_frames, seed, nodes)
-    ratios = []
-    excluded = 0
-    for vb, v0 in vols:
-        if abs(v0) < 1e-12:
-            excluded += 1
-            continue
-        ratios.append(vb / v0)
+    vb, v0 = _shadow_volumes([body, base], k, num_frames, seed, nodes)[1].T
+    kept = np.abs(v0) >= 1e-12
+    excluded = int(np.count_nonzero(~kept))
     if excluded:
         warnings.warn(f"excluded {excluded} degenerate zero-volume samples")
-    if not ratios:
+    if excluded == len(kept):
         raise ValueError("all samples were degenerate")
-    ratios = np.asarray(ratios)
+    ratios = vb[kept] / v0[kept]
     alpha = median(ratios)
     max_rel = float(np.abs(ratios / alpha - 1.0).max())
     return ProportionalityReport(alpha, ratios, max_rel, excluded)
@@ -324,14 +323,11 @@ def ratio_consistency_check(
     kid_i, kid_j = ss.spawn(2)
 
     def exponents(grade, kid):
-        _, vols = _shadow_volumes([body, base], grade, num_frames, kid, nodes)
-        vals = []
-        for vb, v0 in vols:
-            if abs(vb) < 1e-12:
-                warnings.warn("skipping a degenerate zero-volume sample")
-                continue
-            vals.append((v0 / vb) ** (1.0 / grade))
-        return np.asarray(vals)
+        vb, v0 = _shadow_volumes([body, base], grade, num_frames, kid, nodes)[1].T
+        kept = np.abs(vb) >= 1e-12
+        if not kept.all():
+            warnings.warn(f"skipping {np.count_nonzero(~kept)} degenerate zero-volume samples")
+        return (v0[kept] / vb[kept]) ** (1.0 / grade)
 
     s_i = exponents(i, kid_i)
     s_j = exponents(j, kid_j)

@@ -21,9 +21,10 @@ checks the eigenvalue structure of bodies of revolution.
 
 The curvature maps have one stacked API: ``tangent_frames``,
 ``reverse_weingarten``, ``relative_maps`` and ``wedge_identity_defects``
-take an (m, n) array of directions and return stacks, from one ``jets``
-call per body, the restricted Hessians B^T H B as one stack, then stacked
-linear algebra; one direction u is the stack ``u[None]``.
+take an (m, n) array of directions and return stacks: one ``jets(u, B)``
+call per body gives the restricted Hessians B^T H B in the frames B as one
+(m, n-1, n-1) stack, with no n x n Hessian, then stacked linear algebra;
+one direction u is the stack ``u[None]``.
 ``wedge_identity_defects`` builds the maps at +-u and the base maps at u
 once; each grade adds one ``multilinear.compound`` call and one stacked
 ``eigvalsh``.  Every relative map comes from ``relative_maps``; the
@@ -109,21 +110,15 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, 1, 2))
 
 
-def _restrict_all(hessians: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """B^T H B, symmetrized, for each (hessian, basis) slice of the two stacks."""
-    return _symmetrized(np.swapaxes(bases, 1, 2) @ hessians @ bases)
-
-
 def reverse_weingarten(body, u, bases=None) -> np.ndarray:
     """Tangential Hessians of the support function at each row of u, an (m, n-1, n-1) stack.
 
     ``bases`` is an (m, n, n-1) stack whose i-th slice spans u[i]^perp (it
     may have been built at -u[i], the subspaces agree); by default
-    ``tangent_frames(u)``.
+    ``tangent_frames(u)``.  The body restricts its own Hessians to them:
+    this is ``body.jets(u, bases)[2]``.
     """
-    if bases is None:
-        bases = tangent_frames(u)
-    return _restrict_all(body.jets(u)[2], bases)
+    return body.jets(u, tangent_frames(u) if bases is None else bases)[2]
 
 
 def _psd_inv_sqrt(matrices: np.ndarray, what: str) -> np.ndarray:
@@ -179,8 +174,8 @@ def wedge_identity_defects(body, base, grades, betas, u) -> np.ndarray:
     u = _unit_rows(u)
     _check_symmetric_body(base, u)
     bases = tangent_frames(u)
-    hessians = np.concatenate([body.jets(np.vstack([u, -u]))[2], base.jets(u)[2]])
-    maps = _restrict_all(hessians, np.concatenate([bases, bases, bases]))
+    body_maps = body.jets(np.vstack([u, -u]), np.concatenate([bases, bases]))[2]
+    maps = np.concatenate([body_maps, base.jets(u, bases)[2]])
     defects = np.empty((len(grades), len(u)))
     for row, k, beta in zip(defects, grades, betas, strict=True):
         lu, lmu, l0 = np.split(multilinear.compound(maps, k), 3)
@@ -334,10 +329,14 @@ def antipodal_search(
     normalize(u +- h b_i) for the columns b_i of B = ``tangent_frames(u)``,
     h = 1e-6; with the central-difference Jacobian J the step is
     u <- normalize(u - B lstsq(J, r)).  It stops when the centre's residual
-    norm fails to decrease (returning the previous centre), when it is at
-    most 1e-15, or when the next 2n - 1 directions would take
-    ``evaluations`` past ``budget``.  If the final defect exceeds ``tol``
-    the point is returned flagged unconverged.
+    norm fails to decrease (returning the previous centre), when it is
+    rounding, or when the next 2n - 1 directions would take ``evaluations``
+    past ``budget``.  Rounding is a norm of at most 8 eps sqrt(R) s over the
+    R residual entries, where s is the largest term the residual subtracts:
+    the largest |eigenvalue| of M(+-u) for ``umbilic``, the largest power
+    sum of their |eigenvalues| for ``antipodal``; a step from it would be a
+    step from noise.  If the final defect exceeds ``tol`` the point is
+    returned flagged unconverged.
     """
     if objective not in ("umbilic", "antipodal"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -360,13 +359,17 @@ def antipodal_search(
         points = np.vstack([u, polls / np.linalg.norm(polls, axis=1, keepdims=True)])
         bases = tangent_frames(points)
         v = np.stack([points, -points], axis=1).reshape(-1, n)
-        res = _residuals(relative_maps(body, base, v, bases.repeat(2, axis=0)), bases, objective)
+        maps = relative_maps(body, base, v, bases.repeat(2, axis=0))
+        res = _residuals(maps, bases, objective)
         evals, steps = evals + len(points), steps + 1
         norm = np.linalg.norm(res[0])
         if not norm < last_norm:
             u = last
             break
-        if norm <= 1e-15:
+        lam = np.abs(np.linalg.eigvalsh(maps[:2]))  # M(+-u) at the centre
+        sums = (lam[..., None] ** np.arange(1, n)).sum(axis=1)  # power sums at each sign
+        scale = lam.max() if objective == "umbilic" else sums.max()
+        if norm <= 8.0 * np.finfo(float).eps * np.sqrt(res.shape[1]) * scale:
             break
         jac = (res[1:n] - res[n:]).T / (2.0 * h)
         last, last_norm = u, norm
@@ -430,7 +433,9 @@ def revolution_eigenstructure(body, axis, u) -> RevolutionEigenstructure:
     recur at u turned about the axis (``_check_revolution_body``), or a
     ValueError names the radius gap.  Unlike the pointwise residuals, this
     catches a 3-D body of revolution checked about the wrong axis.  Below
-    n = 3 there is no equatorial block, and the dimension is refused.
+    n = 3 there is no equatorial block, and the dimension is refused.  The
+    Hessian is read as B^T H B in the orthonormal basis B = [u, w1, complement
+    of span{u, w1}], one ``jets(u, B)`` call, so |B^T x| = |x| for residuals.
     """
     if body.dim < 3:
         raise ValueError(f"a body of revolution needs dimension n >= 3, got n = {body.dim}")
@@ -444,15 +449,13 @@ def revolution_eigenstructure(body, axis, u) -> RevolutionEigenstructure:
     v0 = (u - t * axis) / cos_phi
     w1 = -t * v0 + cos_phi * axis
 
-    hess = body.jets(u[None])[2][0]
-    axial = float(w1 @ hess @ w1)
-    axial_residual = float(np.linalg.norm(hess @ w1 - axial * w1))
-
     n = u.size
-    span = np.column_stack([u, w1])
-    q, _ = np.linalg.qr(np.column_stack([span, np.eye(n)]))
-    comp = q[:, 2:]
-    block = comp.T @ hess @ comp
+    q, _ = np.linalg.qr(np.column_stack([u, w1, np.eye(n)]))
+    hess = body.jets(u[None], np.column_stack([u, w1, q[:, 2:]])[None])[2][0]
+    axial = float(hess[1, 1])
+    axial_residual = float(np.linalg.norm(hess[:, 1] - axial * np.eye(n)[1]))
+
+    block = hess[2:, 2:]
     equatorial = float(np.trace(block) / (n - 2))
     isotropy_residual = float(np.linalg.norm(block - equatorial * np.eye(n - 2), 2))
     return RevolutionEigenstructure(axial, equatorial, axial_residual, isotropy_residual)

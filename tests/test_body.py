@@ -213,6 +213,25 @@ class TestBatchedJets:
             body.jets(dirs)
 
 
+class TestRestrictedJets:
+    @pytest.mark.parametrize("j", ["0", "1", "2", "n"])
+    @pytest.mark.parametrize("body", batched_bodies(), ids=lambda b: type(b).__name__)
+    def test_frames_restrict_the_hessian(self, body, j):
+        # random, non-orthonormal frames; j = 0 is the k = 1 shadow, whose blocks are 0 x 0
+        n = body.dim
+        j = n if j == "n" else int(j)
+        dirs = haar_directions(n, 12, as_rng(21))
+        frames = as_rng(22).standard_normal((12, n, j))
+        values, grads, hess = body.jets(dirs)
+        v, g, block = body.jets(dirs, frames)
+        assert block.shape == (12, j, j)
+        np.testing.assert_array_equal(v, values)
+        np.testing.assert_array_equal(g, grads)
+        want = np.swapaxes(frames, 1, 2) @ hess @ frames
+        scale = np.abs(want).max(initial=0.0)
+        np.testing.assert_allclose(block, want, rtol=1e-13, atol=1e-13 * scale)
+
+
 class TestRevolution:
     def test_requires_explicit_numeric_opt_in(self):
         # there is no numeric fallback: a profile without dg and ddg is refused

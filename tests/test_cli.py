@@ -52,19 +52,10 @@ class TestExitCodes:
         assert "[PASS]" in proc.stdout
 
     def test_failing_check_exits_one_and_still_writes_report(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {"samples": 5})
-        proc = run_cli(
-            "verify-wedge",
-            "--config",
-            cfg,
-            "--seed",
-            "1",
-            "--tolerance",
-            "1e-20",
-            "--out",
-            "r.json",
-            cwd=tmp_path,
-        )
+        # betas 0.001 above scale^k: every grade fails by about 4e-3, not by rounding
+        cfg = ROOT / "scripts" / "configs" / "verify_wedge_wrong_beta.json"
+        argv = ("verify-wedge", "--config", str(cfg), "--seed", "1", "--out", "r.json")
+        proc = run_cli(*argv, cwd=tmp_path)
         assert proc.returncode == 1
         assert "[FAIL]" in proc.stdout
         report = json.loads((tmp_path / "r.json").read_text())

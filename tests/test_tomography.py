@@ -53,9 +53,9 @@ class DegeneratePoint:
     def support(self, x) -> float:
         return 0.0
 
-    def jets(self, u):
-        m = len(u)
-        return np.zeros(m), np.zeros((m, self._n)), np.zeros((m, self._n, self._n))
+    def jets(self, u, frames=None):
+        m, j = len(u), self._n if frames is None else frames.shape[2]
+        return np.zeros(m), np.zeros((m, self._n)), np.zeros((m, j, j))
 
 
 class TestSubspaces:

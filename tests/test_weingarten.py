@@ -63,8 +63,8 @@ class DentedBall(Ball):
         super().__init__(dim, 1.0)
         object.__setattr__(self, "dents", dents)  # [(direction, factor), ...]
 
-    def jets(self, u):
-        values, gradients, hessians = super().jets(u)
+    def jets(self, u, frames=None):
+        values, gradients, hessians = super().jets(u, frames)
         for direction, factor in self.dents:
             hessians[np.abs(u - direction).max(axis=1) < 1e-12] *= factor
         return values, gradients, hessians
@@ -151,11 +151,12 @@ class TestRelativeMap:
             def support(self, x):
                 return float(np.abs(np.asarray(x)[2]))
 
-            def jets(self, u):
+            def jets(self, u, frames=None):
                 u = np.asarray(u, dtype=float)
                 gradients = np.zeros_like(u)
                 gradients[:, 2] = np.where(u[:, 2] >= 0, 1.0, -1.0)
-                return np.abs(u[:, 2]), gradients, np.zeros((len(u), 3, 3))
+                j = 3 if frames is None else frames.shape[2]
+                return np.abs(u[:, 2]), gradients, np.zeros((len(u), j, j))
 
         with pytest.raises(PreconditionError) as err:
             relative_maps(flat, FlatBase(), np.array([[0.0, 0.0, 1.0]]))
@@ -328,6 +329,24 @@ class TestUmbilic:
             assert np.array_equal(res.umbilic.u0, again.umbilic.u0)
             assert res.evaluations == again.evaluations
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_ball_pair_stops_at_the_grid_point(self, n):
+        # every direction is umbilic, so the first centre's residual is rounding: no step is taken
+        from brightlab.sampling import hemisphere_grid
+
+        res = antipodal_search(Ball(n, 2.0), Ball(n, 1.0), seed=1, budget=640)
+        assert res.gauss_newton_steps == 1 and res.evaluations == 160 + 2 * n - 1
+        assert np.array_equal(res.umbilic.u0, hemisphere_grid(n, 160, 1)[0])
+        assert res.converged and res.umbilic.defect <= 1e-13
+
+    def test_antipodal_polish_stops_at_the_rounding_of_its_power_sums(self):
+        # relative radii near 5 put the power sums near 1e3, so the converged residual
+        # (4.6e-13) is rounding of the sums, though far above eps times the largest radius
+        body = HarmonicPerturbation(Ball(5, 3.0), (0.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.3), 0.2)
+        base = Ellipsoid(np.diag(np.linspace(0.6, 1.4, 5)))
+        res = antipodal_search(body, base, seed=2, budget=2000, objective="antipodal")
+        assert res.gauss_newton_steps == 3 and res.r_defect <= 1e-13
+
     @pytest.mark.parametrize("budget", [64, 70])
     def test_search_stays_within_a_tight_budget(self, budget):
         # grids of 16 and 17 leave room for 5 iterations of 9 directions at
@@ -429,7 +448,7 @@ class TestUmbilic:
         v = np.stack([points, -points], axis=1).reshape(-1, 3)
         maps = relative_maps(Ball(3, 2.0), Ball(3, 1.0), v, frames.repeat(2, axis=0))
         assert not _residuals(maps, frames, "antipodal").any()
-        # the umbilic residual is rounding, below the 1e-15 at which the search stops
+        # the umbilic residual is rounding, below the search's stop at 8 eps sqrt(18) 2 = 1.5e-14
         assert np.linalg.norm(_residuals(maps, frames, "umbilic"), axis=1).max() <= 1e-15
 
     def test_search_argument_validation(self):
@@ -610,8 +629,8 @@ class TestDetRatio:
 
     def test_degenerate_base_raises(self):
         class FlatBase(Ball):
-            def jets(self, u):
-                values, gradients, hessians = super().jets(u)
+            def jets(self, u, frames=None):
+                values, gradients, hessians = super().jets(u, frames)
                 return values, gradients, 0.0 * hessians
 
         with pytest.raises(PreconditionError):
