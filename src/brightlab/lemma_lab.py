@@ -20,12 +20,13 @@ coefficient assembly followed by companion-matrix root finding, runs a
 damped Gauss-Newton random-restart solver as an experimental oracle for the
 hypothesis system (normalized to a = 1, with blocks of restarts stepped in
 lockstep, stacked residuals, Jacobians and minimum-norm least-squares
-steps), and provides large vectorized falsification campaigns for the
-antipodal variant.  The antipodal check and campaign share one column-major
-kernel: each chunk of trials is transposed once and sorted by a Batcher
-network of whole-column minima and maxima, each subset product is built once
-from k columns, and each mirror-orbit sum x_I + x_{I*} once, in a working
-set of about 2^18 products per chunk.
+steps: an inverse for each square Jacobian with kappa_1 < 1e8, an SVD with
+``np.linalg.lstsq``'s cutoff for the rest), and provides large vectorized
+falsification campaigns for the antipodal variant.  The antipodal check and
+campaign share one column-major kernel: each chunk of trials is transposed
+once and sorted by a Batcher network of whole-column minima and maxima, each
+subset product is built once from k columns, and each mirror-orbit sum
+x_I + x_{I*} once, in a working set of about 2^18 products per chunk.
 """
 
 from __future__ import annotations
@@ -324,11 +325,19 @@ def enumerate_candidates(a: float, b: float, k: int, m: int, n: int) -> np.ndarr
     return np.asarray(cands, dtype=float)
 
 
+def _candidate_distances(values, cands) -> np.ndarray:
+    """Distance from each value to its nearest candidate in ``cands``, in one broadcast.
+
+    The result has the shape of ``values``: for the (solutions, N) y-values of
+    a solver run, one row of distances per solution.
+    """
+    vals = np.asarray(values, dtype=float)
+    return np.abs(vals[..., None] - np.asarray(cands, dtype=float)).min(axis=-1)
+
+
 def match_candidates(values, cands) -> float:
     """Worst distance from each value to its nearest candidate in ``cands``."""
-    cand = np.asarray(cands, dtype=float)
-    vals = np.atleast_1d(np.asarray(values, dtype=float))
-    return float(max(np.abs(cand - v).min() for v in vals))
+    return float(_candidate_distances(np.atleast_1d(values), cands).max())
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +354,14 @@ _MAX_ITER = 80
 # as many candidate rows, which bounds the stacked arrays' memory.
 _LINE_SEARCH_TRIES = 30
 _BLOCK_ROWS = 4096
+# lstsq drops a singular value of an N x N Jacobian only when
+# kappa_2 = sigma_max / sigma_min >= 1 / (eps N), which is 5.6e14 at N = 8.
+# Since |A|_2 <= sqrt(N) |A|_1, kappa_2 <= N kappa_1, so kappa_1 < 1e8 keeps
+# kappa_2 below 8e8 there (and below the cutoff for every N < 6,700): the
+# inverse gives lstsq's step up to rounding.  The estimate is read off the
+# computed inverse, whose relative error of about kappa eps can only move a
+# row across this bound, never across the cutoff, six decades above it.
+_LU_KAPPA = 1e8
 
 
 @lru_cache(maxsize=None)
@@ -387,9 +404,30 @@ def _jacobians(z: np.ndarray, n: int, k: int, m: int) -> np.ndarray:
 def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of jac[r] s = rhs[r] for every r.
 
-    A stacked SVD with ``np.linalg.lstsq``'s default cutoff: singular values
-    at or below eps * max(rows, cols) * sigma_max count as zero.
+    The solution with ``np.linalg.lstsq``'s default cutoff: singular values
+    at or below eps * max(rows, cols) * sigma_max count as zero.  A square
+    Jacobian whose LU is not exactly singular and whose estimate
+    kappa_1 = |J|_1 |J^-1|_1 is below ``_LU_KAPPA`` takes s = J^-1 r, where the
+    cutoff drops nothing; every other row goes to ``_svd_steps``.
     """
+    if jac.shape[1] != jac.shape[2]:
+        return _svd_steps(jac, rhs)
+    rows = np.flatnonzero(np.linalg.slogdet(jac)[0])  # stacked inv raises on sign 0
+    inv = np.linalg.inv(jac[rows])
+    kappa = np.abs(jac[rows]).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
+    well = kappa < _LU_KAPPA  # False for NaN
+    lu = rows[well]
+    steps = np.empty(rhs.shape)
+    steps[lu] = np.einsum("rij,rj->ri", inv[well], rhs[lu])
+    svd = np.ones(len(jac), dtype=bool)
+    svd[lu] = False
+    if svd.any():
+        steps[svd] = _svd_steps(jac[svd], rhs[svd])
+    return steps
+
+
+def _svd_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``_min_norm_steps`` by a stacked SVD, for any shape of Jacobian."""
     u, s, vt = np.linalg.svd(jac, full_matrices=False)
     keep = s > np.finfo(float).eps * max(jac.shape[1:]) * s[:, :1]
     coef = np.einsum("rik,ri->rk", u, rhs)

@@ -72,7 +72,7 @@ def _unit_rows(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.ndim != 2:
         raise ValueError("expected an (m, n) array of directions")
-    nrm = np.linalg.norm(u, axis=1)
+    nrm = np.sqrt(np.einsum("ij,ij->i", u, u))
     bad = np.flatnonzero(np.abs(nrm - 1.0) > 1e-12)
     if bad.size:
         raise ValueError(f"direction must be unit length, |u[{bad[0]}]| = {nrm[bad[0]]!r}")
@@ -335,8 +335,11 @@ def antipodal_search(
     R residual entries, where s is the largest term the residual subtracts:
     the largest |eigenvalue| of M(+-u) for ``umbilic``, the largest power
     sum of their |eigenvalues| for ``antipodal``; a step from it would be a
-    step from noise.  If the final defect exceeds ``tol`` the point is
-    returned flagged unconverged.
+    step from noise.  For the same reason lstsq drops the singular values of
+    J at or below that norm over h, J's central-difference noise, so on a
+    curve of zeros, where J is rank 1 up to noise, no step follows the
+    noise.  If the final defect exceeds ``tol`` the point is returned
+    flagged unconverged.
     """
     if objective not in ("umbilic", "antipodal"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -369,11 +372,16 @@ def antipodal_search(
         lam = np.abs(np.linalg.eigvalsh(maps[:2]))  # M(+-u) at the centre
         sums = (lam[..., None] ** np.arange(1, n)).sum(axis=1)  # power sums at each sign
         scale = lam.max() if objective == "umbilic" else sums.max()
-        if norm <= 8.0 * np.finfo(float).eps * np.sqrt(res.shape[1]) * scale:
+        noise = 8.0 * np.finfo(float).eps * np.sqrt(res.shape[1]) * scale
+        if norm <= noise:
             break
         jac = (res[1:n] - res[n:]).T / (2.0 * h)
+        step, _, _, sing = np.linalg.lstsq(jac, res[0], rcond=None)
+        if sing[-1] <= noise / h:
+            # singular values at or below noise / h are central-difference rounding
+            step = np.linalg.lstsq(jac, res[0], rcond=noise / max(h * sing[0], noise))[0]
         last, last_norm = u, norm
-        u = u - frame @ np.linalg.lstsq(jac, res[0], rcond=None)[0]
+        u = u - frame @ step
         u = u / np.linalg.norm(u)
 
     maps = _antipodal_maps(body, base, u)

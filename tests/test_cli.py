@@ -16,7 +16,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from brightlab import cli
 from brightlab.body import FAMILIES
-from brightlab.lemma_lab import FalsificationReport, antipodal_falsification
+from brightlab.lemma_lab import (
+    FalsificationReport,
+    antipodal_falsification,
+    enumerate_candidates,
+    find_hypothesis_solutions,
+    hypothesis_residual,
+    match_candidates,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 BALL_3D = {"family": "ball", "params": {"dim": 3, "radius": 1.0}}
@@ -760,6 +767,39 @@ class TestScenarios:
         # the start that gave the fourth solution, and the steps up to it
         assert report["extras"]["restarts"] >= 4
         assert report["extras"]["gauss_newton_steps"] >= report["extras"]["restarts"]
+
+    def test_solver_csv_matches_per_instance_rows(self, tmp_path):
+        config = str(ROOT / "scripts" / "configs" / "lemma_solver.json")
+        out = tmp_path / "s.json"
+        argv = ["lemma-campaign", "--config", config, "--seed", "1", "--out", str(out), "--csv"]
+        assert cli.main(argv) == 0
+        doc = json.loads(out.read_text())
+        a, b, k, m, n = (doc["inputs"][key] for key in ("a", "b", "k", "m", "n"))
+        cands = enumerate_candidates(a, b, k, m, n)
+        found = find_hypothesis_solutions(a, b, k, m, n, doc["inputs"]["solutions"], seed=1)
+        rows = [("solution", "residual", "worst_candidate_distance")]
+        for idx, inst in enumerate(found):
+            dist = match_candidates(inst.y, cands)
+            rows.append((idx, f"{hypothesis_residual(inst).max():.3e}", f"{dist:.3e}"))
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows(rows)
+        assert out.with_suffix(".csv").read_bytes() == buffer.getvalue().encode()
+        worst = max(match_candidates(inst.y, cands) for inst in found)
+        assert doc["checks"][0] == {
+            "name": "candidate_match_worst", "value": worst, "tol": 1e-6, "pass": True
+        }
+
+    def test_solver_report_formats_no_csv_row(self, monkeypatch, tmp_path):
+        def refuse(inst):
+            raise AssertionError("a CSV row was formatted")
+
+        monkeypatch.setattr(cli, "hypothesis_residual", refuse)
+        config = str(ROOT / "scripts" / "configs" / "lemma_solver.json")
+        out = tmp_path / "s.json"
+        assert cli.main(["lemma-campaign", "--config", config, "--seed", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["extras"]["solutions_found"] == 200
+        with pytest.raises(AssertionError, match="a CSV row was formatted"):
+            cli.main(["lemma-campaign", "--config", config, "--seed", "1", "--out", str(out), "--csv"])
 
     def test_gallery_needs_no_seed(self, tmp_path):
         proc = run_cli("gallery", cwd=tmp_path)

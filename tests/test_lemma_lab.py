@@ -158,6 +158,14 @@ class TestEnumerateCandidates:
         worst = max(match_candidates(inst.y, cset) for inst in sols)
         assert worst < 1e-6
 
+    def test_candidate_distances_are_one_broadcast(self):
+        cset = enumerate_candidates(1.0, 2.0, 1, 3, 4)
+        ys = np.random.default_rng(4).uniform(0.1, 2.0, size=(5, 4))
+        dists = lemma_lab._candidate_distances(ys, cset)
+        assert dists.tolist() == [[min(abs(c - v) for c in cset) for v in row] for row in ys]
+        assert [match_candidates(row, cset) for row in ys] == dists.max(axis=1).tolist()
+        assert match_candidates(ys[0, 0], cset) == dists[0, 0]
+
     def test_proportional_branch_for_higher_grade(self):
         # k = 2: constant solutions solve x^2 + y^2 = 2a, x^4 + y^4 = 2b
         cset = enumerate_candidates(1.0, 1.5, 2, 4, 5)
@@ -250,6 +258,52 @@ def per_row_lstsq(jac, rhs):
     return np.array([np.linalg.lstsq(j, r, rcond=None)[0] for j, r in zip(jac, rhs)])
 
 
+# the kinds of square Jacobian that ``_min_norm_steps`` hands to its SVD
+TRIAGE_TO_SVD = {"singular", "zero", "above", "rank5"}
+
+
+def signed_diagonal(rng, diag):
+    """diag(diag) with random signs: its inverse, its SVD and lstsq are exact up to rounding.
+
+    (lstsq on a row permutation of it errs by about kappa eps, 1e-8 at kappa 1e8.)
+    """
+    return np.diag(rng.choice([-1.0, 1.0], size=len(diag)) * diag)
+
+
+def triage_stack(rng):
+    """A shuffled stack of 8 x 8 Jacobians of every triage kind, with right-hand sides.
+
+    The near-bound rows are diagonal with kappa_1 = 1e8 (1 -+ 1e-3) and a
+    right-hand side in their range, so both the inverse and lstsq recover
+    an O(1) solution to rounding.
+    """
+    bound = lemma_lab._LU_KAPPA
+    singular = rng.normal(size=(8, 8))
+    singular[:, 3] = 0.0  # an exactly zero pivot in every LU
+    below = signed_diagonal(rng, np.r_[np.ones(7), 1.0 / (bound * (1 - 1e-3))])
+    above = signed_diagonal(rng, np.r_[np.ones(7), 1.0 / (bound * (1 + 1e-3))])
+    rows = {
+        "well": np.linalg.qr(rng.normal(size=(8, 8)))[0],
+        "well2": rng.normal(size=(8, 8)) + 4.0 * np.eye(8),
+        "singular": singular,
+        "zero": np.zeros((8, 8)),
+        "below": below,
+        "above": above,
+        "rank5": rng.normal(size=(8, 5)) @ rng.normal(size=(5, 8)),
+    }
+    kinds = list(rng.permutation(list(rows)))
+    jac = np.array([rows[kind] for kind in kinds])
+    rhs = rng.normal(size=(len(kinds), 8))
+    for i, kind in enumerate(kinds):
+        if kind in ("below", "above"):
+            rhs[i] = jac[i] @ rng.normal(size=8)
+    # a rank-deficient product may or may not leave an exactly zero pivot
+    sign = np.linalg.slogdet(jac)[0]
+    for kind, s in zip(kinds, sign):
+        assert kind == "rank5" or (s == 0) == (kind in ("singular", "zero"))
+    return kinds, jac, rhs
+
+
 class TestBatchedSolver:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("k,m,n", [(1, 3, 4), (2, 4, 5), (1, 2, 5), (3, 5, 6)])
@@ -289,6 +343,31 @@ class TestBatchedSolver:
         rng = np.random.default_rng(rows * cols + rank)
         jac = rng.normal(size=(5, rows, rank)) @ rng.normal(size=(5, rank, cols))
         rhs = rng.normal(size=(5, rows))
+        got = lemma_lab._min_norm_steps(jac, rhs)
+        np.testing.assert_allclose(got, per_row_lstsq(jac, rhs), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("order", range(12))
+    def test_triage_matches_lstsq_row_by_row(self, monkeypatch, order):
+        rng = np.random.default_rng(order)
+        kinds, jac, rhs = triage_stack(rng)
+        seen = []
+        svd_steps = lemma_lab._svd_steps
+
+        def spy(j, r):
+            seen.append(j.copy())
+            return svd_steps(j, r)
+
+        monkeypatch.setattr(lemma_lab, "_svd_steps", spy)
+        got = lemma_lab._min_norm_steps(jac, rhs)
+        np.testing.assert_allclose(got, per_row_lstsq(jac, rhs), rtol=0, atol=1e-12)
+        # one SVD call, on the rows an LU step cannot take, in their order
+        fallback = [i for i, kind in enumerate(kinds) if kind in TRIAGE_TO_SVD]
+        assert len(seen) == 1 and np.array_equal(seen[0], jac[fallback])
+
+    def test_triage_without_fallback_makes_no_svd_call(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        jac, rhs = rng.normal(size=(6, 8, 8)), rng.normal(size=(6, 8))
+        monkeypatch.setattr(lemma_lab, "_svd_steps", None)  # calling it would raise
         got = lemma_lab._min_norm_steps(jac, rhs)
         np.testing.assert_allclose(got, per_row_lstsq(jac, rhs), rtol=0, atol=1e-12)
 

@@ -347,6 +347,48 @@ class TestUmbilic:
         res = antipodal_search(body, base, seed=2, budget=2000, objective="antipodal")
         assert res.gauss_newton_steps == 3 and res.r_defect <= 1e-13
 
+    @pytest.mark.parametrize("nudge", [np.inf, -np.inf])
+    def test_zero_curve_point_does_not_follow_rounding(self, monkeypatch, nudge):
+        # this pair's zeros form a curve, so near it the Jacobian is rank 1 up to
+        # central-difference noise; stepping along that noise moved u0 by up to
+        # 6.6e-6 under a 1-ulp change of every map.  What is left (up to 1.6e-8)
+        # is the conditioning of genuine steps whose smaller singular value is
+        # 3e-9 to 4e-4 of the larger.
+        from brightlab import weingarten
+
+        body, base, _ = ANTIPODAL_PAIRS[1]
+        exact = [
+            antipodal_search(body, base, seed=seed, budget=2000, objective="antipodal")
+            for seed in range(10)
+        ]
+        maps = weingarten.relative_maps
+        monkeypatch.setattr(
+            weingarten, "relative_maps", lambda *args: np.nextafter(maps(*args), nudge)
+        )
+        for seed, res in enumerate(exact):
+            nudged = antipodal_search(body, base, seed=seed, budget=2000, objective="antipodal")
+            assert nudged.r_defect <= 1e-13
+            assert np.linalg.norm(nudged.umbilic.u0 - res.umbilic.u0) <= 5e-8
+
+    def test_polish_drops_the_noise_direction_of_a_zero_curve(self, monkeypatch):
+        # at the last step of this search the smaller singular value (7.1e-11)
+        # is below the noise cutoff (9.0e-9): the first step is full rank, the
+        # last rank 1
+        from brightlab import weingarten
+
+        ranks = []
+        lstsq = np.linalg.lstsq
+
+        def spy(a, b, rcond=None):
+            solution = lstsq(a, b, rcond=rcond)
+            ranks.append(solution[2])
+            return solution
+
+        monkeypatch.setattr(weingarten.np.linalg, "lstsq", spy)
+        body, base, _ = ANTIPODAL_PAIRS[1]
+        res = antipodal_search(body, base, seed=3, budget=2000, objective="antipodal")
+        assert res.gauss_newton_steps == 3 and ranks[0] == 2 and ranks[-1] == 1
+
     @pytest.mark.parametrize("budget", [64, 70])
     def test_search_stays_within_a_tight_budget(self, budget):
         # grids of 16 and 17 leave room for 5 iterations of 9 directions at
