@@ -408,12 +408,18 @@ def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     at or below eps * max(rows, cols) * sigma_max count as zero.  A square
     Jacobian whose LU is not exactly singular and whose estimate
     kappa_1 = |J|_1 |J^-1|_1 is below ``_LU_KAPPA`` takes s = J^-1 r, where the
-    cutoff drops nothing; every other row goes to ``_svd_steps``.
+    cutoff drops nothing; every other row goes to ``_svd_steps``.  The stack
+    is inverted at once; only when that raises does ``slogdet`` screen out the
+    rows whose LU is exactly singular.
     """
     if jac.shape[1] != jac.shape[2]:
         return _svd_steps(jac, rhs)
-    rows = np.flatnonzero(np.linalg.slogdet(jac)[0])  # stacked inv raises on sign 0
-    inv = np.linalg.inv(jac[rows])
+    rows = np.arange(len(jac))
+    try:
+        inv = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:  # some LU is exactly singular: screen out its rows
+        rows = np.flatnonzero(np.linalg.slogdet(jac)[0])
+        inv = np.linalg.inv(jac[rows])
     kappa = np.abs(jac[rows]).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
     well = kappa < _LU_KAPPA  # False for NaN
     lu = rows[well]

@@ -328,18 +328,23 @@ def antipodal_search(
     iteration is one stacked ``relative_maps`` call at the centre u and at
     normalize(u +- h b_i) for the columns b_i of B = ``tangent_frames(u)``,
     h = 1e-6; with the central-difference Jacobian J the step is
-    u <- normalize(u - B lstsq(J, r)).  It stops when the centre's residual
-    norm fails to decrease (returning the previous centre), when it is
-    rounding, or when the next 2n - 1 directions would take ``evaluations``
-    past ``budget``.  Rounding is a norm of at most 8 eps sqrt(R) s over the
-    R residual entries, where s is the largest term the residual subtracts:
-    the largest |eigenvalue| of M(+-u) for ``umbilic``, the largest power
-    sum of their |eigenvalues| for ``antipodal``; a step from it would be a
-    step from noise.  For the same reason lstsq drops the singular values of
-    J at or below that norm over h, J's central-difference noise, so on a
-    curve of zeros, where J is rank 1 up to noise, no step follows the
-    noise.  If the final defect exceeds ``tol`` the point is returned
-    flagged unconverged.
+    u <- normalize(u - B lstsq(J, r)).  At a double root, such as the pole of
+    a body of revolution, r is quadratic in the chart offset, so that step
+    goes half way and the norm only shrinks by (1/2)^2 per iteration.  Once a
+    unit step shrinks the norm by a factor in [0.2, 0.3], the polish moves by
+    2 B lstsq(J, r) instead; if a doubled step fails to lower the norm, the
+    next iteration takes the unit step from the same centre and doubling stays
+    off.  The polish stops when the centre's residual norm fails to decrease
+    (returning the previous centre), when it is rounding, or when the next
+    2n - 1 directions would take ``evaluations`` past ``budget``.  Rounding
+    is a norm of at most 8 eps sqrt(R) s over the R residual entries, where
+    s is the largest term the residual subtracts: the largest |eigenvalue|
+    of M(+-u) for ``umbilic``, the largest power sum of their |eigenvalues|
+    for ``antipodal``; a step from it would be a step from noise.  For the
+    same reason lstsq drops the singular values of J at or below that norm
+    over h, J's central-difference noise, so on a curve of zeros, where J is
+    rank 1 up to noise, no step follows the noise.  If the final defect
+    exceeds ``tol`` the point is returned flagged unconverged.
     """
     if objective not in ("umbilic", "antipodal"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -356,6 +361,7 @@ def antipodal_search(
 
     h, steps = 1e-6, 0
     u, last, last_norm = best_u, best_u, np.inf
+    double = None  # True once a double root shows, False once a doubled step failed
     while evals + 2 * n - 1 <= budget:
         frame = tangent_frames(u[None])[0]
         polls = u + h * np.concatenate([frame.T, -frame.T])
@@ -367,8 +373,15 @@ def antipodal_search(
         evals, steps = evals + len(points), steps + 1
         norm = np.linalg.norm(res[0])
         if not norm < last_norm:
-            u = last
-            break
+            if not double:
+                u = last
+                break
+            # the doubled step failed: take the unit step from the same centre instead
+            double, u = False, last - move
+            u = u / np.linalg.norm(u)
+            continue
+        if double is None and 0.2 * last_norm <= norm <= 0.3 * last_norm:
+            double = True  # a unit step cut the norm by about (1/2)^2: a double root
         lam = np.abs(np.linalg.eigvalsh(maps[:2]))  # M(+-u) at the centre
         sums = (lam[..., None] ** np.arange(1, n)).sum(axis=1)  # power sums at each sign
         scale = lam.max() if objective == "umbilic" else sums.max()
@@ -380,8 +393,8 @@ def antipodal_search(
         if sing[-1] <= noise / h:
             # singular values at or below noise / h are central-difference rounding
             step = np.linalg.lstsq(jac, res[0], rcond=noise / max(h * sing[0], noise))[0]
-        last, last_norm = u, norm
-        u = u - frame @ step
+        last, last_norm, move = u, norm, frame @ step
+        u = u - 2.0 * move if double else u - move
         u = u / np.linalg.norm(u)
 
     maps = _antipodal_maps(body, base, u)

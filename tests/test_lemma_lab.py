@@ -371,6 +371,18 @@ class TestBatchedSolver:
         got = lemma_lab._min_norm_steps(jac, rhs)
         np.testing.assert_allclose(got, per_row_lstsq(jac, rhs), rtol=0, atol=1e-12)
 
+    def test_singular_screen_runs_only_when_the_stacked_inverse_raises(self, monkeypatch):
+        calls = []
+        slogdet = np.linalg.slogdet
+        kinds, singular_jac, singular_rhs = triage_stack(np.random.default_rng(0))
+        rng = np.random.default_rng(7)
+        jac, rhs = rng.normal(size=(6, 8, 8)), rng.normal(size=(6, 8))
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(len(a)) or slogdet(a))
+        lemma_lab._min_norm_steps(jac, rhs)
+        assert calls == []
+        lemma_lab._min_norm_steps(singular_jac, singular_rhs)
+        assert calls == [len(kinds)]
+
     def test_converged_row_with_vanishing_y_is_not_kept(self):
         # x = 1 - c, y = c solves both levels at a = 1/2 for b = ((1-c)^3 + c^3) / 2
         c = 1e-12

@@ -35,15 +35,67 @@ K6 = Homothet(E6, 0.7, (0.1, 0.0, -0.2, 0.0, 0.05, 0.0))
 SPHEROID_4D = Spheroid((0.0, 0.0, 0.0, 1.0), 1.0, 1.4)
 SPHEROID_5D = Spheroid((0.0, 0.0, 0.0, 0.0, 1.0), 1.0, 1.4)
 
-# (body, base, seeds whose antipodal-objective certificates are pinned)
+# (body, base, {seed: Gauss-Newton iterations} for the seeds whose
+# antipodal-objective certificates are pinned)
 ANTIPODAL_PAIRS = [
-    (E4, Ellipsoid(np.diag([1.44, 0.81, 1.0, 0.49])), (0, 1)),
+    (E4, Ellipsoid(np.diag([1.44, 0.81, 1.0, 0.49])), {0: 1, 1: 1}),
     (
         HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (0.0, 0.3), 0.2),
         Ellipsoid(np.diag([1.0, 1.44, 0.81])),
-        (0, 1, 2, 3),
+        {0: 3, 1: 3, 2: 3, 3: 3},
     ),
 ]
+
+# (body, base, closed-form relative radius at the poles +-e_n, seeds): a
+# spheroid with equatorial semiaxis a and polar semiaxis b has radius a^2/b there
+REVOLUTION_POLES = [
+    (SPHEROID_5D, Ball(5, 1.0), 1.0 / 1.4, range(10)),
+    (Spheroid((0.0, 0.0, 1.0), 1.0, 0.7), Ball(3, 1.0), 1.0 / 0.7, range(3)),
+    (
+        Spheroid((0.0, 0.0, 0.0, 1.0), 1.0, 1.3),
+        Ellipsoid(np.diag([1.0, 1.0, 1.0, 1.21])),
+        1.1 / 1.3,
+        range(3),
+    ),
+]
+
+
+def polish_path(monkeypatch, body, base, worse_at=None, **kwargs):
+    """``antipodal_search`` with its polish recorded: every centre, and the
+    last lstsq step taken from each; the centre of iteration ``worse_at``
+    (from 0) reads 1 more in every residual entry."""
+    from brightlab import weingarten
+
+    centres, steps = [], {}
+    maps, lstsq, residuals = weingarten.relative_maps, np.linalg.lstsq, weingarten._residuals
+
+    def maps_spy(body, base, u, bases=None):
+        if bases is not None and len(bases) == 2 * (2 * body.dim - 1):
+            centres.append(u[0])
+        return maps(body, base, u, bases)
+
+    def lstsq_spy(a, b, rcond=None):
+        solution = lstsq(a, b, rcond=rcond)
+        steps[len(centres) - 1] = solution[0]
+        return solution
+
+    def residuals_spy(maps, bases, objective):
+        res = residuals(maps, bases, objective)
+        return res + 1.0 if len(centres) - 1 == worse_at else res
+
+    monkeypatch.setattr(weingarten, "relative_maps", maps_spy)
+    monkeypatch.setattr(weingarten.np.linalg, "lstsq", lstsq_spy)
+    monkeypatch.setattr(weingarten, "_residuals", residuals_spy)
+    res = antipodal_search(body, base, **kwargs)
+    monkeypatch.undo()
+    assert len(centres) == res.gauss_newton_steps
+    return res, centres, steps
+
+
+def step_from(centres, steps, k, factor):
+    """The polish's next centre from centre k, moved by ``factor`` lstsq steps."""
+    u = centres[k] - factor * (tangent_frames(centres[k][None])[0] @ steps[k])
+    return u / np.linalg.norm(u)
 
 
 def wedge_defect_oracle(body, base, k, beta, u):
@@ -317,6 +369,64 @@ class TestUmbilic:
         assert np.array_equal(res.umbilic.u0, again.umbilic.u0)
         assert (res.evaluations, res.gauss_newton_steps) == (again.evaluations, again.gauss_newton_steps)
 
+    @pytest.mark.parametrize("body, base, r0, seeds", REVOLUTION_POLES)
+    def test_revolution_poles_polish_in_a_few_iterations(self, body, base, r0, seeds):
+        # the residual is quadratic in the angle at a revolution pole, so unit
+        # steps converged linearly (20-23 iterations); doubled steps take 4
+        n = body.dim
+        for seed in seeds:
+            res = antipodal_search(body, base, seed=seed)
+            assert res.gauss_newton_steps <= 6
+            assert res.evaluations == 1000 + (2 * n - 1) * res.gauss_newton_steps
+            assert res.converged and res.umbilic.defect <= 1e-13
+            assert np.arccos(min(1.0, abs(res.umbilic.u0[-1]))) < 1e-6
+            assert res.umbilic.r0 == pytest.approx(r0, abs=1e-12)
+
+    def test_polish_doubles_its_step_at_a_double_root(self, monkeypatch):
+        # seed 1: the unit step cuts the norm from 8.7e-4 to 2.2e-4, a ratio of 1/4
+        res, centres, steps = polish_path(monkeypatch, SPHEROID_5D, Ball(5, 1.0), seed=1)
+        assert res.gauss_newton_steps == 4
+        assert np.array_equal(centres[1], step_from(centres, steps, 0, 1.0))
+        for k in (1, 2):
+            assert np.array_equal(centres[k + 1], step_from(centres, steps, k, 2.0))
+
+    def test_failed_doubled_step_falls_back_to_the_unit_step(self, monkeypatch):
+        # the first doubled centre (iteration 2) reads worse: iteration 3 takes the
+        # unit step from the same centre, and doubling stays off from then on
+        res, centres, steps = polish_path(
+            monkeypatch, SPHEROID_5D, Ball(5, 1.0), worse_at=2, seed=1
+        )
+        assert np.array_equal(centres[2], step_from(centres, steps, 1, 2.0))
+        assert np.array_equal(centres[3], step_from(centres, steps, 1, 1.0))
+        assert 2 not in steps
+        for k in range(3, len(centres) - 1):
+            assert np.array_equal(centres[k + 1], step_from(centres, steps, k, 1.0))
+        # the path of unit steps alone (20 iterations), one iteration late
+        assert res.gauss_newton_steps == 21 and res.evaluations == 1000 + 9 * 21
+        assert res.converged and res.umbilic.defect <= 1e-13
+
+    @pytest.mark.parametrize(
+        "body, base, pins, kwargs",
+        [
+            (
+                HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (0.3, -0.2), 0.1),
+                Ball(3, 1.0),
+                {1: 3, 2: 3, 3: 3, 4: 3, 5: 2},
+                {},
+            ),
+            *[
+                (body, base, pins, {"budget": 2000, "objective": "antipodal"})
+                for body, base, pins in ANTIPODAL_PAIRS
+            ],
+        ],
+    )
+    def test_simple_roots_never_double(self, monkeypatch, body, base, pins, kwargs):
+        for seed, count in pins.items():
+            res, centres, steps = polish_path(monkeypatch, body, base, seed=seed, **kwargs)
+            assert res.gauss_newton_steps == count
+            for k in range(len(centres) - 1):
+                assert np.array_equal(centres[k + 1], step_from(centres, steps, k, 1.0))
+
     @pytest.mark.parametrize("body, base, pins", ANTIPODAL_PAIRS)
     def test_antipodal_objective_pinned(self, body, base, pins):
         for seed in pins:
@@ -392,7 +502,8 @@ class TestUmbilic:
     @pytest.mark.parametrize("budget", [64, 70])
     def test_search_stays_within_a_tight_budget(self, budget):
         # grids of 16 and 17 leave room for 5 iterations of 9 directions at
-        # n = 5, and the pole needs about 22: the budget ends the polish
+        # n = 5, and from their best points the fifth centre still reads
+        # 1.8e-14, above rounding: the budget ends the polish
         res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=1, budget=budget)
         assert res.evaluations == budget // 4 + 9 * res.gauss_newton_steps <= budget
         assert res.evaluations + 9 > budget
