@@ -475,7 +475,16 @@ _SCENARIOS: dict[str, Scenario] = {
 
 def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
     """Write a fresh file beside ``path``, created 0666 less the umask as ``open``
-    would (not ``mkstemp``'s 0600, which the rename would keep), and rename it."""
+    would (not ``mkstemp``'s 0600, which the rename would keep), and rename it.
+
+    Renaming over an existing file is slower on ext4, which then starts
+    writeback of the new file: writing 36 MB and renaming it over an existing
+    file took a median 46 ms on a 2-vCPU VM, against 30-33 ms with the target
+    unlinked first or the file preallocated by ``posix_fallocate``.  That
+    writeback is what orders the new data before the rename, so the rename
+    over the old file stays: unlinking first leaves no file at ``path`` for a
+    moment, and preallocation can leave a zero-filled file after a crash.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)

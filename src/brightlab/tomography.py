@@ -243,15 +243,15 @@ def volume_from_support(kbody, nodes: int | None = None) -> float:
 def _shadow_volumes(bodies, k: int, num_frames: int, seed, nodes):
     """Haar k-frames drawn from child seeds of ``seed``, and the shadow volumes.
 
-    Returns the frames and a (num_frames, len(bodies)) array of V_k.  The
-    quadrature rule is built once and every body is integrated on it over
-    all the frames by ``_lifted_volumes``.
+    Returns the (num_frames, n, k) stack of frame columns and a
+    (num_frames, len(bodies)) array of V_k.  The quadrature rule is built
+    once and every body is integrated on it over all the frames by
+    ``_lifted_volumes``.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     columns = _haar_frames(bodies[0].dim, k, map(np.random.default_rng, ss.spawn(num_frames)))
     dirs, weights = _quadrature_rule(k, nodes)
-    vols = _lifted_volumes(bodies, columns, dirs, weights)
-    return [SubspaceFrame(c) for c in columns], vols
+    return columns, _lifted_volumes(bodies, columns, dirs, weights)
 
 
 def projection_function(
@@ -265,8 +265,8 @@ def projection_function(
 
     Frames are drawn from child seeds spawned deterministically off ``seed``.
     """
-    frames, vols = _shadow_volumes([body], k, num_frames, seed, nodes)
-    return [(f, float(v)) for f, v in zip(frames, vols[:, 0])]
+    columns, vols = _shadow_volumes([body], k, num_frames, seed, nodes)
+    return [(SubspaceFrame(c), float(v)) for c, v in zip(columns, vols[:, 0])]
 
 
 @dataclass(frozen=True)

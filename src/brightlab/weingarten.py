@@ -27,11 +27,15 @@ call per body gives the restricted Hessians B^T H B in the frames B as one
 one direction u is the stack ``u[None]``.
 ``wedge_identity_defects`` builds the maps at +-u and the base maps at u
 once; each grade adds one ``multilinear.compound`` call and one stacked
-``eigvalsh``.  Every relative map comes from ``relative_maps``; the
+``eigvalsh``.  Every relative map comes from ``relative_maps``.  The
 umbilic search scores its whole grid (``sampling.hemisphere_grid``, seeded
-Haar directions flipped onto a hemisphere) with it in one call, and each
-Gauss-Newton iteration that polishes the best grid point evaluates its
-centre and 2(n-1) chart neighbours, at +-u each, in one call.
+Haar directions flipped onto a hemisphere) in one call that forms no
+relative map: the radii there are the eigenvalues of C^{-1} L C^{-T}, C
+the Cholesky factor of L0, which have the spectrum of L0^{-1/2} L L0^{-1/2}.
+The Gauss-Newton iterations that polish the best grid point, each one
+``relative_maps`` call at its centre and 2(n-1) chart neighbours, at +-u
+each, and the final certificate keep L0^{-1/2} L L0^{-1/2}, whose residual
+does not depend on the frame.
 """
 
 from __future__ import annotations
@@ -262,14 +266,42 @@ def _umbilic(body, u0, maps: np.ndarray, tol: float) -> UmbilicResult:
     return UmbilicResult(u0, r0, defect, points, bool(defect <= tol))
 
 
+def _lower_inverse(c: np.ndarray) -> np.ndarray:
+    """C^{-1} of each slice of an (m, d, d) stack of lower-triangular matrices,
+    by forward substitution one row at a time over the whole stack."""
+    inv = np.zeros_like(c)
+    for i in range(c.shape[1]):
+        inv[:, i, i] = 1.0 / c[:, i, i]
+        inv[:, i, :i] = -np.einsum("mk,mkj->mj", c[:, i, :i], inv[:, :i, :i]) * inv[:, i, i, None]
+    return inv
+
+
 def _profiles(body, base, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending relative radii at +u and -u for each row of u, two (m, n-1) arrays.
 
-    The rows are evaluated in the order u[0], -u[0], u[1], ..., so a
-    degenerate base raises at the first direction a one-by-one scan meets.
+    The radii are the eigenvalues of C^{-1} L C^{-T}, with C the Cholesky
+    factor of L0: the spectrum of L0^{-1/2} L L0^{-1/2} without an ``eigh``
+    of L0.  This whitening depends on the frame, so the polish and the
+    certificate keep ``relative_maps``.  This path is taken only when every
+    L0 - t I, t = 2e-12 max(1, |L0|_F) >= 2e-12 max(1, lambda_max), has a
+    Cholesky factor, which puts every lambda_min above twice the floor of
+    ``_psd_inv_sqrt``; otherwise the radii are ``eigvalsh(relative_maps)``.
+    Either way the rows are evaluated in the order u[0], -u[0], u[1], ...,
+    so a degenerate base raises at the first direction a one-by-one scan
+    meets.
     """
     v = np.stack([u, -u], axis=1).reshape(-1, u.shape[1])
-    vals = np.linalg.eigvalsh(relative_maps(body, base, v))
+    bases = tangent_frames(v)
+    l0 = reverse_weingarten(base, v, bases)
+    shift = 2e-12 * np.maximum(1.0, np.sqrt(np.einsum("mij,mij->m", l0, l0)))
+    try:
+        np.linalg.cholesky(l0 - shift[:, None, None] * np.eye(l0.shape[1]))
+    except np.linalg.LinAlgError:
+        vals = np.linalg.eigvalsh(relative_maps(body, base, v, bases))
+    else:
+        c_inv = _lower_inverse(np.linalg.cholesky(l0))
+        whitened = c_inv @ reverse_weingarten(body, v, bases) @ np.swapaxes(c_inv, 1, 2)
+        vals = np.linalg.eigvalsh(whitened)
     vals = vals.reshape(len(u), 2, -1)
     return vals[:, 0], vals[:, 1]
 
@@ -322,13 +354,14 @@ def antipodal_search(
     odd-symmetric data; use it to study generic body pairs.
 
     The search scans ``hemisphere_grid(n, max(8, budget // 4), seed)``,
-    seeded Haar directions on a closed hemisphere, in one stacked call (ties
-    keep the lowest grid index), then polishes the best grid point by
-    undamped Gauss-Newton on ``_residuals`` in the tangent chart.  Each
-    iteration is one stacked ``relative_maps`` call at the centre u and at
-    normalize(u +- h b_i) for the columns b_i of B = ``tangent_frames(u)``,
-    h = 1e-6; with the central-difference Jacobian J the step is
-    u <- normalize(u - B lstsq(J, r)).  At a double root, such as the pole of
+    seeded Haar directions on a closed hemisphere, in one stacked call that
+    scores Cholesky-whitened radii, the spectrum of L0^{-1/2} L L0^{-1/2}
+    (``_profiles``; ties keep the lowest grid index), then polishes the best
+    grid point by undamped Gauss-Newton on ``_residuals`` in the tangent
+    chart.  Each iteration is one stacked ``relative_maps`` call at the
+    centre u and at normalize(u +- h b_i) for the columns b_i of
+    B = ``tangent_frames(u)``, h = 1e-6; with the central-difference
+    Jacobian J the step is u <- normalize(u - B lstsq(J, r)).  At a double root, such as the pole of
     a body of revolution, r is quadratic in the chart offset, so that step
     goes half way and the norm only shrinks by (1/2)^2 per iteration.  Once a
     unit step shrinks the norm by a factor in [0.2, 0.3], the polish moves by

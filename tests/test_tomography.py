@@ -249,28 +249,28 @@ class TestBatchedShadows:
         # batches of two frames, so 7 frames end on a partial batch of one
         m = len(_quadrature_rule(k, self.NODES[k])[0])
         monkeypatch.setattr(tomography, "JET_BATCH", 2 * m + 1)
-        frames, vols = _shadow_volumes(self.BODIES, k, 7, 17, self.NODES[k])
-        assert vols.shape == (7, 3)
-        for frame, row in zip(frames, vols):
+        columns, vols = _shadow_volumes(self.BODIES, k, 7, 17, self.NODES[k])
+        assert columns.shape == (7, 6, k) and vols.shape == (7, 3)
+        for frame, row in zip(columns, vols):
             for body, vol in zip(self.BODIES, row):
-                alone = volume_from_support(project(body, frame), nodes=self.NODES[k])
+                alone = volume_from_support(project(body, SubspaceFrame(frame)), nodes=self.NODES[k])
                 assert abs(vol - alone) <= 1e-14 * abs(alone)
 
     def test_partial_batch_at_the_shipped_batch_size(self):
         # 256 circle nodes put JET_BATCH // 256 frames in a batch; one more is left over
         count = tomography.JET_BATCH // 256 + 1
-        frames, vols = _shadow_volumes(self.BODIES[:2], 2, count, 3, None)
-        for frame, row in zip(frames, vols):
-            exact = ellipsoid_shadow_volume(A6, frame)
+        columns, vols = _shadow_volumes(self.BODIES[:2], 2, count, 3, None)
+        for frame, row in zip(columns, vols):
+            exact = ellipsoid_shadow_volume(A6, SubspaceFrame(frame))
             assert row == pytest.approx([exact, 0.49 * exact], rel=1e-13)
 
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_frames_are_the_random_subspace_draws(self, k):
-        frames, _ = _shadow_volumes([Ball(6, 1.0)], k, 5, 21, self.NODES.get(k, 4096))
+        columns, _ = _shadow_volumes([Ball(6, 1.0)], k, 5, 21, self.NODES.get(k, 4096))
         children = np.random.SeedSequence(21).spawn(5)
-        for frame, child in zip(frames, children):
+        for frame, child in zip(columns, children):
             alone = random_subspace(6, k, np.random.default_rng(child))
-            assert np.array_equal(frame.columns, alone.columns)
+            assert np.array_equal(frame, alone.columns)
 
     def test_native_ball_volume_is_unchanged(self):
         # the value of the per-body rule before frames were batched, to the bit
@@ -280,6 +280,7 @@ class TestBatchedShadows:
 class TestProjectionFunction:
     def test_ball_projection_function_is_constant(self):
         samples = projection_function(Ball(4, 1.0), 2, 16, seed=6, nodes=64)
+        assert all(isinstance(frame, SubspaceFrame) and frame.k == 2 for frame, _ in samples)
         vols = np.array([v for _, v in samples])
         assert np.abs(vols - np.pi).max() < 1e-10
 

@@ -1,5 +1,8 @@
 """Reverse Weingarten maps, wedge identities, umbilic search, revolution bodies."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,7 @@ E6 = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21, 0.81, 1.44]))
 K6 = Homothet(E6, 0.7, (0.1, 0.0, -0.2, 0.0, 0.05, 0.0))
 SPHEROID_4D = Spheroid((0.0, 0.0, 0.0, 1.0), 1.0, 1.4)
 SPHEROID_5D = Spheroid((0.0, 0.0, 0.0, 0.0, 1.0), 1.0, 1.4)
+ROOT = Path(__file__).resolve().parents[1]
 
 # (body, base, {seed: Gauss-Newton iterations} for the seeds whose
 # antipodal-objective certificates are pinned)
@@ -522,7 +526,7 @@ class TestUmbilic:
         from brightlab import weingarten
 
         calls = []
-        counted = weingarten.relative_maps
+        counted, profiles = weingarten.relative_maps, weingarten._profiles
 
         def spy(body, base, u, bases=None):
             calls.append(len(u))
@@ -531,9 +535,15 @@ class TestUmbilic:
                 assert np.abs(np.einsum("ij,ijk->ik", u, bases)).max() < 1e-12
             return counted(body, base, u, bases)
 
+        def grid_spy(body, base, u):
+            calls.append(2 * len(u))
+            return profiles(body, base, u)
+
         monkeypatch.setattr(weingarten, "relative_maps", spy)
+        monkeypatch.setattr(weingarten, "_profiles", grid_spy)
         res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=1, objective=objective)
-        # one call for the grid at +-grid, one per Gauss-Newton iteration at
+        # one radii call for the grid at +-grid (its Cholesky path maps
+        # nothing through relative_maps), one per Gauss-Newton iteration at
         # +-(centre and 8 chart neighbours), and one pair of maps at +-u0
         # that both the umbilic certificate and r_defect read
         assert res.gauss_newton_steps >= 1
@@ -546,17 +556,22 @@ class TestUmbilic:
         from brightlab import weingarten
 
         centres = []
-        counted, residuals = weingarten.relative_maps, weingarten._residuals
+        counted, residuals, profiles = weingarten.relative_maps, weingarten._residuals, weingarten._profiles
 
         def spy(body, base, u, bases=None):
             centres.append(u[0])
             return counted(body, base, u, bases)
+
+        def grid_spy(body, base, u):
+            centres.append(u[0])
+            return profiles(body, base, u)
 
         def growing(maps, bases, objective):
             # the second iteration's centre reads 1e6 times worse than the first
             return residuals(maps, bases, objective) * 1e6 ** len(centres)
 
         monkeypatch.setattr(weingarten, "relative_maps", spy)
+        monkeypatch.setattr(weingarten, "_profiles", grid_spy)
         monkeypatch.setattr(weingarten, "_residuals", growing)
         res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=1)
         assert res.gauss_newton_steps == 2 and res.evaluations == 1000 + 18
@@ -617,6 +632,114 @@ class TestUmbilic:
         radii = np.linalg.eigvalsh(relative_maps(E4, Ball(4, 1.0), dirs))
         assert np.all(np.diff(radii, axis=1) >= 0)
         assert np.allclose(radii, np.linalg.eigvalsh(reverse_weingarten(E4, dirs)), atol=1e-10)
+
+
+def shipped_umbilic_pair(config):
+    """(body, base, budget, objective) of ``umbilic-search`` at its defaults or a shipped config."""
+    from brightlab import cli
+    from brightlab.body import body_from_dict
+
+    params = dict(cli._SCENARIOS["umbilic-search"].defaults)
+    if config is not None:
+        params.update(json.loads((ROOT / "scripts" / "configs" / config).read_text()))
+    body, base = (body_from_dict(params[key]) for key in ("body", "base"))
+    return body, base, params["budget"], params["objective"]
+
+
+def eigh_profiles(body, base, u):
+    """The grid radii through ``relative_maps``: eigvalsh of L0^{-1/2} L L0^{-1/2} at +-u."""
+    v = np.stack([u, -u], axis=1).reshape(-1, u.shape[1])
+    vals = np.linalg.eigvalsh(relative_maps(body, base, v)).reshape(len(u), 2, -1)
+    return vals[:, 0], vals[:, 1]
+
+
+def first_best(values):
+    """The grid index ``antipodal_search`` polishes from: lowest index up to its tie margin."""
+    best = 0
+    for i, val in enumerate(values[1:], 1):
+        if val < values[best] - max(1e-18, 1e-12 * values[best]):
+            best = i
+    return best
+
+
+class ThinBall(Ball):
+    """A ball whose first tangential radius in every frame is ``thin`` instead of 1."""
+
+    def __init__(self, dim, thin):
+        super().__init__(dim, 1.0)
+        object.__setattr__(self, "thin", thin)
+
+    def jets(self, u, frames=None):
+        values, gradients, hessians = super().jets(u, frames)
+        hessians[:, 0, 0] = self.thin
+        return values, gradients, hessians
+
+
+class TestGridRadii:
+    """The umbilic grid's Cholesky-whitened radii against the ``relative_maps`` spectrum."""
+
+    PAIRS = [
+        (SPHEROID_5D, Ball(5, 1.0)),
+        ANTIPODAL_PAIRS[1][:2],
+        (
+            HarmonicPerturbation(SPHEROID_5D, (0.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.3), 0.2),
+            Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21, 0.81])),
+        ),
+    ]
+
+    @pytest.mark.parametrize("pair", range(len(PAIRS)))
+    def test_radii_equal_the_relative_map_spectrum(self, monkeypatch, pair):
+        from brightlab import weingarten
+        from brightlab.sampling import hemisphere_grid
+
+        body, base = self.PAIRS[pair]
+        grid = hemisphere_grid(body.dim, 500, 7)
+        want = eigh_profiles(body, base, grid)
+        # the Cholesky path maps nothing through relative_maps
+        monkeypatch.setattr(weingarten, "relative_maps", None)
+        got = weingarten._profiles(body, base, grid)
+        for radii, exact in zip(got, want):
+            np.testing.assert_allclose(radii, exact, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("config", [None, "umbilic_antipodal.json"])
+    def test_grid_selects_the_eigh_paths_point(self, monkeypatch, config):
+        from brightlab import weingarten
+        from brightlab.sampling import hemisphere_grid
+
+        body, base, budget, objective = shipped_umbilic_pair(config)
+        for seed in range(50):
+            grid = hemisphere_grid(body.dim, max(8, budget // 4), seed)
+            fast = weingarten._search_objective(body, base, grid, objective)
+            with monkeypatch.context() as patch:
+                patch.setattr(weingarten, "_profiles", eigh_profiles)
+                slow = weingarten._search_objective(body, base, grid, objective)
+            assert first_best(fast) == first_best(slow), seed
+
+    def test_base_between_the_floor_and_the_shift_takes_the_eigh_path(self, monkeypatch):
+        from brightlab import weingarten
+        from brightlab.sampling import hemisphere_grid
+
+        # 2 x 2 maps diag(1.5e-12, 1): above the floor 1e-12 max(1, 1), below
+        # the shift 2e-12 max(1, |L0|_F), so the Cholesky test fails and the
+        # positive-definite check of relative_maps passes
+        base = ThinBall(3, 1.5e-12)
+        grid = hemisphere_grid(3, 40, 2)
+        calls = []
+        counted = weingarten.relative_maps
+
+        def spy(body, base, u, bases=None):
+            calls.append(len(u))
+            return counted(body, base, u, bases)
+
+        monkeypatch.setattr(weingarten, "relative_maps", spy)
+        profiles = weingarten._profiles(Ball(3, 2.0), base, grid)
+        assert calls == [80]
+        monkeypatch.undo()
+        for radii, exact in zip(profiles, eigh_profiles(Ball(3, 2.0), base, grid)):
+            np.testing.assert_array_equal(radii, exact)
+        assert profiles[0][:, 1] == pytest.approx(2.0 / 1.5e-12, rel=1e-14)
+        res = antipodal_search(Ball(3, 2.0), base, seed=2, budget=160)
+        assert res.umbilic.r0 > 1e11 and not res.converged
 
 
 class TestRevolutionStructure:
