@@ -27,15 +27,11 @@ call per body gives the restricted Hessians B^T H B in the frames B as one
 one direction u is the stack ``u[None]``.
 ``wedge_identity_defects`` builds the maps at +-u and the base maps at u
 once; each grade adds one ``multilinear.compound`` call and one stacked
-``eigvalsh``.  Every relative map comes from ``relative_maps``.  The
-umbilic search scores its whole grid (``sampling.hemisphere_grid``, seeded
-Haar directions flipped onto a hemisphere) in one call that forms no
-relative map: the radii there are the eigenvalues of C^{-1} L C^{-T}, C
-the Cholesky factor of L0, which have the spectrum of L0^{-1/2} L L0^{-1/2}.
-The Gauss-Newton iterations that polish the best grid point, each one
-``relative_maps`` call at its centre and 2(n-1) chart neighbours, at +-u
-each, and the final certificate keep L0^{-1/2} L L0^{-1/2}, whose residual
-does not depend on the frame.
+``eigvalsh``.  Every relative map comes from ``relative_maps``; the umbilic
+search takes the maps at +-p for a stack of points p, each pair in the frame
+built at p, in one call for its whole grid (``sampling.hemisphere_grid``,
+seeded Haar directions flipped onto a hemisphere), one per Gauss-Newton
+iteration and one for the final certificate.
 """
 
 from __future__ import annotations
@@ -187,10 +183,17 @@ def wedge_identity_defects(body, base, grades, betas, u) -> np.ndarray:
     return defects
 
 
-def _antipodal_maps(body, base, u: np.ndarray) -> np.ndarray:
-    """Relative maps at u and -u, both in the frame built at u."""
-    basis = tangent_frames(u[None])[0]
-    return relative_maps(body, base, np.stack([u, -u]), np.stack([basis, basis]))
+def _antipodal_maps(body, base, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relative maps at p[0], -p[0], p[1], ... for an (m, n) stack p, and the frames.
+
+    Each pair is mapped in the frame built at p[i], the i-th slice of the
+    returned ``tangent_frames(p)``.  A base that is not positive definite
+    raises at the first such row in that order, where a one-by-one scan of
+    +-p would meet it.
+    """
+    bases = tangent_frames(p)
+    v = np.stack([p, -p], axis=1).reshape(-1, p.shape[1])
+    return relative_maps(body, base, v, bases.repeat(2, axis=0)), bases
 
 
 def relative_wedge_defect(body, base, k: int, beta: float, u) -> float:
@@ -203,7 +206,7 @@ def relative_wedge_defect(body, base, k: int, beta: float, u) -> float:
     """
     u = np.asarray(u, dtype=float)
     _check_symmetric_body(base, u[None])
-    mu, mmu = _antipodal_maps(body, base, u)
+    mu, mmu = _antipodal_maps(body, base, u[None])[0]
     lhs = multilinear.compound(mu, k) + multilinear.compound(mmu, k)
     defect = float(np.linalg.norm(lhs - 2.0 * beta * np.eye(lhs.shape[0]), 2))
     n = body.dim
@@ -254,7 +257,7 @@ class AntipodalSearchResult:
 def umbilic_check(body, base, u0, tol: float = 1e-8) -> UmbilicResult:
     """Evaluate how close +-u0 is to an antipodal pair of relative umbilics."""
     u0 = np.asarray(u0, dtype=float)
-    return _umbilic(body, u0, _antipodal_maps(body, base, u0), tol)
+    return _umbilic(body, u0, _antipodal_maps(body, base, u0[None])[0], tol)
 
 
 def _umbilic(body, u0, maps: np.ndarray, tol: float) -> UmbilicResult:
@@ -266,49 +269,10 @@ def _umbilic(body, u0, maps: np.ndarray, tol: float) -> UmbilicResult:
     return UmbilicResult(u0, r0, defect, points, bool(defect <= tol))
 
 
-def _lower_inverse(c: np.ndarray) -> np.ndarray:
-    """C^{-1} of each slice of an (m, d, d) stack of lower-triangular matrices,
-    by forward substitution one row at a time over the whole stack."""
-    inv = np.zeros_like(c)
-    for i in range(c.shape[1]):
-        inv[:, i, i] = 1.0 / c[:, i, i]
-        inv[:, i, :i] = -np.einsum("mk,mkj->mj", c[:, i, :i], inv[:, :i, :i]) * inv[:, i, i, None]
-    return inv
-
-
-def _profiles(body, base, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending relative radii at +u and -u for each row of u, two (m, n-1) arrays.
-
-    The radii are the eigenvalues of C^{-1} L C^{-T}, with C the Cholesky
-    factor of L0: the spectrum of L0^{-1/2} L L0^{-1/2} without an ``eigh``
-    of L0.  This whitening depends on the frame, so the polish and the
-    certificate keep ``relative_maps``.  This path is taken only when every
-    L0 - t I, t = 2e-12 max(1, |L0|_F) >= 2e-12 max(1, lambda_max), has a
-    Cholesky factor, which puts every lambda_min above twice the floor of
-    ``_psd_inv_sqrt``; otherwise the radii are ``eigvalsh(relative_maps)``.
-    Either way the rows are evaluated in the order u[0], -u[0], u[1], ...,
-    so a degenerate base raises at the first direction a one-by-one scan
-    meets.
-    """
-    v = np.stack([u, -u], axis=1).reshape(-1, u.shape[1])
-    bases = tangent_frames(v)
-    l0 = reverse_weingarten(base, v, bases)
-    shift = 2e-12 * np.maximum(1.0, np.sqrt(np.einsum("mij,mij->m", l0, l0)))
-    try:
-        np.linalg.cholesky(l0 - shift[:, None, None] * np.eye(l0.shape[1]))
-    except np.linalg.LinAlgError:
-        vals = np.linalg.eigvalsh(relative_maps(body, base, v, bases))
-    else:
-        c_inv = _lower_inverse(np.linalg.cholesky(l0))
-        whitened = c_inv @ reverse_weingarten(body, v, bases) @ np.swapaxes(c_inv, 1, 2)
-        vals = np.linalg.eigvalsh(whitened)
-    vals = vals.reshape(len(u), 2, -1)
-    return vals[:, 0], vals[:, 1]
-
-
 def _search_objective(body, base, u: np.ndarray, objective: str) -> np.ndarray:
     """Search objective at each row of u (see ``antipodal_search``)."""
-    r_pos, r_neg = _profiles(body, base, u)
+    radii = np.linalg.eigvalsh(_antipodal_maps(body, base, u)[0]).reshape(len(u), 2, -1)
+    r_pos, r_neg = radii[:, 0], radii[:, 1]
     f = np.sum((r_pos - r_neg) ** 2, axis=1)
     if objective == "umbilic":
         f += np.sum((r_pos - r_pos.mean(axis=1, keepdims=True)) ** 2, axis=1)
@@ -353,16 +317,16 @@ def antipodal_search(
     |R(u) - R(-u)|^2, the quantity whose zero is guaranteed for continuous
     odd-symmetric data; use it to study generic body pairs.
 
-    The search scans ``hemisphere_grid(n, max(8, budget // 4), seed)``,
-    seeded Haar directions on a closed hemisphere, in one stacked call that
-    scores Cholesky-whitened radii, the spectrum of L0^{-1/2} L L0^{-1/2}
-    (``_profiles``; ties keep the lowest grid index), then polishes the best
-    grid point by undamped Gauss-Newton on ``_residuals`` in the tangent
-    chart.  Each iteration is one stacked ``relative_maps`` call at the
-    centre u and at normalize(u +- h b_i) for the columns b_i of
-    B = ``tangent_frames(u)``, h = 1e-6; with the central-difference
-    Jacobian J the step is u <- normalize(u - B lstsq(J, r)).  At a double root, such as the pole of
-    a body of revolution, r is quadratic in the chart offset, so that step
+    The search scores ``hemisphere_grid(n, max(8, budget // 20), seed)``,
+    seeded Haar directions on a closed hemisphere, by the eigenvalues of one
+    stacked ``relative_maps`` call at +-grid (ties keep the lowest grid
+    index), then polishes the best grid point by undamped Gauss-Newton on
+    ``_residuals`` in the tangent chart.  Each iteration is one stacked
+    ``relative_maps`` call at +-u and +-normalize(u +- h b_i) for the
+    columns b_i of B = ``tangent_frames(u)``, h = 1e-6; with the
+    central-difference Jacobian J the step is
+    u <- normalize(u - B lstsq(J, r)).  At a double root, such as the pole
+    of a body of revolution, r is quadratic in the chart offset, so that step
     goes half way and the norm only shrinks by (1/2)^2 per iteration.  Once a
     unit step shrinks the norm by a factor in [0.2, 0.3], the polish moves by
     2 B lstsq(J, r) instead; if a doubled step fails to lower the norm, the
@@ -384,7 +348,7 @@ def antipodal_search(
     if budget < 16:
         raise ValueError("budget too small for a meaningful search")
     n = body.dim
-    grid = hemisphere_grid(n, max(8, budget // 4), seed)
+    grid = hemisphere_grid(n, max(8, budget // 20), seed)
     values = _search_objective(body, base, grid, objective)
     evals = len(grid)
     best_u, best_f = grid[0], values[0]
@@ -399,9 +363,7 @@ def antipodal_search(
         frame = tangent_frames(u[None])[0]
         polls = u + h * np.concatenate([frame.T, -frame.T])
         points = np.vstack([u, polls / np.linalg.norm(polls, axis=1, keepdims=True)])
-        bases = tangent_frames(points)
-        v = np.stack([points, -points], axis=1).reshape(-1, n)
-        maps = relative_maps(body, base, v, bases.repeat(2, axis=0))
+        maps, bases = _antipodal_maps(body, base, points)
         res = _residuals(maps, bases, objective)
         evals, steps = evals + len(points), steps + 1
         norm = np.linalg.norm(res[0])
@@ -430,7 +392,7 @@ def antipodal_search(
         u = u - 2.0 * move if double else u - move
         u = u / np.linalg.norm(u)
 
-    maps = _antipodal_maps(body, base, u)
+    maps = _antipodal_maps(body, base, u[None])[0]
     umb = _umbilic(body, u, maps, tol)
     r_defect = float(np.linalg.norm(np.subtract(*np.linalg.eigvalsh(maps))))
     converged = r_defect <= tol if objective == "antipodal" else umb.defect <= tol

@@ -64,17 +64,24 @@ REVOLUTION_POLES = [
 ]
 
 
+def grid_size(budget):
+    """Points of the grid ``antipodal_search`` scores before its polish."""
+    return max(8, budget // 20)
+
+
 def polish_path(monkeypatch, body, base, worse_at=None, **kwargs):
     """``antipodal_search`` with its polish recorded: every centre, and the
     last lstsq step taken from each; the centre of iteration ``worse_at``
     (from 0) reads 1 more in every residual entry."""
     from brightlab import weingarten
 
-    centres, steps = [], {}
+    calls, centres, steps = [], [], {}
     maps, lstsq, residuals = weingarten.relative_maps, np.linalg.lstsq, weingarten._residuals
 
     def maps_spy(body, base, u, bases=None):
-        if bases is not None and len(bases) == 2 * (2 * body.dim - 1):
+        # the first call scores the grid, which may have 2n - 1 points too
+        calls.append(len(u))
+        if len(calls) > 1 and len(u) == 2 * (2 * body.dim - 1):
             centres.append(u[0])
         return maps(body, base, u, bases)
 
@@ -342,7 +349,7 @@ class TestUmbilic:
         from brightlab.sampling import hemisphere_grid
 
         res = antipodal_search(Ball(3, 2.0), Ball(3, 1.0), seed=5, budget=640)
-        first = hemisphere_grid(3, max(8, 640 // 4), 5)[0]
+        first = hemisphere_grid(3, grid_size(640), 5)[0]
         assert np.allclose(res.umbilic.u0, first, atol=1e-12)
         assert res.converged and res.umbilic.defect < 1e-12
 
@@ -369,7 +376,7 @@ class TestUmbilic:
         assert res.converged and res.umbilic.defect <= 1e-13
         assert np.arccos(min(1.0, abs(res.umbilic.u0[-1]))) < 1e-6
         assert res.umbilic.r0 == pytest.approx(1.0 / 1.4, abs=1e-12)
-        assert res.evaluations == 1000 + 9 * res.gauss_newton_steps <= 4000
+        assert res.evaluations == grid_size(4000) + 9 * res.gauss_newton_steps <= 4000
         assert np.array_equal(res.umbilic.u0, again.umbilic.u0)
         assert (res.evaluations, res.gauss_newton_steps) == (again.evaluations, again.gauss_newton_steps)
 
@@ -381,13 +388,13 @@ class TestUmbilic:
         for seed in seeds:
             res = antipodal_search(body, base, seed=seed)
             assert res.gauss_newton_steps <= 6
-            assert res.evaluations == 1000 + (2 * n - 1) * res.gauss_newton_steps
+            assert res.evaluations == grid_size(4000) + (2 * n - 1) * res.gauss_newton_steps
             assert res.converged and res.umbilic.defect <= 1e-13
             assert np.arccos(min(1.0, abs(res.umbilic.u0[-1]))) < 1e-6
             assert res.umbilic.r0 == pytest.approx(r0, abs=1e-12)
 
     def test_polish_doubles_its_step_at_a_double_root(self, monkeypatch):
-        # seed 1: the unit step cuts the norm from 8.7e-4 to 2.2e-4, a ratio of 1/4
+        # seed 1: the unit step cuts the norm from 7.4e-3 to 1.9e-3, a ratio of 1/4
         res, centres, steps = polish_path(monkeypatch, SPHEROID_5D, Ball(5, 1.0), seed=1)
         assert res.gauss_newton_steps == 4
         assert np.array_equal(centres[1], step_from(centres, steps, 0, 1.0))
@@ -405,8 +412,8 @@ class TestUmbilic:
         assert 2 not in steps
         for k in range(3, len(centres) - 1):
             assert np.array_equal(centres[k + 1], step_from(centres, steps, k, 1.0))
-        # the path of unit steps alone (20 iterations), one iteration late
-        assert res.gauss_newton_steps == 21 and res.evaluations == 1000 + 9 * 21
+        # the path of unit steps alone (21 iterations), one iteration late
+        assert res.gauss_newton_steps == 22 and res.evaluations == grid_size(4000) + 9 * 22
         assert res.converged and res.umbilic.defect <= 1e-13
 
     @pytest.mark.parametrize(
@@ -439,7 +446,7 @@ class TestUmbilic:
                 for _ in range(2)
             )
             assert res.converged and res.r_defect <= 1e-13
-            assert res.evaluations == 500 + (2 * body.dim - 1) * res.gauss_newton_steps <= 2000
+            assert res.evaluations == grid_size(2000) + (2 * body.dim - 1) * res.gauss_newton_steps <= 2000
             assert np.array_equal(res.umbilic.u0, again.umbilic.u0)
             assert res.evaluations == again.evaluations
 
@@ -449,13 +456,13 @@ class TestUmbilic:
         from brightlab.sampling import hemisphere_grid
 
         res = antipodal_search(Ball(n, 2.0), Ball(n, 1.0), seed=1, budget=640)
-        assert res.gauss_newton_steps == 1 and res.evaluations == 160 + 2 * n - 1
-        assert np.array_equal(res.umbilic.u0, hemisphere_grid(n, 160, 1)[0])
+        assert res.gauss_newton_steps == 1 and res.evaluations == grid_size(640) + 2 * n - 1
+        assert np.array_equal(res.umbilic.u0, hemisphere_grid(n, grid_size(640), 1)[0])
         assert res.converged and res.umbilic.defect <= 1e-13
 
     def test_antipodal_polish_stops_at_the_rounding_of_its_power_sums(self):
         # relative radii near 5 put the power sums near 1e3, so the converged residual
-        # (4.6e-13) is rounding of the sums, though far above eps times the largest radius
+        # (7.0e-13) is rounding of the sums, though far above eps times the largest radius
         body = HarmonicPerturbation(Ball(5, 3.0), (0.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.3), 0.2)
         base = Ellipsoid(np.diag(np.linspace(0.6, 1.4, 5)))
         res = antipodal_search(body, base, seed=2, budget=2000, objective="antipodal")
@@ -465,9 +472,9 @@ class TestUmbilic:
     def test_zero_curve_point_does_not_follow_rounding(self, monkeypatch, nudge):
         # this pair's zeros form a curve, so near it the Jacobian is rank 1 up to
         # central-difference noise; stepping along that noise moved u0 by up to
-        # 6.6e-6 under a 1-ulp change of every map.  What is left (up to 1.6e-8)
+        # 2.1e-6 under a 1-ulp change of every map.  What is left (up to 2.7e-8)
         # is the conditioning of genuine steps whose smaller singular value is
-        # 3e-9 to 4e-4 of the larger.
+        # 3e-9 to 5e-4 of the larger.
         from brightlab import weingarten
 
         body, base, _ = ANTIPODAL_PAIRS[1]
@@ -485,8 +492,8 @@ class TestUmbilic:
             assert np.linalg.norm(nudged.umbilic.u0 - res.umbilic.u0) <= 5e-8
 
     def test_polish_drops_the_noise_direction_of_a_zero_curve(self, monkeypatch):
-        # at the last step of this search the smaller singular value (7.1e-11)
-        # is below the noise cutoff (9.0e-9): the first step is full rank, the
+        # at the last step of this search the smaller singular value (2.1e-10)
+        # is below the noise cutoff (6.9e-9): the first step is full rank, the
         # last rank 1
         from brightlab import weingarten
 
@@ -500,22 +507,22 @@ class TestUmbilic:
 
         monkeypatch.setattr(weingarten.np.linalg, "lstsq", spy)
         body, base, _ = ANTIPODAL_PAIRS[1]
-        res = antipodal_search(body, base, seed=3, budget=2000, objective="antipodal")
+        res = antipodal_search(body, base, seed=20, budget=2000, objective="antipodal")
         assert res.gauss_newton_steps == 3 and ranks[0] == 2 and ranks[-1] == 1
 
     @pytest.mark.parametrize("budget", [64, 70])
     def test_search_stays_within_a_tight_budget(self, budget):
-        # grids of 16 and 17 leave room for 5 iterations of 9 directions at
-        # n = 5, and from their best points the fifth centre still reads
-        # 1.8e-14, above rounding: the budget ends the polish
-        res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=1, budget=budget)
-        assert res.evaluations == budget // 4 + 9 * res.gauss_newton_steps <= budget
+        # a grid of 8 leaves room for 6 iterations of 9 directions at n = 5,
+        # and from its best point at seed 7 the sixth centre still reads
+        # 4.3e-6, above rounding: the budget ends the polish
+        res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=7, budget=budget)
+        assert res.evaluations == grid_size(budget) + 9 * res.gauss_newton_steps <= budget
         assert res.evaluations + 9 > budget
 
     def test_degenerate_base_in_grid_raises_for_first_direction_scanned(self):
         from brightlab.sampling import hemisphere_grid
 
-        grid = hemisphere_grid(3, 160, 5)
+        grid = hemisphere_grid(3, grid_size(640), 5)
         # -grid[4] comes before grid[9] in a one-by-one scan of +-grid
         base = DentedBall(3, [(grid[9], -0.5), (-grid[4], -2.0)])
         with pytest.raises(PreconditionError, match="smallest eigenvalue -2.000000e"):
@@ -526,28 +533,21 @@ class TestUmbilic:
         from brightlab import weingarten
 
         calls = []
-        counted, profiles = weingarten.relative_maps, weingarten._profiles
+        counted = weingarten.relative_maps
 
         def spy(body, base, u, bases=None):
             calls.append(len(u))
-            if bases is not None:
-                # each direction is mapped in a frame of its own u^perp
-                assert np.abs(np.einsum("ij,ijk->ik", u, bases)).max() < 1e-12
+            # each direction is mapped in a frame of its own u^perp
+            assert np.abs(np.einsum("ij,ijk->ik", u, bases)).max() < 1e-12
             return counted(body, base, u, bases)
 
-        def grid_spy(body, base, u):
-            calls.append(2 * len(u))
-            return profiles(body, base, u)
-
         monkeypatch.setattr(weingarten, "relative_maps", spy)
-        monkeypatch.setattr(weingarten, "_profiles", grid_spy)
         res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=1, objective=objective)
-        # one radii call for the grid at +-grid (its Cholesky path maps
-        # nothing through relative_maps), one per Gauss-Newton iteration at
+        # one call for the grid at +-grid, one per Gauss-Newton iteration at
         # +-(centre and 8 chart neighbours), and one pair of maps at +-u0
         # that both the umbilic certificate and r_defect read
         assert res.gauss_newton_steps >= 1
-        assert calls == [2000] + [18] * res.gauss_newton_steps + [2]
+        assert calls == [2 * grid_size(4000)] + [18] * res.gauss_newton_steps + [2]
         u0 = res.umbilic.u0
         r_pos, r_neg = np.linalg.eigvalsh(relative_maps(SPHEROID_5D, Ball(5, 1.0), np.stack([u0, -u0])))
         assert res.r_defect == pytest.approx(np.linalg.norm(r_pos - r_neg), abs=1e-12)
@@ -556,25 +556,20 @@ class TestUmbilic:
         from brightlab import weingarten
 
         centres = []
-        counted, residuals, profiles = weingarten.relative_maps, weingarten._residuals, weingarten._profiles
+        counted, residuals = weingarten.relative_maps, weingarten._residuals
 
         def spy(body, base, u, bases=None):
-            centres.append(u[0])
+            centres.append(u[0])  # grid[0] first, then each centre
             return counted(body, base, u, bases)
-
-        def grid_spy(body, base, u):
-            centres.append(u[0])
-            return profiles(body, base, u)
 
         def growing(maps, bases, objective):
             # the second iteration's centre reads 1e6 times worse than the first
             return residuals(maps, bases, objective) * 1e6 ** len(centres)
 
         monkeypatch.setattr(weingarten, "relative_maps", spy)
-        monkeypatch.setattr(weingarten, "_profiles", grid_spy)
         monkeypatch.setattr(weingarten, "_residuals", growing)
         res = antipodal_search(SPHEROID_5D, Ball(5, 1.0), seed=1)
-        assert res.gauss_newton_steps == 2 and res.evaluations == 1000 + 18
+        assert res.gauss_newton_steps == 2 and res.evaluations == grid_size(4000) + 18
         assert np.array_equal(res.umbilic.u0, centres[1])
         assert not np.array_equal(centres[2], centres[1])
 
@@ -646,22 +641,6 @@ def shipped_umbilic_pair(config):
     return body, base, params["budget"], params["objective"]
 
 
-def eigh_profiles(body, base, u):
-    """The grid radii through ``relative_maps``: eigvalsh of L0^{-1/2} L L0^{-1/2} at +-u."""
-    v = np.stack([u, -u], axis=1).reshape(-1, u.shape[1])
-    vals = np.linalg.eigvalsh(relative_maps(body, base, v)).reshape(len(u), 2, -1)
-    return vals[:, 0], vals[:, 1]
-
-
-def first_best(values):
-    """The grid index ``antipodal_search`` polishes from: lowest index up to its tie margin."""
-    best = 0
-    for i, val in enumerate(values[1:], 1):
-        if val < values[best] - max(1e-18, 1e-12 * values[best]):
-            best = i
-    return best
-
-
 class ThinBall(Ball):
     """A ball whose first tangential radius in every frame is ``thin`` instead of 1."""
 
@@ -675,8 +654,8 @@ class ThinBall(Ball):
         return values, gradients, hessians
 
 
-class TestGridRadii:
-    """The umbilic grid's Cholesky-whitened radii against the ``relative_maps`` spectrum."""
+class TestGrid:
+    """The umbilic grid: its radii, and its size against the polish it feeds."""
 
     PAIRS = [
         (SPHEROID_5D, Ball(5, 1.0)),
@@ -688,57 +667,47 @@ class TestGridRadii:
     ]
 
     @pytest.mark.parametrize("pair", range(len(PAIRS)))
-    def test_radii_equal_the_relative_map_spectrum(self, monkeypatch, pair):
+    def test_grid_maps_are_each_directions_pair(self, pair):
+        # the grid's one stacked call against relative_maps one direction at a
+        # time: the pair at +-u in the frame built at u, and the radii in frames
+        # built at u and at -u
         from brightlab import weingarten
         from brightlab.sampling import hemisphere_grid
 
         body, base = self.PAIRS[pair]
-        grid = hemisphere_grid(body.dim, 500, 7)
-        want = eigh_profiles(body, base, grid)
-        # the Cholesky path maps nothing through relative_maps
-        monkeypatch.setattr(weingarten, "relative_maps", None)
-        got = weingarten._profiles(body, base, grid)
-        for radii, exact in zip(got, want):
-            np.testing.assert_allclose(radii, exact, rtol=1e-12, atol=0)
+        grid = hemisphere_grid(body.dim, grid_size(4000), 7)
+        maps, bases = weingarten._antipodal_maps(body, base, grid)
+        radii = np.linalg.eigvalsh(maps)
+        for i, u in enumerate(grid):
+            v = np.stack([u, -u])
+            pair_maps = relative_maps(body, base, v, np.stack([bases[i], bases[i]]))
+            np.testing.assert_allclose(maps[2 * i : 2 * i + 2], pair_maps, rtol=0, atol=1e-14)
+            own = np.linalg.eigvalsh(relative_maps(body, base, v))
+            np.testing.assert_allclose(radii[2 * i : 2 * i + 2], own, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("config", [None, "umbilic_antipodal.json"])
-    def test_grid_selects_the_eigh_paths_point(self, monkeypatch, config):
-        from brightlab import weingarten
-        from brightlab.sampling import hemisphere_grid
+    def test_shipped_antipodal_grid_keeps_a_margin(self):
+        # at seed 30 a 50-point grid polishes a point of a wrong basin; the
+        # shipped budget's 100-point grid finds the zero curve
+        body, base, budget, objective = shipped_umbilic_pair("umbilic_antipodal.json")
+        assert (grid_size(1000), grid_size(budget)) == (50, 100)
+        small = antipodal_search(body, base, seed=30, budget=1000, objective=objective)
+        assert small.r_defect > 5e-2 and not small.converged
+        res = antipodal_search(body, base, seed=30, budget=budget, objective=objective)
+        assert res.converged and res.r_defect <= 1e-13
 
-        body, base, budget, objective = shipped_umbilic_pair(config)
-        for seed in range(50):
-            grid = hemisphere_grid(body.dim, max(8, budget // 4), seed)
-            fast = weingarten._search_objective(body, base, grid, objective)
-            with monkeypatch.context() as patch:
-                patch.setattr(weingarten, "_profiles", eigh_profiles)
-                slow = weingarten._search_objective(body, base, grid, objective)
-            assert first_best(fast) == first_best(slow), seed
+    def test_polish_record_skips_a_grid_of_polish_size(self, monkeypatch):
+        # a budget of 180 makes the grid 2n - 1 = 9 points, the rows of an
+        # iteration; polish_path must not count it as one
+        assert grid_size(180) == 2 * SPHEROID_5D.dim - 1
+        res, centres, _ = polish_path(monkeypatch, SPHEROID_5D, Ball(5, 1.0), seed=1, budget=180)
+        assert len(centres) == res.gauss_newton_steps >= 1
+        assert res.evaluations == 9 + 9 * res.gauss_newton_steps
 
-    def test_base_between_the_floor_and_the_shift_takes_the_eigh_path(self, monkeypatch):
-        from brightlab import weingarten
-        from brightlab.sampling import hemisphere_grid
-
-        # 2 x 2 maps diag(1.5e-12, 1): above the floor 1e-12 max(1, 1), below
-        # the shift 2e-12 max(1, |L0|_F), so the Cholesky test fails and the
-        # positive-definite check of relative_maps passes
-        base = ThinBall(3, 1.5e-12)
-        grid = hemisphere_grid(3, 40, 2)
-        calls = []
-        counted = weingarten.relative_maps
-
-        def spy(body, base, u, bases=None):
-            calls.append(len(u))
-            return counted(body, base, u, bases)
-
-        monkeypatch.setattr(weingarten, "relative_maps", spy)
-        profiles = weingarten._profiles(Ball(3, 2.0), base, grid)
-        assert calls == [80]
-        monkeypatch.undo()
-        for radii, exact in zip(profiles, eigh_profiles(Ball(3, 2.0), base, grid)):
-            np.testing.assert_array_equal(radii, exact)
-        assert profiles[0][:, 1] == pytest.approx(2.0 / 1.5e-12, rel=1e-14)
-        res = antipodal_search(Ball(3, 2.0), base, seed=2, budget=160)
+    def test_thin_base_above_the_floor_is_accepted(self):
+        # 2 x 2 base maps diag(1.5e-12, 1) clear the positive-definite floor
+        # 1e-12 max(1, 1) of relative_maps, so nothing is refused; radii near
+        # 2 / 1.5e-12 against 2 certify no umbilic
+        res = antipodal_search(Ball(3, 2.0), ThinBall(3, 1.5e-12), seed=2, budget=160)
         assert res.umbilic.r0 > 1e11 and not res.converged
 
 
