@@ -255,8 +255,13 @@ class AntipodalSearchResult:
 
 
 def umbilic_check(body, base, u0, tol: float = 1e-8) -> UmbilicResult:
-    """Evaluate how close +-u0 is to an antipodal pair of relative umbilics."""
+    """Evaluate how close +-u0 is to an antipodal pair of relative umbilics.
+
+    The base body must be centrally symmetric; this is checked on u0 and 8
+    Haar directions of seed 0.
+    """
     u0 = np.asarray(u0, dtype=float)
+    _check_symmetric_body(base, u0[None])
     return _umbilic(body, u0, _antipodal_maps(body, base, u0[None])[0], tol)
 
 
@@ -341,7 +346,9 @@ def antipodal_search(
     same reason lstsq drops the singular values of J at or below that norm
     over h, J's central-difference noise, so on a curve of zeros, where J is
     rank 1 up to noise, no step follows the noise.  If the final defect
-    exceeds ``tol`` the point is returned flagged unconverged.
+    exceeds ``tol`` the point is returned flagged unconverged.  The base
+    body must be centrally symmetric; this is checked once, on the grid and
+    8 Haar directions of seed 0, before the grid is scored.
     """
     if objective not in ("umbilic", "antipodal"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -349,6 +356,7 @@ def antipodal_search(
         raise ValueError("budget too small for a meaningful search")
     n = body.dim
     grid = hemisphere_grid(n, max(8, budget // 20), seed)
+    _check_symmetric_body(base, grid)
     values = _search_objective(body, base, grid, objective)
     evals = len(grid)
     best_u, best_f = grid[0], values[0]

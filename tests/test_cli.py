@@ -714,32 +714,6 @@ class TestCsvExport:
 
 
 class TestScenarios:
-    def test_brightness_ball_is_constant(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {"num_frames": 6, "nodes": 64})
-        proc = run_cli(
-            "brightness", "--config", cfg, "--seed", "5", "--out", "b.json", cwd=tmp_path
-        )
-        assert proc.returncode == 0
-        report = json.loads((tmp_path / "b.json").read_text())
-        assert report["extras"]["volume_median"] == pytest.approx(3.14159, abs=1e-3)
-
-    def test_proportionality_default_pair(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {"num_frames": 8, "nodes": 64})
-        proc = run_cli(
-            "proportionality", "--config", cfg, "--seed", "6", "--out", "p.json", cwd=tmp_path
-        )
-        assert proc.returncode == 0
-        report = json.loads((tmp_path / "p.json").read_text())
-        assert report["extras"]["constant"] == pytest.approx(0.49, abs=1e-6)
-
-    def test_umbilic_search_reports_direction(self, tmp_path):
-        proc = run_cli("umbilic-search", "--seed", "7", "--out", "u.json", cwd=tmp_path)
-        assert proc.returncode == 0
-        report = json.loads((tmp_path / "u.json").read_text())
-        assert report["extras"]["converged"] is True
-        assert report["extras"]["r0"] == pytest.approx(1.0 / 1.4, abs=1e-6)
-        assert abs(report["extras"]["u0"][-1]) > 0.999
-
     def test_wrong_beta_config_fails_every_grade(self, tmp_path):
         # the shipped pair against betas 1e-3 above scale**k: a negative control
         config = str(ROOT / "scripts" / "configs" / "verify_wedge_wrong_beta.json")
@@ -748,13 +722,6 @@ class TestScenarios:
         checks = json.loads(out.read_text())["checks"]
         assert [c["name"] for c in checks] == ["wedge_defect_k1", "wedge_defect_k2", "wedge_defect_k3"]
         assert all(not c["pass"] and c["value"] > 1e-4 for c in checks)
-
-    def test_ratio_e48_default_pair(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {"num_frames": 6, "nodes": 64})
-        proc = run_cli(
-            "ratio-e48", "--config", cfg, "--seed", "8", "--out", "e.json", cwd=tmp_path
-        )
-        assert proc.returncode == 0
 
     def test_lemma_campaign_solver_mode(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"mode": "solver", "solutions": 4})

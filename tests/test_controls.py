@@ -1,0 +1,170 @@
+"""Scenario controls: the runs whose outcome the theorem fixes, in one table.
+
+The source paper's theorem needs two projection functions because one is not
+enough, and the scenarios show it through controls whose outcome is known:
+positive pairs pass (exit 0), negative controls fail (exit 1) — wrong betas,
+and an odd perturbation of the ball that keeps every width (k = 1) but not
+every shadow area (k = 2) — and a degenerate or asymmetric base is refused
+(exit 2).  This table is the one place a control is declared: a new one is a
+config file under ``scripts/configs/`` plus one row.  Each row runs
+``cli.main`` in-process.
+
+Besides the standard library it imports only pytest and brightlab, so the
+table also runs on an install without the ``test`` extra (no hypothesis, no
+scipy).
+"""
+
+import json
+import math
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional
+
+import pytest
+
+from brightlab import cli
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+PASS, FAIL, REFUSED = 0, 1, 2
+
+
+class Control(NamedTuple):
+    name: str
+    scenario: str
+    config: Optional[str]  # a file name under scripts/configs/, or None for the defaults
+    seed: Optional[int] = 1
+    flags: tuple = ()
+    exit: int = PASS
+    extras: Optional[Callable[[dict], bool]] = None  # must hold for the report's extras
+    stderr: Optional[str] = None  # must appear in what the run prints to stderr
+
+
+def spheroid_pole(x):
+    """The default pair's umbilics are the poles +-e5, with relative radius a^2/b = 1/1.4."""
+    return x["converged"] and abs(x["r0"] - 1.0 / 1.4) <= 1e-6 and abs(x["u0"][-1]) > 0.999
+
+
+def polished_in_few_steps(x):
+    # the spheroid's pole is a double root: doubled steps reach it in 4 iterations, unit
+    # steps in 20; a grid of max(8, 4000 // 20) = 200 directions, then 2n - 1 = 9 per iteration
+    steps = x["gauss_newton_steps"]
+    return steps <= 6 and x["evaluations"] == 200 + 9 * steps
+
+
+def ball_of_radius_085(x):
+    # a ball of radius 0.5 plus a shifted ball of radius 0.6 eroded by 0.25
+    exact = 4 * math.pi / 3 * 0.85**3
+    return abs(x["volume_median"] - exact) <= 1e-12 * exact
+
+
+CONTROLS = [
+    # every scenario at its defaults
+    Control("verify_wedge_default", "verify-wedge", None),
+    # shadows of the unit 3-ball on 2-planes are unit discs
+    Control(
+        "brightness_default", "brightness", None,
+        extras=lambda x: abs(x["volume_median"] - math.pi) <= 1e-3,
+    ),
+    # the pair is a homothety of ratio 0.7, so its shadow areas are in ratio 0.7^2
+    Control(
+        "proportionality_default", "proportionality", None,
+        extras=lambda x: abs(x["constant"] - 0.49) <= 1e-6,
+    ),
+    Control("umbilic_search_default", "umbilic-search", None, extras=spheroid_pole),
+    Control(
+        "umbilic_search_to_rounding", "umbilic-search", None,
+        flags=("--tolerance", "1e-13"), extras=polished_in_few_steps,
+    ),
+    Control("lemma_campaign_default", "lemma-campaign", None),
+    Control("gallery_default", "gallery", None, seed=None),
+    Control("ratio_e48_default", "ratio-e48", None),
+    # the shipped configs
+    Control("brightness_k4", "brightness", "brightness_k4.json"),
+    Control("lemma_antipodal", "lemma-campaign", "lemma_antipodal.json"),
+    Control("lemma_solver", "lemma-campaign", "lemma_solver.json"),
+    Control("proportionality", "proportionality", "proportionality.json"),
+    # both shipped searches certify to rounding; the configs keep their 1e-6
+    Control(
+        "umbilic_antipodal", "umbilic-search", "umbilic_antipodal.json",
+        flags=("--tolerance", "1e-13"),
+    ),
+    Control("verify_wedge", "verify-wedge", "verify_wedge.json"),
+    # 5 x 5 maps at grades 2-4: minors below the top grade
+    Control("verify_wedge_6d", "verify-wedge", "verify_wedge_6d.json"),
+    # betas 1e-3 above scale**k
+    Control("verify_wedge_wrong_beta", "verify-wedge", "verify_wedge_wrong_beta.json", exit=FAIL),
+    # the 6-D pair's betas 0.1% off: 1.001 * 0.7**k for k = 2, 3, 4, written out
+    Control(
+        "verify_wedge_6d_betas_off", "verify-wedge", "verify_wedge_6d_betas_off.json", exit=FAIL
+    ),
+    # grades 1 and 3 of the batched shadow kernel; at k = 1 the lifted tangent
+    # frames have no column
+    Control("proportionality_k1", "proportionality", "proportionality_k1.json"),
+    Control("proportionality_k3", "proportionality", "proportionality_k3.json"),
+    # an odd harmonic perturbation of a ball keeps every width (k = 1) but not
+    # every shadow area (k = 2, spread 9.9e-5)
+    Control(
+        "brightness_odd_perturbation_widths", "brightness",
+        "brightness_odd_perturbation_widths.json",
+    ),
+    Control(
+        "brightness_odd_perturbation_areas", "brightness",
+        "brightness_odd_perturbation_areas.json", exit=FAIL,
+    ),
+    Control(
+        "brightness_minkowski_ball", "brightness", "brightness_minkowski_ball.json",
+        extras=ball_of_radius_085,
+    ),
+    # a non-square solver: 15 equations in 10 unknowns take the SVD step
+    Control(
+        "lemma_solver_nonsquare", "lemma-campaign", "lemma_solver_nonsquare.json",
+        extras=lambda x: x["solutions_found"] == 25,
+    ),
+    # m_len 8, k 3: chunks of 4,681 rows put the campaign's seams elsewhere
+    Control("lemma_antipodal_m8_k3", "lemma-campaign", "lemma_antipodal_m8_k3.json"),
+    # a base with a 1e-14 semiaxis is refused with the smallest eigenvalue of
+    # the first base map relative_maps meets when it scores the grid
+    Control(
+        "umbilic_flat_base", "umbilic-search", "umbilic_flat_base.json", exit=REFUSED,
+        stderr="not positive definite: smallest eigenvalue 1.504352e-14",
+    ),
+    # an odd cubic perturbation of the base: h0(v) != h0(-v)
+    Control(
+        "umbilic_asymmetric_base", "umbilic-search", "umbilic_asymmetric_base.json",
+        exit=REFUSED, stderr="base body is not centrally symmetric",
+    ),
+]
+
+
+def strict_json(text: str) -> dict:
+    def refuse(token):
+        raise ValueError(f"report is not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("row", CONTROLS, ids=[row.name for row in CONTROLS])
+def test_control(row, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = [row.scenario, "--out", str(out), *row.flags]
+    if row.config is not None:
+        argv += ["--config", str(CONFIGS / row.config)]
+    if row.seed is not None:
+        argv += ["--seed", str(row.seed)]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == row.exit, err
+    if row.stderr is not None:
+        assert row.stderr in err
+    # a refused run writes no report
+    assert out.exists() == (row.exit != REFUSED)
+    if out.exists():
+        extras = strict_json(out.read_text())["extras"]
+        assert row.extras is None or row.extras(extras), extras
+
+
+def test_every_scenario_default_and_config_is_a_row():
+    assert len({row.name for row in CONTROLS}) == len(CONTROLS)
+    defaults = {row.scenario for row in CONTROLS if row.config is None}
+    assert defaults == set(cli._SCENARIOS)
+    configs = {row.config for row in CONTROLS if row.config is not None}
+    assert configs == {path.name for path in CONFIGS.glob("*.json")}

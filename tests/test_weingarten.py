@@ -614,6 +614,23 @@ class TestUmbilic:
         # the umbilic residual is rounding, below the search's stop at 8 eps sqrt(18) 2 = 1.5e-14
         assert np.linalg.norm(_residuals(maps, frames, "umbilic"), axis=1).max() <= 1e-15
 
+    @pytest.mark.parametrize("objective", ["umbilic", "antipodal"])
+    def test_asymmetric_base_refused_before_the_grid(self, monkeypatch, objective):
+        from brightlab import weingarten
+
+        # the odd cubic term breaks h0(v) = h0(-v); unchecked, the antipodal
+        # objective certifies this pair with search_defect 0
+        base = HarmonicPerturbation(Ball(5, 1.0), (0.0, 0.0, 0.0, 0.0, 1.0), (0.0, 1.0), 0.05)
+
+        def no_maps(body, base, u, bases=None):
+            raise AssertionError("the grid was scored")
+
+        monkeypatch.setattr(weingarten, "relative_maps", no_maps)
+        with pytest.raises(PreconditionError, match="base body is not centrally symmetric"):
+            antipodal_search(SPHEROID_5D, base, seed=1, objective=objective)
+        with pytest.raises(PreconditionError, match="base body is not centrally symmetric"):
+            umbilic_check(SPHEROID_5D, base, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+
     def test_search_argument_validation(self):
         with pytest.raises(ValueError):
             antipodal_search(Ball(3, 1.0), Ball(3, 1.0), objective="gradient")
