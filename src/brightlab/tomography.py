@@ -16,7 +16,9 @@ k = 3) computed by Golub-Welsch, and v from the rule one grade down.  The
 rule is deterministic and maps onto itself under u -> -u, so the odd term
 <t, u> det that a translation adds to the integrand cancels to rounding.
 
-Shadow volumes are evaluated in batches of frames F on one rule: each rule
+Each rule and the tangent frames of its directions are built once per
+process and held read-only; at most RULE_CACHE = 8 rules are kept.  Shadow
+volumes are evaluated in batches of frames F on one rule: each rule
 direction w lifts to F w on the source body and each tangent frame B to F B,
 so one ``jets(F w, F B)`` call per body per batch of about JET_BATCH = 2^11
 directions gives the (k-1) x (k-1) blocks (F B)^T H (F B) of the source
@@ -129,6 +131,8 @@ def project(body, frame: SubspaceFrame) -> ProjectedBody:
 
 # rule directions per ``body.jets`` call when shadow volumes are batched over frames
 JET_BATCH = 2**11
+# sphere rules kept at once; the largest default rule (k = 4, 8,192 directions) is about 1 MB
+RULE_CACHE = 8
 
 
 @lru_cache(maxsize=None)
@@ -171,19 +175,21 @@ def _sphere_rule(k: int, polar: int, circle: int):
 
 
 def _quadrature_rule(k: int, nodes):
-    """Directions and weights for V_k; the weights include the 1/k.
+    """Directions, weights and tangent frames for V_k; the weights include the 1/k.
 
     ``nodes`` is the circle's node count at k = 2 and the polar node count p
     at k = 3.  At k >= 4 it is a budget: p is the largest integer with
     p^(k-1) <= nodes.  Above k = 2 the circle has 2p nodes, so a rule has at
-    most 2 * nodes directions.  ``nodes`` is ignored at k = 1.
+    most 2 * nodes directions.  ``nodes`` is ignored at k = 1.  The rule
+    itself comes from ``_cached_rule`` on the resolved sizes.
     """
-    if k <= 2:
+    if k == 1:
+        return _cached_rule(1, 0, 0)
+    if k == 2:
         circle = 256 if nodes is None else nodes
-        if k == 2 and circle < 8:
+        if circle < 8:
             raise ValueError(f"the circle rule at k = 2 needs nodes >= 8, got {circle}")
-        dirs, weights = _sphere_rule(k, 0, circle)
-        return dirs, weights / k
+        return _cached_rule(2, 0, circle)
     if k == 3:
         nodes = polar = 32 if nodes is None else nodes
     else:
@@ -196,24 +202,36 @@ def _quadrature_rule(k: int, nodes):
             f"the sphere rule at k = {k} needs at least 4 polar nodes, so nodes >= "
             f"{4 if k == 3 else 4 ** (k - 1)}, got {nodes}"
         )
-    dirs, weights = _sphere_rule(k, polar, 2 * polar)
-    return dirs, weights / k
+    return _cached_rule(k, polar, 2 * polar)
 
 
-def _lifted_volumes(bodies, columns, dirs, weights) -> np.ndarray:
+@lru_cache(maxsize=RULE_CACHE)
+def _cached_rule(k: int, polar: int, circle: int):
+    """The m directions on S^{k-1}, their weights over k, and their tangent
+    frames B as one k x m(k-1) matrix [B_1 ... B_m], so one matmul by a frame
+    F lifts every B.  Cached per (k, polar, circle), read-only."""
+    dirs, weights = _sphere_rule(k, polar, circle)
+    weights = weights / k
+    row = tangent_frames(dirs).transpose(1, 0, 2).reshape(k, len(dirs) * (k - 1))
+    dirs.flags.writeable = weights.flags.writeable = row.flags.writeable = False
+    return dirs, weights, row
+
+
+def _lifted_volumes(bodies, columns, rule) -> np.ndarray:
     """V_k of the shadows of each body on each frame F of an (R, n, k) stack, (R, len(bodies)).
 
-    The rule's directions lift to the rows of w F^T and their tangent frames
-    B (``tangent_frames(dirs)``) to F B, and each body's jets are
-    restricted to F B: the (k-1) x (k-1) blocks (F B)^T H (F B), no n x n or
-    k x k Hessian.  Frames go in batches of about ``JET_BATCH`` directions,
-    lifted once for every body, one ``body.jets`` call per body and batch;
-    at k = 1 F B has no column and ``det`` gives 1.
+    ``rule`` is ``_quadrature_rule``'s (dirs, weights, row), built once per
+    process and held read-only (at most ``RULE_CACHE`` rules are kept).  The
+    rule's directions lift to the rows of w F^T and their tangent frames B,
+    the blocks of ``row``, to F B, and each body's jets are restricted to
+    F B: the (k-1) x (k-1) blocks (F B)^T H (F B), no n x n or k x k
+    Hessian.  Frames go in batches of about ``JET_BATCH`` directions, lifted
+    once for every body, one ``body.jets`` call per body and batch; at
+    k = 1 F B has no column and ``det`` gives 1.
     """
+    dirs, weights, row = rule
     m, (n, k) = len(dirs), columns.shape[1:]
     step = max(1, JET_BATCH // m)
-    # [B_1 ... B_m] as one k x m(k-1) matrix: one matmul per frame lifts every B
-    row = tangent_frames(dirs).transpose(1, 0, 2).reshape(k, m * (k - 1))
     vols = np.empty((len(columns), len(bodies)))
     for start in range(0, len(columns), step):
         f = columns[start : start + step]
@@ -236,22 +254,21 @@ def volume_from_support(kbody, nodes: int | None = None) -> float:
     polar nodes per angle, the largest p with p^(k-1) <= nodes, and 2p
     azimuths (default 4096, minimum 4^(k-1)).  nodes is ignored for k = 1.
     """
-    dirs, weights = _quadrature_rule(kbody.dim, nodes)
-    return float(_lifted_volumes([kbody], np.eye(kbody.dim)[None], dirs, weights)[0, 0])
+    rule = _quadrature_rule(kbody.dim, nodes)
+    return float(_lifted_volumes([kbody], np.eye(kbody.dim)[None], rule)[0, 0])
 
 
 def _shadow_volumes(bodies, k: int, num_frames: int, seed, nodes):
     """Haar k-frames drawn from child seeds of ``seed``, and the shadow volumes.
 
     Returns the (num_frames, n, k) stack of frame columns and a
-    (num_frames, len(bodies)) array of V_k.  The quadrature rule is built
-    once and every body is integrated on it over all the frames by
-    ``_lifted_volumes``.
+    (num_frames, len(bodies)) array of V_k.  The quadrature rule comes from
+    the per-process cache and every body is integrated on it over all the
+    frames by ``_lifted_volumes``.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     columns = _haar_frames(bodies[0].dim, k, map(np.random.default_rng, ss.spawn(num_frames)))
-    dirs, weights = _quadrature_rule(k, nodes)
-    return columns, _lifted_volumes(bodies, columns, dirs, weights)
+    return columns, _lifted_volumes(bodies, columns, _quadrature_rule(k, nodes))
 
 
 def projection_function(

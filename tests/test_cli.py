@@ -422,6 +422,26 @@ class TestReportSchema:
         ]
         assert strip("a.json") == strip("b.json")
 
+    @pytest.mark.parametrize(
+        "scenario, config",
+        [("brightness", "brightness_k4.json"), ("proportionality", "proportionality.json")],
+    )
+    def test_reports_do_not_depend_on_the_rule_cache(self, tmp_path, scenario, config):
+        # one run on a cleared sphere-rule cache, one on the rule it left behind
+        from brightlab.tomography import _cached_rule
+
+        def report(name):
+            out = tmp_path / name
+            cfg = str(ROOT / "scripts" / "configs" / config)
+            assert cli.main([scenario, "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+            return [line for line in out.read_bytes().splitlines() if b"wall_time_s" not in line]
+
+        _cached_rule.cache_clear()
+        cold = report("cold.json")
+        hits = _cached_rule.cache_info().hits
+        assert report("warm.json") == cold
+        assert _cached_rule.cache_info().hits > hits
+
     def test_no_temp_files_left_behind(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"samples": 4})
         run_cli("verify-wedge", "--config", cfg, "--seed", "1", "--out", "r.json", cwd=tmp_path)

@@ -8,9 +8,11 @@ import pytest
 from brightlab import tomography
 from brightlab.body import Ball, Ellipsoid, Homothet
 from brightlab.sampling import as_rng, haar_directions
+from brightlab.weingarten import tangent_frames
 from brightlab.tomography import (
     HomothetyFit,
     SubspaceFrame,
+    _cached_rule,
     _quadrature_rule,
     _shadow_volumes,
     homothety_fit,
@@ -275,6 +277,63 @@ class TestBatchedShadows:
     def test_native_ball_volume_is_unchanged(self):
         # the value of the per-body rule before frames were batched, to the bit
         assert volume_from_support(Ball(3, 1.0)) == 4.188790204786388
+
+
+class TestCachedRule:
+    """Each sphere rule is built once per process, read-only, in a bounded cache."""
+
+    def test_calls_share_one_rule_and_the_default_shares_its_entry(self):
+        for k, default in ((2, 256), (3, 32), (4, 4096)):
+            rule = _quadrature_rule(k, None)
+            assert _quadrature_rule(k, None) is rule
+            assert _quadrature_rule(k, default) is rule
+            assert all(a is b for a, b in zip(_quadrature_rule(k, default), rule))
+        # a k >= 4 budget is resolved to its polar count first: 4100 is p = 16 too
+        assert _quadrature_rule(4, 4100) is _quadrature_rule(4, None)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rule_arrays_are_read_only(self, k):
+        for array in _quadrature_rule(k, None):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_row_is_the_stacked_tangent_frames_to_the_bit(self, k):
+        dirs, _, row = _quadrature_rule(k, None)
+        expected = tangent_frames(dirs).transpose(1, 0, 2).reshape(k, -1)
+        assert row.shape == expected.shape == (k, len(dirs) * (k - 1))
+        assert row.tobytes() == expected.tobytes()
+
+    def test_too_few_nodes_is_refused_every_time_and_never_cached(self):
+        before = _cached_rule.cache_info()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="k = 4 .* nodes >= 64, got 63"):
+                _quadrature_rule(4, 63)
+        after = _cached_rule.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            before.hits, before.misses, before.currsize
+        )
+
+    def test_cache_is_bounded(self):
+        assert _cached_rule.cache_info().maxsize == tomography.RULE_CACHE == 8
+        for circle in range(8, 8 + tomography.RULE_CACHE + 3):
+            _quadrature_rule(2, circle)
+        assert _cached_rule.cache_info().currsize == tomography.RULE_CACHE
+
+    def test_results_do_not_depend_on_the_cache_state(self):
+        def run():
+            report = proportionality_test(K4, E4, 4, 3, 5, nodes=216)
+            shadow = project(K4, random_subspace(4, 3, 2))
+            return (
+                report.constant, report.ratios.tobytes(), report.max_rel_deviation,
+                report.excluded, volume_from_support(shadow, nodes=12),
+            )
+
+        _cached_rule.cache_clear()
+        cold = run()
+        assert _cached_rule.cache_info().currsize == 2
+        assert run() == cold
 
 
 class TestProjectionFunction:

@@ -133,6 +133,18 @@ class DentedBall(Ball):
         return values, gradients, hessians
 
 
+class SpyBall(Ball):
+    """The unit ball, recording the column count of the frames each ``jets`` call gets."""
+
+    def __init__(self, dim):
+        super().__init__(dim, 1.0)
+        object.__setattr__(self, "columns", [])
+
+    def jets(self, u, frames=None):
+        self.columns.append(None if frames is None else frames.shape[2])
+        return super().jets(u, frames)
+
+
 class TestTangentFrame:
     def test_frames_are_orthonormal_and_span_u_perp(self):
         dirs = haar_directions(5, 20, as_rng(0))
@@ -254,6 +266,16 @@ class TestWedgeIdentity:
         assert "centrally symmetric" in str(err.value)
         with pytest.raises(PreconditionError, match="centrally symmetric"):
             wedge_identity_defects(E4, asym, [2], [1.0], haar_directions(4, 50, as_rng(13)))
+
+    def test_symmetry_check_asks_for_no_hessian(self):
+        from brightlab import weingarten
+
+        spy = SpyBall(4)
+        weingarten._check_symmetric_body(spy, haar_directions(4, 10, as_rng(3)))
+        assert spy.columns == [0]
+        # the identity then restricts the base's Hessians to the 3-column tangent frames
+        wedge_identity_defects(K4, spy, [1], [0.7], haar_directions(4, 5, as_rng(4)))
+        assert spy.columns == [0, 0, 3]
 
     def test_grades_and_betas_must_align(self):
         with pytest.raises(ValueError):
@@ -667,7 +689,7 @@ class ThinBall(Ball):
 
     def jets(self, u, frames=None):
         values, gradients, hessians = super().jets(u, frames)
-        hessians[:, 0, 0] = self.thin
+        hessians[:, :1, :1] = self.thin  # frames may have no column
         return values, gradients, hessians
 
 
