@@ -7,17 +7,18 @@ its restriction to the tangent hyperplane u^perp carries the principal radii
 of curvature; ``validate`` samples those radii to certify smoothness and
 strict convexity.
 
-Jets have one path.  Each family defines ``jets(U, frames=None)``: for an
-(m, n) array of unit directions and an (m, n, j) stack of frames T it
+Jets have one path.  Each family defines ``jets(U, T)``: for an (m, n)
+array of unit directions and a required (m, n, j) stack of frames T it
 returns (values (m,), gradients (m, n), Hessians restricted to the frames
 T^T H T (m, j, j)), restricting each of its terms, so no n x n Hessian is
-built; None is the identity, the full (m, n, n) Hessians by the same
-formulas.  ``ConvexBody.jet(u)`` wraps it at one unit direction and
-returns a ``SupportJet``.  Both refuse directions that are not unit
-length.  Each family also keeps its scalar ``support(x)``, the independent
-oracle that ``finite_difference_jet`` differentiates.  ``Revolution``
-calls its profile g and its derivatives dg and ddg, all required, on
-arrays of t, so they must accept numpy arrays.
+built unless asked for.  Identity frames give the full (m, n, n) Hessians;
+frames with no column (j = 0) give the values and gradients only.
+``ConvexBody.jet(u)`` is ``jets`` at one unit direction in the identity
+frame and returns a ``SupportJet``.  Both refuse directions that are not
+unit length.  Each family also keeps its scalar ``support(x)``, the
+independent oracle that ``finite_difference_jet`` differentiates.
+``Revolution`` calls its profile g and its derivatives dg and ddg, all
+required, on arrays of t, so they must accept numpy arrays.
 
 Bodies are immutable value objects; jets are recomputed on demand, never
 cached.  ``FAMILIES`` maps each document family name to its class; those
@@ -74,25 +75,23 @@ def _as_direction(u) -> np.ndarray:
     return _unit_rows(np.asarray(u, dtype=float)[None])[0]
 
 
-def _in_frames(v: np.ndarray, frames) -> np.ndarray:
-    """T^T v at each row v and frame T, (m, j); v itself without frames (T = I)."""
-    return v if frames is None else np.einsum("mnj,mn->mj", frames, v)
+def _in_frames(v: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """T^T v at each row v and frame T, (m, j)."""
+    return np.einsum("mnj,mn->mj", frames, v)
 
 
-def _restricted(frames, n: int, a=None):
-    """T^T A T at each frame T (A = I when None); A itself without frames."""
-    if frames is None:
-        return np.eye(n) if a is None else a
+def _restricted(frames: np.ndarray, a=None) -> np.ndarray:
+    """T^T A T at each frame T, (m, j, j); A = I when None."""
     rows = np.swapaxes(frames, 1, 2).copy()  # contiguous: stacked matmuls on views are slower
     if a is not None:
-        rows = (rows.reshape(-1, n) @ a).reshape(rows.shape)  # T^T A
+        rows = (rows.reshape(-1, frames.shape[1]) @ a).reshape(rows.shape)  # T^T A
     return rows @ frames
 
 
-def _tangential(u: np.ndarray, frames) -> np.ndarray:
+def _tangential(u: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """T^T (I - u u^T) T at each row u: the Hessian of |x| at the unit u, restricted."""
     p = _in_frames(u, frames)
-    return _restricted(frames, u.shape[1]) - p[:, :, None] * p[:, None, :]
+    return _restricted(frames) - p[:, :, None] * p[:, None, :]
 
 
 def _unitize(v, name: str) -> tuple[float, ...]:
@@ -130,11 +129,11 @@ class ConvexBody:
         raise NotImplementedError
 
     def jet(self, u) -> SupportJet:
-        """``jets`` at the single unit direction u."""
-        values, grads, hess = self.jets(_as_direction(u)[None])
+        """``jets`` at the single unit direction u in the identity frame: the full n x n Hessian."""
+        values, grads, hess = self.jets(_as_direction(u)[None], np.eye(self.dim)[None])
         return SupportJet(float(values[0]), grads[0], hess[0])
 
-    def jets(self, u, frames=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def jets(self, u, frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
 
@@ -155,7 +154,7 @@ class Ball(ConvexBody):
         x = _as_point(x)
         return self.radius * np.sqrt(x @ x)
 
-    def jets(self, u, frames=None):
+    def jets(self, u, frames):
         u = _unit_rows(u)
         r = self.radius
         return np.full(len(u), float(r)), r * u, r * _tangential(u, frames)
@@ -194,14 +193,14 @@ class Ellipsoid(ConvexBody):
         x = _as_point(x)
         return np.sqrt(x @ self.matrix @ x)
 
-    def jets(self, u, frames=None):
+    def jets(self, u, frames):
         u = _unit_rows(u)
         a = self.matrix
         au = u @ a  # rows (A u)^T, A is symmetric
         h = np.sqrt(np.einsum("ij,ij->i", u, au))
         hh = h[:, None, None]
         p = _in_frames(au, frames)
-        hess = _restricted(frames, len(a), a) / hh - p[:, :, None] * p[:, None, :] / hh**3
+        hess = _restricted(frames, a) / hh - p[:, :, None] * p[:, None, :] / hh**3
         return h, au / h[:, None], _symmetrized(hess)
 
 
@@ -294,7 +293,7 @@ class Revolution(ConvexBody):
         x = _as_point(x)
         return _revolution_support(x, self.axis_vector, self.profile.g)
 
-    def jets(self, u, frames=None):
+    def jets(self, u, frames):
         p = self.profile
         return _revolution_jets(_unit_rows(u), frames, self.axis_vector, p.g, p.dg, p.ddg)
 
@@ -348,7 +347,7 @@ class HarmonicPerturbation(ConvexBody):
         pert = _revolution_support(x, self.axis_vector, partial(_odd_poly, self.odd_coeffs))
         return self.base.support(x) + self.epsilon * pert
 
-    def jets(self, u, frames=None):
+    def jets(self, u, frames):
         u = _unit_rows(u)
         profile = (partial(_odd_poly, self.odd_coeffs, d=d) for d in range(3))
         pert = _revolution_jets(u, frames, self.axis_vector, *profile)
@@ -377,7 +376,7 @@ class MinkowskiSum(ConvexBody):
         x = _as_point(x)
         return sum(p.support(x) for p in self.parts)
 
-    def jets(self, u, frames=None):
+    def jets(self, u, frames):
         return tuple(sum(parts) for parts in zip(*(p.jets(u, frames) for p in self.parts)))
 
 
@@ -409,7 +408,7 @@ class Homothet(ConvexBody):
         x = _as_point(x)
         return self.scale * self.base.support(x) + x @ self.shift_vector
 
-    def jets(self, u, frames=None):
+    def jets(self, u, frames):
         u = _unit_rows(u)
         values, grads, hess = self.base.jets(u, frames)
         t = self.shift_vector
@@ -440,7 +439,7 @@ class Erosion(ConvexBody):
         x = _as_point(x)
         return self.base.support(x) - self.radius * np.sqrt(x @ x)
 
-    def jets(self, u, frames=None):
+    def jets(self, u, frames):
         u = _unit_rows(u)
         values, grads, hess = self.base.jets(u, frames)
         r = self.radius

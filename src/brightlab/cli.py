@@ -276,6 +276,11 @@ def _run_brightness(params: dict, seed: int):
 
 def _run_proportionality(params: dict, seed: int):
     body, base = _pair(params)
+    if params["k"] == body.dim:
+        raise ConfigError(
+            f"'k' = {body.dim} is the bodies' dimension, where every ratio is V(K)/V(K0) "
+            "and the check measures only quadrature noise; use k < n"
+        )
     report = proportionality_test(
         body, base, params["k"], params["num_frames"], seed, nodes=params["nodes"]
     )

@@ -31,12 +31,10 @@ from .errors import InternalInconsistencyError, PreconditionError
 from .sampling import as_rng
 
 __all__ = [
-    "MultiIndex",
     "KVector",
     "SymKForm",
     "CommonEigenbasis",
     "PolarizationResult",
-    "multi_indices",
     "compound",
     "det",
     "gram_inner",
@@ -77,44 +75,6 @@ def _check_grade(m: int, k: int) -> None:
         raise ValueError(f"grade k={k} must satisfy 1 <= k <= m={m}")
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """A strictly increasing k-subset of {1, ..., m}, 1-based entries."""
-
-    entries: tuple[int, ...]
-    m: int
-
-    def __post_init__(self):
-        k = len(self.entries)
-        _check_grade(self.m, k)
-        if any(e < 1 or e > self.m for e in self.entries):
-            raise ValueError("entries must lie in {1, ..., m}")
-        if any(a >= b for a, b in zip(self.entries, self.entries[1:])):
-            raise ValueError("entries must be strictly increasing")
-
-    @property
-    def k(self) -> int:
-        return len(self.entries)
-
-    def rank(self) -> int:
-        """Position in the lexicographic enumeration of k-subsets."""
-        zero_based = tuple(e - 1 for e in self.entries)
-        return _rank_lookup(self.m, self.k)[zero_based]
-
-    @classmethod
-    def unrank(cls, m: int, k: int, rank: int) -> "MultiIndex":
-        tuples = _index_tuples(m, k)
-        if not 0 <= rank < len(tuples):
-            raise ValueError(f"rank {rank} out of range for C({m},{k})={len(tuples)}")
-        return cls(tuple(e + 1 for e in tuples[rank]), m)
-
-
-def multi_indices(m: int, k: int) -> list[MultiIndex]:
-    """All k-element multi-indices over {1, ..., m} in lexicographic order."""
-    _check_grade(m, k)
-    return [MultiIndex(tuple(e + 1 for e in t), m) for t in _index_tuples(m, k)]
-
-
 # ---------------------------------------------------------------------------
 # k-vectors
 
@@ -137,10 +97,17 @@ class KVector:
 
     @classmethod
     def basis(cls, m: int, k: int, entries: tuple[int, ...]) -> "KVector":
-        """The basis k-vector e_I for the 1-based multi-index ``entries``."""
-        mi = MultiIndex(tuple(entries), m)
+        """The basis k-vector e_I for I = ``entries``, k strictly increasing 1-based
+        entries in {1, ..., m}; anything else is a ValueError."""
+        _check_grade(m, k)
+        entries = tuple(entries)
+        if len(entries) != k:
+            raise ValueError(f"a basis {k}-vector needs {k} entries, got {entries}")
+        rank = _rank_lookup(m, k).get(tuple(e - 1 for e in entries))
+        if rank is None:
+            raise ValueError(f"entries {entries} must be strictly increasing in {{1, ..., {m}}}")
         coords = np.zeros(len(_index_tuples(m, k)))
-        coords[mi.rank()] = 1.0
+        coords[rank] = 1.0
         return cls(coords, m, k)
 
     def inner(self, other: "KVector") -> float:
@@ -356,7 +323,7 @@ def _sample_bianchi(form: SymKForm, rng, samples: int) -> float:
 
 
 def _sample_decomposables(m: int, k: int, rng, trials: int) -> list[KVector]:
-    out = [KVector.basis(m, k, mi.entries) for mi in multi_indices(m, k)]
+    out = [KVector(e, m, k) for e in np.eye(len(_index_tuples(m, k)))]  # every basis e_I
     for _ in range(trials):
         frame = rng.standard_normal((k, m))
         xi = decompose(frame)

@@ -26,6 +26,9 @@ Hessians H, which each family restricts term by term without forming H;
 then a stacked determinant and a weighted sum per frame.
 ``volume_from_support`` is the same kernel on one frame (the identity for a
 native body), and ``ProjectedBody.jets(w, T)`` is ``source.jets(w F^T, F T)``.
+As for every body, T is required: identity frames give the full k x k
+Hessians and frames with no column only the values and gradients, which is
+all ``homothety_fit`` reads.
 """
 
 from __future__ import annotations
@@ -113,11 +116,10 @@ class ProjectedBody(ConvexBody):
         w = np.asarray(w)
         return self.source.support(self.frame.columns @ w)
 
-    def jets(self, w, frames=None):
+    def jets(self, w, frames):
         """Chain rule: the source jets at the rows of w F^T (unit: F is orthonormal), frames F T."""
         f, w = self.frame.columns, _unit_rows(w)
-        lifted = np.broadcast_to(f, (len(w), *f.shape)) if frames is None else f @ frames
-        values, grads, hess = self.source.jets(w @ f.T, lifted)
+        values, grads, hess = self.source.jets(w @ f.T, f @ frames)
         return values, grads @ f, hess
 
 
@@ -135,7 +137,6 @@ JET_BATCH = 2**11
 RULE_CACHE = 8
 
 
-@lru_cache(maxsize=None)
 def _gegenbauer_rule(p: int, lam: float):
     """p-point Gauss rule for the weight (1 - t^2)^(lam - 1/2) on [-1, 1].
 
@@ -143,15 +144,13 @@ def _gegenbauer_rule(p: int, lam: float):
     matrix of the Gegenbauer polynomials, and each weight is the weight
     integral times the squared first entry of its eigenvector (Golub and
     Welsch, Math. Comp. 23 (1969) 221-230).  The rule is symmetrized so that
-    t -> -t maps it onto itself exactly.  Cached per (p, lam), read-only.
+    t -> -t maps it onto itself exactly.
     """
     n = np.arange(1.0, p)
     off = np.sqrt(n * (n + 2 * lam - 1) / (4 * (n + lam) * (n + lam - 1)))
     t, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     w = sqrt(pi) * gamma(lam + 0.5) / gamma(lam + 1) * vecs[0] ** 2
-    t, w = (t - t[::-1]) / 2, (w + w[::-1]) / 2
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
+    return (t - t[::-1]) / 2, (w + w[::-1]) / 2
 
 
 def _sphere_rule(k: int, polar: int, circle: int):
@@ -370,8 +369,9 @@ def homothety_fit(body, base, samples: int = 256, seed=0) -> HomothetyFit:
     """
     rng = as_rng(seed)
     dirs = haar_directions(body.dim, samples, rng)
-    h_body = body.jets(dirs)[0]
-    h_base = base.jets(dirs)[0]
+    values_only = np.empty((len(dirs), body.dim, 0))  # no frame column: no Hessian
+    h_body = body.jets(dirs, values_only)[0]
+    h_base = base.jets(dirs, values_only)[0]
     design = np.column_stack([h_base, dirs])
     coef, *_ = np.linalg.lstsq(design, h_body, rcond=None)
     residual = float(np.abs(design @ coef - h_body).max())

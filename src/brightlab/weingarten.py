@@ -274,7 +274,7 @@ def _umbilic(body, u0, maps: np.ndarray, tol: float) -> UmbilicResult:
     nm1 = maps.shape[1]
     r0 = float((np.trace(maps[0]) + np.trace(maps[1])) / (2 * nm1))
     defect = float(np.linalg.norm(maps - r0 * np.eye(nm1), 2, axis=(1, 2)).max())
-    points = tuple(body.jets(np.stack([u0, -u0]))[1])
+    points = tuple(body.jets(np.stack([u0, -u0]), np.empty((2, len(u0), 0)))[1])
     return UmbilicResult(u0, r0, defect, points, bool(defect <= tol))
 
 

@@ -32,9 +32,16 @@ E4 = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21]))
 NAN = float("nan")
 
 
+def identity(dirs):
+    """Identity frames for the rows of dirs: ``jets`` then returns the full Hessians."""
+    m, n = dirs.shape
+    return np.broadcast_to(np.eye(n), (m, n, n))
+
+
 def width(body, u):
     """h(u) + h(-u), the distance between the two supporting hyperplanes."""
-    return float(body.jets(np.stack([u, -u]))[0].sum())
+    dirs = np.stack([u, -u])
+    return float(body.jets(dirs, identity(dirs))[0].sum())
 
 
 def document(family, **params):
@@ -96,7 +103,7 @@ class TestJetStructure:
     @pytest.mark.parametrize("body", batched_bodies(), ids=lambda b: type(b).__name__)
     def test_jets_match_finite_differences(self, body):
         dirs = haar_directions(body.dim, 10, as_rng(1))
-        for u, grad, hess in zip(dirs, *body.jets(dirs)[1:]):
+        for u, grad, hess in zip(dirs, *body.jets(dirs, identity(dirs))[1:]):
             num = finite_difference_jet(body, u)
             scale = max(1.0, np.abs(hess).max())
             assert np.abs(grad - num.gradient).max() < 1e-8
@@ -195,7 +202,7 @@ class TestBatchedJets:
     def test_batched_jets_match_single_jets(self, body):
         eye = np.eye(body.dim)
         dirs = np.vstack([eye[0], -eye[-1], haar_directions(body.dim, 30, as_rng(7))])
-        values, grads, hess = body.jets(dirs)
+        values, grads, hess = body.jets(dirs, identity(dirs))
         assert values.shape == (len(dirs),)
         assert grads.shape == dirs.shape
         assert hess.shape == (len(dirs), body.dim, body.dim)
@@ -210,7 +217,12 @@ class TestBatchedJets:
         dirs = haar_directions(body.dim, 3, as_rng(8))
         dirs[1] *= 2.0
         with pytest.raises(ValueError):
-            body.jets(dirs)
+            body.jets(dirs, identity(dirs))
+
+    @pytest.mark.parametrize("body", batched_bodies(), ids=lambda b: type(b).__name__)
+    def test_frames_are_required(self, body):
+        with pytest.raises(TypeError):
+            body.jets(haar_directions(body.dim, 3, as_rng(9)))
 
 
 class TestRestrictedJets:
@@ -222,7 +234,7 @@ class TestRestrictedJets:
         j = n if j == "n" else int(j)
         dirs = haar_directions(n, 12, as_rng(21))
         frames = as_rng(22).standard_normal((12, n, j))
-        values, grads, hess = body.jets(dirs)
+        values, grads, hess = body.jets(dirs, identity(dirs))
         v, g, block = body.jets(dirs, frames)
         assert block.shape == (12, j, j)
         np.testing.assert_array_equal(v, values)

@@ -132,6 +132,13 @@ CONTROLS = [
         "umbilic_asymmetric_base", "umbilic-search", "umbilic_asymmetric_base.json",
         exit=REFUSED, stderr="base body is not centrally symmetric",
     ),
+    # k = n projects onto the whole space: every ratio is V(K)/V(K0), so only
+    # quadrature noise is measured (3.9e-10 here; the same pair at k = 2 reads 0.53)
+    Control(
+        "proportionality_full_dimension", "proportionality",
+        "proportionality_full_dimension.json", exit=REFUSED,
+        stderr="'k' = 3 is the bodies' dimension",
+    ),
 ]
 
 

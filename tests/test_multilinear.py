@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from brightlab.errors import InternalInconsistencyError, PreconditionError
 from brightlab.multilinear import (
     KVector,
-    MultiIndex,
     SymKForm,
+    _rank_lookup,
     bianchi_defect,
     common_eigenbasis,
     compound,
     decompose,
     det,
     gram_inner,
-    multi_indices,
     polarization_check,
     square_form_matrix,
 )
@@ -47,26 +46,6 @@ def wedge_oracle(a: np.ndarray, k: int) -> np.ndarray:
         for q, cols in enumerate(sets):
             out[p, q] = det_oracle([[a[r, c] for c in cols] for r in rows])
     return out
-
-
-class TestMultiIndex:
-    def test_rank_unrank_roundtrip(self):
-        for k in (1, 2, 3):
-            for rank, entries in enumerate(itertools.combinations(range(1, 6), k)):
-                mi = MultiIndex(entries, 5)
-                assert mi.rank() == rank
-                assert MultiIndex.unrank(5, k, rank) == mi
-
-    def test_entries_are_one_based_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            MultiIndex((0, 1), 4)
-        with pytest.raises(ValueError):
-            MultiIndex((2, 2), 4)
-        with pytest.raises(ValueError):
-            MultiIndex((1, 5), 4)
-
-    def test_multi_indices_count(self):
-        assert len(multi_indices(6, 3)) == 20
 
 
 class TestDecomposeAndGram:
@@ -285,8 +264,8 @@ class TestSquareForm:
     def test_sign_pattern_matches_complement_permutation(self):
         q = square_form_matrix(2).matrix
         # entry for I = {1,3}: moving (1,3,2,4) to sorted order is odd
-        i_rank = MultiIndex((1, 3), 4).rank()
-        c_rank = MultiIndex((2, 4), 4).rank()
+        i_rank = _rank_lookup(4, 2)[(0, 2)]
+        c_rank = _rank_lookup(4, 2)[(1, 3)]
         assert q[i_rank, c_rank] == pytest.approx(-1.0)
 
     def test_odd_grade_rejected(self):
@@ -387,12 +366,21 @@ class TestCommonEigenbasis:
 
 class TestKVector:
     def test_basis_is_orthonormal(self):
-        for first in multi_indices(4, 2):
-            for second in multi_indices(4, 2):
-                inner = KVector.basis(4, 2, first.entries).inner(
-                    KVector.basis(4, 2, second.entries)
-                )
-                assert inner == pytest.approx(1.0 if first == second else 0.0)
+        # the r-th pair in lex order is the r-th coordinate, so the Gram matrix is the identity
+        basis = [KVector.basis(4, 2, entries) for entries in itertools.combinations(range(1, 5), 2)]
+        assert np.array_equal([x.coords for x in basis], np.eye(6))
+        assert np.array_equal([[x.inner(y) for y in basis] for x in basis], np.eye(6))
+
+    def test_basis_entries_are_one_based_strictly_increasing(self):
+        for entries in [(0, 1), (2, 2), (3, 2), (1, 5)]:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                KVector.basis(4, 2, entries)
+
+    def test_basis_needs_k_entries(self):
+        # the grade is k, not the entry count: (1, 2, 4) was once ranked as e_1 ^ e_3
+        for m, k, entries in [(4, 2, (1, 2, 4)), (5, 2, (2, 3, 4, 5)), (4, 2, (3,))]:
+            with pytest.raises(ValueError, match="needs 2 entries"):
+                KVector.basis(m, k, entries)
 
     def test_space_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from brightlab.body import (
 from brightlab.errors import PreconditionError
 from brightlab.multilinear import SymKForm, compound, polarization_check
 from brightlab.sampling import as_rng, haar_directions
+from brightlab.tomography import homothety_fit
 from brightlab.weingarten import (
     _residuals,
     antipodal_search,
@@ -126,7 +127,7 @@ class DentedBall(Ball):
         super().__init__(dim, 1.0)
         object.__setattr__(self, "dents", dents)  # [(direction, factor), ...]
 
-    def jets(self, u, frames=None):
+    def jets(self, u, frames):
         values, gradients, hessians = super().jets(u, frames)
         for direction, factor in self.dents:
             hessians[np.abs(u - direction).max(axis=1) < 1e-12] *= factor
@@ -140,8 +141,8 @@ class SpyBall(Ball):
         super().__init__(dim, 1.0)
         object.__setattr__(self, "columns", [])
 
-    def jets(self, u, frames=None):
-        self.columns.append(None if frames is None else frames.shape[2])
+    def jets(self, u, frames):
+        self.columns.append(frames.shape[2])
         return super().jets(u, frames)
 
 
@@ -226,11 +227,11 @@ class TestRelativeMap:
             def support(self, x):
                 return float(np.abs(np.asarray(x)[2]))
 
-            def jets(self, u, frames=None):
+            def jets(self, u, frames):
                 u = np.asarray(u, dtype=float)
                 gradients = np.zeros_like(u)
                 gradients[:, 2] = np.where(u[:, 2] >= 0, 1.0, -1.0)
-                j = 3 if frames is None else frames.shape[2]
+                j = frames.shape[2]
                 return np.abs(u[:, 2]), gradients, np.zeros((len(u), j, j))
 
         with pytest.raises(PreconditionError) as err:
@@ -343,6 +344,17 @@ class TestWedgeIdentity:
 
 
 class TestUmbilic:
+    def test_boundary_points_and_homothety_fit_ask_for_no_hessian(self):
+        # the certificate restricts the body's Hessians to the 3-column frame at u0,
+        # then reads its boundary points from jets with no frame column
+        body, base = SpyBall(4), SpyBall(4)
+        umbilic_check(body, base, np.eye(4)[3])
+        assert body.columns == [3, 0]
+        # the fit reads support values only
+        body, base = SpyBall(4), SpyBall(4)
+        homothety_fit(body, base, samples=16, seed=0)
+        assert body.columns == base.columns == [0]
+
     def test_ball_pair_is_umbilic_everywhere(self):
         u = haar_directions(3, 1, as_rng(11))[0]
         res = umbilic_check(Ball(3, 2.0), Ball(3, 1.0), u)
@@ -687,7 +699,7 @@ class ThinBall(Ball):
         super().__init__(dim, 1.0)
         object.__setattr__(self, "thin", thin)
 
-    def jets(self, u, frames=None):
+    def jets(self, u, frames):
         values, gradients, hessians = super().jets(u, frames)
         hessians[:, :1, :1] = self.thin  # frames may have no column
         return values, gradients, hessians
@@ -913,7 +925,7 @@ class TestDetRatio:
 
     def test_degenerate_base_raises(self):
         class FlatBase(Ball):
-            def jets(self, u, frames=None):
+            def jets(self, u, frames):
                 values, gradients, hessians = super().jets(u, frames)
                 return values, gradients, 0.0 * hessians
 
