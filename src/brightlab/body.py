@@ -7,15 +7,17 @@ its restriction to the tangent hyperplane u^perp carries the principal radii
 of curvature; ``validate`` samples those radii to certify smoothness and
 strict convexity.
 
-Jets have one path.  Each family defines ``jets(U, T)``: for an (m, n)
-array of unit directions and a required (m, n, j) stack of frames T it
-returns (values (m,), gradients (m, n), Hessians restricted to the frames
-T^T H T (m, j, j)), restricting each of its terms, so no n x n Hessian is
-built unless asked for.  Identity frames give the full (m, n, n) Hessians;
-frames with no column (j = 0) give the values and gradients only.
+Jets have one path, and this module owns its contract.  Each family
+defines ``jets(U, T)``: for an (m, n) array of unit directions and a
+required (m, n, j) stack of frames T (``tangent_frames(U)`` spans each
+u^perp) it returns (values (m,), gradients (m, n), Hessians restricted to
+the frames T^T H T (m, j, j)), restricting each of its terms, so no n x n
+Hessian is built unless asked for.  Identity frames give the full (m, n, n)
+Hessians; frames with no column (j = 0) give the values and gradients only.
+A row that is not unit length is refused by ``_unit_rows`` in the family
+that evaluates h; composites hand their rows on unchanged.
 ``ConvexBody.jet(u)`` is ``jets`` at one unit direction in the identity
-frame and returns a ``SupportJet``.  Both refuse directions that are not
-unit length.  Each family also keeps its scalar ``support(x)``, the
+frame.  Each family also keeps its scalar ``support(x)``, the
 independent oracle that ``finite_difference_jet`` differentiates.
 ``Revolution`` calls its profile g and its derivatives dg and ddg, all
 required, on arrays of t, so they must accept numpy arrays.
@@ -38,7 +40,6 @@ from typing import Callable
 import numpy as np
 
 from .sampling import as_rng, haar_directions
-from .weingarten import _symmetrized, _unit_rows, tangent_frames
 
 __all__ = [
     "SupportJet",
@@ -58,7 +59,47 @@ __all__ = [
     "validate",
     "body_to_dict",
     "body_from_dict",
+    "tangent_frames",
 ]
+
+
+def _unit_rows(u) -> np.ndarray:
+    """An (m, n) array of unit directions as floats; non-unit rows are refused."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2:
+        raise ValueError("expected an (m, n) array of directions")
+    nrm = np.sqrt(np.einsum("ij,ij->i", u, u))
+    bad = np.flatnonzero(np.abs(nrm - 1.0) > 1e-12)
+    if bad.size:
+        raise ValueError(f"direction must be unit length, |u[{bad[0]}]| = {float(nrm[bad[0]])!r}")
+    return u
+
+
+def tangent_frames(u) -> np.ndarray:
+    """Householder frames of u^perp for each row of an (m, n) array of unit directions.
+
+    Returns an (m, n, n-1) array whose i-th slice reflects e_1 onto u[i]
+    and keeps the remaining columns (the identity columns when u[i] = e_1).
+    The columns of each slice are orthonormal and orthogonal to u[i]; since
+    u^perp = (-u)^perp, the frame built at u also serves at -u whenever maps
+    at u and -u must be compared entrywise.  Eigenvalues of maps restricted
+    to u^perp do not depend on the frame.
+    """
+    u = _unit_rows(u)
+    n = u.shape[1]
+    v = -u
+    v[:, 0] += 1.0
+    vv = np.einsum("ij,ij->i", v, v)
+    near = vv < 1e-28
+    vv[near] = 1.0
+    basis = np.eye(n)[:, 1:] - 2.0 * v[:, :, None] * v[:, None, 1:] / vv[:, None, None]
+    basis[near] = np.eye(n)[:, 1:]
+    return basis
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """(M + M^T) / 2 for each slice of an (m, d, d) stack."""
+    return 0.5 * (m + np.swapaxes(m, 1, 2))
 
 
 def _as_point(x) -> np.ndarray:
@@ -174,6 +215,8 @@ class Ellipsoid(ConvexBody):
         a = np.asarray(self.shape, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("shape matrix must be square")
+        if a.shape[0] < 2:
+            raise ValueError("dimension must be at least 2")
         if np.abs(a - a.T).max() > 1e-10 * max(1.0, np.abs(a).max()):
             raise ValueError("shape matrix must be symmetric")
         a = 0.5 * (a + a.T)
@@ -348,10 +391,10 @@ class HarmonicPerturbation(ConvexBody):
         return self.base.support(x) + self.epsilon * pert
 
     def jets(self, u, frames):
-        u = _unit_rows(u)
+        base = self.base.jets(u, frames)
         profile = (partial(_odd_poly, self.odd_coeffs, d=d) for d in range(3))
-        pert = _revolution_jets(u, frames, self.axis_vector, *profile)
-        return tuple(b + self.epsilon * p for b, p in zip(self.base.jets(u, frames), pert))
+        pert = _revolution_jets(np.asarray(u, dtype=float), frames, self.axis_vector, *profile)
+        return tuple(b + self.epsilon * p for b, p in zip(base, pert))
 
 
 @dataclass(frozen=True)
@@ -409,7 +452,6 @@ class Homothet(ConvexBody):
         return self.scale * self.base.support(x) + x @ self.shift_vector
 
     def jets(self, u, frames):
-        u = _unit_rows(u)
         values, grads, hess = self.base.jets(u, frames)
         t = self.shift_vector
         return self.scale * values + u @ t, self.scale * grads + t, self.scale * hess
@@ -440,9 +482,8 @@ class Erosion(ConvexBody):
         return self.base.support(x) - self.radius * np.sqrt(x @ x)
 
     def jets(self, u, frames):
-        u = _unit_rows(u)
         values, grads, hess = self.base.jets(u, frames)
-        r = self.radius
+        u, r = np.asarray(u, dtype=float), self.radius
         return values - r, grads - r * u, hess - r * _tangential(u, frames)
 
 

@@ -28,7 +28,8 @@ then a stacked determinant and a weighted sum per frame.
 native body), and ``ProjectedBody.jets(w, T)`` is ``source.jets(w F^T, F T)``.
 As for every body, T is required: identity frames give the full k x k
 Hessians and frames with no column only the values and gradients, which is
-all ``homothety_fit`` reads.
+all ``homothety_fit`` reads.  The rows and frames are checked and built by
+``body``, which owns the jets contract.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ from math import gamma, pi, sqrt
 
 import numpy as np
 
-from .body import ConvexBody
+from .body import ConvexBody, tangent_frames
 from .multilinear import det
 from .sampling import as_rng, haar_directions, median
-from .weingarten import _unit_rows, tangent_frames
 
 __all__ = [
     "SubspaceFrame",
@@ -117,8 +117,8 @@ class ProjectedBody(ConvexBody):
         return self.source.support(self.frame.columns @ w)
 
     def jets(self, w, frames):
-        """Chain rule: the source jets at the rows of w F^T (unit: F is orthonormal), frames F T."""
-        f, w = self.frame.columns, _unit_rows(w)
+        """Chain rule: the source jets at the rows w F^T, which it checks (F is orthonormal), frames F T."""
+        f = self.frame.columns
         values, grads, hess = self.source.jets(w @ f.T, f @ frames)
         return values, grads @ f, hess
 

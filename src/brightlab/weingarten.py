@@ -19,12 +19,13 @@ for every direction, with both sides expressed in one frame of u^perp
 defect of that identity, searches for antipodal umbilic directions, and
 checks the eigenvalue structure of bodies of revolution.
 
-The curvature maps have one stacked API: ``tangent_frames``,
-``reverse_weingarten``, ``relative_maps`` and ``wedge_identity_defects``
-take an (m, n) array of directions and return stacks: one ``jets(u, B)``
-call per body gives the restricted Hessians B^T H B in the frames B as one
-(m, n-1, n-1) stack, with no n x n Hessian, then stacked linear algebra;
-one direction u is the stack ``u[None]``.
+The curvature maps have one stacked API on ``body``'s jets contract: the
+reverse Weingarten maps L at the rows of u are ``body.jets(u, B)[2]``, the
+Hessians B^T H B restricted to frames B of u^perp (``body.tangent_frames``)
+as one (m, n-1, n-1) stack, with no n x n Hessian.  ``relative_maps`` takes
+those frames as a required argument and ``wedge_identity_defects`` builds
+them; both take an (m, n) array of directions and return stacks, then
+stacked linear algebra; one direction u is the stack ``u[None]``.
 ``wedge_identity_defects`` builds the maps at +-u and the base maps at u
 once; each grade adds one ``multilinear.compound`` call and one stacked
 ``eigvalsh``.  Every relative map comes from ``relative_maps``; the umbilic
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multilinear
+from .body import _symmetrized, _unit_rows, tangent_frames
 from .errors import PreconditionError
 from .sampling import as_rng, haar_directions, hemisphere_grid
 
@@ -50,8 +52,6 @@ __all__ = [
     "RevolutionEigenstructure",
     "RevolutionRelationDefects",
     "DetRatioReport",
-    "tangent_frames",
-    "reverse_weingarten",
     "relative_maps",
     "wedge_identity_defects",
     "relative_wedge_defect",
@@ -64,61 +64,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# tangent frames
-
-
-def _unit_rows(u) -> np.ndarray:
-    """An (m, n) array of unit directions as floats; non-unit rows are refused."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2:
-        raise ValueError("expected an (m, n) array of directions")
-    nrm = np.sqrt(np.einsum("ij,ij->i", u, u))
-    bad = np.flatnonzero(np.abs(nrm - 1.0) > 1e-12)
-    if bad.size:
-        raise ValueError(f"direction must be unit length, |u[{bad[0]}]| = {nrm[bad[0]]!r}")
-    return u
-
-
-def tangent_frames(u) -> np.ndarray:
-    """Householder frames of u^perp for each row of an (m, n) array of unit directions.
-
-    Returns an (m, n, n-1) array whose i-th slice reflects e_1 onto u[i]
-    and keeps the remaining columns (the identity columns when u[i] = e_1).
-    The columns of each slice are orthonormal and orthogonal to u[i]; since
-    u^perp = (-u)^perp, the frame built at u also serves at -u whenever maps
-    at u and -u must be compared entrywise.  Eigenvalues of maps restricted
-    to u^perp do not depend on the frame.
-    """
-    u = _unit_rows(u)
-    n = u.shape[1]
-    v = -u
-    v[:, 0] += 1.0
-    vv = np.einsum("ij,ij->i", v, v)
-    near = vv < 1e-28
-    vv[near] = 1.0
-    basis = np.eye(n)[:, 1:] - 2.0 * v[:, :, None] * v[:, None, 1:] / vv[:, None, None]
-    basis[near] = np.eye(n)[:, 1:]
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # maps
-
-
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """(M + M^T) / 2 for each slice of an (m, d, d) stack."""
-    return 0.5 * (m + np.swapaxes(m, 1, 2))
-
-
-def reverse_weingarten(body, u, bases=None) -> np.ndarray:
-    """Tangential Hessians of the support function at each row of u, an (m, n-1, n-1) stack.
-
-    ``bases`` is an (m, n, n-1) stack whose i-th slice spans u[i]^perp (it
-    may have been built at -u[i], the subspaces agree); by default
-    ``tangent_frames(u)``.  The body restricts its own Hessians to them:
-    this is ``body.jets(u, bases)[2]``.
-    """
-    return body.jets(u, tangent_frames(u) if bases is None else bases)[2]
 
 
 def _psd_inv_sqrt(matrices: np.ndarray, what: str) -> np.ndarray:
@@ -138,17 +84,18 @@ def _psd_inv_sqrt(matrices: np.ndarray, what: str) -> np.ndarray:
     return (vecs / np.sqrt(vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
 
 
-def relative_maps(body, base, u, bases=None) -> np.ndarray:
+def relative_maps(body, base, u, bases) -> np.ndarray:
     """L0^{-1/2} L L0^{-1/2} at each row of u, an (m, n-1, n-1) stack.
 
-    The eigenvalues of each slice are the relative radii at u[i].  ``bases``
-    is as for ``reverse_weingarten``.  Raises PreconditionError naming the
-    offending eigenvalue when a base map is not positive definite.
+    ``bases`` is an (m, n, n-1) stack whose i-th slice spans u[i]^perp (it
+    may have been built at -u[i], the subspaces agree); L and L0 are the
+    Hessians of body and base restricted to it, ``jets(u, bases)[2]``.  The
+    eigenvalues of each slice are the relative radii at u[i].  Raises
+    PreconditionError naming the offending eigenvalue when a base map is not
+    positive definite.
     """
-    if bases is None:
-        bases = tangent_frames(u)
-    s = _psd_inv_sqrt(reverse_weingarten(base, u, bases), "base reverse Weingarten map")
-    return _symmetrized(s @ reverse_weingarten(body, u, bases) @ s)
+    s = _psd_inv_sqrt(base.jets(u, bases)[2], "base reverse Weingarten map")
+    return _symmetrized(s @ body.jets(u, bases)[2] @ s)
 
 
 def _check_symmetric_body(base, u: np.ndarray) -> None:
@@ -445,7 +392,7 @@ def _check_revolution_body(body, axis: np.ndarray, u: np.ndarray, t: float) -> N
     w -= np.outer(w @ axis, axis)
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     v = np.vstack([u, t * axis + np.sqrt(1.0 - t * t) * w])
-    radii = np.linalg.eigvalsh(reverse_weingarten(body, v))
+    radii = np.linalg.eigvalsh(body.jets(v, tangent_frames(v))[2])
     worst = float(np.max(np.abs(radii[1:] - radii[0]) / np.maximum(1.0, np.abs(radii[0]))))
     if worst > 1e-9:
         raise ValueError(
@@ -560,8 +507,8 @@ def det_ratio_constancy(body, base, samples: int = 64, seed=0) -> DetRatioReport
     """
     dirs = haar_directions(body.dim, samples, as_rng(seed))
     bases = tangent_frames(dirs)
-    det_body = multilinear.det(reverse_weingarten(body, dirs, bases))
-    det_base = multilinear.det(reverse_weingarten(base, dirs, bases))
+    det_body = multilinear.det(body.jets(dirs, bases)[2])
+    det_base = multilinear.det(base.jets(dirs, bases)[2])
     if (np.abs(det_base) < 1e-14).any():
         raise PreconditionError("base curvature determinant vanishes at a sample")
     ratios = det_body / det_base

@@ -155,6 +155,13 @@ class TestEllipsoid:
         with pytest.raises(ValueError):
             Ellipsoid(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_dimension_below_two(self):
+        # as Ball, Spheroid and Revolution do: a segment has no proper subspace to project onto
+        with pytest.raises(ValueError, match="dimension must be at least 2"):
+            Ellipsoid([[1.0]])
+        with pytest.raises(ValueError, match="dimension must be at least 2"):
+            body_from_dict(document("ellipsoid", shape=[[1.0]]))
+
 
 class TestSpheroid:
     def test_matches_general_revolution(self):
@@ -216,8 +223,41 @@ class TestBatchedJets:
     def test_batched_jets_reject_non_unit_rows(self, body):
         dirs = haar_directions(body.dim, 3, as_rng(8))
         dirs[1] *= 2.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"unit length, \|u\[1\]\| = "):
             body.jets(dirs, identity(dirs))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            Homothet(E4, 0.7, (0.1, 0.0, -0.2, 0.0)),
+            Erosion(Homothet(Ball(3, 2.0), 1.5), 0.5),
+            HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (0.3, -0.5), 0.1),
+            project(Homothet(E4, 0.7, (0.1, 0.0, -0.2, 0.0)), random_subspace(4, 3, 0)),
+        ],
+        ids=lambda b: type(b).__name__,
+    )
+    def test_only_the_family_that_evaluates_h_checks_the_rows(self, body, monkeypatch):
+        # composites pass their rows on unchanged (a shadow through an orthonormal F),
+        # so the part that evaluates h is the one that refuses a non-unit row
+        import brightlab
+        from brightlab import body as body_module
+
+        calls = []
+        checked = body_module._unit_rows
+
+        def counted(u):
+            calls.append(len(u))
+            return checked(u)
+
+        modules = [getattr(brightlab, name) for name in ("body", "tomography", "weingarten")]
+        for module in modules:
+            if getattr(module, "_unit_rows", None) is checked:
+                monkeypatch.setattr(module, "_unit_rows", counted)
+        dirs = haar_directions(body.dim, 5, as_rng(10))
+        frames = identity(dirs)
+        for jets_calls in (1, 2):
+            body.jets(dirs, frames)
+            assert calls == [5] * jets_calls
 
     @pytest.mark.parametrize("body", batched_bodies(), ids=lambda b: type(b).__name__)
     def test_frames_are_required(self, body):
@@ -426,6 +466,12 @@ class TestArgumentChecks:
     def test_directions_must_be_unit(self):
         with pytest.raises(ValueError):
             Ball(3, 1.0).jet(np.array([0.0, 0.0, 2.0]))
+
+    def test_non_unit_message_prints_the_plain_norm(self):
+        dirs = np.array([[1.0, 0.0, 0.0], [0.0, 2.0000000000000004, 0.0]])
+        with pytest.raises(ValueError) as err:
+            Ball(3, 1.0).jets(dirs, identity(dirs))
+        assert str(err.value) == "direction must be unit length, |u[1]| = 2.0000000000000004"
 
     def test_origin_rejected(self):
         with pytest.raises(ValueError):

@@ -139,6 +139,11 @@ CONTROLS = [
         "proportionality_full_dimension.json", exit=REFUSED,
         stderr="'k' = 3 is the bodies' dimension",
     ),
+    # a 1-D ellipsoid (a segment) has no proper subspace to project onto
+    Control(
+        "brightness_one_dimensional", "brightness", "brightness_one_dimensional.json",
+        exit=REFUSED, stderr="dimension must be at least 2",
+    ),
 ]
 
 

@@ -696,14 +696,15 @@ class TestEigenvalueAudit:
         assert audit.max_defect == pytest.approx(1e-3, rel=1e-6)
 
     def test_pipeline_integration_with_relative_maps(self):
-        from brightlab.body import Ellipsoid, Homothet
+        from brightlab.body import Ellipsoid, Homothet, tangent_frames
         from brightlab.sampling import as_rng, haar_directions
         from brightlab.weingarten import relative_maps
 
         base = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21]))
         body = Homothet(base, 0.7, (0.1, 0.0, -0.2, 0.0))
         u = haar_directions(4, 1, as_rng(4))[0]
-        r, r_tilde = np.linalg.eigvalsh(relative_maps(body, base, np.stack([u, -u])))
+        v = np.stack([u, -u])
+        r, r_tilde = np.linalg.eigvalsh(relative_maps(body, base, v, tangent_frames(v)))
         r_tilde = r_tilde[::-1]
         audit = eigenvalue_relation_audit(r, r_tilde, 2, 0.49)
         assert audit.max_defect < 1e-7

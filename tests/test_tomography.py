@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from brightlab import tomography
-from brightlab.body import Ball, Ellipsoid, Homothet
+from brightlab.body import Ball, Ellipsoid, Homothet, tangent_frames
 from brightlab.sampling import as_rng, haar_directions
-from brightlab.weingarten import tangent_frames
 from brightlab.tomography import (
     HomothetyFit,
     SubspaceFrame,

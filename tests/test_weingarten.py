@@ -13,6 +13,7 @@ from brightlab.body import (
     Homothet,
     MinkowskiSum,
     Spheroid,
+    tangent_frames,
 )
 from brightlab.errors import PreconditionError
 from brightlab.multilinear import SymKForm, compound, polarization_check
@@ -24,10 +25,8 @@ from brightlab.weingarten import (
     det_ratio_constancy,
     relative_maps,
     relative_wedge_defect,
-    reverse_weingarten,
     revolution_eigenstructure,
     revolution_relations_check,
-    tangent_frames,
     umbilic_check,
     wedge_identity_defects,
 )
@@ -79,7 +78,7 @@ def polish_path(monkeypatch, body, base, worse_at=None, **kwargs):
     calls, centres, steps = [], [], {}
     maps, lstsq, residuals = weingarten.relative_maps, np.linalg.lstsq, weingarten._residuals
 
-    def maps_spy(body, base, u, bases=None):
+    def maps_spy(body, base, u, bases):
         # the first call scores the grid, which may have 2n - 1 points too
         calls.append(len(u))
         if len(calls) > 1 and len(u) == 2 * (2 * body.dim - 1):
@@ -113,9 +112,9 @@ def step_from(centres, steps, k, factor):
 def wedge_defect_oracle(body, base, k, beta, u):
     """The wedge identity defect at one direction, one map at a time."""
     frame = tangent_frames(u[None])
-    lu = reverse_weingarten(body, u[None], frame)[0]
-    lmu = reverse_weingarten(body, -u[None], frame)[0]
-    l0 = reverse_weingarten(base, u[None], frame)[0]
+    lu = body.jets(u[None], frame)[2][0]
+    lmu = body.jets(-u[None], frame)[2][0]
+    l0 = base.jets(u[None], frame)[2][0]
     lhs = compound(lu, k) + compound(lmu, k)
     return np.linalg.norm(lhs - 2.0 * beta * compound(l0, k), 2)
 
@@ -178,8 +177,8 @@ class TestTangentFrame:
         for u in haar_directions(4, 10, rng):
             frame = tangent_frames(u[None])
             q, _ = np.linalg.qr(rng.standard_normal((3, 3)))  # another basis of u^perp
-            a = reverse_weingarten(E4, u[None], frame)[0]
-            b = reverse_weingarten(E4, u[None], frame @ q)[0]
+            a = E4.jets(u[None], frame)[2][0]
+            b = E4.jets(u[None], frame @ q)[2][0]
             assert np.allclose(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b), atol=1e-10)
             assert np.linalg.det(a) == pytest.approx(np.linalg.det(b), rel=1e-10)
 
@@ -187,20 +186,22 @@ class TestTangentFrame:
 class TestReverseWeingarten:
     def test_ball_map_is_radius_times_identity(self):
         u = np.array([[0.0, 1.0, 0.0]])
-        m = reverse_weingarten(Ball(3, 2.5), u)
+        m = Ball(3, 2.5).jets(u, tangent_frames(u))[2]
         assert m.shape == (1, 2, 2)
         assert np.allclose(m[0], 2.5 * np.eye(2), atol=1e-12)
 
     def test_spheroid_pole_and_equator(self):
         sph = Spheroid((0.0, 0.0, 1.0), 1.0, 1.4)
-        pole, eq = np.linalg.eigvalsh(reverse_weingarten(sph, np.eye(3)[[2, 0]]))
+        u = np.eye(3)[[2, 0]]
+        pole, eq = np.linalg.eigvalsh(sph.jets(u, tangent_frames(u))[2])
         assert np.allclose(pole, 1.0 / 1.4, atol=1e-12)
         assert np.allclose(eq, [1.0, 1.4**2], atol=1e-12)
 
     def test_homothet_scales_the_map(self):
         dirs = haar_directions(4, 10, as_rng(2))
-        a = reverse_weingarten(K4, dirs)
-        b = reverse_weingarten(E4, dirs)
+        frames = tangent_frames(dirs)
+        a = K4.jets(dirs, frames)[2]
+        b = E4.jets(dirs, frames)[2]
         assert a.shape == (10, 3, 3)
         assert np.allclose(a, 0.7 * b, atol=1e-12)
 
@@ -210,11 +211,12 @@ class TestRelativeMap:
         dirs = haar_directions(4, 5, as_rng(3))
         frames = tangent_frames(dirs)
         rel = relative_maps(E4, Ball(4, 1.0), dirs, frames)
-        plain = reverse_weingarten(E4, dirs, frames)
+        plain = E4.jets(dirs, frames)[2]
         assert np.allclose(rel, plain, atol=1e-10)
 
     def test_homothet_pair_is_isotropic(self):
-        rel = relative_maps(K4, E4, haar_directions(4, 10, as_rng(4)))
+        dirs = haar_directions(4, 10, as_rng(4))
+        rel = relative_maps(K4, E4, dirs, tangent_frames(dirs))
         assert rel.shape == (10, 3, 3)
         assert np.allclose(rel, 0.7 * np.eye(3), atol=1e-10)
 
@@ -235,7 +237,8 @@ class TestRelativeMap:
                 return np.abs(u[:, 2]), gradients, np.zeros((len(u), j, j))
 
         with pytest.raises(PreconditionError) as err:
-            relative_maps(flat, FlatBase(), np.array([[0.0, 0.0, 1.0]]))
+            u = np.array([[0.0, 0.0, 1.0]])
+            relative_maps(flat, FlatBase(), u, tangent_frames(u))
         assert "smallest eigenvalue" in str(err.value)
 
 
@@ -334,9 +337,9 @@ class TestWedgeIdentity:
         u = haar_directions(4, 1, as_rng(10))
         frame = tangent_frames(u)
         k, beta = 2, 0.7**2
-        (lu,) = reverse_weingarten(K4, u, frame)
-        (lmu,) = reverse_weingarten(K4, -u, frame)
-        (l0,) = reverse_weingarten(E4, u, frame)
+        (lu,) = K4.jets(u, frame)[2]
+        (lmu,) = K4.jets(-u, frame)[2]
+        (l0,) = E4.jets(u, frame)[2]
         lhs = SymKForm.from_map(lu, k) + SymKForm.from_map(lmu, k)
         rhs = SymKForm(2.0 * beta * compound(l0, k), 3, k)
         result = polarization_check(lhs, rhs, tol=1e-9)
@@ -569,7 +572,7 @@ class TestUmbilic:
         calls = []
         counted = weingarten.relative_maps
 
-        def spy(body, base, u, bases=None):
+        def spy(body, base, u, bases):
             calls.append(len(u))
             # each direction is mapped in a frame of its own u^perp
             assert np.abs(np.einsum("ij,ijk->ik", u, bases)).max() < 1e-12
@@ -583,7 +586,8 @@ class TestUmbilic:
         assert res.gauss_newton_steps >= 1
         assert calls == [2 * grid_size(4000)] + [18] * res.gauss_newton_steps + [2]
         u0 = res.umbilic.u0
-        r_pos, r_neg = np.linalg.eigvalsh(relative_maps(SPHEROID_5D, Ball(5, 1.0), np.stack([u0, -u0])))
+        v = np.stack([u0, -u0])
+        r_pos, r_neg = np.linalg.eigvalsh(relative_maps(SPHEROID_5D, Ball(5, 1.0), v, tangent_frames(v)))
         assert res.r_defect == pytest.approx(np.linalg.norm(r_pos - r_neg), abs=1e-12)
 
     def test_polish_returns_the_previous_centre_when_the_residual_grows(self, monkeypatch):
@@ -592,7 +596,7 @@ class TestUmbilic:
         centres = []
         counted, residuals = weingarten.relative_maps, weingarten._residuals
 
-        def spy(body, base, u, bases=None):
+        def spy(body, base, u, bases):
             centres.append(u[0])  # grid[0] first, then each centre
             return counted(body, base, u, bases)
 
@@ -656,7 +660,7 @@ class TestUmbilic:
         # objective certifies this pair with search_defect 0
         base = HarmonicPerturbation(Ball(5, 1.0), (0.0, 0.0, 0.0, 0.0, 1.0), (0.0, 1.0), 0.05)
 
-        def no_maps(body, base, u, bases=None):
+        def no_maps(body, base, u, bases):
             raise AssertionError("the grid was scored")
 
         monkeypatch.setattr(weingarten, "relative_maps", no_maps)
@@ -675,9 +679,10 @@ class TestUmbilic:
         # the relative radii the search compares are the ascending eigenvalues
         # of the relative maps; against the unit ball they are E4's radii
         dirs = haar_directions(4, 5, as_rng(12))
-        radii = np.linalg.eigvalsh(relative_maps(E4, Ball(4, 1.0), dirs))
+        frames = tangent_frames(dirs)
+        radii = np.linalg.eigvalsh(relative_maps(E4, Ball(4, 1.0), dirs, frames))
         assert np.all(np.diff(radii, axis=1) >= 0)
-        assert np.allclose(radii, np.linalg.eigvalsh(reverse_weingarten(E4, dirs)), atol=1e-10)
+        assert np.allclose(radii, np.linalg.eigvalsh(E4.jets(dirs, frames)[2]), atol=1e-10)
 
 
 def shipped_umbilic_pair(config):
@@ -733,7 +738,7 @@ class TestGrid:
             v = np.stack([u, -u])
             pair_maps = relative_maps(body, base, v, np.stack([bases[i], bases[i]]))
             np.testing.assert_allclose(maps[2 * i : 2 * i + 2], pair_maps, rtol=0, atol=1e-14)
-            own = np.linalg.eigvalsh(relative_maps(body, base, v))
+            own = np.linalg.eigvalsh(relative_maps(body, base, v, tangent_frames(v)))
             np.testing.assert_allclose(radii[2 * i : 2 * i + 2], own, rtol=1e-12, atol=0)
 
     def test_shipped_antipodal_grid_keeps_a_margin(self):
