@@ -25,6 +25,10 @@ whose value is null has failed.
 
 Body documents are {"family": str, "params": {...}} as accepted by
 ``body_from_dict``; ``brightlab gallery`` lists the families.
+
+The shadow scenarios read ``tomography.shadow_volumes`` and its one statistic
+``proportionality_test``; ``ratio-e48`` compares the exponents ratio^(-1/g)
+of its two grades, one report per grade, each on its own child seed.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .lemma_lab import (
     hypothesis_residual,
 )
 from .sampling import as_rng, haar_directions, median
-from .tomography import projection_function, proportionality_test, ratio_consistency_check
+from .tomography import proportionality_test, shadow_volumes
 from .weingarten import antipodal_search, wedge_identity_defects
 
 __all__ = ["main", "ConfigError", "Check"]
@@ -257,12 +261,20 @@ def _run_verify_wedge(params: dict, seed: int):
     return checks, {}
 
 
+def _proper_grade(k: int, dim: int) -> int:
+    """``k``, refused when it is ``dim``: a k = n shadow is the body itself."""
+    if k == dim:
+        raise ConfigError(
+            f"'k' = {dim} is the bodies' dimension, where every shadow is the body itself "
+            "and the check measures only quadrature noise; use k < n"
+        )
+    return k
+
+
 def _run_brightness(params: dict, seed: int):
     body = _body(params, "body")
-    samples = projection_function(
-        body, params["k"], params["num_frames"], seed, nodes=params["nodes"]
-    )
-    vols = np.asarray([v for _, v in samples])
+    k = _proper_grade(params["k"], body.dim)
+    vols = shadow_volumes([body], k, params["num_frames"], seed, params["nodes"])[1][:, 0]
     mid = median(vols)
     spread = float((vols.max() - vols.min()) / max(abs(mid), 1e-300))
     checks = [Check("brightness_spread_rel", spread, params["tolerance"])]
@@ -276,14 +288,8 @@ def _run_brightness(params: dict, seed: int):
 
 def _run_proportionality(params: dict, seed: int):
     body, base = _pair(params)
-    if params["k"] == body.dim:
-        raise ConfigError(
-            f"'k' = {body.dim} is the bodies' dimension, where every ratio is V(K)/V(K0) "
-            "and the check measures only quadrature noise; use k < n"
-        )
-    report = proportionality_test(
-        body, base, params["k"], params["num_frames"], seed, nodes=params["nodes"]
-    )
+    k = _proper_grade(params["k"], body.dim)
+    report = proportionality_test(body, base, k, params["num_frames"], seed, params["nodes"])
     tol = params["tolerance"]
     checks = [Check("proportionality_max_rel_deviation", report.max_rel_deviation, tol)]
     return checks, {"constant": report.constant, "excluded": report.excluded}
@@ -375,10 +381,17 @@ def _run_gallery(params: dict, seed):
 
 def _run_ratio_e48(params: dict, seed: int):
     body, base = _pair(params)
-    defect = ratio_consistency_check(
-        body, base, params["i"], params["j"], params["num_frames"], seed, nodes=params["nodes"]
-    )
-    return [Check("cross_grade_ratio_defect", defect, params["tolerance"])], {}
+    grades = params["i"], params["j"]
+    if grades[0] == grades[1]:
+        raise ConfigError(f"grades must differ, got i = j = {grades[0]}")
+    reports = [
+        proportionality_test(body, base, g, params["num_frames"], kid, params["nodes"])
+        for g, kid in zip(grades, np.random.SeedSequence(seed).spawn(2))
+    ]
+    s_i, s_j = (r.ratios ** (-1.0 / g) for r, g in zip(reports, grades))
+    defect = float(np.abs(s_j[:, None] - s_i[None, :]).max())
+    extras = {"constants": [r.constant for r in reports], "excluded": [r.excluded for r in reports]}
+    return [Check("cross_grade_ratio_defect", defect, params["tolerance"])], extras
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,9 @@ Hessians H, which each family restricts term by term without forming H;
 then a stacked determinant and a weighted sum per frame.
 ``volume_from_support`` is the same kernel on one frame (the identity for a
 native body), and ``ProjectedBody.jets(w, T)`` is ``source.jets(w F^T, F T)``.
+``shadow_volumes`` is the one sampler of projection functions: frames drawn
+from child seeds, every body on each.  ``proportionality_test`` is the one
+statistic on them, and the only rule for a degenerate sample.
 As for every body, T is required: identity frames give the full k x k
 Hessians and frames with no column only the values and gradients, which is
 all ``homothety_fit`` reads.  The rows and frames are checked and built by
@@ -53,9 +56,8 @@ __all__ = [
     "random_subspace",
     "project",
     "volume_from_support",
-    "projection_function",
+    "shadow_volumes",
     "proportionality_test",
-    "ratio_consistency_check",
     "homothety_fit",
 ]
 
@@ -257,32 +259,16 @@ def volume_from_support(kbody, nodes: int | None = None) -> float:
     return float(_lifted_volumes([kbody], np.eye(kbody.dim)[None], rule)[0, 0])
 
 
-def _shadow_volumes(bodies, k: int, num_frames: int, seed, nodes):
+def shadow_volumes(bodies, k: int, num_frames: int, seed, nodes: int | None = None):
     """Haar k-frames drawn from child seeds of ``seed``, and the shadow volumes.
 
     Returns the (num_frames, n, k) stack of frame columns and a
-    (num_frames, len(bodies)) array of V_k.  The quadrature rule comes from
-    the per-process cache and every body is integrated on it over all the
-    frames by ``_lifted_volumes``.
+    (num_frames, len(bodies)) array of V_k: every body is integrated on the
+    same frames and the same cached rule by ``_lifted_volumes``.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     columns = _haar_frames(bodies[0].dim, k, map(np.random.default_rng, ss.spawn(num_frames)))
     return columns, _lifted_volumes(bodies, columns, _quadrature_rule(k, nodes))
-
-
-def projection_function(
-    body,
-    k: int,
-    num_frames: int,
-    seed,
-    nodes: int | None = None,
-) -> list[tuple[SubspaceFrame, float]]:
-    """Sampled projection function: Haar frames with V_k of each shadow.
-
-    Frames are drawn from child seeds spawned deterministically off ``seed``.
-    """
-    columns, vols = _shadow_volumes([body], k, num_frames, seed, nodes)
-    return [(SubspaceFrame(c), float(v)) for c, v in zip(columns, vols[:, 0])]
 
 
 @dataclass(frozen=True)
@@ -303,7 +289,7 @@ def proportionality_test(
     alpha is the median ratio; degenerate samples (vanishing base volume)
     are excluded with a warning and counted in the report.
     """
-    vb, v0 = _shadow_volumes([body, base], k, num_frames, seed, nodes)[1].T
+    vb, v0 = shadow_volumes([body, base], k, num_frames, seed, nodes)[1].T
     kept = np.abs(v0) >= 1e-12
     excluded = int(np.count_nonzero(~kept))
     if excluded:
@@ -314,42 +300,6 @@ def proportionality_test(
     alpha = median(ratios)
     max_rel = float(np.abs(ratios / alpha - 1.0).max())
     return ProportionalityReport(alpha, ratios, max_rel, excluded)
-
-
-def ratio_consistency_check(
-    body,
-    base,
-    i: int,
-    j: int,
-    num_frames: int,
-    seed,
-    nodes: int | None = None,
-) -> float:
-    """Cross-grade consistency of i-th and j-th projection-volume ratios.
-
-    Computes s_i(L) = (V_i(K0|L)/V_i(K|L))^{1/i} over i-subspaces L and
-    s_j(U) = (V_j(K0|U)/V_j(K|U))^{1/j} over j-subspaces U and returns the
-    worst |s_j(U) - s_i(L)| over all sampled pairs.  For bodies whose i-th
-    and j-th projection functions are both proportional the two exponents
-    must agree, so the defect is quadrature-level small.
-    """
-    if i == j:
-        raise ValueError("grades must differ")
-    ss = np.random.SeedSequence(seed)
-    kid_i, kid_j = ss.spawn(2)
-
-    def exponents(grade, kid):
-        vb, v0 = _shadow_volumes([body, base], grade, num_frames, kid, nodes)[1].T
-        kept = np.abs(vb) >= 1e-12
-        if not kept.all():
-            warnings.warn(f"skipping {np.count_nonzero(~kept)} degenerate zero-volume samples")
-        return (v0[kept] / vb[kept]) ** (1.0 / grade)
-
-    s_i = exponents(i, kid_i)
-    s_j = exponents(j, kid_j)
-    if not len(s_i) or not len(s_j):
-        raise ValueError("all samples were degenerate")
-    return float(np.abs(s_j[:, None] - s_i[None, :]).max())
 
 
 @dataclass(frozen=True)

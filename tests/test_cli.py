@@ -198,12 +198,14 @@ class TestExitCodes:
             ("verify-wedge", {"grades": []}, "'grades' must be a non-empty list"),
             ("brightness", {"num_frames": 1}, "'num_frames' must be an integer >= 2, got 1"),
             ("proportionality", {"num_frames": 1}, "'num_frames' must be an integer >= 2, got 1"),
+            ("ratio-e48", {"i": 2, "j": 2}, "grades must differ"),
         ],
     )
     def test_config_that_checks_nothing_exits_two(
         self, tmp_path, capsys, scenario, config, needle
     ):
-        # no grade, or one frame compared with itself, would pass with value 0
+        # no grade, or one frame compared with itself, would pass with value 0;
+        # one grade against itself is no cross-grade check
         cfg = write_config(tmp_path / "c.json", config)
         argv = [scenario, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
         assert cli.main(argv) == 2
@@ -353,8 +355,9 @@ class TestExitCodes:
         assert (extras["solutions_found"], extras["restarts"], extras["gauss_newton_steps"]) == (0, 0, 0)
 
     def test_shadow_grade_beyond_the_node_budget_exits_two(self, tmp_path):
-        # at the default 4096 nodes a k = 8 shadow would get 3 polar nodes per angle
-        ball = {"family": "ball", "params": {"dim": 8, "radius": 1.0}}
+        # at the default 4096 nodes a k = 8 shadow would get 3 polar nodes per angle;
+        # the ball is 9-D, since k = n is refused before any rule is built
+        ball = {"family": "ball", "params": {"dim": 9, "radius": 1.0}}
         cfg = write_config(tmp_path / "c.json", {"body": ball, "k": 8, "num_frames": 2})
         proc = run_cli("brightness", "--config", cfg, "--seed", "1", cwd=tmp_path)
         assert proc.returncode == 2
@@ -734,6 +737,25 @@ class TestCsvExport:
 
 
 class TestScenarios:
+    def ratio_e48(self, tmp_path, config, seed):
+        cfg = write_config(tmp_path / "c.json", config)
+        out = tmp_path / "r.json"
+        code = cli.main(["ratio-e48", "--config", cfg, "--seed", str(seed), "--out", str(out)])
+        return code, json.loads(out.read_text())
+
+    def test_ratio_e48_homothet_pair_cross_grade_defect_vanishes(self, tmp_path):
+        # the default pair, 0.7 E4 + shift against E4: lambda_1 = 0.7, lambda_2 = 0.49
+        code, report = self.ratio_e48(tmp_path, {"num_frames": 16, "nodes": 256}, 6)
+        assert code == 0 and report["checks"][0]["value"] < 1e-10
+        assert report["extras"]["constants"] == pytest.approx([0.7, 0.49], abs=1e-12)
+        assert report["extras"]["excluded"] == [0, 0]
+
+    def test_ratio_e48_non_homothetic_pair_has_order_one_defect(self, tmp_path):
+        ball = {"family": "ball", "params": {"dim": 4, "radius": 1.0}}
+        config = {"body": cli._ELLIPSOID_4D, "base": ball, "num_frames": 12, "nodes": 128}
+        code, report = self.ratio_e48(tmp_path, config, 7)
+        assert code == 1 and report["checks"][0]["value"] > 0.05
+
     def test_wrong_beta_config_fails_every_grade(self, tmp_path):
         # the shipped pair against betas 1e-3 above scale**k: a negative control
         config = str(ROOT / "scripts" / "configs" / "verify_wedge_wrong_beta.json")

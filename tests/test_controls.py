@@ -16,6 +16,7 @@ scipy).
 
 import json
 import math
+import re
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -23,7 +24,8 @@ import pytest
 
 from brightlab import cli
 
-CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "scripts" / "configs"
 PASS, FAIL, REFUSED = 0, 1, 2
 
 
@@ -144,6 +146,18 @@ CONTROLS = [
         "brightness_one_dimensional", "brightness", "brightness_one_dimensional.json",
         exit=REFUSED, stderr="dimension must be at least 2",
     ),
+    # the same k = n refusal for one body: an ellipsoid that does not have
+    # constant brightness read a spread of 5.0e-10, quadrature noise
+    Control(
+        "brightness_full_dimension", "brightness", "brightness_full_dimension.json",
+        exit=REFUSED, stderr="'k' = 3 is the bodies' dimension",
+    ),
+    # the odd perturbation's widths match the ball's exactly (lambda_1 = 1), but
+    # its shadow areas differ by O(eps^2), so the exponents part by 5.0e-5
+    Control(
+        "ratio_e48_odd_perturbation", "ratio-e48", "ratio_e48_odd_perturbation.json", exit=FAIL,
+        extras=lambda x: abs(x["constants"][0] - 1.0) <= 1e-15 and x["excluded"] == [0, 0],
+    ),
 ]
 
 
@@ -180,3 +194,28 @@ def test_every_scenario_default_and_config_is_a_row():
     assert defaults == set(cli._SCENARIOS)
     configs = {row.config for row in CONTROLS if row.config is not None}
     assert configs == {path.name for path in CONFIGS.glob("*.json")}
+
+
+def readme_section(title: str) -> str:
+    text = (ROOT / "README.md").read_text()
+    start = text.index(f"\n## {title}\n")
+    return text[start : text.find("\n## ", start + 1)]
+
+
+def test_readme_names_shipped_configs_with_their_exits():
+    # (config, exit or None) for each config README's Controls table and
+    # Command line block name; no scenario is run
+    stated = []
+    for line in readme_section("Controls").splitlines():
+        if line.startswith("| `"):
+            cells = line.split("|")
+            stated += [(name, int(cells[-2])) for name in re.findall(r"`(\w+\.json)`", cells[1])]
+    for line in readme_section("Command line").split("```")[1].splitlines():
+        code = re.search(r"# exits (\d)", line)
+        for name in re.findall(r"scripts/configs/(\w+\.json)", line):
+            stated.append((name, int(code[1]) if code else None))
+    exits = {row.config: row.exit for row in CONTROLS if row.config is not None}
+    assert stated
+    for name, code in stated:
+        assert (CONFIGS / name).is_file(), f"README names {name}, which is not shipped"
+        assert code in (None, exits[name]), f"README says {name} exits {code}"

@@ -13,13 +13,11 @@ from brightlab.tomography import (
     SubspaceFrame,
     _cached_rule,
     _quadrature_rule,
-    _shadow_volumes,
     homothety_fit,
     project,
-    projection_function,
     proportionality_test,
     random_subspace,
-    ratio_consistency_check,
+    shadow_volumes,
     volume_from_support,
 )
 
@@ -244,7 +242,7 @@ class TestBatchedShadows:
         # batches of two frames, so 7 frames end on a partial batch of one
         m = len(_quadrature_rule(k, self.NODES[k])[0])
         monkeypatch.setattr(tomography, "JET_BATCH", 2 * m + 1)
-        columns, vols = _shadow_volumes(self.BODIES, k, 7, 17, self.NODES[k])
+        columns, vols = shadow_volumes(self.BODIES, k, 7, 17, self.NODES[k])
         assert columns.shape == (7, 6, k) and vols.shape == (7, 3)
         for frame, row in zip(columns, vols):
             for body, vol in zip(self.BODIES, row):
@@ -254,14 +252,14 @@ class TestBatchedShadows:
     def test_partial_batch_at_the_shipped_batch_size(self):
         # 256 circle nodes put JET_BATCH // 256 frames in a batch; one more is left over
         count = tomography.JET_BATCH // 256 + 1
-        columns, vols = _shadow_volumes(self.BODIES[:2], 2, count, 3, None)
+        columns, vols = shadow_volumes(self.BODIES[:2], 2, count, 3, None)
         for frame, row in zip(columns, vols):
             exact = ellipsoid_shadow_volume(A6, SubspaceFrame(frame))
             assert row == pytest.approx([exact, 0.49 * exact], rel=1e-13)
 
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_frames_are_the_random_subspace_draws(self, k):
-        columns, _ = _shadow_volumes([Ball(6, 1.0)], k, 5, 21, self.NODES.get(k, 4096))
+        columns, _ = shadow_volumes([Ball(6, 1.0)], k, 5, 21, self.NODES.get(k, 4096))
         children = np.random.SeedSequence(21).spawn(5)
         for frame, child in zip(columns, children):
             alone = random_subspace(6, k, np.random.default_rng(child))
@@ -331,22 +329,20 @@ class TestCachedRule:
 
 class TestProjectionFunction:
     def test_ball_projection_function_is_constant(self):
-        samples = projection_function(Ball(4, 1.0), 2, 16, seed=6, nodes=64)
-        assert all(isinstance(frame, SubspaceFrame) and frame.k == 2 for frame, _ in samples)
-        vols = np.array([v for _, v in samples])
-        assert np.abs(vols - np.pi).max() < 1e-10
+        columns, vols = shadow_volumes([Ball(4, 1.0)], 2, 16, seed=6, nodes=64)
+        assert columns.shape == (16, 4, 2)
+        assert np.abs(np.swapaxes(columns, 1, 2) @ columns - np.eye(2)).max() <= 1e-10
+        assert np.abs(vols[:, 0] - np.pi).max() < 1e-10
 
 
 class TestProportionality:
     @pytest.mark.parametrize("k", [2, 4])
     def test_ratios_match_two_projection_functions_on_one_seed(self, k):
         report = proportionality_test(K4, E4, k, 12, seed=5, nodes=64)
-        body = projection_function(K4, k, 12, seed=5, nodes=64)
-        base = projection_function(E4, k, 12, seed=5, nodes=64)
-        for (fb, _), (f0, _) in zip(body, base):
-            assert np.array_equal(fb.columns, f0.columns)
-        expected = np.array([vb for _, vb in body]) / np.array([v0 for _, v0 in base])
-        assert np.array_equal(report.ratios, expected)
+        body_frames, body = shadow_volumes([K4], k, 12, seed=5, nodes=64)
+        base_frames, base = shadow_volumes([E4], k, 12, seed=5, nodes=64)
+        assert np.array_equal(body_frames, base_frames)
+        assert np.array_equal(report.ratios, body[:, 0] / base[:, 0])
 
     def test_homothet_pair_ratio(self):
         report = proportionality_test(K4, E4, 2, 50, seed=3, nodes=256)
@@ -369,20 +365,6 @@ class TestProportionality:
         with pytest.warns(UserWarning):
             with pytest.raises(ValueError):
                 proportionality_test(Ball(3, 1.0), DegeneratePoint(3), 2, 4, seed=5, nodes=32)
-
-
-class TestRatioConsistency:
-    def test_homothet_pair_cross_grade_defect_vanishes(self):
-        defect = ratio_consistency_check(K4, E4, 1, 2, 16, seed=6, nodes=256)
-        assert defect < 1e-10
-
-    def test_non_homothetic_pair_has_order_one_defect(self):
-        defect = ratio_consistency_check(E4, Ball(4, 1.0), 1, 2, 12, seed=7, nodes=128)
-        assert defect > 0.05
-
-    def test_equal_grades_rejected(self):
-        with pytest.raises(ValueError):
-            ratio_consistency_check(K4, E4, 2, 2, 4, seed=8)
 
 
 class TestHomothetyFit:
