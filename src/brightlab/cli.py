@@ -8,7 +8,10 @@ writes a schema-versioned JSON report atomically.  Every check is the pair
 Exit status: 0 when every check passes, 1 when some check fails (the report
 is still written), 2 for configuration or validation errors.
 
-Config schema (JSON object, all keys optional unless a scenario needs them):
+Config schema (JSON object, all keys optional unless a scenario needs them; a
+scenario takes exactly the keys its runner reads, "tolerance" only where a check
+reads one, and ``lemma-campaign``'s "mode", "antipodal" by default or "solver",
+picks its runner and keys):
 
     {"schema": 1, "scenario": "verify-wedge", "seed": 7, "tolerance": 1e-8,
      "out": "report.json", ...scenario keys...}
@@ -135,48 +138,53 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _resolve_params(scenario: str, args: argparse.Namespace) -> tuple[dict, Optional[int], Optional[str]]:
-    """Merge defaults <- config <- CLI flags; returns (params, seed, out)."""
+def _spec(scenario: str, doc: dict) -> Scenario:
+    """The scenario's entry, or in a mode table the entry of the config's "mode"."""
     spec = _SCENARIOS[scenario]
+    if isinstance(spec, Scenario):
+        return spec
+    mode = doc.get("mode", next(iter(spec)))
+    if isinstance(mode, str) and mode in spec:
+        return spec[mode]
+    raise ConfigError(f"unknown {scenario} mode {mode!r} (expected {' or '.join(map(repr, spec))})")
+
+
+def _resolve_params(scenario: str, args: argparse.Namespace):
+    """Merge defaults <- config <- CLI flags; returns (spec, params, seed, out),
+    where spec is the entry of the scenario, or of its config's mode."""
+    doc = {} if args.config is None else _load_config(args.config)
+    if doc.get("schema", 1) != 1:
+        raise ConfigError(f"unsupported config schema {doc.get('schema')!r}; expected 1")
+    if "scenario" in doc and doc["scenario"] != scenario:
+        raise ConfigError(
+            f"config is for scenario {doc['scenario']!r} but subcommand is {scenario!r}"
+        )
+    spec = _spec(scenario, doc)
     params = copy.deepcopy(spec.defaults)
-    seed = None
-    out = None
-    if args.config is not None:
-        doc = _load_config(args.config)
-        if doc.get("schema", 1) != 1:
-            raise ConfigError(f"unsupported config schema {doc.get('schema')!r}; expected 1")
-        if "scenario" in doc and doc["scenario"] != scenario:
-            raise ConfigError(
-                f"config is for scenario {doc['scenario']!r} but subcommand is {scenario!r}"
-            )
-        for key, value in doc.items():
-            if key in ("schema", "scenario"):
-                continue
-            if key == "seed":
-                seed = value
-            elif key == "out":
-                out = value
-            elif key in spec.defaults:
-                params[key] = value
-            else:
-                raise ConfigError(f"unknown config key {key!r} for scenario {scenario!r}")
-    if args.seed is not None:
-        seed = args.seed
-    if args.out is not None:
-        out = args.out
-    if args.tolerance is not None:
-        params["tolerance"] = args.tolerance
+    label = f"{scenario!r}" + (f" in mode {params['mode']!r}" if "mode" in params else "")
+    # a flag overrides its config key, and --tolerance is refused where no key is
+    flags = {"seed": args.seed, "out": args.out, "tolerance": args.tolerance}
+    doc.update((key, value) for key, value in flags.items() if value is not None)
+    seed, out = doc.get("seed"), doc.get("out")
+    for key, value in doc.items():
+        if key in params:
+            params[key] = value
+        elif key not in ("schema", "scenario", "seed", "out"):
+            raise ConfigError(f"unknown config key {key!r} for scenario {label}")
+    if seed is not None and not spec.seeded:
+        raise ConfigError(f"scenario {label} draws nothing at random and takes no seed")
     if seed is not None and not (_is_int(seed) and seed >= 0):
         raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
-    if spec.needs_seed and seed is None:
+    if spec.seeded and seed is None:
         raise ConfigError(
             f"scenario {scenario!r} is randomized and requires an explicit --seed "
             "(or a \"seed\" config key); implicit wall-clock entropy is refused"
         )
     _check_floats(params)
     _check_integers(params, scenario)
-    params["tolerance"] = float(params["tolerance"])
-    return params, seed, out
+    if "tolerance" in params:
+        params["tolerance"] = float(params["tolerance"])
+    return spec, params, seed, out
 
 
 def _is_int(value) -> bool:
@@ -205,17 +213,15 @@ def _check_integers(params: dict, scenario: str) -> None:
     and ``brightness`` and ``proportionality``, which compare their frames
     with one another, need ``num_frames`` >= 2 (``ratio-e48`` compares two
     grades, so one frame each is a check).  ``nodes`` may be null (the
-    rule's default), and so may ``k`` in ``lemma-campaign``, whose default
-    depends on the mode; floats, bools and strings are refused.  The
-    library checks the ranges of the keys that are not counts.
+    rule's default); floats, bools and strings are refused.  The library
+    checks the ranges of the keys that are not counts.
     """
     for key in ("samples", "num_frames", "trials", "solutions", "budget"):
         least = 2 if key == "num_frames" and scenario in ("brightness", "proportionality") else 1
         if key in params and not (_is_int(params[key]) and params[key] >= least):
             raise ConfigError(f"{key!r} must be an integer >= {least}, got {params[key]!r}")
-    nullable = ("nodes", "k") if scenario == "lemma-campaign" else ("nodes",)
     for key in ("k", "i", "j", "m_len", "m", "n", "nodes"):
-        if key in params and not (_is_int(params[key]) or key in nullable and params[key] is None):
+        if key in params and not (_is_int(params[key]) or key == "nodes" and params[key] is None):
             raise ConfigError(f"{key!r} must be an integer, got {params[key]!r}")
     if "grades" in params:
         grades = params["grades"]
@@ -261,19 +267,22 @@ def _run_verify_wedge(params: dict, seed: int):
     return checks, {}
 
 
-def _proper_grade(k: int, dim: int) -> int:
-    """``k``, refused when it is ``dim``: a k = n shadow is the body itself."""
+def _proper_grade(params: dict, key: str, dim: int) -> int:
+    """``params[key]``, refused outside 1 ... dim - 1: a grade-n shadow is the body itself."""
+    k = params[key]
     if k == dim:
         raise ConfigError(
-            f"'k' = {dim} is the bodies' dimension, where every shadow is the body itself "
-            "and the check measures only quadrature noise; use k < n"
+            f"{key!r} = {dim} is the bodies' dimension, where every shadow is the body itself "
+            f"and the check measures only quadrature noise; use {key} < n"
         )
+    if not 1 <= k < dim:
+        raise ConfigError(f"{key!r} must be a grade 1 ... n - 1 = {dim - 1}, got {k}")
     return k
 
 
 def _run_brightness(params: dict, seed: int):
     body = _body(params, "body")
-    k = _proper_grade(params["k"], body.dim)
+    k = _proper_grade(params, "k", body.dim)
     vols = shadow_volumes([body], k, params["num_frames"], seed, params["nodes"])[1][:, 0]
     mid = median(vols)
     spread = float((vols.max() - vols.min()) / max(abs(mid), 1e-300))
@@ -288,7 +297,7 @@ def _run_brightness(params: dict, seed: int):
 
 def _run_proportionality(params: dict, seed: int):
     body, base = _pair(params)
-    k = _proper_grade(params["k"], body.dim)
+    k = _proper_grade(params, "k", body.dim)
     report = proportionality_test(body, base, k, params["num_frames"], seed, params["nodes"])
     tol = params["tolerance"]
     checks = [Check("proportionality_max_rel_deviation", report.max_rel_deviation, tol)]
@@ -317,59 +326,51 @@ def _run_umbilic_search(params: dict, seed: int):
     return checks, extras
 
 
-def _run_lemma_campaign(params: dict, seed: int):
-    mode = str(params["mode"])
-    if mode == "antipodal":
-        trials = params["trials"]
-        report = antipodal_falsification(
-            params["m_len"],
-            2 if params["k"] is None else params["k"],
-            trials,
-            seed=seed,
-            tol=float(params["residual_tol"]),
-            min_spread=float(params["min_spread"]),
-        )
-        checks = [Check("violations_found", 1.0 if report.found_violation else 0.0, 0.0)]
-        if report.best_x is None:
-            # every trial fell below min_spread, so the campaign tested nothing
-            checks.append(Check("no_eligible_trial", 1.0, 0.0))
-        extras = {
-            "best_residual": report.best_residual,
-            "best_gamma": report.best_gamma,
-            "best_x": [float(v) for v in report.best_x] if report.best_x is not None else None,
-            "trials": trials,
-            "eligible_trials": report.eligible_trials,
-            "violations": report.violations,
-        }
-        return checks, extras, lambda: _campaign_csv(report)
-    if mode == "solver":
-        a, b = float(params["a"]), float(params["b"])
-        k = 1 if params["k"] is None else params["k"]
-        m, n = params["m"], params["n"]
-        wanted = params["solutions"]
-        cands = enumerate_candidates(a, b, k, m, n)
-        found = find_hypothesis_solutions(a, b, k, m, n, wanted, seed=seed)
-        ys = np.array([inst.y for inst in found]).reshape(len(found), n)
-        dists = _candidate_distances(ys, cands).max(axis=1)
-        checks = [
-            Check("candidate_match_worst", float(dists.max(initial=0.0)), params["tolerance"]),
-            Check("solution_shortfall", float(wanted - len(found)), 0.0),
-        ]
-        extras = {
-            "solutions_found": len(found),
-            "candidate_values": sorted({round(float(v), 12) for v in cands}),
-            "restarts": found.restarts,
-            "gauss_newton_steps": found.gauss_newton_steps,
-        }
+def _run_antipodal(params: dict, seed: int):
+    trials = params["trials"]
+    tol, min_spread = float(params["residual_tol"]), float(params["min_spread"])
+    report = antipodal_falsification(params["m_len"], params["k"], trials, seed, tol, min_spread)
+    checks = [Check("violations_found", 1.0 if report.found_violation else 0.0, 0.0)]
+    if report.best_x is None:
+        # every trial fell below min_spread, so the campaign tested nothing
+        checks.append(Check("no_eligible_trial", 1.0, 0.0))
+    extras = {
+        "best_residual": report.best_residual,
+        "best_gamma": report.best_gamma,
+        "best_x": [float(v) for v in report.best_x] if report.best_x is not None else None,
+        "trials": trials,
+        "eligible_trials": report.eligible_trials,
+        "violations": report.violations,
+    }
+    return checks, extras, lambda: _campaign_csv(report)
 
-        def solver_csv():
-            rows = [("solution", "residual", "worst_candidate_distance")]
-            for idx, (inst, dist) in enumerate(zip(found, dists.tolist())):
-                rows.append((idx, f"{hypothesis_residual(inst).max():.3e}", f"{dist:.3e}"))
-            return [_csv(rows)]
 
-        return checks, extras, solver_csv
-    raise ConfigError(f"unknown lemma-campaign mode {mode!r} (expected 'antipodal' or 'solver')")
+def _run_solver(params: dict, seed: int):
+    a, b = float(params["a"]), float(params["b"])
+    k, m, n = params["k"], params["m"], params["n"]
+    wanted = params["solutions"]
+    cands = enumerate_candidates(a, b, k, m, n)
+    found = find_hypothesis_solutions(a, b, k, m, n, wanted, seed=seed)
+    ys = np.array([inst.y for inst in found]).reshape(len(found), n)
+    dists = _candidate_distances(ys, cands).max(axis=1)
+    checks = [
+        Check("candidate_match_worst", float(dists.max(initial=0.0)), params["tolerance"]),
+        Check("solution_shortfall", float(wanted - len(found)), 0.0),
+    ]
+    extras = {
+        "solutions_found": len(found),
+        "candidate_values": sorted({round(float(v), 12) for v in cands}),
+        "restarts": found.restarts,
+        "gauss_newton_steps": found.gauss_newton_steps,
+    }
+
+    def solver_csv():
+        rows = [("solution", "residual", "worst_candidate_distance")]
+        for idx, (inst, dist) in enumerate(zip(found, dists.tolist())):
+            rows.append((idx, f"{hypothesis_residual(inst).max():.3e}", f"{dist:.3e}"))
+        return [_csv(rows)]
+
+    return checks, extras, solver_csv
 
 
 def _run_gallery(params: dict, seed):
@@ -381,7 +382,7 @@ def _run_gallery(params: dict, seed):
 
 def _run_ratio_e48(params: dict, seed: int):
     body, base = _pair(params)
-    grades = params["i"], params["j"]
+    grades = _proper_grade(params, "i", body.dim), _proper_grade(params, "j", body.dim)
     if grades[0] == grades[1]:
         raise ConfigError(f"grades must differ, got i = j = {grades[0]}")
     reports = [
@@ -397,12 +398,13 @@ def _run_ratio_e48(params: dict, seed: int):
 @dataclass(frozen=True)
 class Scenario:
     run: Callable  # params, seed -> (checks, extras[, csv]); csv() -> CSV byte chunks
-    defaults: dict  # every key a config may set, "tolerance" included
+    defaults: dict  # the keys a config may set: exactly those run reads, and "mode"
     help: str
-    needs_seed: bool = True
+    seeded: bool = True  # a seed is required; without randomness, refused
 
 
-_SCENARIOS: dict[str, Scenario] = {
+# a scenario's entry, or its entries by the config's "mode" (the first by default)
+_SCENARIOS: dict[str, Scenario | dict[str, Scenario]] = {
     "verify-wedge": Scenario(
         _run_verify_wedge,
         {
@@ -444,32 +446,26 @@ _SCENARIOS: dict[str, Scenario] = {
         },
         "antipodal search for a common relative umbilic direction",
     ),
-    "lemma-campaign": Scenario(
-        _run_lemma_campaign,
-        {
-            "mode": "antipodal",
-            "m_len": 6,
-            # grade default depends on the mode: 2 for the antipodal sweep,
-            # 1 for the solver (the smallest instance with known roots).
-            "k": None,
-            "trials": 100000,
-            "residual_tol": 1e-9,
-            "min_spread": 1e-3,
-            # solver mode
-            "a": 1.0,
-            "b": 2.0,
-            "m": 3,
-            "n": 4,
-            "solutions": 25,
-            "tolerance": 1e-6,
-        },
-        "randomized campaigns for the subset-product relation lemmas",
-    ),
+    "lemma-campaign": {
+        "antipodal": Scenario(
+            _run_antipodal,
+            {"mode": "antipodal", "m_len": 6, "k": 2, "trials": 100000, "residual_tol": 1e-9,
+             "min_spread": 1e-3},
+            "randomized campaigns for the subset-product relation lemmas",
+        ),
+        "solver": Scenario(
+            _run_solver,
+            # k = 1 is the smallest instance with known roots
+            {"mode": "solver", "k": 1, "a": 1.0, "b": 2.0, "m": 3, "n": 4, "solutions": 25,
+             "tolerance": 1e-6},
+            "hypothesis solutions matched against the candidate values",
+        ),
+    },
     "gallery": Scenario(
         _run_gallery,
-        {"tolerance": 0.0},
+        {},
         "print the built-in body families and their closed-form properties",
-        needs_seed=False,
+        seeded=False,
     ),
     "ratio-e48": Scenario(
         _run_ratio_e48,
@@ -658,7 +654,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="scenario")
     for name, spec in _SCENARIOS.items():
-        p = sub.add_parser(name, help=spec.help)
+        p = sub.add_parser(name, help=_spec(name, {}).help)
         p.add_argument("--config", help="JSON config path (merged over scenario defaults)")
         p.add_argument("--seed", type=int, help="PRNG seed (required for randomized scenarios)")
         p.add_argument("--out", help="report path (default: <scenario>-report.json)")
@@ -675,9 +671,9 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        params, seed, out = _resolve_params(args.command, args)
+        spec, params, seed, out = _resolve_params(args.command, args)
         start = time.perf_counter()
-        checks, extras, *own_csv = _SCENARIOS[args.command].run(params, seed)
+        checks, extras, *own_csv = spec.run(params, seed)
         wall = time.perf_counter() - start
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

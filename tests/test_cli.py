@@ -51,6 +51,14 @@ def write_config(path, doc):
     return str(path)
 
 
+def mode_of(scenario, key):
+    """{"mode": m} for the first mode of ``scenario`` that reads ``key``, or {}."""
+    entry = cli._SCENARIOS[scenario]
+    if isinstance(entry, cli.Scenario):
+        return {}
+    return {"mode": next(mode for mode, spec in entry.items() if key in spec.defaults)}
+
+
 class TestExitCodes:
     def test_passing_scenario_exits_zero(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"scenario": "verify-wedge", "samples": 5})
@@ -161,7 +169,7 @@ class TestExitCodes:
         ],
     )
     def test_count_keys_must_be_positive_integers(self, tmp_path, scenario, key, value):
-        cfg = write_config(tmp_path / "c.json", {key: value})
+        cfg = write_config(tmp_path / "c.json", {**mode_of(scenario, key), key: value})
         proc = run_cli(scenario, "--config", cfg, "--seed", "1", cwd=tmp_path)
         assert proc.returncode == 2
         assert repr(key) in proc.stderr
@@ -220,20 +228,66 @@ class TestExitCodes:
         report = json.loads((tmp_path / "r.json").read_text())
         assert [c["name"] for c in report["checks"]] == ["cross_grade_ratio_defect"]
 
-    @pytest.mark.parametrize("scenario", ["brightness", "proportionality"])
-    def test_null_k_refused_outside_lemma_campaign(self, tmp_path, capsys, scenario):
-        cfg = write_config(tmp_path / "c.json", {"k": None, "num_frames": 2})
-        argv = [scenario, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
+    @pytest.mark.parametrize(
+        "scenario, config",
+        [
+            ("brightness", {"num_frames": 2}),
+            ("proportionality", {"num_frames": 2}),
+            ("lemma-campaign", {"mode": "antipodal", "trials": 2}),
+            ("lemma-campaign", {"mode": "solver", "solutions": 2}),
+        ],
+        ids=["brightness", "proportionality", "antipodal", "solver"],
+    )
+    def test_null_k_refused(self, tmp_path, capsys, scenario, config):
+        # every grade is a plain integer, lemma-campaign's in both modes
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path / "c.json", {**config, "k": None})
+        argv = [scenario, "--config", cfg, "--seed", "1", "--out", str(out)]
         assert cli.main(argv) == 2
         assert "'k' must be an integer, got None" in capsys.readouterr().err
-        # null nodes means the rule's default, in every scenario
-        write_config(tmp_path / "c.json", {"nodes": None, "num_frames": 2})
-        assert cli.main(argv) == 0
+        assert not out.exists()
+        # null nodes means the rule's default
+        if scenario != "lemma-campaign":
+            write_config(tmp_path / "c.json", {**config, "nodes": None})
+            assert cli.main(argv) == 0
 
-    def test_null_k_is_the_lemma_campaign_default(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {"k": None, "trials": 100})
-        argv = ["lemma-campaign", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
-        assert cli.main(argv) == 0
+    @pytest.mark.parametrize(
+        "scenario, config, flags, needle",
+        [
+            # each mode of lemma-campaign takes its own keys and no key of the other
+            ("lemma-campaign", {"a": 1.0}, (), "unknown config key 'a' for scenario "
+             "'lemma-campaign' in mode 'antipodal'"),
+            ("lemma-campaign", {"mode": "solver", "trials": 100}, (), "unknown config key "
+             "'trials' for scenario 'lemma-campaign' in mode 'solver'"),
+            ("lemma-campaign", {"mode": "sweep"}, (), "unknown lemma-campaign mode 'sweep' "
+             "(expected 'antipodal' or 'solver')"),
+            ("lemma-campaign", {"mode": ["solver"]}, (), "unknown lemma-campaign mode ['solver']"),
+            # no check of gallery or of antipodal mode reads a tolerance
+            ("gallery", {}, ("--tolerance", "3"), "unknown config key 'tolerance' for scenario "
+             "'gallery'"),
+            ("gallery", {"tolerance": 0.0}, (), "unknown config key 'tolerance'"),
+            ("lemma-campaign", {"mode": "antipodal"}, ("--tolerance", "1e-3"),
+             "unknown config key 'tolerance' for scenario 'lemma-campaign' in mode 'antipodal'"),
+            # gallery draws nothing at random
+            ("gallery", {}, ("--seed", "4"), "'gallery' draws nothing at random"),
+            ("gallery", {"seed": 4}, (), "'gallery' draws nothing at random"),
+            # projection functions have grades 1 ... n - 1, here n = 4
+            ("ratio-e48", {"i": 2, "j": 5}, (), "'j' must be a grade 1 ... n - 1 = 3, got 5"),
+            ("ratio-e48", {"i": 0, "j": 2}, (), "'i' must be a grade 1 ... n - 1 = 3, got 0"),
+            ("proportionality", {"k": -1}, (), "'k' must be a grade 1 ... n - 1 = 3, got -1"),
+            ("brightness", {"k": 0}, (), "'k' must be a grade 1 ... n - 1 = 2, got 0"),
+        ],
+    )
+    def test_unread_keys_and_improper_grades_exit_two(
+        self, tmp_path, capsys, scenario, config, flags, needle
+    ):
+        out = tmp_path / "r.json"
+        argv = [scenario, "--config", write_config(tmp_path / "c.json", config), "--out", str(out)]
+        if scenario != "gallery":
+            argv += ["--seed", "1"]
+        assert cli.main([*argv, *flags]) == 2
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "scenario, config, key",
@@ -839,13 +893,19 @@ HUGE = [10**12, 1e300]
 @st.composite
 def mutated_configs(draw):
     scenario = draw(st.sampled_from(sorted(cli._SCENARIOS)))
-    defaults = cli._SCENARIOS[scenario].defaults
-    key = draw(st.sampled_from(sorted(defaults)))
-    value = draw(st.sampled_from(MUTANTS + ([] if key in LONG_WHEN_HUGE else HUGE)))
-    config = {k: v for k, v in SMALL_COUNTS.items() if k in defaults}
-    if scenario == "lemma-campaign":
-        config["mode"] = draw(st.sampled_from(["antipodal", "solver"]))
-    config[key] = value
+    entry = cli._SCENARIOS[scenario]
+    config = {}
+    if isinstance(entry, dict):  # the mode first, then a key of its own
+        config["mode"] = draw(st.sampled_from(sorted(entry)))
+    spec = cli._spec(scenario, config)
+    config.update({k: v for k, v in SMALL_COUNTS.items() if k in spec.defaults})
+    if spec.seeded:
+        config["seed"] = 1
+    value = None
+    if spec.defaults:  # gallery has no key
+        key = draw(st.sampled_from(sorted(spec.defaults)))
+        value = draw(st.sampled_from(MUTANTS + ([] if key in LONG_WHEN_HUGE else HUGE)))
+        config[key] = value
     return scenario, config, value
 
 
@@ -859,7 +919,6 @@ class TestConfigFuzzer:
     def test_one_bad_key_never_raises(self, tmp_path, case):
         scenario, config, value = case
         cfg = write_config(tmp_path / "c.json", config)
-        argv = [scenario, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
-        code = cli.main(argv)
+        code = cli.main([scenario, "--config", cfg, "--out", str(tmp_path / "r.json")])
         # no key takes a bool, the float keys included
         assert code == 2 if isinstance(value, bool) else code in (0, 1, 2)

@@ -152,6 +152,12 @@ CONTROLS = [
         "brightness_full_dimension", "brightness", "brightness_full_dimension.json",
         exit=REFUSED, stderr="'k' = 3 is the bodies' dimension",
     ),
+    # grade j = n: the 4-D pair's grade-4 "shadows" are the bodies themselves,
+    # whose volume ratio passed the cross-grade check at 2.2e-16
+    Control(
+        "ratio_e48_full_dimension", "ratio-e48", "ratio_e48_full_dimension.json", exit=REFUSED,
+        stderr="'j' = 4 is the bodies' dimension",
+    ),
     # the odd perturbation's widths match the ball's exactly (lambda_1 = 1), but
     # its shadow areas differ by O(eps^2), so the exponents part by 5.0e-5
     Control(
@@ -194,6 +200,37 @@ def test_every_scenario_default_and_config_is_a_row():
     assert defaults == set(cli._SCENARIOS)
     configs = {row.config for row in CONTROLS if row.config is not None}
     assert configs == {path.name for path in CONFIGS.glob("*.json")}
+
+
+class ReadRecorder(dict):
+    """Scenario params that record which keys a runner reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# counts small enough that each runner takes milliseconds
+SMALL_COUNTS = {"samples": 2, "num_frames": 2, "trials": 20, "solutions": 1, "budget": 20}
+RUNNERS = [
+    pytest.param(spec, id=name if mode is None else f"{name}-{mode}")
+    for name, entry in cli._SCENARIOS.items()
+    for mode, spec in (entry.items() if isinstance(entry, dict) else [(None, entry)])
+]
+
+
+@pytest.mark.parametrize("spec", RUNNERS)
+def test_every_key_a_scenario_accepts_is_read(spec, capsys):
+    # a key no runner reads would be accepted and echoed in "inputs" for nothing;
+    # "mode" is read by the parser, which picks the runner with it
+    small = {key: count for key, count in SMALL_COUNTS.items() if key in spec.defaults}
+    params = ReadRecorder({**spec.defaults, **small})
+    spec.run(params, 1)
+    assert set(params) - {"mode"} <= params.read, sorted(set(params) - params.read - {"mode"})
 
 
 def readme_section(title: str) -> str:
