@@ -31,7 +31,9 @@ Body documents are {"family": str, "params": {...}} as accepted by
 
 The shadow scenarios read ``tomography.shadow_volumes`` and its one statistic
 ``proportionality_test``; ``ratio-e48`` compares the exponents ratio^(-1/g)
-of its two grades, one report per grade, each on its own child seed.
+of its two grades, one report per grade, each on its own child seed and its
+grade's default rule: ``nodes`` (by default null, the grade's own rule) is a
+key only of the scenarios that run one grade.
 """
 
 from __future__ import annotations
@@ -171,6 +173,8 @@ def _resolve_params(scenario: str, args: argparse.Namespace):
             params[key] = value
         elif key not in ("schema", "scenario", "seed", "out"):
             raise ConfigError(f"unknown config key {key!r} for scenario {label}")
+    if args.csv and scenario == "gallery":
+        raise ConfigError("scenario 'gallery' runs no check, so --csv has nothing to write")
     if seed is not None and not spec.seeded:
         raise ConfigError(f"scenario {label} draws nothing at random and takes no seed")
     if seed is not None and not (_is_int(seed) and seed >= 0):
@@ -386,7 +390,7 @@ def _run_ratio_e48(params: dict, seed: int):
     if grades[0] == grades[1]:
         raise ConfigError(f"grades must differ, got i = j = {grades[0]}")
     reports = [
-        proportionality_test(body, base, g, params["num_frames"], kid, params["nodes"])
+        proportionality_test(body, base, g, params["num_frames"], kid)
         for g, kid in zip(grades, np.random.SeedSequence(seed).spawn(2))
     ]
     s_i, s_j = (r.ratios ** (-1.0 / g) for r, g in zip(reports, grades))
@@ -430,7 +434,7 @@ _SCENARIOS: dict[str, Scenario | dict[str, Scenario]] = {
             "base": _ELLIPSOID_4D,
             "k": 2,
             "num_frames": 50,
-            "nodes": 256,
+            "nodes": None,
             "tolerance": 1e-5,
         },
         "ratios V_k(K|U)/V_k(K0|U) over random subspaces",
@@ -475,7 +479,6 @@ _SCENARIOS: dict[str, Scenario | dict[str, Scenario]] = {
             "i": 1,
             "j": 2,
             "num_frames": 20,
-            "nodes": 256,
             "tolerance": 1e-6,
         },
         "cross-grade consistency of projection-volume ratio exponents",

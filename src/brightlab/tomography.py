@@ -178,11 +178,14 @@ def _sphere_rule(k: int, polar: int, circle: int):
 def _quadrature_rule(k: int, nodes):
     """Directions, weights and tangent frames for V_k; the weights include the 1/k.
 
-    ``nodes`` is the circle's node count at k = 2 and the polar node count p
-    at k = 3.  At k >= 4 it is a budget: p is the largest integer with
-    p^(k-1) <= nodes.  Above k = 2 the circle has 2p nodes, so a rule has at
-    most 2 * nodes directions.  ``nodes`` is ignored at k = 1.  The rule
-    itself comes from ``_cached_rule`` on the resolved sizes.
+    This is the one place a rule is sized, and ``nodes`` None is each
+    grade's own default.  ``nodes`` is the circle's node count at k = 2
+    (default 256, at least 8) and the polar node count p at k = 3 (default
+    32, at least 4).  At k >= 4 it is a budget (default 4096): p is the
+    largest integer with p^(k-1) <= nodes, at least 4, so nodes >= 4^(k-1).
+    Above k = 2 the circle has 2p nodes, so a rule has at most 2 * nodes
+    directions.  ``nodes`` is ignored at k = 1.  The rule itself comes from
+    ``_cached_rule`` on the resolved sizes.
     """
     if k == 1:
         return _cached_rule(1, 0, 0)
@@ -247,14 +250,8 @@ def _lifted_volumes(bodies, columns, rule) -> np.ndarray:
 
 
 def volume_from_support(kbody, nodes: int | None = None) -> float:
-    """k-dimensional volume of a smooth k-dimensional body from support jets.
-
-    nodes means: circle nodes for k = 2 (default 256, minimum 8), polar
-    Gauss-Legendre nodes for k = 3 with 2*nodes azimuths (default 32,
-    minimum 4), and for k >= 4 a budget of at most 2*nodes directions: p
-    polar nodes per angle, the largest p with p^(k-1) <= nodes, and 2p
-    azimuths (default 4096, minimum 4^(k-1)).  nodes is ignored for k = 1.
-    """
+    """k-dimensional volume of a smooth k-dimensional body from support jets, on
+    the rule that ``_quadrature_rule(k, nodes)`` sizes (None: the grade's default)."""
     rule = _quadrature_rule(kbody.dim, nodes)
     return float(_lifted_volumes([kbody], np.eye(kbody.dim)[None], rule)[0, 0])
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from brightlab import cli
+from brightlab import cli, tomography
 from brightlab.body import FAMILIES
 from brightlab.lemma_lab import (
     FalsificationReport,
@@ -222,7 +222,7 @@ class TestExitCodes:
 
     def test_one_frame_per_grade_is_a_ratio_e48_check(self, tmp_path):
         # ratio-e48 compares two grades, so a single frame still checks something
-        cfg = write_config(tmp_path / "c.json", {"num_frames": 1, "nodes": 64})
+        cfg = write_config(tmp_path / "c.json", {"num_frames": 1})
         argv = ["ratio-e48", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]
         assert cli.main(argv) == 0
         report = json.loads((tmp_path / "r.json").read_text())
@@ -276,6 +276,11 @@ class TestExitCodes:
             ("ratio-e48", {"i": 0, "j": 2}, (), "'i' must be a grade 1 ... n - 1 = 3, got 0"),
             ("proportionality", {"k": -1}, (), "'k' must be a grade 1 ... n - 1 = 3, got -1"),
             ("brightness", {"k": 0}, (), "'k' must be a grade 1 ... n - 1 = 2, got 0"),
+            # gallery runs no check, so a check CSV would be a bare header
+            ("gallery", {}, ("--csv",), "'gallery' runs no check, so --csv has nothing to write"),
+            # one nodes value cannot size the rules of two grades
+            ("ratio-e48", {"nodes": 256}, (), "unknown config key 'nodes' for scenario "
+             "'ratio-e48'"),
         ],
     )
     def test_unread_keys_and_improper_grades_exit_two(
@@ -286,8 +291,9 @@ class TestExitCodes:
         if scenario != "gallery":
             argv += ["--seed", "1"]
         assert cli.main([*argv, *flags]) == 2
-        assert needle in capsys.readouterr().err
-        assert not out.exists()
+        captured = capsys.readouterr()
+        assert needle in captured.err and captured.out == ""
+        assert not out.exists() and not out.with_suffix(".csv").exists()
 
     @pytest.mark.parametrize(
         "scenario, config, key",
@@ -799,16 +805,29 @@ class TestScenarios:
 
     def test_ratio_e48_homothet_pair_cross_grade_defect_vanishes(self, tmp_path):
         # the default pair, 0.7 E4 + shift against E4: lambda_1 = 0.7, lambda_2 = 0.49
-        code, report = self.ratio_e48(tmp_path, {"num_frames": 16, "nodes": 256}, 6)
+        code, report = self.ratio_e48(tmp_path, {"num_frames": 16}, 6)
         assert code == 0 and report["checks"][0]["value"] < 1e-10
         assert report["extras"]["constants"] == pytest.approx([0.7, 0.49], abs=1e-12)
         assert report["extras"]["excluded"] == [0, 0]
 
     def test_ratio_e48_non_homothetic_pair_has_order_one_defect(self, tmp_path):
         ball = {"family": "ball", "params": {"dim": 4, "radius": 1.0}}
-        config = {"body": cli._ELLIPSOID_4D, "base": ball, "num_frames": 12, "nodes": 128}
+        config = {"body": cli._ELLIPSOID_4D, "base": ball, "num_frames": 12}
         code, report = self.ratio_e48(tmp_path, config, 7)
         assert code == 1 and report["checks"][0]["value"] > 0.05
+
+    def test_each_grade_runs_its_own_default_rule(self, tmp_path, monkeypatch):
+        # a nodes value sized for one grade is 64x too many or 8x too few
+        # directions at another, so every shadow scenario leaves it to the rule
+        calls, rule = [], tomography._quadrature_rule
+        monkeypatch.setattr(
+            tomography, "_quadrature_rule", lambda k, nodes: calls.append((k, nodes)) or rule(k, nodes)
+        )
+        code, _ = self.ratio_e48(tmp_path, {"i": 2, "j": 3, "num_frames": 2}, 1)
+        cfg = write_config(tmp_path / "k3.json", {"k": 3, "num_frames": 2})
+        out = str(tmp_path / "k3-report.json")
+        assert code == cli.main(["proportionality", "--config", cfg, "--seed", "1", "--out", out]) == 0
+        assert calls == [(2, None), (3, None), (3, None)]
 
     def test_wrong_beta_config_fails_every_grade(self, tmp_path):
         # the shipped pair against betas 1e-3 above scale**k: a negative control

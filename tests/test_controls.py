@@ -102,6 +102,12 @@ CONTROLS = [
     # frames have no column
     Control("proportionality_k1", "proportionality", "proportionality_k1.json"),
     Control("proportionality_k3", "proportionality", "proportionality_k3.json"),
+    # grade 6 of a 7-D ball pair on its own default rule (p = 5 of the 4096
+    # budget); a 256-node rule, sized for k = 2, has too few polar nodes here
+    Control(
+        "proportionality_k6_7d", "proportionality", "proportionality_k6_7d.json",
+        extras=lambda x: abs(x["constant"] - 0.7**6) <= 1e-12,
+    ),
     # an odd harmonic perturbation of a ball keeps every width (k = 1) but not
     # every shadow area (k = 2, spread 9.9e-5)
     Control(
@@ -231,6 +237,22 @@ def test_every_key_a_scenario_accepts_is_read(spec, capsys):
     params = ReadRecorder({**spec.defaults, **small})
     spec.run(params, 1)
     assert set(params) - {"mode"} <= params.read, sorted(set(params) - params.read - {"mode"})
+
+
+SHIPPED = [row for row in CONTROLS if row.config is not None and row.exit != REFUSED]
+
+
+@pytest.mark.parametrize("row", SHIPPED, ids=[row.name for row in SHIPPED])
+def test_every_key_a_shipped_config_sets_is_read(row, capsys):
+    # a key that the run ignores (say a "scale" beside explicit "betas") reads
+    # as a setting of the check but changes nothing
+    doc = json.loads((CONFIGS / row.config).read_text())
+    spec = cli._spec(row.scenario, doc)
+    keys = set(doc) - {"schema", "scenario", "seed", "out", "mode"}
+    small = {key: count for key, count in SMALL_COUNTS.items() if key in spec.defaults}
+    params = ReadRecorder({**spec.defaults, **{key: doc[key] for key in keys}, **small})
+    spec.run(params, 1)
+    assert keys <= params.read, sorted(keys - params.read)
 
 
 def readme_section(title: str) -> str:
