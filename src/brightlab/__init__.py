@@ -7,6 +7,7 @@ body          support-function families with analytic jets and validation
 weingarten    reverse Weingarten maps, wedge identities, umbilic search
 tomography    projections onto subspaces and intrinsic-volume quadrature
 lemma_lab     polynomial subset-sum relations, candidate enumeration, audits
+sampling      seeded Haar directions, hemisphere grids, the median of a sample
 cli           scenario runner producing JSON/CSV verification reports
 """
 

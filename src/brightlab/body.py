@@ -14,8 +14,9 @@ u^perp) it returns (values (m,), gradients (m, n), Hessians restricted to
 the frames T^T H T (m, j, j)), restricting each of its terms, so no n x n
 Hessian is built unless asked for.  Identity frames give the full (m, n, n)
 Hessians; frames with no column (j = 0) give the values and gradients only.
-A row that is not unit length is refused by ``_unit_rows`` in the family
-that evaluates h; composites hand their rows on unchanged.
+A row that is not unit length, or whose length is not the body's dimension,
+is refused by ``_unit_rows`` in the family that evaluates h; composites hand
+their rows on unchanged.
 ``ConvexBody.jet(u)`` is ``jets`` at one unit direction in the identity
 frame.  Each family also keeps its scalar ``support(x)``, the
 independent oracle that ``finite_difference_jet`` differentiates.
@@ -63,11 +64,13 @@ __all__ = [
 ]
 
 
-def _unit_rows(u) -> np.ndarray:
-    """An (m, n) array of unit directions as floats; non-unit rows are refused."""
+def _unit_rows(u, n: int | None = None) -> np.ndarray:
+    """u as an (m, n) float array; refuses a row not of unit length or, given n, not of length n."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 2:
         raise ValueError("expected an (m, n) array of directions")
+    if n is not None and u.shape[1] != n:
+        raise ValueError(f"expected directions of length {n}, got {u.shape[1]}")
     nrm = np.sqrt(np.einsum("ij,ij->i", u, u))
     bad = np.flatnonzero(np.abs(nrm - 1.0) > 1e-12)
     if bad.size:
@@ -196,7 +199,7 @@ class Ball(ConvexBody):
         return self.radius * np.sqrt(x @ x)
 
     def jets(self, u, frames):
-        u = _unit_rows(u)
+        u = _unit_rows(u, self.dim)
         r = self.radius
         return np.full(len(u), float(r)), r * u, r * _tangential(u, frames)
 
@@ -237,7 +240,7 @@ class Ellipsoid(ConvexBody):
         return np.sqrt(x @ self.matrix @ x)
 
     def jets(self, u, frames):
-        u = _unit_rows(u)
+        u = _unit_rows(u, self.dim)
         a = self.matrix
         au = u @ a  # rows (A u)^T, A is symmetric
         h = np.sqrt(np.einsum("ij,ij->i", u, au))
@@ -338,7 +341,7 @@ class Revolution(ConvexBody):
 
     def jets(self, u, frames):
         p = self.profile
-        return _revolution_jets(_unit_rows(u), frames, self.axis_vector, p.g, p.dg, p.ddg)
+        return _revolution_jets(_unit_rows(u, self.dim), frames, self.axis_vector, p.g, p.dg, p.ddg)
 
 
 def _odd_poly_coeffs(odd_coeffs) -> np.ndarray:

@@ -6,7 +6,7 @@ basis e_I = e_{i_1} ^ ... ^ e_{i_k}, i_1 < ... < i_k; ``compound`` expands the
 minors of an (..., m, m) stack along first rows, grade by grade, and ``det``
 (its top grade) serves every determinant in the package.  On top of that sit:
 
-* decomposable k-vectors and the Gram-determinant inner product,
+* decomposable k-vectors and their Gram-determinant inner ``KVector.inner``,
 * symmetric bilinear forms on k-vectors, their first-Bianchi defect, and a
   polarization check that decides entrywise equality of two Bianchi forms
   from their values on decomposables alone,
@@ -37,7 +37,6 @@ __all__ = [
     "PolarizationResult",
     "compound",
     "det",
-    "gram_inner",
     "decompose",
     "bianchi_defect",
     "polarization_check",
@@ -138,15 +137,6 @@ def decompose(vectors) -> KVector:
     k, m = u.shape
     _check_grade(m, k)
     return KVector(det(np.swapaxes(u[:, _index_array(m, k)], 0, 1)), m, k)
-
-
-def gram_inner(us, vs) -> float:
-    """Inner product <u_1^...^u_k, v_1^...^v_k> = det(<u_i, v_j>)."""
-    u = _vector_stack(us)
-    v = _vector_stack(vs, expected_len=u.shape[0])
-    if u.shape != v.shape:
-        raise ValueError("frames must have matching shapes")
-    return float(det(u @ v.T))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["as_rng", "haar_directions", "hemisphere_grid", "median"]
+
 
 def as_rng(seed) -> np.random.Generator:
     """Accept a seed or an existing Generator and return a Generator."""

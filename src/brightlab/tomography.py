@@ -263,6 +263,8 @@ def shadow_volumes(bodies, k: int, num_frames: int, seed, nodes: int | None = No
     (num_frames, len(bodies)) array of V_k: every body is integrated on the
     same frames and the same cached rule by ``_lifted_volumes``.
     """
+    if not bodies:
+        raise ValueError("shadow_volumes needs at least one body")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     columns = _haar_frames(bodies[0].dim, k, map(np.random.default_rng, ss.spawn(num_frames)))
     return columns, _lifted_volumes(bodies, columns, _quadrature_rule(k, nodes))

@@ -51,15 +51,12 @@ __all__ = [
     "AntipodalSearchResult",
     "RevolutionEigenstructure",
     "RevolutionRelationDefects",
-    "DetRatioReport",
     "relative_maps",
     "wedge_identity_defects",
     "relative_wedge_defect",
     "antipodal_search",
-    "umbilic_check",
     "revolution_eigenstructure",
     "revolution_relations_check",
-    "det_ratio_constancy",
 ]
 
 
@@ -205,19 +202,8 @@ class AntipodalSearchResult:
     gauss_newton_steps: int
 
 
-def umbilic_check(body, base, u0, tol: float = 1e-8) -> UmbilicResult:
-    """Evaluate how close +-u0 is to an antipodal pair of relative umbilics.
-
-    The base body must be centrally symmetric; this is checked on u0 and 8
-    Haar directions of seed 0.
-    """
-    u0 = np.asarray(u0, dtype=float)
-    _check_symmetric_body(base, u0[None])
-    return _umbilic(body, u0, _antipodal_maps(body, base, u0[None])[0], tol)
-
-
 def _umbilic(body, u0, maps: np.ndarray, tol: float) -> UmbilicResult:
-    """``umbilic_check`` from the relative maps at +-u0, both in the frame built at u0."""
+    """The umbilic certificate of +-u0 from its relative maps, both in the frame built at u0."""
     nm1 = maps.shape[1]
     r0 = float((np.trace(maps[0]) + np.trace(maps[1])) / (2 * nm1))
     defect = float(np.linalg.norm(maps - r0 * np.eye(nm1), 2, axis=(1, 2)).max())
@@ -484,34 +470,3 @@ def revolution_relations_check(
     mixed_top = abs(2 * x1 * x ** (n - 2) - 2 * beta * y1 * y ** (n - 2))
     consequence = abs(alpha ** (n - 1) - beta**i)
     return RevolutionRelationDefects(mixed_i, pure_i, mixed_top, consequence)
-
-
-# ---------------------------------------------------------------------------
-# determinant ratios
-
-
-@dataclass(frozen=True)
-class DetRatioReport:
-    """Sampled constancy report for det L(h) / det L(h0)."""
-
-    mean: float
-    max_rel_deviation: float
-    ratios: np.ndarray
-
-
-def det_ratio_constancy(body, base, samples: int = 64, seed=0) -> DetRatioReport:
-    """Sample the curvature-determinant ratio over Haar-random directions.
-
-    The ratio is the density of the top-order area measure of the body with
-    respect to the base; for homothets it is constant (scale^{n-1}).
-    """
-    dirs = haar_directions(body.dim, samples, as_rng(seed))
-    bases = tangent_frames(dirs)
-    det_body = multilinear.det(body.jets(dirs, bases)[2])
-    det_base = multilinear.det(base.jets(dirs, bases)[2])
-    if (np.abs(det_base) < 1e-14).any():
-        raise PreconditionError("base curvature determinant vanishes at a sample")
-    ratios = det_body / det_base
-    mean = float(ratios.mean())
-    max_rel = float(np.abs(ratios / mean - 1.0).max()) if mean != 0 else np.inf
-    return DetRatioReport(mean, max_rel, ratios)

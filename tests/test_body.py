@@ -226,6 +226,15 @@ class TestBatchedJets:
         with pytest.raises(ValueError, match=r"unit length, \|u\[1\]\| = "):
             body.jets(dirs, identity(dirs))
 
+    @pytest.mark.parametrize("shift", [-1, 1])
+    @pytest.mark.parametrize("body", all_families(), ids=lambda b: type(b).__name__)
+    def test_rows_of_another_length_are_refused(self, body, shift):
+        # a 3-D row handed to a 4-D body was read as if it were one of its rows
+        n = body.dim
+        dirs = haar_directions(n + shift, 3, as_rng(11))
+        with pytest.raises(ValueError, match=f"expected directions of length {n}, got {n + shift}$"):
+            body.jets(dirs, identity(dirs))
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -245,9 +254,9 @@ class TestBatchedJets:
         calls = []
         checked = body_module._unit_rows
 
-        def counted(u):
+        def counted(u, n=None):
             calls.append(len(u))
-            return checked(u)
+            return checked(u, n)
 
         modules = [getattr(brightlab, name) for name in ("body", "tomography", "weingarten")]
         for module in modules:

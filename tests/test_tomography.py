@@ -366,6 +366,19 @@ class TestProportionality:
             with pytest.raises(ValueError):
                 proportionality_test(Ball(3, 1.0), DegeneratePoint(3), 2, 4, seed=5, nodes=32)
 
+    def test_bodies_of_different_dimensions_are_refused(self):
+        # the 4-ball was integrated on 3-D rows: constant 1.0, deviation 0.0
+        with pytest.raises(ValueError, match="expected directions of length 4, got 3$"):
+            proportionality_test(Ball(3, 1.0), Ball(4, 1.0), 2, 3, 1)
+        with pytest.raises(ValueError, match="expected directions of length 3, got 4$"):
+            proportionality_test(Ball(4, 1.0), Ball(3, 1.0), 2, 3, 1)
+        with pytest.raises(ValueError, match="expected directions of length 4, got 3$"):
+            shadow_volumes([Ball(3, 1.0), Ball(4, 1.0)], 2, 3, 1)
+
+    def test_shadow_volumes_need_a_body(self):
+        with pytest.raises(ValueError, match="at least one body"):
+            shadow_volumes([], 2, 3, 1)
+
 
 class TestHomothetyFit:
     def test_recovers_scale_and_shift(self):
@@ -378,3 +391,8 @@ class TestHomothetyFit:
     def test_non_homothetic_pair_has_residual(self):
         fit = homothety_fit(E4, Ball(4, 1.0), samples=256, seed=10)
         assert fit.residual > 1e-2
+
+    def test_bodies_of_different_dimensions_are_refused(self):
+        # the 4-ball was read on 3-D rows: scale 1.0, residual 3e-15
+        with pytest.raises(ValueError, match="expected directions of length 4, got 3$"):
+            homothety_fit(Ball(3, 1.0), Ball(4, 1.0))

@@ -20,14 +20,14 @@ from brightlab.multilinear import SymKForm, compound, polarization_check
 from brightlab.sampling import as_rng, haar_directions
 from brightlab.tomography import homothety_fit
 from brightlab.weingarten import (
+    _antipodal_maps,
     _residuals,
+    _umbilic,
     antipodal_search,
-    det_ratio_constancy,
     relative_maps,
     relative_wedge_defect,
     revolution_eigenstructure,
     revolution_relations_check,
-    umbilic_check,
     wedge_identity_defects,
 )
 
@@ -346,12 +346,18 @@ class TestWedgeIdentity:
         assert result.concluded and result.equal
 
 
+def umbilic_at(body, base, u0):
+    """The umbilic certificate of +-u0, from the relative maps there, at tolerance 1e-8."""
+    u0 = np.asarray(u0, dtype=float)
+    return _umbilic(body, u0, _antipodal_maps(body, base, u0[None])[0], 1e-8)
+
+
 class TestUmbilic:
     def test_boundary_points_and_homothety_fit_ask_for_no_hessian(self):
         # the certificate restricts the body's Hessians to the 3-column frame at u0,
         # then reads its boundary points from jets with no frame column
         body, base = SpyBall(4), SpyBall(4)
-        umbilic_check(body, base, np.eye(4)[3])
+        umbilic_at(body, base, np.eye(4)[3])
         assert body.columns == [3, 0]
         # the fit reads support values only
         body, base = SpyBall(4), SpyBall(4)
@@ -360,7 +366,7 @@ class TestUmbilic:
 
     def test_ball_pair_is_umbilic_everywhere(self):
         u = haar_directions(3, 1, as_rng(11))[0]
-        res = umbilic_check(Ball(3, 2.0), Ball(3, 1.0), u)
+        res = umbilic_at(Ball(3, 2.0), Ball(3, 1.0), u)
         assert res.is_umbilic
         assert res.r0 == pytest.approx(2.0)
         assert res.defect < 1e-12
@@ -370,7 +376,7 @@ class TestUmbilic:
 
     def test_spheroid_pole_is_relative_umbilic(self):
         sph = Spheroid((0.0, 0.0, 0.0, 0.0, 1.0), 1.0, 1.4)
-        res = umbilic_check(sph, Ball(5, 1.0), np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+        res = umbilic_at(sph, Ball(5, 1.0), np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
         assert res.is_umbilic
         assert res.r0 == pytest.approx(1.0 / 1.4, abs=1e-12)
 
@@ -620,7 +626,7 @@ class TestUmbilic:
         maps = relative_maps(body, base, v, frames.repeat(2, axis=0))
         umbilic, antipodal = (_residuals(maps, frames, objective) for objective in ("umbilic", "antipodal"))
         for p, b, pair, res_u, res_a in zip(points, frames, maps.reshape(3, 2, 4, 4), umbilic, antipodal):
-            r0 = umbilic_check(body, base, p).r0
+            r0 = umbilic_at(body, base, p).r0
             want = [b @ m @ b.T - r0 * (np.eye(5) - np.outer(p, p)) for m in pair]
             np.testing.assert_allclose(res_u, np.ravel(want), rtol=0, atol=1e-13)
             sums = [[np.trace(np.linalg.matrix_power(m, j)) for j in range(1, 5)] for m in pair]
@@ -666,8 +672,6 @@ class TestUmbilic:
         monkeypatch.setattr(weingarten, "relative_maps", no_maps)
         with pytest.raises(PreconditionError, match="base body is not centrally symmetric"):
             antipodal_search(SPHEROID_5D, base, seed=1, objective=objective)
-        with pytest.raises(PreconditionError, match="base body is not centrally symmetric"):
-            umbilic_check(SPHEROID_5D, base, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
 
     def test_search_argument_validation(self):
         with pytest.raises(ValueError):
@@ -916,23 +920,3 @@ class TestRevolutionRelations:
             revolution_relations_check(
                 sph, Ball(3, 1.0), sph.axis, 2, 1.0, 1.0, np.array([1.0, 0, 0])
             )
-
-
-class TestDetRatio:
-    def test_homothet_ratio_is_constant_scale_power(self):
-        report = det_ratio_constancy(K4, E4, samples=40, seed=0)
-        assert report.mean == pytest.approx(0.7**3, rel=1e-10)
-        assert report.max_rel_deviation < 1e-10
-
-    def test_generic_pair_deviates(self):
-        report = det_ratio_constancy(E4, Ball(4, 1.0), samples=40, seed=1)
-        assert report.max_rel_deviation > 0.1
-
-    def test_degenerate_base_raises(self):
-        class FlatBase(Ball):
-            def jets(self, u, frames):
-                values, gradients, hessians = super().jets(u, frames)
-                return values, gradients, 0.0 * hessians
-
-        with pytest.raises(PreconditionError):
-            det_ratio_constancy(Ball(3, 1.0), FlatBase(3, 1.0), samples=4, seed=2)
