@@ -19,15 +19,17 @@ is refused by ``_unit_rows`` in the family that evaluates h; composites hand
 their rows on unchanged.
 ``ConvexBody.jet(u)`` is ``jets`` at one unit direction in the identity
 frame.  Each family also keeps its scalar ``support(x)``, the
-independent oracle that ``finite_difference_jet`` differentiates.
+independent oracle that ``finite_difference_jet`` differentiates; a point
+whose length is not the body's dimension is refused like a row, the
+composites calling their base or parts before their own term.
 ``Revolution`` calls its profile g and its derivatives dg and ddg, all
 required, on arrays of t, so they must accept numpy arrays.
 
 Bodies are immutable value objects; jets are recomputed on demand, never
-cached.  ``FAMILIES`` maps each document family name to its class; those
-families serialize to a {"family", "params"} JSON document whose params are
-the class fields, via ``body_to_dict`` / ``body_from_dict``.  ``Revolution``
-takes a user-supplied profile and does not serialize.
+cached.  ``FAMILIES`` maps each document family name to its class, and
+``body_from_dict`` builds those families from a {"family", "params"} JSON
+document whose params are the class fields.  ``Revolution`` takes a
+user-supplied profile and has no document.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ __all__ = [
     "Erosion",
     "finite_difference_jet",
     "validate",
-    "body_to_dict",
     "body_from_dict",
     "tangent_frames",
 ]
@@ -105,10 +106,13 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, 1, 2))
 
 
-def _as_point(x) -> np.ndarray:
+def _as_point(x, n: int | None = None) -> np.ndarray:
+    """x as a vector; refuses the origin or, given n, a length other than n."""
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("expected a vector")
+    if n is not None and x.shape[0] != n:
+        raise ValueError(f"expected a point of length {n}, got {x.shape[0]}")
     if float(np.sqrt(x @ x)) == 0.0:
         raise ValueError("support functions are undefined at the origin")
     return x
@@ -195,7 +199,7 @@ class Ball(ConvexBody):
             raise ValueError("radius must be positive")
 
     def support(self, x) -> float:
-        x = _as_point(x)
+        x = _as_point(x, self.dim)
         return self.radius * np.sqrt(x @ x)
 
     def jets(self, u, frames):
@@ -236,7 +240,7 @@ class Ellipsoid(ConvexBody):
         return len(self.shape)
 
     def support(self, x) -> float:
-        x = _as_point(x)
+        x = _as_point(x, self.dim)
         return np.sqrt(x @ self.matrix @ x)
 
     def jets(self, u, frames):
@@ -336,7 +340,7 @@ class Revolution(ConvexBody):
         return np.asarray(self.axis, dtype=float)
 
     def support(self, x) -> float:
-        x = _as_point(x)
+        x = _as_point(x, self.dim)
         return _revolution_support(x, self.axis_vector, self.profile.g)
 
     def jets(self, u, frames):
@@ -389,9 +393,9 @@ class HarmonicPerturbation(ConvexBody):
         return np.asarray(self.axis, dtype=float)
 
     def support(self, x) -> float:
-        x = _as_point(x)
-        pert = _revolution_support(x, self.axis_vector, partial(_odd_poly, self.odd_coeffs))
-        return self.base.support(x) + self.epsilon * pert
+        value = self.base.support(x)  # the base refuses a point of the wrong length
+        profile = partial(_odd_poly, self.odd_coeffs)
+        return value + self.epsilon * _revolution_support(_as_point(x), self.axis_vector, profile)
 
     def jets(self, u, frames):
         base = self.base.jets(u, frames)
@@ -567,7 +571,7 @@ def validate(body, samples: int = 128, seed=0) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# body documents
 
 # document family name -> class; the document params are the class fields
 FAMILIES = {
@@ -579,15 +583,6 @@ FAMILIES = {
     "homothet": Homothet,
     "erosion": Erosion,
 }
-_FAMILY_OF = {cls: name for name, cls in FAMILIES.items()}
-
-
-def _to_json(value):
-    if isinstance(value, ConvexBody):
-        return body_to_dict(value)
-    if isinstance(value, tuple):
-        return [_to_json(v) for v in value]
-    return value
 
 
 def _is_number(value) -> bool:
@@ -632,20 +627,8 @@ _KINDS = {
 }
 
 
-def body_to_dict(body) -> dict:
-    """Serialize a closed-form body to a {"family", "params"} document.
-
-    ``Revolution`` carries arbitrary callables and does not serialize.
-    """
-    family = _FAMILY_OF.get(type(body))
-    if family is None:
-        raise ValueError(f"body of type {type(body).__name__} does not serialize")
-    params = {f.name: _to_json(getattr(body, f.name)) for f in fields(body)}
-    return {"family": family, "params": params}
-
-
 def body_from_dict(doc: dict):
-    """Inverse of ``body_to_dict``; raises ValueError on malformed documents.
+    """The body of a {"family", "params"} document; raises ValueError on malformed documents.
 
     Fields with a default (``epsilon``, ``shift``) are optional; every other
     field is required, and a key that is not a field is refused.  A value of

@@ -51,13 +51,12 @@ import time
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import __version__
 from .body import FAMILIES, _is_number, body_from_dict
-from .errors import PreconditionError
 from .lemma_lab import (
     _candidate_distances,
     antipodal_falsification,
@@ -196,7 +195,7 @@ def _is_int(value) -> bool:
 
 
 def _check_floats(params: dict) -> None:
-    """The float keys must be finite numbers, and ``betas`` null or a list of them.
+    """The float keys must be finite numbers.
 
     A string, a bool (which Python counts as the integer 0 or 1), null or a
     non-finite value is refused, not cast: a NaN ``residual_tol`` would run
@@ -205,9 +204,6 @@ def _check_floats(params: dict) -> None:
     for key in ("tolerance", "scale", "residual_tol", "min_spread", "a", "b"):
         if key in params and not _is_number(params[key]):
             raise ConfigError(f"{key!r} must be a finite number, got {params[key]!r}")
-    betas = params.get("betas")
-    if betas is not None and not (isinstance(betas, list) and all(map(_is_number, betas))):
-        raise ConfigError(f"'betas' must be null or a list of finite numbers, got {betas!r}")
 
 
 def _check_integers(params: dict, scenario: str) -> None:
@@ -258,12 +254,7 @@ def _pair(params: dict):
 def _run_verify_wedge(params: dict, seed: int):
     body, base = _pair(params)
     grades = params["grades"]
-    if params["betas"] is not None:
-        betas = [float(b) for b in params["betas"]]
-        if len(betas) != len(grades):
-            raise ConfigError("betas must align with grades")
-    else:
-        betas = [float(params["scale"]) ** k for k in grades]
+    betas = [float(params["scale"]) ** k for k in grades]  # K = scale K0 + t: beta_k = scale^k
     tol = params["tolerance"]
     dirs = haar_directions(body.dim, params["samples"], as_rng(seed))
     defects = wedge_identity_defects(body, base, grades, betas, dirs)
@@ -416,7 +407,6 @@ _SCENARIOS: dict[str, Scenario | dict[str, Scenario]] = {
             "base": _ELLIPSOID_4D,
             "grades": [1, 2, 3],
             "scale": 0.7,
-            "betas": None,
             "samples": 100,
             "tolerance": 1e-8,
         },
@@ -681,7 +671,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PreconditionError, ValueError, TypeError, OverflowError, MemoryError) as exc:
+    except (ValueError, TypeError, OverflowError, MemoryError) as exc:
         # a mistyped value, or a size or magnitude no run could reach
         print(f"error: invalid scenario inputs: {exc}", file=sys.stderr)
         return 2

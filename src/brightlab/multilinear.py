@@ -385,8 +385,8 @@ def polarization_check(
 # the alternating square form
 
 
-def _complement_sign(entries: tuple[int, ...], m: int) -> int:
-    """Sign of the permutation (I, I^c) of {0, ..., m-1}, both ascending."""
+def _complement_sign(entries: tuple[int, ...]) -> int:
+    """Sign of the permutation (I, I^c) of {0, 1, ...}, both ascending."""
     # inversions: each element of I counts the complement entries below it
     # that appear after it; equivalently sign = (-1)^(sum(I) - k(k-1)/2).
     k = len(entries)
@@ -404,7 +404,7 @@ def _square_form_matrix_cached(k: int) -> np.ndarray:
     universe = set(range(m))
     for r, t in enumerate(tuples):
         comp = tuple(sorted(universe - set(t)))
-        q[r, lookup[comp]] = _complement_sign(t, m)
+        q[r, lookup[comp]] = _complement_sign(t)
     return q
 
 

@@ -184,10 +184,12 @@ def _quadrature_rule(k: int, nodes):
     32, at least 4).  At k >= 4 it is a budget (default 4096): p is the
     largest integer with p^(k-1) <= nodes, at least 4, so nodes >= 4^(k-1).
     Above k = 2 the circle has 2p nodes, so a rule has at most 2 * nodes
-    directions.  ``nodes`` is ignored at k = 1.  The rule itself comes from
-    ``_cached_rule`` on the resolved sizes.
+    directions.  The rule at k = 1 is {+1, -1}, so there ``nodes`` must be
+    None.  The rule itself comes from ``_cached_rule`` on the resolved sizes.
     """
     if k == 1:
+        if nodes is not None:
+            raise ValueError(f"the rule at k = 1 is {{+1, -1}} and takes no nodes, got {nodes}")
         return _cached_rule(1, 0, 0)
     if k == 2:
         circle = 256 if nodes is None else nodes

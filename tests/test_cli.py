@@ -67,7 +67,7 @@ class TestExitCodes:
         assert "[PASS]" in proc.stdout
 
     def test_failing_check_exits_one_and_still_writes_report(self, tmp_path):
-        # betas 0.001 above scale^k: every grade fails by about 4e-3, not by rounding
+        # scale 0.701 against the pair's 0.7: every grade fails by 4e-3 or more, not by rounding
         cfg = ROOT / "scripts" / "configs" / "verify_wedge_wrong_beta.json"
         argv = ("verify-wedge", "--config", str(cfg), "--seed", "1", "--out", "r.json")
         proc = run_cli(*argv, cwd=tmp_path)
@@ -188,6 +188,7 @@ class TestExitCodes:
             ("ratio-e48", {"j": "2"}, "'j'"),
             ("verify-wedge", {"grades": [1, 2.5]}, "'grades'"),
             ("verify-wedge", {"grades": 2}, "'grades'"),
+            # betas is no verify-wedge key, so any value of it is refused by name
             ("verify-wedge", {"betas": "123"}, "'betas'"),
             ("verify-wedge", {"betas": [True, 0.49, 0.343]}, "'betas'"),
         ],
@@ -281,6 +282,14 @@ class TestExitCodes:
             # one nodes value cannot size the rules of two grades
             ("ratio-e48", {"nodes": 256}, (), "unknown config key 'nodes' for scenario "
              "'ratio-e48'"),
+            # the wedge ratios are scale^k, so no per-grade list can override the scale
+            ("verify-wedge", {"scale": 0.5, "betas": [0.7, 0.49, 0.343]}, (),
+             "unknown config key 'betas' for scenario 'verify-wedge'"),
+            # the rule at k = 1 has two directions whatever nodes says
+            ("proportionality", {"k": 1, "nodes": 3}, (),
+             "the rule at k = 1 is {+1, -1} and takes no nodes, got 3"),
+            ("brightness", {"k": 1, "nodes": 3}, (),
+             "the rule at k = 1 is {+1, -1} and takes no nodes, got 3"),
         ],
     )
     def test_unread_keys_and_improper_grades_exit_two(
@@ -830,7 +839,7 @@ class TestScenarios:
         assert calls == [(2, None), (3, None), (3, None)]
 
     def test_wrong_beta_config_fails_every_grade(self, tmp_path):
-        # the shipped pair against betas 1e-3 above scale**k: a negative control
+        # the shipped pair at scale 0.701, not its 0.7: a negative control
         config = str(ROOT / "scripts" / "configs" / "verify_wedge_wrong_beta.json")
         out = tmp_path / "w.json"
         assert cli.main(["verify-wedge", "--config", config, "--seed", "1", "--out", str(out)]) == 1

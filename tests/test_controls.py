@@ -2,7 +2,7 @@
 
 The source paper's theorem needs two projection functions because one is not
 enough, and the scenarios show it through controls whose outcome is known:
-positive pairs pass (exit 0), negative controls fail (exit 1) — wrong betas,
+positive pairs pass (exit 0), negative controls fail (exit 1) — a wrong scale,
 and an odd perturbation of the ball that keeps every width (k = 1) but not
 every shadow area (k = 2) — and a degenerate or asymmetric base is refused
 (exit 2).  This table is the one place a control is declared: a new one is a
@@ -92,9 +92,9 @@ CONTROLS = [
     Control("verify_wedge", "verify-wedge", "verify_wedge.json"),
     # 5 x 5 maps at grades 2-4: minors below the top grade
     Control("verify_wedge_6d", "verify-wedge", "verify_wedge_6d.json"),
-    # betas 1e-3 above scale**k
+    # scale 0.701 against the pair's 0.7: defects 4.1e-3, 8.1e-3 and 1.0e-2
     Control("verify_wedge_wrong_beta", "verify-wedge", "verify_wedge_wrong_beta.json", exit=FAIL),
-    # the 6-D pair's betas 0.1% off: 1.001 * 0.7**k for k = 2, 3, 4, written out
+    # the 6-D pair at scale 0.7007, 0.1% above its 0.7: defects 6.5e-3, 9.7e-3 and 1.0e-2
     Control(
         "verify_wedge_6d_betas_off", "verify-wedge", "verify_wedge_6d_betas_off.json", exit=FAIL
     ),
@@ -244,7 +244,7 @@ SHIPPED = [row for row in CONTROLS if row.config is not None and row.exit != REF
 
 @pytest.mark.parametrize("row", SHIPPED, ids=[row.name for row in SHIPPED])
 def test_every_key_a_shipped_config_sets_is_read(row, capsys):
-    # a key that the run ignores (say a "scale" beside explicit "betas") reads
+    # a key that the run ignores (say a "scale" that another key overrides) reads
     # as a setting of the check but changes nothing
     doc = json.loads((CONFIGS / row.config).read_text())
     spec = cli._spec(row.scenario, doc)

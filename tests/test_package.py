@@ -1,4 +1,5 @@
-"""Package surface: every exported name exists and has a caller, and the layers import downward.
+"""Package surface: every exported name exists, every top-level definition is
+reachable from a run and every import is used, and the layers import downward.
 
 Besides the standard library it imports only pytest and brightlab, so it also
 runs on an install without the ``test`` extra (no hypothesis, no scipy).
@@ -17,7 +18,7 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(brightlab.__path__))
 SRC = Path(brightlab.__path__[0])
 ROOT = SRC.parents[1]
 
-# exports with no caller yet, each named by the step of the paper's argument that a
+# definitions that no run reaches yet, each named by the step of the paper's argument that a
 # ``homothety`` scenario (ROADMAP item 3) will call it for; that item empties the table
 RESERVED = {
     "relative_wedge_defect": "stage 5: the relative wedge identity at +-u",
@@ -69,49 +70,89 @@ def test_no_module_imports_the_cli(name):
     assert "cli" not in package_imports(name)
 
 
-def loaded_names(path: Path) -> list:
-    """(top-level definition name or None, names its code loads or reads as attributes), per statement."""
-    found = []
-    for stmt in ast.parse(path.read_text()).body:
-        names = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-        found.append((getattr(stmt, "name", None), names))
+def loaded(node) -> set:
+    """The names that the code of ``node`` loads or reads as attributes, by ``getattr`` too."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "getattr":
+            found.update(a.value for a in sub.args[1:2] if isinstance(a, ast.Constant))
     return found
 
 
-def uncalled() -> list:
-    """The exports, sorted, that no code names outside their own definition.
-
-    Package code counts outside the export's own top-level definition
-    (strings such as ``__all__`` entries and docstrings never count); so do
-    the release criteria in ``tests/test_acceptance.py`` and the benchmark
-    harness under ``bench/``.  A unit test does not: a function whose only
-    caller is its own test serves no run of the program.
-    """
-    files = [*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py", *(ROOT / "bench").glob("*.py")]
-    callers = {}
-    for path in files:
-        for owner, names in loaded_names(path):
+def definitions() -> dict:
+    """(module, name) -> the names its code loads, for every top-level def, class
+    and plain or annotated assignment in ``src/brightlab/``."""
+    graph = {}
+    for path in SRC.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
             for name in names:
-                callers.setdefault(name, set()).add((path, owner))
-    return sorted(
-        attr
-        for name in MODULES
-        for attr in getattr(importlib.import_module(f"brightlab.{name}"), "__all__", ())
-        if not callers.get(attr, set()) - {(SRC / f"{name}.py", attr)}
-    )
+                graph.setdefault((path.stem, name), set()).update(loaded(stmt))
+    return graph
 
 
-def test_every_export_has_a_caller():
-    missing = [name for name in uncalled() if name not in RESERVED]
-    assert not missing, f"exported names that nothing calls: {missing}"
+def used_by_runs() -> set:
+    """``cli.main`` and every name the release criteria in ``tests/test_acceptance.py``
+    or the benchmark harness under ``bench/`` loads, reads or imports.  A unit test
+    is no root: a function whose only caller is its own test serves no run."""
+    roots = {"main"}
+    for path in [ROOT / "tests" / "test_acceptance.py", *(ROOT / "bench").glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        roots |= loaded(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots.update(part for alias in node.names for part in alias.name.split("."))
+    return roots
+
+
+def reachable(roots: set) -> set:
+    """The names reached from ``roots`` along the definitions' loads.  Names resolve
+    by bare name across modules, so a dead definition that shares a live one's
+    name is missed, but a live one is never flagged."""
+    graph = definitions()
+    reached, frontier = set(), set(roots)
+    while frontier:
+        reached |= frontier
+        frontier = {n for (_, name), names in graph.items() if name in frontier for n in names}
+        frontier -= reached
+    return reached
+
+
+def test_every_definition_is_reachable():
+    # the reserved stage functions count as roots here: they wait for their caller
+    live = reachable(used_by_runs() | set(RESERVED))
+    dead = sorted(f"{module}.{name}" for module, name in definitions() if name not in live)
+    assert not dead, f"top-level definitions that no run reaches: {dead}"
 
 
 def test_reserved_exports_still_await_their_caller():
     # once a stage calls one of these, it leaves the table
-    called = sorted(set(RESERVED) - set(uncalled()))
-    assert not called, f"reserved names that have a caller or are not exported: {called}"
+    defined = {name for _, name in definitions()}
+    called = sorted(set(RESERVED) & reachable(used_by_runs()) | set(RESERVED) - defined)
+    assert not called, f"reserved names that a run reaches or that are not defined: {called}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used(name):
+    # per module: the reachability test resolves names across modules, so a name
+    # imported here but loaded only elsewhere would pass it
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    imports = [s for s in tree.body if isinstance(s, (ast.Import, ast.ImportFrom))]
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for stmt in imports
+        if getattr(stmt, "module", None) != "__future__"
+        for alias in stmt.names
+    }
+    unused = sorted(imported - loaded(tree))
+    assert not unused, f"brightlab.{name} imports names it never loads: {unused}"

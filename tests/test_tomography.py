@@ -306,6 +306,11 @@ class TestCachedRule:
             before.hits, before.misses, before.currsize
         )
 
+    def test_nodes_at_k1_are_refused(self):
+        # S^0 = {+1, -1} whatever nodes says, so a nodes value there sizes nothing
+        with pytest.raises(ValueError, match=r"k = 1 is \{\+1, -1\} and takes no nodes, got 3"):
+            _quadrature_rule(1, 3)
+
     def test_cache_is_bounded(self):
         assert _cached_rule.cache_info().maxsize == tomography.RULE_CACHE == 8
         for circle in range(8, 8 + tomography.RULE_CACHE + 3):
