@@ -280,7 +280,7 @@ def _run_brightness(params: dict, seed: int):
     k = _proper_grade(params, "k", body.dim)
     vols = shadow_volumes([body], k, params["num_frames"], seed, params["nodes"])[1][:, 0]
     mid = median(vols)
-    spread = float((vols.max() - vols.min()) / max(abs(mid), 1e-300))
+    spread = float((vols.max() - vols.min()) / mid)
     checks = [Check("brightness_spread_rel", spread, params["tolerance"])]
     extras = {
         "volume_median": mid,
@@ -296,7 +296,7 @@ def _run_proportionality(params: dict, seed: int):
     report = proportionality_test(body, base, k, params["num_frames"], seed, params["nodes"])
     tol = params["tolerance"]
     checks = [Check("proportionality_max_rel_deviation", report.max_rel_deviation, tol)]
-    return checks, {"constant": report.constant, "excluded": report.excluded}
+    return checks, {"constant": report.constant}
 
 
 def _run_umbilic_search(params: dict, seed: int):
@@ -386,7 +386,7 @@ def _run_ratio_e48(params: dict, seed: int):
     ]
     s_i, s_j = (r.ratios ** (-1.0 / g) for r, g in zip(reports, grades))
     defect = float(np.abs(s_j[:, None] - s_i[None, :]).max())
-    extras = {"constants": [r.constant for r in reports], "excluded": [r.excluded for r in reports]}
+    extras = {"constants": [r.constant for r in reports]}
     return [Check("cross_grade_ratio_defect", defect, params["tolerance"])], extras
 
 

@@ -28,7 +28,8 @@ then a stacked determinant and a weighted sum per frame.
 native body), and ``ProjectedBody.jets(w, T)`` is ``source.jets(w F^T, F T)``.
 ``shadow_volumes`` is the one sampler of projection functions: frames drawn
 from child seeds, every body on each.  ``proportionality_test`` is the one
-statistic on them, and the only rule for a degenerate sample.
+statistic on them.  The kernel refuses a volume that is not positive, which
+no shadow of a C^2_+ body has.
 As for every body, T is required: identity frames give the full k x k
 Hessians and frames with no column only the values and gradients, which is
 all ``homothety_fit`` reads.  The rows and frames are checked and built by
@@ -37,14 +38,13 @@ all ``homothety_fit`` reads.  The rows and frames are checked and built by
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma, pi, sqrt
 
 import numpy as np
 
-from .body import ConvexBody, tangent_frames
+from .body import ConvexBody, _as_point, tangent_frames
 from .multilinear import det
 from .sampling import as_rng, haar_directions, median
 
@@ -115,8 +115,7 @@ class ProjectedBody(ConvexBody):
         return self.frame.k
 
     def support(self, w) -> float:
-        w = np.asarray(w)
-        return self.source.support(self.frame.columns @ w)
+        return self.source.support(self.frame.columns @ _as_point(w, self.dim))
 
     def jets(self, w, frames):
         """Chain rule: the source jets at the rows w F^T, which it checks (F is orthonormal), frames F T."""
@@ -233,7 +232,9 @@ def _lifted_volumes(bodies, columns, rule) -> np.ndarray:
     F B: the (k-1) x (k-1) blocks (F B)^T H (F B), no n x n or k x k
     Hessian.  Frames go in batches of about ``JET_BATCH`` directions, lifted
     once for every body, one ``body.jets`` call per body and batch; at
-    k = 1 F B has no column and ``det`` gives 1.
+    k = 1 F B has no column and ``det`` gives 1.  A volume that is not
+    positive (NaN too) is refused, naming its body's index in ``bodies``,
+    its frame's index and its value.
     """
     dirs, weights, row = rule
     m, (n, k) = len(dirs), columns.shape[1:]
@@ -248,6 +249,10 @@ def _lifted_volumes(bodies, columns, rule) -> np.ndarray:
             values, _, hess = body.jets(u, lifted)
             dens = (values * det(hess)).reshape(len(f), m)
             vols[start : start + step, i] = np.sum(weights * dens, axis=1)
+    frame, i = np.unravel_index(np.argmin(vols), vols.shape)  # argmin finds a NaN first
+    if not vols[frame, i] > 0:
+        msg = "the shadow volume of body %d on frame %d is not positive: %.6e"
+        raise ValueError(msg % (i, frame, vols[frame, i]))
     return vols
 
 
@@ -279,7 +284,6 @@ class ProportionalityReport:
     constant: float
     ratios: np.ndarray
     max_rel_deviation: float
-    excluded: int
 
 
 def proportionality_test(
@@ -287,20 +291,14 @@ def proportionality_test(
 ) -> ProportionalityReport:
     """Test V_k(K|U) = alpha V_k(K0|U) over Haar-random k-subspaces.
 
-    alpha is the median ratio; degenerate samples (vanishing base volume)
-    are excluded with a warning and counted in the report.
+    alpha is the median ratio over every frame; a frame on which either
+    body's shadow volume is not positive is refused by ``shadow_volumes``.
     """
     vb, v0 = shadow_volumes([body, base], k, num_frames, seed, nodes)[1].T
-    kept = np.abs(v0) >= 1e-12
-    excluded = int(np.count_nonzero(~kept))
-    if excluded:
-        warnings.warn(f"excluded {excluded} degenerate zero-volume samples")
-    if excluded == len(kept):
-        raise ValueError("all samples were degenerate")
-    ratios = vb[kept] / v0[kept]
+    ratios = vb / v0
     alpha = median(ratios)
     max_rel = float(np.abs(ratios / alpha - 1.0).max())
-    return ProportionalityReport(alpha, ratios, max_rel, excluded)
+    return ProportionalityReport(alpha, ratios, max_rel)
 
 
 @dataclass(frozen=True)

@@ -502,11 +502,11 @@ class TestArgumentChecks:
         with pytest.raises(ValueError):
             Ball(3, 1.0).support(np.zeros(3))
 
-    @pytest.mark.parametrize("body", all_families(), ids=lambda b: type(b).__name__)
+    @pytest.mark.parametrize("body", batched_bodies(), ids=lambda b: type(b).__name__)
     @pytest.mark.parametrize("offset", [-1, 1])
     def test_scalar_oracles_refuse_points_of_the_wrong_length(self, body, offset):
         # the family that evaluates h refuses, as its jets refuse a row; a composite
-        # reaches it before its own term
+        # reaches it before its own term, and a shadow checks its own length
         n = body.dim
         x = np.zeros(n + offset)
         x[-1] = 1.0

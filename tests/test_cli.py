@@ -817,7 +817,6 @@ class TestScenarios:
         code, report = self.ratio_e48(tmp_path, {"num_frames": 16}, 6)
         assert code == 0 and report["checks"][0]["value"] < 1e-10
         assert report["extras"]["constants"] == pytest.approx([0.7, 0.49], abs=1e-12)
-        assert report["extras"]["excluded"] == [0, 0]
 
     def test_ratio_e48_non_homothetic_pair_has_order_one_defect(self, tmp_path):
         ball = {"family": "ball", "params": {"dim": 4, "radius": 1.0}}

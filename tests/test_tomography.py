@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from brightlab import tomography
-from brightlab.body import Ball, Ellipsoid, Homothet, tangent_frames
+from brightlab.body import Ball, Ellipsoid, Erosion, Homothet, tangent_frames
 from brightlab.sampling import as_rng, haar_directions
 from brightlab.tomography import (
     HomothetyFit,
@@ -26,6 +26,7 @@ K4 = Homothet(E4, 0.7, (0.1, 0.0, -0.2, 0.0))
 A6 = np.diag([1.0, 1.69, 0.64, 1.21, 0.81, 1.44])
 E6 = Ellipsoid(A6)
 SHIFT6 = (0.3, -0.2, 0.1, 0.0, 0.4, 0.05)
+ERODED4 = Erosion(Ball(4, 1.0), 1.5)  # h = -0.5: not a convex body
 # worst relative error of the shadow volumes of E6 at the default nodes, by grade
 CALIBRATION = {2: 1e-14, 3: 1e-14, 4: 1e-10, 5: 2e-5}
 
@@ -55,6 +56,14 @@ class DegeneratePoint:
     def jets(self, u, frames):
         m, j = len(u), frames.shape[2]
         return np.zeros(m), np.zeros((m, self._n)), np.zeros((m, j, j))
+
+
+class NaNPoint(DegeneratePoint):
+    """The point with NaN support values: every shadow volume is NaN."""
+
+    def jets(self, u, frames):
+        values, grads, hess = super().jets(u, frames)
+        return values + np.nan, grads, hess
 
 
 class TestSubspaces:
@@ -323,7 +332,7 @@ class TestCachedRule:
             shadow = project(K4, random_subspace(4, 3, 2))
             return (
                 report.constant, report.ratios.tobytes(), report.max_rel_deviation,
-                report.excluded, volume_from_support(shadow, nodes=12),
+                volume_from_support(shadow, nodes=12),
             )
 
         _cached_rule.cache_clear()
@@ -353,7 +362,6 @@ class TestProportionality:
         report = proportionality_test(K4, E4, 2, 50, seed=3, nodes=256)
         assert report.constant == pytest.approx(0.49, abs=1e-12)
         assert report.max_rel_deviation < 1e-5
-        assert report.excluded == 0
 
     def test_shifted_homothet_pair_at_k4_has_exact_constant(self):
         # common nodes on an antipodally symmetric rule: the shift and the rule error cancel
@@ -366,10 +374,29 @@ class TestProportionality:
         report = proportionality_test(E4, Ball(4, 1.0), 2, 20, seed=4, nodes=128)
         assert report.max_rel_deviation > 0.05
 
-    def test_degenerate_samples_are_excluded_with_warning(self):
-        with pytest.warns(UserWarning):
-            with pytest.raises(ValueError):
-                proportionality_test(Ball(3, 1.0), DegeneratePoint(3), 2, 4, seed=5, nodes=32)
+    @pytest.mark.parametrize(
+        "body, base, k, message",
+        [
+            # every shadow of the point has volume 0, so the base, body 1, is refused
+            (Ball(3, 1.0), DegeneratePoint(3), 2, r"body 1 on frame 0 is not positive: 0\.000000e\+00"),
+            (Ball(3, 1.0), NaNPoint(3), 2, "body 1 on frame 0 is not positive: nan"),
+            # h = 1 - 1.5 = -0.5: the "shadows" are balls of radius -0.5, of width -1
+            # at k = 1 and volume -pi/6 at k = 3 (pi/4 at k = 2 is positive)
+            (ERODED4, Ball(4, 1.0), 1, r"body 0 on frame \d+ is not positive: -1\.000000e\+00"),
+            (ERODED4, Ball(4, 1.0), 3, r"body 0 on frame \d+ is not positive: -5\.2359\d\de-01"),
+        ],
+        ids=["point", "nan", "eroded_k1", "eroded_k3"],
+    )
+    def test_a_shadow_volume_that_is_not_positive_is_refused(self, body, base, k, message):
+        with pytest.raises(ValueError, match=f"{message}$"):
+            proportionality_test(body, base, k, 4, seed=5)
+
+    def test_a_small_valid_pair_is_not_refused(self):
+        # base volumes of about 5e-18 at k = 6: a valid pair is never refused for its
+        # scale, since shadow volumes scale by c^k
+        report = proportionality_test(Ball(7, 0.7e-3), Ball(7, 1e-3), 6, 2, seed=1)
+        assert report.ratios.shape == (2,)
+        assert report.constant == pytest.approx(0.7**6, rel=1e-12)
 
     def test_bodies_of_different_dimensions_are_refused(self):
         # the 4-ball was integrated on 3-D rows: constant 1.0, deviation 0.0

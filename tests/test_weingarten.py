@@ -846,7 +846,6 @@ class TestRevolutionStructure:
         es = revolution_eigenstructure(body, SPHEROID_4D.axis, u)
         assert es.axial_residual < 1e-10 and es.isotropy_residual < 1e-10
 
-    @pytest.mark.filterwarnings("error")
     def test_planar_body_refused_before_any_jet(self, monkeypatch):
         # at n = 2 the equatorial block is 0 x 0; its mean would divide by n - 2 = 0
         sph = Spheroid((0.0, 1.0), 1.0, 1.4)
