@@ -257,9 +257,9 @@ def _run_verify_wedge(params: dict, seed: int):
     betas = [float(params["scale"]) ** k for k in grades]  # K = scale K0 + t: beta_k = scale^k
     tol = params["tolerance"]
     dirs = haar_directions(body.dim, params["samples"], as_rng(seed))
-    defects = wedge_identity_defects(body, base, grades, betas, dirs)
-    checks = [Check(f"wedge_defect_k{k}", float(d.max()), tol) for k, d in zip(grades, defects)]
-    return checks, {}
+    worst, solved = wedge_identity_defects(body, base, grades, betas, dirs)
+    checks = [Check(f"wedge_defect_k{k}", float(d), tol) for k, d in zip(grades, worst)]
+    return checks, {"exact_norms": solved}
 
 
 def _proper_grade(params: dict, key: str, dim: int) -> int:
@@ -278,7 +278,8 @@ def _proper_grade(params: dict, key: str, dim: int) -> int:
 def _run_brightness(params: dict, seed: int):
     body = _body(params, "body")
     k = _proper_grade(params, "k", body.dim)
-    vols = shadow_volumes([body], k, params["num_frames"], seed, params["nodes"])[1][:, 0]
+    frames, nodes = params["num_frames"], params["nodes"]
+    vols = shadow_volumes([body], k, frames, seed, nodes, ("body",))[1][:, 0]
     mid = median(vols)
     spread = float((vols.max() - vols.min()) / mid)
     checks = [Check("brightness_spread_rel", spread, params["tolerance"])]

@@ -222,7 +222,7 @@ def _cached_rule(k: int, polar: int, circle: int):
     return dirs, weights, row
 
 
-def _lifted_volumes(bodies, columns, rule) -> np.ndarray:
+def _lifted_volumes(bodies, columns, rule, names=None) -> np.ndarray:
     """V_k of the shadows of each body on each frame F of an (R, n, k) stack, (R, len(bodies)).
 
     ``rule`` is ``_quadrature_rule``'s (dirs, weights, row), built once per
@@ -233,8 +233,9 @@ def _lifted_volumes(bodies, columns, rule) -> np.ndarray:
     Hessian.  Frames go in batches of about ``JET_BATCH`` directions, lifted
     once for every body, one ``body.jets`` call per body and batch; at
     k = 1 F B has no column and ``det`` gives 1.  A volume that is not
-    positive (NaN too) is refused, naming its body's index in ``bodies``,
-    its frame's index and its value.
+    positive (NaN too) is refused, naming the grade k, its body (by
+    ``names[i]``, or as "body i" without names), its frame's index and its
+    value.
     """
     dirs, weights, row = rule
     m, (n, k) = len(dirs), columns.shape[1:]
@@ -251,8 +252,11 @@ def _lifted_volumes(bodies, columns, rule) -> np.ndarray:
             vols[start : start + step, i] = np.sum(weights * dens, axis=1)
     frame, i = np.unravel_index(np.argmin(vols), vols.shape)  # argmin finds a NaN first
     if not vols[frame, i] > 0:
-        msg = "the shadow volume of body %d on frame %d is not positive: %.6e"
-        raise ValueError(msg % (i, frame, vols[frame, i]))
+        who = f"body {i}" if names is None else repr(names[i])
+        raise ValueError(
+            f"the grade-{k} shadow volume of {who} on frame {frame} is not positive: "
+            f"{vols[frame, i]:.6e}"
+        )
     return vols
 
 
@@ -263,18 +267,19 @@ def volume_from_support(kbody, nodes: int | None = None) -> float:
     return float(_lifted_volumes([kbody], np.eye(kbody.dim)[None], rule)[0, 0])
 
 
-def shadow_volumes(bodies, k: int, num_frames: int, seed, nodes: int | None = None):
+def shadow_volumes(bodies, k: int, num_frames: int, seed, nodes: int | None = None, names=None):
     """Haar k-frames drawn from child seeds of ``seed``, and the shadow volumes.
 
     Returns the (num_frames, n, k) stack of frame columns and a
     (num_frames, len(bodies)) array of V_k: every body is integrated on the
-    same frames and the same cached rule by ``_lifted_volumes``.
+    same frames and the same cached rule by ``_lifted_volumes``, whose
+    refusal of a volume that is not positive names a body by ``names``.
     """
     if not bodies:
         raise ValueError("shadow_volumes needs at least one body")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     columns = _haar_frames(bodies[0].dim, k, map(np.random.default_rng, ss.spawn(num_frames)))
-    return columns, _lifted_volumes(bodies, columns, _quadrature_rule(k, nodes))
+    return columns, _lifted_volumes(bodies, columns, _quadrature_rule(k, nodes), names)
 
 
 @dataclass(frozen=True)
@@ -292,9 +297,10 @@ def proportionality_test(
     """Test V_k(K|U) = alpha V_k(K0|U) over Haar-random k-subspaces.
 
     alpha is the median ratio over every frame; a frame on which either
-    body's shadow volume is not positive is refused by ``shadow_volumes``.
+    body's shadow volume is not positive is refused by ``shadow_volumes``,
+    naming 'body' or 'base' and the grade.
     """
-    vb, v0 = shadow_volumes([body, base], k, num_frames, seed, nodes)[1].T
+    vb, v0 = shadow_volumes([body, base], k, num_frames, seed, nodes, ("body", "base"))[1].T
     ratios = vb / v0
     alpha = median(ratios)
     max_rel = float(np.abs(ratios / alpha - 1.0).max())

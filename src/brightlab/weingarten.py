@@ -27,12 +27,15 @@ those frames as a required argument and ``wedge_identity_defects`` builds
 them; both take an (m, n) array of directions and return stacks, then
 stacked linear algebra; one direction u is the stack ``u[None]``.
 ``wedge_identity_defects`` builds the maps at +-u and the base maps at u
-once; each grade adds one ``multilinear.compound`` call and one stacked
-``eigvalsh``.  Every relative map comes from ``relative_maps``; the umbilic
-search takes the maps at +-p for a stack of points p, each pair in the frame
-built at p, in one call for its whole grid (``sampling.hemisphere_grid``,
-seeded Haar directions flipped onto a hemisphere), one per Gauss-Newton
-iteration and one for the final certificate.
+once; each grade adds one ``multilinear.compound`` call, a row-sum bound on
+the norm of each defect matrix, and ``eigvalsh`` on only those matrices
+whose bound exceeds the norm of the one with the largest bound, since only
+the worst defect is returned.  Every relative map comes from
+``relative_maps``; the umbilic search takes the maps at +-p for a stack of
+points p, each pair in the frame built at p, in one call for its whole grid
+(``sampling.hemisphere_grid``, seeded Haar directions flipped onto a
+hemisphere), one per Gauss-Newton iteration and one for the final
+certificate.
 """
 
 from __future__ import annotations
@@ -110,25 +113,68 @@ def _check_symmetric_body(base, u: np.ndarray) -> None:
         )
 
 
-def wedge_identity_defects(body, base, grades, betas, u) -> np.ndarray:
-    """Operator-norm defects of wedge^k L(u) + wedge^k L(-u) = 2 beta wedge^k L0(u).
+def _largest_eigenvalue_norm(d: np.ndarray, k: int) -> tuple[float, int]:
+    """max |eigenvalue| over the slices of an (m, r, r) stack of defect matrices at
+    grade k, and the number of slices that ``eigvalsh`` solved to find it.
 
-    Row i holds grade grades[i] with ratio betas[i] at each row of the (m, n)
-    array u.  The jets at +-u, frames and restricted Hessians serve every
-    grade; each adds a stacked compound and the largest |eigenvalue| of each
-    (symmetric) defect matrix.  The base body must be centrally symmetric;
-    this is checked once, on the rows of u and 8 Haar directions of seed 0.
+    ``eigvalsh`` reads the lower triangle of each slice, so the eigenvalues it
+    reports are those of the symmetric S made from that triangle, each within
+    c eps ||S||_2 for a small c (backward stability).  The largest absolute row
+    sum G of S bounds ||S||_2 (Gershgorin) and is computed to within r eps, so
+    G (1 + 1e-12) bounds every |eigenvalue| that ``eigvalsh`` reports while
+    c + r stays well below 1e-12 / eps, about 4500.  The slice with the largest
+    bound is solved first, then every slice whose bound exceeds that norm: no
+    other slice can exceed it.  ``eigvalsh`` solves each slice on its own, so
+    the result is bit for bit the maximum over a solve of the whole stack.  The
+    triangle masks multiply every entry, so a NaN or an infinity anywhere in a
+    slice, in either triangle, makes its bound NaN; that raises
+    PreconditionError naming k and the slice.
+    """
+    r = d.shape[1]
+    a = np.abs(d)
+    rows = np.einsum("mij,ij->mi", a, np.tri(r)) + np.einsum("mji,ji->mi", a, np.tri(r, k=-1))
+    bound = rows.max(axis=1) * (1.0 + 1e-12)
+    bad = np.flatnonzero(~np.isfinite(bound))
+    if bad.size:
+        raise PreconditionError(
+            f"the grade-{k} wedge defect matrix at direction {bad[0]} "
+            "has an entry that is not finite"
+        )
+    top = int(np.argmax(bound))
+    best = float(np.abs(np.linalg.eigvalsh(d[top])).max())
+    rest = bound > best
+    rest[top] = False
+    if rest.any():
+        best = max(best, float(np.abs(np.linalg.eigvalsh(d[rest])).max()))
+    return best, 1 + int(rest.sum())
+
+
+def wedge_identity_defects(body, base, grades, betas, u) -> tuple[np.ndarray, list[int]]:
+    """Worst operator-norm defect of wedge^k L(u) + wedge^k L(-u) = 2 beta wedge^k L0(u).
+
+    Entry i of the first array is the largest over the rows of the (m, n)
+    array u at grade grades[i] with ratio betas[i]; the list gives, per grade,
+    how many of the m defect matrices had their eigenvalues solved.  The jets
+    at +-u, frames and restricted Hessians serve every grade; each adds a
+    stacked compound, a row-sum bound on the norm of every (symmetric) defect
+    matrix and ``eigvalsh`` on only the matrices whose bound exceeds the norm
+    of the one with the largest bound (``_largest_eigenvalue_norm``): the
+    result is bit for bit the maximum of a solve of all m.  A defect matrix
+    with a non-finite entry raises PreconditionError naming its grade and
+    direction.  The base body must be centrally symmetric; this is checked
+    once, on the rows of u and 8 Haar directions of seed 0.
     """
     u = _unit_rows(u)
     _check_symmetric_body(base, u)
     bases = tangent_frames(u)
     body_maps = body.jets(np.vstack([u, -u]), np.concatenate([bases, bases]))[2]
     maps = np.concatenate([body_maps, base.jets(u, bases)[2]])
-    defects = np.empty((len(grades), len(u)))
-    for row, k, beta in zip(defects, grades, betas, strict=True):
+    worst, solved = np.empty(len(grades)), []
+    for i, (k, beta) in enumerate(zip(grades, betas, strict=True)):
         lu, lmu, l0 = np.split(multilinear.compound(maps, k), 3)
-        row[:] = np.abs(np.linalg.eigvalsh(lu + lmu - 2.0 * beta * l0)).max(axis=1)
-    return defects
+        worst[i], count = _largest_eigenvalue_norm(lu + lmu - 2.0 * beta * l0, k)
+        solved.append(count)
+    return worst, solved
 
 
 def _antipodal_maps(body, base, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -377,13 +377,25 @@ class TestProportionality:
     @pytest.mark.parametrize(
         "body, base, k, message",
         [
-            # every shadow of the point has volume 0, so the base, body 1, is refused
-            (Ball(3, 1.0), DegeneratePoint(3), 2, r"body 1 on frame 0 is not positive: 0\.000000e\+00"),
-            (Ball(3, 1.0), NaNPoint(3), 2, "body 1 on frame 0 is not positive: nan"),
+            # every shadow of the point has volume 0, so the base is refused
+            (
+                Ball(3, 1.0), DegeneratePoint(3), 2,
+                r"grade-2 shadow volume of 'base' on frame 0 is not positive: 0\.000000e\+00",
+            ),
+            (
+                Ball(3, 1.0), NaNPoint(3), 2,
+                "grade-2 shadow volume of 'base' on frame 0 is not positive: nan",
+            ),
             # h = 1 - 1.5 = -0.5: the "shadows" are balls of radius -0.5, of width -1
             # at k = 1 and volume -pi/6 at k = 3 (pi/4 at k = 2 is positive)
-            (ERODED4, Ball(4, 1.0), 1, r"body 0 on frame \d+ is not positive: -1\.000000e\+00"),
-            (ERODED4, Ball(4, 1.0), 3, r"body 0 on frame \d+ is not positive: -5\.2359\d\de-01"),
+            (
+                ERODED4, Ball(4, 1.0), 1,
+                r"grade-1 shadow volume of 'body' on frame \d+ is not positive: -1\.000000e\+00",
+            ),
+            (
+                ERODED4, Ball(4, 1.0), 3,
+                r"grade-3 shadow volume of 'body' on frame \d+ is not positive: -5\.2359\d\de-01",
+            ),
         ],
         ids=["point", "nan", "eroded_k1", "eroded_k3"],
     )

@@ -133,6 +133,22 @@ class DentedBall(Ball):
         return values, gradients, hessians
 
 
+class NaNHessian(Ellipsoid):
+    """An ellipsoid whose restricted Hessian has a NaN at one entry of one row of each
+    ``jets`` call that asks for a Hessian (row ``m + i`` of the stack +-u is -u[i])."""
+
+    def __init__(self, shape, row, entry):
+        super().__init__(shape)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "entry", entry)
+
+    def jets(self, u, frames):
+        values, gradients, hessians = super().jets(u, frames)
+        if frames.shape[2]:
+            hessians[(self.row, *self.entry)] = np.nan
+        return values, gradients, hessians
+
+
 class SpyBall(Ball):
     """The unit ball, recording the column count of the frames each ``jets`` call gets."""
 
@@ -245,14 +261,15 @@ class TestRelativeMap:
 class TestWedgeIdentity:
     def test_homothet_pair_satisfies_identity_all_grades(self):
         dirs = haar_directions(4, 25, as_rng(5))
-        defects = wedge_identity_defects(K4, E4, [1, 2, 3], [0.7, 0.7**2, 0.7**3], dirs)
-        assert defects.shape == (3, 25)
-        assert defects.max() < 1e-10
+        worst, solved = wedge_identity_defects(K4, E4, [1, 2, 3], [0.7, 0.7**2, 0.7**3], dirs)
+        assert worst.shape == (3,) and len(solved) == 3
+        assert all(1 <= count <= 25 for count in solved)
+        assert worst.max() < 1e-10
 
     def test_translation_invariance(self):
         shifted = Homothet(E4, 1.0, (0.4, -0.1, 0.0, 0.2))
         dirs = haar_directions(4, 10, as_rng(6))
-        worst = wedge_identity_defects(shifted, E4, [2], [1.0], dirs).max()
+        worst = wedge_identity_defects(shifted, E4, [2], [1.0], dirs)[0][0]
         assert worst < 1e-10
 
     def test_asymmetric_perturbation_violates_beta_one(self):
@@ -260,7 +277,7 @@ class TestWedgeIdentity:
         # genuinely breaks central symmetry of the curvature
         body = HarmonicPerturbation(Ball(4, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.4), 0.3)
         dirs = haar_directions(4, 10, as_rng(7))
-        worst = wedge_identity_defects(body, Ball(4, 1.0), [2], [1.0], dirs).max()
+        worst = wedge_identity_defects(body, Ball(4, 1.0), [2], [1.0], dirs)[0][0]
         assert worst > 1e-3
 
     def test_asymmetric_base_rejected(self):
@@ -289,23 +306,84 @@ class TestWedgeIdentity:
         "body, base, grades", [(K4, E4, (1, 2, 3)), (K6, E6, (2, 3, 4)), (E6, Ball(6, 1.0), (2, 5))]
     )
     def test_sweep_matches_per_direction_formula(self, body, base, grades):
+        # the worst over one direction is that direction's defect
         dirs = haar_directions(body.dim, 40, as_rng(14))
         betas = [0.7**k for k in grades]
-        defects = wedge_identity_defects(body, base, grades, betas, dirs)
-        assert defects.shape == (len(grades), 40)
-        single = wedge_identity_defects(body, base, grades, betas, dirs[3:4])
-        for k, beta, swept, one in zip(grades, betas, defects, single):
+        rows = np.array([wedge_identity_defects(body, base, grades, betas, u[None])[0] for u in dirs])
+        for k, beta, swept in zip(grades, betas, rows.T):
             expected = [wedge_defect_oracle(body, base, k, beta, u) for u in dirs]
             np.testing.assert_allclose(swept, expected, rtol=0, atol=1e-14)
-            assert one[0] == swept[3]
 
     @pytest.mark.parametrize("body, base", [(K4, E4), (K6, E6)])
     def test_grade_sweep_equals_per_grade_rows_bit_for_bit(self, body, base):
         dirs = haar_directions(body.dim, 30, as_rng(15))
         grades, betas = [1, 2, 3], [0.7, 0.7**2, 0.7**3]
-        defects = wedge_identity_defects(body, base, grades, betas, dirs)
-        for row, k, beta in zip(defects, grades, betas):
-            assert np.array_equal(row, wedge_identity_defects(body, base, [k], [beta], dirs)[0])
+        for u in dirs:
+            swept = wedge_identity_defects(body, base, grades, betas, u[None])[0]
+            for worst, k, beta in zip(swept, grades, betas):
+                assert worst == wedge_identity_defects(body, base, [k], [beta], u[None])[0][0]
+
+    @pytest.mark.parametrize(
+        "body, base, grades, scale, m",
+        [
+            (K4, E4, (1, 2, 3), 0.7, 100),  # verify_wedge.json
+            (K6, E6, (2, 3, 4), 0.7, 200),  # the benchmark's 6-D pair
+            (K4, E4, (1, 2, 3), 0.701, 100),  # verify_wedge_wrong_beta.json
+            (K6, E6, (2, 3, 4), 0.7007, 200),  # verify_wedge_6d_betas_off.json
+            (Ball(4, 1.0), Ball(4, 1.0), (1, 2, 3), 1.0, 30),  # every D = 0: every bound ties
+        ],
+        ids=["4d", "6d", "4d_wrong_scale", "6d_wrong_scale", "ball_pair"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_stacked_worst_is_the_largest_single_row_defect(self, body, base, grades, scale, m, seed):
+        betas = [scale**k for k in grades]
+        dirs = haar_directions(body.dim, m, as_rng(seed))
+        rows = np.array([wedge_identity_defects(body, base, grades, betas, u[None])[0] for u in dirs])
+        worst, solved = wedge_identity_defects(body, base, grades, betas, dirs)
+        assert np.array_equal(worst, rows.max(axis=0))
+        assert all(1 <= count <= m for count in solved)
+        # each direction twice: every bound is shared by two rows
+        twice, solved_twice = wedge_identity_defects(body, base, grades, betas, np.vstack([dirs, dirs]))
+        assert np.array_equal(twice, worst)
+        assert all(count <= 2 * c for count, c in zip(solved_twice, solved))
+        if scale == 1.0:  # the ball pair: the first solve's 0 prunes every other row
+            assert not worst.any() and solved == [1] * len(grades)
+
+    def test_bound_ties_and_tight_bounds_keep_the_maximum(self):
+        from brightlab import weingarten
+
+        # every slice has row-sum bound 1, and largest |eigenvalue| 1, 1, 1 or 1/sqrt(2)
+        tied = np.array(
+            [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0], [1.0, 0.0]],
+             [[0.5, 0.5], [0.5, -0.5]]]
+        )
+        # c times the all-ones r x r matrix: its bound c r is its norm
+        ones = [np.ones((3, r, r)) * np.array([1.0, 1.0 - 1e-15, 0.5])[:, None, None]
+                for r in (1, 2, 7, 20)]
+        for stack in (tied, tied[::-1], *ones):
+            worst, _ = weingarten._largest_eigenvalue_norm(stack, 1)
+            assert worst == np.abs(np.linalg.eigvalsh(stack)).max()
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0), (0, 0)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_non_finite_defect_is_refused(self, entry, k):
+        # eigvalsh alone reads only the lower triangle: a NaN at (0, 1) with k = 1 gives a
+        # finite defect, one at (0, 0) with k = 2 raises "Eigenvalues did not converge",
+        # and with k = 3 the worst defect is NaN
+        shape, dirs = np.diag([1.0, 1.69, 0.64, 1.21]), haar_directions(4, 10, as_rng(2))
+        for row in (3, 13):  # +u[3] and -u[3]
+            with pytest.raises(PreconditionError, match=f"grade-{k} .* at direction 3 has an entry"):
+                wedge_identity_defects(NaNHessian(shape, row, entry), Ellipsoid(shape), [k], [1.0], dirs)
+
+    def test_non_finite_defect_exits_two(self, monkeypatch, tmp_path, capsys):
+        from brightlab import cli
+
+        shape = np.diag([1.0, 1.69, 0.64, 1.21])
+        monkeypatch.setattr(cli, "_pair", lambda params: (NaNHessian(shape, 0, (0, 1)), Ellipsoid(shape)))
+        out = tmp_path / "report.json"
+        assert cli.main(["verify-wedge", "--seed", "1", "--out", str(out)]) == 2
+        assert "grade-1 wedge defect matrix at direction 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eigvalsh_norm_matches_spectral_norm(self):
         # off-beta ratios make the defect matrices large, so the two norms
@@ -313,7 +391,7 @@ class TestWedgeIdentity:
         dirs = haar_directions(4, 20, as_rng(16))
         for k in (1, 2, 3):
             beta = 1.1 * 0.7**k
-            defects = wedge_identity_defects(K4, E4, [k], [beta], dirs)[0]
+            defects = [wedge_identity_defects(K4, E4, [k], [beta], u[None])[0][0] for u in dirs]
             expected = [wedge_defect_oracle(K4, E4, k, beta, u) for u in dirs]
             scale = max(expected)
             assert scale > 1e-2
