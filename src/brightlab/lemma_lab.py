@@ -26,16 +26,22 @@ falsification campaigns for the antipodal variant.  The antipodal check and
 campaign share one column-major kernel: each chunk of trials is transposed
 once and sorted by a Batcher network of whole-column minima and maxima, each
 subset product is built once from k columns, and each mirror-orbit sum
-x_I + x_{I*} once, in a working set of about 2^18 products per chunk.
+x_I + x_{I*} once, in a working set of about 2^18 products per chunk.  A
+campaign's chunks are split in two halves that run at once, the second on a
+worker thread, each in its own buffers and on its own copy of one PCG64
+stream, the second copy advanced past the first half's draws (the jump-ahead
+of O'Neill's PCG family, ``PCG64.advance``), so the report is the one a
+single stream gives.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -732,9 +738,18 @@ def antipodal_falsification(
     and a spread of 0 is the lemma's own conclusion.  The report keeps one
     (residual, spread) row per trial for export.
 
+    ``seed`` is anything ``np.random.SeedSequence`` takes: an int, a sequence
+    of ints, or None for one fresh entropy draw.  A ``Generator`` is refused
+    with a ``TypeError``, since the campaign needs a stream it can split.
+
     Trials are drawn and evaluated in chunks of ``_WORKING_SET // C(M, k)``
-    rows in one set of buffers; the draws form one random stream and the
-    first global minimum wins, so the report does not depend on the chunk size.
+    rows.  The chunks are split in two halves at a chunk seam: the caller
+    runs the first and a worker thread the second, each in its own buffers.
+    Both draw from one PCG64 stream (``default_rng(seed)`` for an int seed),
+    the second half's copy advanced past the first half's draws, and the
+    first global minimum wins, so the report depends neither on the chunk
+    size nor on the split.  An exception in the worker's half is raised here,
+    and the worker is joined even when the caller's half raises.
     """
     if trials < 1:
         raise ValueError(f"a campaign needs trials >= 1, got {trials}")
@@ -742,14 +757,76 @@ def antipodal_falsification(
         if not value > 0:
             raise ValueError(f"{key!r} must be positive, got {value!r}")
     chunk = min(_WORKING_SET // _antipodal_subset_count(mlen, k), trials)
-    rng = as_rng(seed)
+    try:
+        entropy = np.random.SeedSequence(seed)
+    except TypeError:
+        raise TypeError(
+            f"'seed' must be an int, a sequence of ints or None, got {type(seed).__name__}"
+        ) from None
+    # the first half takes ceil(chunks / 2) chunks; Generator.random takes one
+    # 64-bit output per double, so the second half starts mid * mlen outputs on
+    mid = chunk * -(-trials // chunk // 2)
+    early = np.random.Generator(np.random.PCG64(entropy))
+    late = np.random.Generator(np.random.PCG64(entropy).advance(mid * mlen))
+    rows = np.empty((trials, 2))
+    args = (rows, mlen, k, chunk, tol, min_spread)
+    join = _start_thread(lambda: _campaign_half(mid, trials, late, *args))
+    try:
+        first = _campaign_half(0, mid, early, *args)
+    finally:
+        second = join()
+    # the first half's best trial comes first, so it wins a tie
+    best_residual, best_x, best_gamma, _, _ = second if second[0] < first[0] else first
+    eligible_trials, violations = first[3] + second[3], first[4] + second[4]
+    return FalsificationReport(
+        trials=trials,
+        best_residual=best_residual,
+        best_x=best_x,
+        best_gamma=best_gamma,
+        min_spread=min_spread,
+        found_violation=violations > 0,
+        residual_tol=tol,
+        eligible_trials=eligible_trials,
+        violations=violations,
+        rows=rows,
+    )
+
+
+def _start_thread(fn: Callable) -> Callable:
+    """Run ``fn()`` on a new thread.  The returned callable joins the thread
+    and returns what ``fn`` returned, or re-raises what it raised."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((fn(), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def join():
+        thread.join()
+        value, error = outcome[0]
+        if error is not None:
+            raise error
+        return value
+
+    return join
+
+
+def _campaign_half(begin: int, end: int, rng, rows, mlen, k, chunk, tol, min_spread):
+    """The campaign's trials begin ... end - 1, drawn from ``rng`` into ``rows[begin:end]``
+    in chunks of ``chunk`` rows, in buffers of its own.  Returns the best
+    residual, its x and gamma (the first minimum wins; inf, None and nan if
+    no trial was eligible), the eligible trials and the violations."""
     draw, wires = np.empty((chunk, mlen)), np.empty((mlen + 1, chunk))
     work = np.empty((2 * math.comb(mlen, k) + 3, chunk))
     best_residual, best_x, best_gamma = np.inf, None, np.nan
     eligible_trials = violations = 0
-    rows = np.empty((trials, 2))
-    for start in range(0, trials, chunk):
-        draws = draw[: trials - start]
+    for start in range(begin, end, chunk):
+        draws = draw[: end - start]
         # Generator.uniform(0.2, 2.0) in place: 0.2 + (2.0 - 0.2) * next_double
         rng.random(out=draws)
         draws *= 2.0 - 0.2
@@ -775,18 +852,7 @@ def antipodal_falsification(
                 best_residual = float(residual[pos])
                 best_x = np.array([col[pos] for col in cols])
                 best_gamma = float(mean[pos]) / 2.0
-    return FalsificationReport(
-        trials=trials,
-        best_residual=best_residual,
-        best_x=best_x,
-        best_gamma=best_gamma,
-        min_spread=min_spread,
-        found_violation=violations > 0,
-        residual_tol=tol,
-        eligible_trials=eligible_trials,
-        violations=violations,
-        rows=rows,
-    )
+    return best_residual, best_x, best_gamma, eligible_trials, violations
 
 
 class RelationAudit(NamedTuple):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from brightlab import cli, tomography
+from brightlab import cli, lemma_lab, tomography
 from brightlab.body import FAMILIES
 from brightlab.lemma_lab import (
     FalsificationReport,
@@ -602,10 +603,11 @@ class TestCsvExport:
             report.rows[row] = values
         assert exported_csv(report) == row_by_row_campaign_csv(report)
 
-    @pytest.mark.parametrize("trials", [2 * cli._CSV_CHUNK + 1, 100_001])
+    @pytest.mark.parametrize("trials", [4 * cli._CSV_CHUNK + 1, 100_001])
     def test_python_rows_and_decades_at_chunk_seams(self, trials):
         # Python-path rows on the last row of one chunk and the first of the
-        # next; at 100_001 trials the decade edge 10**5 falls inside a chunk
+        # next, within a pair and between pairs; 4 chunks and 1 row end on a
+        # lone chunk; at 100_001 trials the decade edge 10**5 falls inside a chunk
         report = antipodal_falsification(6, 2, trials, seed=trials)
         chunk = cli._CSV_CHUNK
         odd = {
@@ -656,6 +658,51 @@ class TestCsvExport:
         assert not fresh.exists()
         assert old.read_bytes() == b"old bytes"
         assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]  # no .tmp left
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_failing_side_leaves_no_file_and_no_thread(self, monkeypatch, tmp_path, failing):
+        # the worker formats the odd chunks, the caller the even ones
+        report = antipodal_falsification(6, 2, 100, seed=7)
+        sci6_words = cli._sci6_words
+
+        def fails_on_one_side(x, work):
+            if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+                raise RuntimeError(f"{failing} side failed")
+            return sci6_words(x, work)
+
+        monkeypatch.setattr(cli, "_sci6_words", fails_on_one_side)
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^{failing} side failed$"):
+            cli._write_atomic(tmp_path / "campaign.csv", cli._campaign_csv(report))
+        assert list(tmp_path.iterdir()) == []  # neither the file nor a .tmp
+        assert threading.active_count() == threads
+
+    def test_concurrent_exports_under_a_short_switch_interval(self, monkeypatch):
+        # four campaigns and their CSVs at once, each with its own worker threads,
+        # switching every microsecond: a buffer that two threads shared would
+        # show in the rows or the bytes
+        monkeypatch.setattr(lemma_lab, "_WORKING_SET", 15 * 7)
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
+
+        def export(seed):
+            report = antipodal_falsification(6, 2, 300, seed=seed)
+            return report.rows.tobytes(), exported_csv(report)
+
+        expected = [export(seed) for seed in range(4)]
+        got = [None] * 4
+        threads = [threading.Thread(target=lambda s=s: got.__setitem__(s, export(s))) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
 
     @pytest.mark.parametrize("words", [1, 2, 3, 4])
     def test_index_words_are_exact_beyond_eight_digits(self, words):

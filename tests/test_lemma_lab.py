@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import threading
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -633,7 +634,9 @@ class TestCampaignWorkspace:
         assert (report.best_residual, report.best_gamma) == (residual, gamma)
         assert report.best_x.tolist() == best_x
 
-    @pytest.mark.parametrize("mlen, k, budget", [(6, 2, 15 * 7 + 3), (8, 3, 56 * 5), (6, 2, 1 << 18)])
+    @pytest.mark.parametrize(
+        "mlen, k, budget", [(6, 2, 15 * 7 + 3), (8, 3, 56 * 5), (6, 2, 1 << 18), (7, 3, 35 * 333)]
+    )
     def test_draws_are_generator_uniform_across_chunk_seams(self, monkeypatch, mlen, k, budget):
         # with no comparator the rows come from the draws in the order drawn, so
         # they must be those of one Generator.uniform call, whatever the chunks;
@@ -660,6 +663,77 @@ class TestCampaignWorkspace:
         assert 0 < report.violations < report.eligible_trials < 5000
         assert report.found_violation
         assert type(report.eligible_trials) is int and type(report.violations) is int
+
+    @pytest.mark.parametrize("budget", [15, 15 * 7 + 3, 15 * 1000])
+    @pytest.mark.parametrize("chunks, extra", [(1, 0), (2, 0), (3, 0), (4, -1), (4, 1)])
+    def test_report_does_not_depend_on_the_split(self, monkeypatch, budget, chunks, extra):
+        # 1, 2 and 3 whole chunks, and 4 chunks -+ 1 trial: the second half is
+        # empty or one chunk, or ends in a partial chunk or in a chunk of one row
+        trials = chunks * (budget // 15) + extra
+        ref = antipodal_falsification(6, 2, trials, seed=6, tol=0.05, min_spread=0.5)
+        monkeypatch.setattr(lemma_lab, "_WORKING_SET", budget)
+        got = antipodal_falsification(6, 2, trials, seed=6, tol=0.05, min_spread=0.5)
+        assert np.array_equal(got.rows, ref.rows)
+        assert np.array_equal(got.best_x, ref.best_x)
+        assert (got.best_gamma, got.best_residual) == (ref.best_gamma, ref.best_residual)
+        assert (got.eligible_trials, got.violations) == (ref.eligible_trials, ref.violations)
+
+    def test_a_tie_between_the_halves_goes_to_the_first(self, monkeypatch):
+        # every trial's residual is 1, so the first eligible trial, trial 0, wins
+        def flat(cols, k, work=None):
+            return np.zeros(len(cols[0])), np.ones(len(cols[0])), np.zeros(len(cols[0]))
+
+        monkeypatch.setattr(lemma_lab, "_antipodal_extremes", flat)
+        monkeypatch.setattr(lemma_lab, "_WORKING_SET", 15 * 7)
+        report = antipodal_falsification(6, 2, 100, seed=9)
+        first = np.sort(np.random.default_rng(9).uniform(0.2, 2.0, size=6))
+        assert report.rows[0, 1] >= report.min_spread
+        assert np.array_equal(report.best_x, first)
+        assert (report.best_residual, report.best_gamma) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_failing_half_raises_and_both_are_joined(self, monkeypatch, failing):
+        kernel = lemma_lab._antipodal_extremes
+
+        def fails_on_one_side(cols, k, work=None):
+            if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+                raise RuntimeError(f"{failing} half failed")
+            return kernel(cols, k, work)
+
+        monkeypatch.setattr(lemma_lab, "_antipodal_extremes", fails_on_one_side)
+        monkeypatch.setattr(lemma_lab, "_WORKING_SET", 15 * 7)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^{failing} half failed$"):
+            antipodal_falsification(6, 2, 100, seed=9)
+        assert threading.active_count() == threads
+
+    def test_a_seed_sequence_seeds_the_campaign(self, monkeypatch):
+        # with no comparator the spreads are the draws' last minus first column
+        monkeypatch.setattr(lemma_lab, "_sorting_network", lambda size: ())
+        monkeypatch.setattr(lemma_lab, "_WORKING_SET", 15 * 7)
+        report = antipodal_falsification(6, 2, 100, seed=[3, 4])
+        draws = np.random.default_rng([3, 4]).uniform(0.2, 2.0, size=(100, 6))
+        assert np.array_equal(report.rows[:, 1], draws[:, -1] - draws[:, 0])
+
+    def test_an_unseeded_campaign_makes_one_entropy_draw(self, monkeypatch):
+        made = []
+
+        class Spy(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(lemma_lab.np.random, "SeedSequence", Spy)
+        monkeypatch.setattr(lemma_lab, "_WORKING_SET", 15 * 7)
+        report = antipodal_falsification(6, 2, 100, seed=None)
+        assert len(made) == 1
+        # both halves drew from that one entropy: the seeded campaign repeats it
+        again = antipodal_falsification(6, 2, 100, seed=made[0].entropy)
+        assert np.array_equal(report.rows, again.rows)
+
+    def test_a_generator_is_refused_as_seed(self):
+        with pytest.raises(TypeError, match="'seed' must be an int, a sequence of ints or None, got Generator"):
+            antipodal_falsification(6, 2, 100, seed=np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "key, kwargs",
