@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sampling import as_rng, haar_directions
+from .sampling import haar_directions
 
 __all__ = [
     "SupportJet",
@@ -558,7 +558,7 @@ def validate(body, samples: int = 128, seed=0) -> ValidationReport:
     seen over the sample and whether all were strictly positive (a sampled,
     not exhaustive, certificate that the body is smooth and strictly convex).
     """
-    dirs = haar_directions(body.dim, samples, as_rng(seed))
+    dirs = haar_directions(body.dim, samples, seed)
     radii = np.linalg.eigvalsh(body.jets(dirs, tangent_frames(dirs))[2])
     first = int(np.argmin(radii[:, 0]))  # the first of tied minima
     min_radius = float(radii[first, 0])

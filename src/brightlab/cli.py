@@ -8,13 +8,13 @@ writes a schema-versioned JSON report atomically.  Every check is the pair
 Exit status: 0 when every check passes, 1 when some check fails (the report
 is still written), 2 for configuration or validation errors.
 
-Config schema (JSON object, all keys optional unless a scenario needs them; a
-scenario takes exactly the keys its runner reads, "tolerance" only where a check
-reads one, and ``lemma-campaign``'s "mode", "antipodal" by default or "solver",
-picks its runner and keys):
+Config schema (JSON object, all keys optional; a scenario takes exactly the
+keys its runner reads, and ``lemma-campaign``'s "mode", "antipodal" by default
+or "solver", picks its runner and keys).  Each check's tolerance is a constant
+of its scenario, and the seed and report path are the flags ``--seed`` and
+``--out`` only:
 
-    {"schema": 1, "scenario": "verify-wedge", "seed": 7, "tolerance": 1e-8,
-     "out": "report.json", ...scenario keys...}
+    {"schema": 1, "scenario": "verify-wedge", ...scenario keys...}
 
 Report schema ("inputs" echoes the resolved scenario parameters):
 
@@ -65,7 +65,7 @@ from .lemma_lab import (
     find_hypothesis_solutions,
     hypothesis_residual,
 )
-from .sampling import as_rng, haar_directions, median
+from .sampling import haar_directions, median
 from .tomography import proportionality_test, shadow_volumes
 from .weingarten import antipodal_search, wedge_identity_defects
 
@@ -152,8 +152,9 @@ def _spec(scenario: str, doc: dict) -> Scenario:
 
 
 def _resolve_params(scenario: str, args: argparse.Namespace):
-    """Merge defaults <- config <- CLI flags; returns (spec, params, seed, out),
-    where spec is the entry of the scenario, or of its config's mode."""
+    """Merge defaults <- config; returns (spec, params), where spec is the
+    entry of the scenario, or of its config's mode.  The seed and the report
+    path are flags only, checked here against the scenario."""
     doc = {} if args.config is None else _load_config(args.config)
     if doc.get("schema", 1) != 1:
         raise ConfigError(f"unsupported config schema {doc.get('schema')!r}; expected 1")
@@ -164,31 +165,28 @@ def _resolve_params(scenario: str, args: argparse.Namespace):
     spec = _spec(scenario, doc)
     params = copy.deepcopy(spec.defaults)
     label = f"{scenario!r}" + (f" in mode {params['mode']!r}" if "mode" in params else "")
-    # a flag overrides its config key, and --tolerance is refused where no key is
-    flags = {"seed": args.seed, "out": args.out, "tolerance": args.tolerance}
-    doc.update((key, value) for key, value in flags.items() if value is not None)
-    seed, out = doc.get("seed"), doc.get("out")
     for key, value in doc.items():
         if key in params:
             params[key] = value
-        elif key not in ("schema", "scenario", "seed", "out"):
+        elif key not in ("schema", "scenario"):
             raise ConfigError(f"unknown config key {key!r} for scenario {label}")
     if args.csv and scenario == "gallery":
         raise ConfigError("scenario 'gallery' runs no check, so --csv has nothing to write")
-    if seed is not None and not spec.seeded:
+    if args.csv and args.out is not None and Path(args.out).suffix == ".csv":
+        # the CSV goes to the report path with the suffix .csv, here the report itself
+        raise ConfigError(f"--csv would write its CSV over the report {args.out!r}")
+    if args.seed is not None and not spec.seeded:
         raise ConfigError(f"scenario {label} draws nothing at random and takes no seed")
-    if seed is not None and not (_is_int(seed) and seed >= 0):
-        raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
-    if spec.seeded and seed is None:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"'seed' must be a nonnegative integer, got {args.seed!r}")
+    if spec.seeded and args.seed is None:
         raise ConfigError(
-            f"scenario {scenario!r} is randomized and requires an explicit --seed "
-            "(or a \"seed\" config key); implicit wall-clock entropy is refused"
+            f"scenario {scenario!r} is randomized and requires an explicit --seed; "
+            "implicit wall-clock entropy is refused"
         )
     _check_floats(params)
     _check_integers(params, scenario)
-    if "tolerance" in params:
-        params["tolerance"] = float(params["tolerance"])
-    return spec, params, seed, out
+    return spec, params
 
 
 def _is_int(value) -> bool:
@@ -202,7 +200,7 @@ def _check_floats(params: dict) -> None:
     non-finite value is refused, not cast: a NaN ``residual_tol`` would run
     a campaign that can never find a violation.
     """
-    for key in ("tolerance", "scale", "residual_tol", "min_spread", "a", "b"):
+    for key in ("scale", "residual_tol", "min_spread", "a", "b"):
         if key in params and not _is_number(params[key]):
             raise ConfigError(f"{key!r} must be a finite number, got {params[key]!r}")
 
@@ -210,12 +208,13 @@ def _check_floats(params: dict) -> None:
 def _check_integers(params: dict, scenario: str) -> None:
     """Count keys must be integers >= 1, and the other integer keys integers.
 
-    A config that checks nothing is refused: ``grades`` must not be empty,
-    and ``brightness`` and ``proportionality``, which compare their frames
-    with one another, need ``num_frames`` >= 2 (``ratio-e48`` compares two
-    grades, so one frame each is a check).  ``nodes`` may be null (the
-    rule's default); floats, bools and strings are refused.  The library
-    checks the ranges of the keys that are not counts.
+    A config that checks nothing is refused: ``grades`` must not be empty
+    nor repeat a grade, and ``brightness`` and ``proportionality``, which
+    compare their frames with one another, need ``num_frames`` >= 2
+    (``ratio-e48`` compares two grades, so one frame each is a check).
+    ``nodes`` may be null (the rule's default); floats, bools and strings
+    are refused.  The library checks the ranges of the keys that are not
+    counts.
     """
     for key in ("samples", "num_frames", "trials", "solutions", "budget"):
         least = 2 if key == "num_frames" and scenario in ("brightness", "proportionality") else 1
@@ -228,6 +227,8 @@ def _check_integers(params: dict, scenario: str) -> None:
         grades = params["grades"]
         if not (isinstance(grades, list) and grades and all(map(_is_int, grades))):
             raise ConfigError(f"'grades' must be a non-empty list of integers, got {grades!r}")
+        if len(set(grades)) < len(grades):
+            raise ConfigError(f"'grades' must not repeat a grade, got {grades!r}")
 
 
 def _body(params: dict, key: str):
@@ -252,14 +253,18 @@ def _pair(params: dict):
 # the scenario's own CSV as byte chunks; without it --csv writes the checks
 
 
+_WEDGE_TOL = 1e-8
+
+
 def _run_verify_wedge(params: dict, seed: int):
     body, base = _pair(params)
-    grades = params["grades"]
-    betas = [float(params["scale"]) ** k for k in grades]  # K = scale K0 + t: beta_k = scale^k
-    tol = params["tolerance"]
-    dirs = haar_directions(body.dim, params["samples"], as_rng(seed))
+    grades, scale = params["grades"], float(params["scale"])
+    if scale <= 0:
+        raise ConfigError(f"'scale' must be positive, as K = scale K0 + t needs, got {scale!r}")
+    betas = [scale**k for k in grades]  # K = scale K0 + t: beta_k = scale^k
+    dirs = haar_directions(body.dim, params["samples"], seed)
     worst, solved = wedge_identity_defects(body, base, grades, betas, dirs)
-    checks = [Check(f"wedge_defect_k{k}", float(d), tol) for k, d in zip(grades, worst)]
+    checks = [Check(f"wedge_defect_k{k}", float(d), _WEDGE_TOL) for k, d in zip(grades, worst)]
     return checks, {"exact_norms": solved}
 
 
@@ -276,6 +281,9 @@ def _proper_grade(params: dict, key: str, dim: int) -> int:
     return k
 
 
+_BRIGHTNESS_TOL = 1e-6
+
+
 def _run_brightness(params: dict, seed: int):
     body = _body(params, "body")
     k = _proper_grade(params, "k", body.dim)
@@ -283,7 +291,7 @@ def _run_brightness(params: dict, seed: int):
     vols = shadow_volumes([body], k, frames, seed, nodes, ("body",))[1][:, 0]
     mid = median(vols)
     spread = float((vols.max() - vols.min()) / mid)
-    checks = [Check("brightness_spread_rel", spread, params["tolerance"])]
+    checks = [Check("brightness_spread_rel", spread, _BRIGHTNESS_TOL)]
     extras = {
         "volume_median": mid,
         "volume_min": float(vols.min()),
@@ -292,24 +300,30 @@ def _run_brightness(params: dict, seed: int):
     return checks, extras
 
 
+_PROPORTIONALITY_TOL = 1e-5
+
+
 def _run_proportionality(params: dict, seed: int):
     body, base = _pair(params)
     k = _proper_grade(params, "k", body.dim)
     report = proportionality_test(body, base, k, params["num_frames"], seed, params["nodes"])
-    tol = params["tolerance"]
-    checks = [Check("proportionality_max_rel_deviation", report.max_rel_deviation, tol)]
+    checks = [
+        Check("proportionality_max_rel_deviation", report.max_rel_deviation, _PROPORTIONALITY_TOL)
+    ]
     return checks, {"constant": report.constant}
+
+
+_SEARCH_TOL = 1e-6
 
 
 def _run_umbilic_search(params: dict, seed: int):
     body, base = _pair(params)
     objective = str(params["objective"])
-    tol = params["tolerance"]
     result = antipodal_search(
-        body, base, seed=seed, budget=params["budget"], objective=objective, tol=tol
+        body, base, seed=seed, budget=params["budget"], objective=objective, tol=_SEARCH_TOL
     )
     value = result.r_defect if objective == "antipodal" else result.umbilic.defect
-    checks = [Check("search_defect", value, tol)]
+    checks = [Check("search_defect", value, _SEARCH_TOL)]
     extras = {
         "u0": [float(v) for v in result.umbilic.u0],
         "r0": result.umbilic.r0,
@@ -342,6 +356,9 @@ def _run_antipodal(params: dict, seed: int):
     return checks, extras, lambda: _campaign_csv(report)
 
 
+_SOLVER_TOL = 1e-6
+
+
 def _run_solver(params: dict, seed: int):
     a, b = float(params["a"]), float(params["b"])
     k, m, n = params["k"], params["m"], params["n"]
@@ -351,7 +368,7 @@ def _run_solver(params: dict, seed: int):
     ys = np.array([inst.y for inst in found]).reshape(len(found), n)
     dists = _candidate_distances(ys, cands).max(axis=1)
     checks = [
-        Check("candidate_match_worst", float(dists.max(initial=0.0)), params["tolerance"]),
+        Check("candidate_match_worst", float(dists.max(initial=0.0)), _SOLVER_TOL),
         Check("solution_shortfall", float(wanted - len(found)), 0.0),
     ]
     extras = {
@@ -377,6 +394,9 @@ def _run_gallery(params: dict, seed):
     return [], {"families": list(FAMILIES)}
 
 
+_RATIO_E48_TOL = 1e-6
+
+
 def _run_ratio_e48(params: dict, seed: int):
     body, base = _pair(params)
     grades = _proper_grade(params, "i", body.dim), _proper_grade(params, "j", body.dim)
@@ -389,7 +409,7 @@ def _run_ratio_e48(params: dict, seed: int):
     s_i, s_j = (r.ratios ** (-1.0 / g) for r, g in zip(reports, grades))
     defect = float(np.abs(s_j[:, None] - s_i[None, :]).max())
     extras = {"constants": [r.constant for r in reports]}
-    return [Check("cross_grade_ratio_defect", defect, params["tolerance"])], extras
+    return [Check("cross_grade_ratio_defect", defect, _RATIO_E48_TOL)], extras
 
 
 @dataclass(frozen=True)
@@ -404,42 +424,23 @@ class Scenario:
 _SCENARIOS: dict[str, Scenario | dict[str, Scenario]] = {
     "verify-wedge": Scenario(
         _run_verify_wedge,
-        {
-            "body": _HOMOTHET_4D,
-            "base": _ELLIPSOID_4D,
-            "grades": [1, 2, 3],
-            "scale": 0.7,
-            "samples": 100,
-            "tolerance": 1e-8,
-        },
+        {"body": _HOMOTHET_4D, "base": _ELLIPSOID_4D, "grades": [1, 2, 3], "scale": 0.7,
+         "samples": 100},
         "exterior-power identity defects for a body pair over random directions",
     ),
     "brightness": Scenario(
         _run_brightness,
-        {"body": _BALL_3D, "k": 2, "num_frames": 20, "nodes": None, "tolerance": 1e-6},
+        {"body": _BALL_3D, "k": 2, "num_frames": 20, "nodes": None},
         "constancy of the k-th projection function over random subspaces",
     ),
     "proportionality": Scenario(
         _run_proportionality,
-        {
-            "body": _HOMOTHET_4D,
-            "base": _ELLIPSOID_4D,
-            "k": 2,
-            "num_frames": 50,
-            "nodes": None,
-            "tolerance": 1e-5,
-        },
+        {"body": _HOMOTHET_4D, "base": _ELLIPSOID_4D, "k": 2, "num_frames": 50, "nodes": None},
         "ratios V_k(K|U)/V_k(K0|U) over random subspaces",
     ),
     "umbilic-search": Scenario(
         _run_umbilic_search,
-        {
-            "body": _SPHEROID_5D,
-            "base": _BALL_5D,
-            "objective": "umbilic",
-            "budget": 4000,
-            "tolerance": 1e-6,
-        },
+        {"body": _SPHEROID_5D, "base": _BALL_5D, "objective": "umbilic", "budget": 4000},
         "antipodal search for a common relative umbilic direction",
     ),
     "lemma-campaign": {
@@ -452,8 +453,7 @@ _SCENARIOS: dict[str, Scenario | dict[str, Scenario]] = {
         "solver": Scenario(
             _run_solver,
             # k = 1 is the smallest instance with known roots
-            {"mode": "solver", "k": 1, "a": 1.0, "b": 2.0, "m": 3, "n": 4, "solutions": 25,
-             "tolerance": 1e-6},
+            {"mode": "solver", "k": 1, "a": 1.0, "b": 2.0, "m": 3, "n": 4, "solutions": 25},
             "hypothesis solutions matched against the candidate values",
         ),
     },
@@ -465,14 +465,7 @@ _SCENARIOS: dict[str, Scenario | dict[str, Scenario]] = {
     ),
     "ratio-e48": Scenario(
         _run_ratio_e48,
-        {
-            "body": _HOMOTHET_4D,
-            "base": _ELLIPSOID_4D,
-            "i": 1,
-            "j": 2,
-            "num_frames": 20,
-            "tolerance": 1e-6,
-        },
+        {"body": _HOMOTHET_4D, "base": _ELLIPSOID_4D, "i": 1, "j": 2, "num_frames": 20},
         "cross-grade consistency of projection-volume ratio exponents",
     ),
 }
@@ -675,7 +668,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="PRNG seed (required for randomized scenarios)")
         p.add_argument("--out", help="report path (default: <scenario>-report.json)")
         p.add_argument("--csv", action="store_true", help="also export CSV next to the report")
-        p.add_argument("--tolerance", type=float, help="override the scenario check tolerance")
     return parser
 
 
@@ -687,9 +679,9 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        spec, params, seed, out = _resolve_params(args.command, args)
+        spec, params = _resolve_params(args.command, args)
         start = time.perf_counter()
-        checks, extras, *own_csv = spec.run(params, seed)
+        checks, extras, *own_csv = spec.run(params, args.seed)
         wall = time.perf_counter() - start
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -706,14 +698,14 @@ def main(argv=None) -> int:
     report = {
         "schema": 1,
         "scenario": args.command,
-        "seed": seed if seed is not None else 0,
+        "seed": args.seed if args.seed is not None else 0,
         "inputs": params,
         "checks": [c.to_dict() for c in checks],
         "extras": extras,
         "wall_time_s": wall,
         "version": __version__,
     }
-    out_path = Path(out) if out is not None else Path(f"{args.command}-report.json")
+    out_path = Path(args.out if args.out is not None else f"{args.command}-report.json")
     _write_atomic(out_path, [(json.dumps(_strict(report), indent=2, allow_nan=False) + "\n").encode()])
     if args.csv:
         _write_atomic(out_path.with_suffix(".csv"), csv_chunks())

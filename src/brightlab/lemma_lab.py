@@ -48,7 +48,7 @@ from numpy.polynomial import polynomial as P
 
 from .errors import PreconditionError
 from .multilinear import _index_array, _index_tuples, _rank_lookup
-from .sampling import as_rng, median
+from .sampling import median
 
 __all__ = [
     "RelationInstance",
@@ -566,7 +566,7 @@ def find_hypothesis_solutions(
         )
     if k == 1 and 2.0 * b_unit > _power(2.0, m):
         return SolverSolutions()
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     found = SolverSolutions()
     drawn = 0
     while len(found) < solutions and drawn < _MAX_RESTARTS:

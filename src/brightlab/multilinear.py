@@ -28,7 +28,6 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .sampling import as_rng
 
 __all__ = [
     "KVector",
@@ -349,7 +348,7 @@ def polarization_check(
     if a.k < 2:
         raise ValueError("polarization over decomposables needs k >= 2")
     entry_tol = 100.0 * tol
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     defect_a = _sample_bianchi(a, rng, bianchi_samples)
     defect_b = _sample_bianchi(b, rng, bianchi_samples)
     entry_diff = float(np.abs(a.matrix - b.matrix).max())

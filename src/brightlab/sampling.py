@@ -8,24 +8,18 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_rng", "haar_directions", "hemisphere_grid", "median"]
-
-
-def as_rng(seed) -> np.random.Generator:
-    """Accept a seed or an existing Generator and return a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+__all__ = ["haar_directions", "hemisphere_grid", "median"]
 
 
 def haar_directions(n: int, count: int, seed) -> np.ndarray:
     """Draw ``count`` independent uniform directions on the unit sphere of R^n.
 
-    Returns an array of shape (count, n) with unit rows.
+    Returns an array of shape (count, n) with unit rows.  ``seed`` is anything
+    ``np.random.default_rng`` takes; a Generator is drawn from as it is.
     """
     if n < 1:
         raise ValueError("ambient dimension must be at least 1")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     v = rng.standard_normal((count, n))
     norms = np.linalg.norm(v, axis=1)
     # a norm of exactly zero has probability zero; guard anyway

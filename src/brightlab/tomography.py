@@ -46,7 +46,7 @@ import numpy as np
 
 from .body import ConvexBody, _as_point, tangent_frames
 from .multilinear import det
-from .sampling import as_rng, haar_directions, median
+from .sampling import haar_directions, median
 
 __all__ = [
     "SubspaceFrame",
@@ -98,7 +98,7 @@ def _haar_frames(n: int, k: int, rngs) -> np.ndarray:
 
 def random_subspace(n: int, k: int, seed) -> SubspaceFrame:
     """Haar-distributed k-frame in R^n, drawn as one frame of ``_haar_frames``."""
-    return SubspaceFrame(_haar_frames(n, k, [as_rng(seed)])[0])
+    return SubspaceFrame(_haar_frames(n, k, [np.random.default_rng(seed)])[0])
 
 
 class ProjectedBody(ConvexBody):
@@ -322,8 +322,7 @@ def homothety_fit(body, base, samples: int = 256, seed=0) -> HomothetyFit:
     The residual is the maximum absolute misfit of the support values over
     the sampled directions; it vanishes exactly when K = scale * K0 + shift.
     """
-    rng = as_rng(seed)
-    dirs = haar_directions(body.dim, samples, rng)
+    dirs = haar_directions(body.dim, samples, seed)
     values_only = np.empty((len(dirs), body.dim, 0))  # no frame column: no Hessian
     h_body = body.jets(dirs, values_only)[0]
     h_base = base.jets(dirs, values_only)[0]

@@ -47,7 +47,7 @@ import numpy as np
 from . import multilinear
 from .body import _symmetrized, _unit_rows, tangent_frames
 from .errors import PreconditionError
-from .sampling import as_rng, haar_directions, hemisphere_grid
+from .sampling import haar_directions, hemisphere_grid
 
 __all__ = [
     "UmbilicResult",
@@ -103,7 +103,7 @@ def _check_symmetric_body(base, u: np.ndarray) -> None:
 
     Only the values are read, so the jets get zero-column frames: no Hessian is built.
     """
-    v = np.vstack([u, haar_directions(base.dim, 8, as_rng(0))])
+    v = np.vstack([u, haar_directions(base.dim, 8, 0)])
     v = np.vstack([v, -v])
     hv, hmv = np.split(base.jets(v, np.empty((len(v), base.dim, 0)))[0], 2)
     worst = float(np.max(np.abs(hv - hmv) / np.maximum(1.0, np.abs(hv))))
@@ -420,7 +420,7 @@ class RevolutionEigenstructure:
 def _check_revolution_body(body, axis: np.ndarray, u: np.ndarray, t: float) -> None:
     """Verify the radii at u recur, to 1e-9 relative, at u turned about the axis
     onto 8 Haar directions of seed 0, each moved to the latitude t = <u, axis>."""
-    w = haar_directions(body.dim, 8, as_rng(0))
+    w = haar_directions(body.dim, 8, 0)
     w -= np.outer(w @ axis, axis)
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     v = np.vstack([u, t * axis + np.sqrt(1.0 - t * t) * w])

@@ -22,7 +22,7 @@ from brightlab.body import (
     finite_difference_jet,
     validate,
 )
-from brightlab.sampling import as_rng, haar_directions
+from brightlab.sampling import haar_directions
 from brightlab.tomography import ProjectedBody, project, random_subspace
 
 E4 = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21]))
@@ -88,7 +88,7 @@ def batched_bodies():
 class TestJetStructure:
     @pytest.mark.parametrize("body", all_families(), ids=lambda b: type(b).__name__)
     def test_euler_identities(self, body):
-        rng = as_rng(0)
+        rng = np.random.default_rng(0)
         for u in haar_directions(body.dim, 20, rng):
             jet = body.jet(u)
             assert jet.value == pytest.approx(body.support(u), rel=1e-12)
@@ -99,7 +99,7 @@ class TestJetStructure:
 
     @pytest.mark.parametrize("body", batched_bodies(), ids=lambda b: type(b).__name__)
     def test_jets_match_finite_differences(self, body):
-        dirs = haar_directions(body.dim, 10, as_rng(1))
+        dirs = haar_directions(body.dim, 10, 1)
         for u, grad, hess in zip(dirs, *body.jets(dirs, identity(dirs))[1:]):
             num = finite_difference_jet(body, u)
             scale = max(1.0, np.abs(hess).max())
@@ -109,7 +109,7 @@ class TestJetStructure:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
     def test_support_is_positively_homogeneous(self, seed, lam):
-        rng = as_rng(seed)
+        rng = np.random.default_rng(seed)
         x = rng.standard_normal(4)
         if np.linalg.norm(x) < 1e-6:
             x = np.ones(4)
@@ -164,7 +164,7 @@ class TestSpheroid:
     def test_matches_general_revolution(self):
         sph = Spheroid((0.0, 0.0, 1.0), 1.0, 1.4)
         rev = Revolution((0.0, 0.0, 1.0), spheroid_profile(1.0, 1.4))
-        rng = as_rng(2)
+        rng = np.random.default_rng(2)
         for u in haar_directions(3, 25, rng):
             a = sph.jet(u)
             b = rev.jet(u)
@@ -205,7 +205,7 @@ class TestBatchedJets:
     @pytest.mark.parametrize("body", batched_bodies(), ids=lambda b: type(b).__name__)
     def test_batched_jets_match_single_jets(self, body):
         eye = np.eye(body.dim)
-        dirs = np.vstack([eye[0], -eye[-1], haar_directions(body.dim, 30, as_rng(7))])
+        dirs = np.vstack([eye[0], -eye[-1], haar_directions(body.dim, 30, 7)])
         values, grads, hess = body.jets(dirs, identity(dirs))
         assert values.shape == (len(dirs),)
         assert grads.shape == dirs.shape
@@ -218,7 +218,7 @@ class TestBatchedJets:
 
     @pytest.mark.parametrize("body", batched_bodies(), ids=lambda b: type(b).__name__)
     def test_batched_jets_reject_non_unit_rows(self, body):
-        dirs = haar_directions(body.dim, 3, as_rng(8))
+        dirs = haar_directions(body.dim, 3, 8)
         dirs[1] *= 2.0
         with pytest.raises(ValueError, match=r"unit length, \|u\[1\]\| = "):
             body.jets(dirs, identity(dirs))
@@ -228,7 +228,7 @@ class TestBatchedJets:
     def test_rows_of_another_length_are_refused(self, body, shift):
         # a 3-D row handed to a 4-D body was read as if it were one of its rows
         n = body.dim
-        dirs = haar_directions(n + shift, 3, as_rng(11))
+        dirs = haar_directions(n + shift, 3, 11)
         with pytest.raises(ValueError, match=f"expected directions of length {n}, got {n + shift}$"):
             body.jets(dirs, identity(dirs))
 
@@ -259,7 +259,7 @@ class TestBatchedJets:
         for module in modules:
             if getattr(module, "_unit_rows", None) is checked:
                 monkeypatch.setattr(module, "_unit_rows", counted)
-        dirs = haar_directions(body.dim, 5, as_rng(10))
+        dirs = haar_directions(body.dim, 5, 10)
         frames = identity(dirs)
         for jets_calls in (1, 2):
             body.jets(dirs, frames)
@@ -268,7 +268,7 @@ class TestBatchedJets:
     @pytest.mark.parametrize("body", batched_bodies(), ids=lambda b: type(b).__name__)
     def test_frames_are_required(self, body):
         with pytest.raises(TypeError):
-            body.jets(haar_directions(body.dim, 3, as_rng(9)))
+            body.jets(haar_directions(body.dim, 3, 9))
 
 
 class TestRestrictedJets:
@@ -278,8 +278,8 @@ class TestRestrictedJets:
         # random, non-orthonormal frames; j = 0 is the k = 1 shadow, whose blocks are 0 x 0
         n = body.dim
         j = n if j == "n" else int(j)
-        dirs = haar_directions(n, 12, as_rng(21))
-        frames = as_rng(22).standard_normal((12, n, j))
+        dirs = haar_directions(n, 12, 21)
+        frames = np.random.default_rng(22).standard_normal((12, n, j))
         values, grads, hess = body.jets(dirs, identity(dirs))
         v, g, block = body.jets(dirs, frames)
         assert block.shape == (12, j, j)
@@ -303,7 +303,7 @@ class TestRevolution:
 class TestHarmonicPerturbation:
     def test_odd_part_cancels_from_width(self):
         body = HarmonicPerturbation(Ball(3, 1.0), (0.0, 0.0, 1.0), (0.5, -0.3, 0.1), 0.1)
-        for u in haar_directions(3, 50, as_rng(4)):
+        for u in haar_directions(3, 50, 4):
             assert width(body, u) == pytest.approx(2.0, abs=1e-12)
 
     def test_support_formula(self):
@@ -325,7 +325,7 @@ class TestCompositions:
     def test_minkowski_jets_add(self):
         parts = (Ball(3, 0.5), Ellipsoid(np.diag([1.0, 2.0, 3.0])))
         total = MinkowskiSum(parts)
-        u = haar_directions(3, 1, as_rng(5))[0]
+        u = haar_directions(3, 1, 5)[0]
         jet = total.jet(u)
         jets = [p.jet(u) for p in parts]
         assert jet.value == pytest.approx(sum(j.value for j in jets))
@@ -416,7 +416,7 @@ class TestSerialization:
     def test_roundtrip(self, body, doc):
         clone = body_from_dict(doc)
         assert type(clone) is type(body)
-        rng = as_rng(6)
+        rng = np.random.default_rng(6)
         for u in haar_directions(body.dim, 10, rng):
             assert clone.support(u) == pytest.approx(body.support(u), rel=1e-12)
 

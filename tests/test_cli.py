@@ -60,6 +60,23 @@ def mode_of(scenario, key):
     return {"mode": next(mode for mode, spec in entry.items() if key in spec.defaults)}
 
 
+# every scenario, and lemma-campaign once per mode
+SCENARIO_MODES = [
+    (name, mode)
+    for name, entry in cli._SCENARIOS.items()
+    for mode in (entry if isinstance(entry, dict) else [None])
+]
+
+
+def fuzz_base(scenario, mode):
+    """(flags, config) of a quick valid run: the seed flag where the scenario
+    draws one, and the mode and small counts in the config."""
+    config = {} if mode is None else {"mode": mode}
+    spec = cli._spec(scenario, config)
+    config.update({k: v for k, v in SMALL_COUNTS.items() if k in spec.defaults})
+    return ["--seed", "1"] if spec.seeded else [], config
+
+
 class TestExitCodes:
     def test_passing_scenario_exits_zero(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"scenario": "verify-wedge", "samples": 5})
@@ -142,16 +159,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as usage:
             cli.main(["verify-wedge", "--seed", "1", "--bogus"])
         assert usage.value.code == 2
-        first = ["--config", cfg, "--seed", "3", "--tolerance", "1e-3", "--csv"]
+        first = ["--config", cfg, "--seed", "3", "--csv"]
         assert cli.main(["verify-wedge", *first, "--out", str(tmp_path / "a.json")]) == 0
         assert (tmp_path / "a.csv").exists()
-        # no seed, tolerance, --csv or out path is left over from the first call
+        # no seed, --csv or out path is left over from the first call
         plain = ["verify-wedge", "--config", cfg]
         assert cli.main(plain) == 2 and "requires an explicit --seed" in capsys.readouterr().err
         assert cli.main([*plain, "--seed", "1", "--out", str(tmp_path / "b.json")]) == 0
         assert not (tmp_path / "b.csv").exists()
         report = json.loads((tmp_path / "b.json").read_text())
-        assert report["seed"] == 1 and report["inputs"]["tolerance"] == 1e-8
+        assert report["seed"] == 1 and report["checks"][0]["tol"] == 1e-8
         assert cli._build_parser.cache_info().currsize == 1
         # the parser is built on the first call, not at import
         code = "import brightlab.cli as cli; assert cli._build_parser.cache_info().currsize == 0"
@@ -192,6 +209,10 @@ class TestExitCodes:
             # betas is no verify-wedge key, so any value of it is refused by name
             ("verify-wedge", {"betas": "123"}, "'betas'"),
             ("verify-wedge", {"betas": [True, 0.49, 0.343]}, "'betas'"),
+            # two checks of one grade, both named wedge_defect_k1
+            ("verify-wedge", {"grades": [1, 1]}, "'grades' must not repeat a grade, got [1, 1]"),
+            # K = scale K0 + t needs scale > 0; at -0.7 grade 2 passed, since 0.49 = (-0.7)^2
+            ("verify-wedge", {"scale": 0}, "'scale' must be positive"),
         ],
     )
     def test_integer_keys_and_mistyped_inputs_exit_two(
@@ -264,15 +285,14 @@ class TestExitCodes:
             ("lemma-campaign", {"mode": "sweep"}, (), "unknown lemma-campaign mode 'sweep' "
              "(expected 'antipodal' or 'solver')"),
             ("lemma-campaign", {"mode": ["solver"]}, (), "unknown lemma-campaign mode ['solver']"),
-            # no check of gallery or of antipodal mode reads a tolerance
-            ("gallery", {}, ("--tolerance", "3"), "unknown config key 'tolerance' for scenario "
-             "'gallery'"),
+            # tolerances are constants, and the seed and report path flags only
+            ("gallery", {"out": "g.json"}, (), "unknown config key 'out' for scenario 'gallery'"),
             ("gallery", {"tolerance": 0.0}, (), "unknown config key 'tolerance'"),
-            ("lemma-campaign", {"mode": "antipodal"}, ("--tolerance", "1e-3"),
+            ("lemma-campaign", {"mode": "antipodal", "tolerance": 1e-3}, (),
              "unknown config key 'tolerance' for scenario 'lemma-campaign' in mode 'antipodal'"),
             # gallery draws nothing at random
             ("gallery", {}, ("--seed", "4"), "'gallery' draws nothing at random"),
-            ("gallery", {"seed": 4}, (), "'gallery' draws nothing at random"),
+            ("gallery", {"seed": 4}, (), "unknown config key 'seed' for scenario 'gallery'"),
             # projection functions have grades 1 ... n - 1, here n = 4
             ("ratio-e48", {"i": 2, "j": 5}, (), "'j' must be a grade 1 ... n - 1 = 3, got 5"),
             ("ratio-e48", {"i": 0, "j": 2}, (), "'i' must be a grade 1 ... n - 1 = 3, got 0"),
@@ -318,6 +338,7 @@ class TestExitCodes:
         ],
     )
     def test_bools_refused_for_seed_and_float_keys(self, tmp_path, capsys, scenario, config, key):
+        # "tolerance" and "seed" are no config keys, so a bool there is an unknown key
         cfg = write_config(tmp_path / "c.json", config)
         argv = [scenario, "--config", cfg, "--out", str(tmp_path / "r.json")]
         if key != "seed":
@@ -336,8 +357,7 @@ class TestExitCodes:
             ("lemma-campaign", {"mode": "solver", "b": float("-inf")}, "b"),
             ("lemma-campaign", {"mode": "solver", "b": 10**400}, "b"),
             ("verify-wedge", {"scale": "0.7"}, "scale"),
-            ("verify-wedge", {"tolerance": None}, "tolerance"),
-            ("brightness", {"tolerance": float("inf")}, "tolerance"),
+            ("verify-wedge", {"scale": None}, "scale"),
         ],
     )
     def test_float_keys_must_be_finite_numbers(self, tmp_path, capsys, scenario, config, key):
@@ -366,10 +386,36 @@ class TestExitCodes:
         assert not (tmp_path / "r.json").exists()
 
     def test_nan_tolerance_flag_exits_two(self, tmp_path, capsys):
+        # each check's tolerance is its scenario's constant, so there is no such flag
         argv = ["verify-wedge", "--seed", "1", "--tolerance", "nan"]
-        assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 2
-        assert "'tolerance' must be a finite number, got nan" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as usage:
+            cli.main([*argv, "--out", str(tmp_path / "r.json")])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --tolerance nan" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("tolerance", 1e-6), ("seed", 1), ("out", "c.json")])
+    @pytest.mark.parametrize("scenario, mode", SCENARIO_MODES)
+    def test_tolerance_seed_and_out_are_no_config_keys(
+        self, tmp_path, capsys, scenario, mode, key, value
+    ):
+        # a check keeps its scenario's tolerance, and the seed and the report
+        # path are the flags --seed and --out only
+        config = {} if mode is None else {"mode": mode}
+        cfg = write_config(tmp_path / "c.json", {**config, key: value})
+        flags, _ = fuzz_base(scenario, mode)
+        out = tmp_path / "r.json"
+        assert cli.main([scenario, "--config", cfg, *flags, "--out", str(out)]) == 2
+        label = f"{scenario!r}" + ("" if mode is None else f" in mode {mode!r}")
+        assert f"unknown config key {key!r} for scenario {label}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_over_its_own_report_exits_two(self, tmp_path, capsys):
+        # the CSV goes to the report path with the suffix .csv: here the report itself
+        path = tmp_path / "r.csv"
+        assert cli.main(["verify-wedge", "--seed", "1", "--out", str(path), "--csv"]) == 2
+        assert f"--csv would write its CSV over the report {str(path)!r}" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_unrepresentable_solver_target_exits_two_quietly(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"mode": "solver", "a": 1.0, "b": 1e300})
@@ -966,24 +1012,27 @@ HUGE = [10**12, 1e300]
 
 @st.composite
 def mutated_configs(draw):
-    scenario = draw(st.sampled_from(sorted(cli._SCENARIOS)))
-    entry = cli._SCENARIOS[scenario]
-    config = {}
-    if isinstance(entry, dict):  # the mode first, then a key of its own
-        config["mode"] = draw(st.sampled_from(sorted(entry)))
+    scenario, mode = draw(st.sampled_from(SCENARIO_MODES))
+    flags, config = fuzz_base(scenario, mode)
     spec = cli._spec(scenario, config)
-    config.update({k: v for k, v in SMALL_COUNTS.items() if k in spec.defaults})
-    if spec.seeded:
-        config["seed"] = 1
     value = None
     if spec.defaults:  # gallery has no key
         key = draw(st.sampled_from(sorted(spec.defaults)))
         value = draw(st.sampled_from(MUTANTS + ([] if key in LONG_WHEN_HUGE else HUGE)))
         config[key] = value
-    return scenario, config, value
+    return scenario, config, flags, value
 
 
 class TestConfigFuzzer:
+    @pytest.mark.parametrize("scenario, mode", SCENARIO_MODES)
+    def test_unmutated_config_runs(self, tmp_path, capsys, scenario, mode):
+        # the config every mutant starts from is not refused, so a mutant's exit 2
+        # is its key's (a 20-evaluation search does not converge, and exits 1)
+        flags, config = fuzz_base(scenario, mode)
+        cfg = write_config(tmp_path / "c.json", config)
+        code = cli.main([scenario, "--config", cfg, *flags, "--out", str(tmp_path / "r.json")])
+        assert code in (0, 1), capsys.readouterr().err
+
     @settings(
         max_examples=150,
         deadline=None,
@@ -991,8 +1040,8 @@ class TestConfigFuzzer:
     )
     @given(case=mutated_configs())
     def test_one_bad_key_never_raises(self, tmp_path, case):
-        scenario, config, value = case
+        scenario, config, flags, value = case
         cfg = write_config(tmp_path / "c.json", config)
-        code = cli.main([scenario, "--config", cfg, "--out", str(tmp_path / "r.json")])
+        code = cli.main([scenario, "--config", cfg, *flags, "--out", str(tmp_path / "r.json")])
         # no key takes a bool, the float keys included
         assert code == 2 if isinstance(value, bool) else code in (0, 1, 2)

@@ -771,12 +771,12 @@ class TestEigenvalueAudit:
 
     def test_pipeline_integration_with_relative_maps(self):
         from brightlab.body import Ellipsoid, Homothet, tangent_frames
-        from brightlab.sampling import as_rng, haar_directions
+        from brightlab.sampling import haar_directions
         from brightlab.weingarten import relative_maps
 
         base = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21]))
         body = Homothet(base, 0.7, (0.1, 0.0, -0.2, 0.0))
-        u = haar_directions(4, 1, as_rng(4))[0]
+        u = haar_directions(4, 1, 4)[0]
         v = np.stack([u, -u])
         r, r_tilde = np.linalg.eigvalsh(relative_maps(body, base, v, tangent_frames(v)))
         r_tilde = r_tilde[::-1]

@@ -17,7 +17,7 @@ from brightlab.body import (
 )
 from brightlab.errors import PreconditionError
 from brightlab.multilinear import SymKForm, compound, polarization_check
-from brightlab.sampling import as_rng, haar_directions
+from brightlab.sampling import haar_directions
 from brightlab.tomography import homothety_fit
 from brightlab.weingarten import (
     _antipodal_maps,
@@ -163,7 +163,7 @@ class SpyBall(Ball):
 
 class TestTangentFrame:
     def test_frames_are_orthonormal_and_span_u_perp(self):
-        dirs = haar_directions(5, 20, as_rng(0))
+        dirs = haar_directions(5, 20, 0)
         for u, basis in zip(dirs, tangent_frames(dirs)):
             assert basis.shape == (5, 4)
             assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-12)
@@ -173,7 +173,7 @@ class TestTangentFrame:
     def test_stacked_frames_match_single_frames(self, n):
         # e_1 takes the identity branch; -e_1 and e_n the reflection
         eye = np.eye(n)
-        dirs = np.vstack([eye[0], -eye[0], eye[-1], haar_directions(n, 20, as_rng(2))])
+        dirs = np.vstack([eye[0], -eye[0], eye[-1], haar_directions(n, 20, 2)])
         bases = tangent_frames(dirs)
         assert bases.shape == (len(dirs), n, n - 1)
         for u, basis in zip(dirs, bases):
@@ -181,7 +181,7 @@ class TestTangentFrame:
         assert np.array_equal(bases[0], eye[:, 1:])
 
     def test_stacked_frames_reject_non_unit_rows(self):
-        dirs = haar_directions(3, 4, as_rng(3))
+        dirs = haar_directions(3, 4, 3)
         dirs[2] *= 1.001
         with pytest.raises(ValueError, match="unit length"):
             tangent_frames(dirs)
@@ -189,7 +189,7 @@ class TestTangentFrame:
             tangent_frames(dirs[0])
 
     def test_frame_choice_does_not_change_spectra(self):
-        rng = as_rng(1)
+        rng = np.random.default_rng(1)
         for u in haar_directions(4, 10, rng):
             frame = tangent_frames(u[None])
             q, _ = np.linalg.qr(rng.standard_normal((3, 3)))  # another basis of u^perp
@@ -214,7 +214,7 @@ class TestReverseWeingarten:
         assert np.allclose(eq, [1.0, 1.4**2], atol=1e-12)
 
     def test_homothet_scales_the_map(self):
-        dirs = haar_directions(4, 10, as_rng(2))
+        dirs = haar_directions(4, 10, 2)
         frames = tangent_frames(dirs)
         a = K4.jets(dirs, frames)[2]
         b = E4.jets(dirs, frames)[2]
@@ -224,14 +224,14 @@ class TestReverseWeingarten:
 
 class TestRelativeMap:
     def test_relative_to_unit_ball_is_plain_map(self):
-        dirs = haar_directions(4, 5, as_rng(3))
+        dirs = haar_directions(4, 5, 3)
         frames = tangent_frames(dirs)
         rel = relative_maps(E4, Ball(4, 1.0), dirs, frames)
         plain = E4.jets(dirs, frames)[2]
         assert np.allclose(rel, plain, atol=1e-10)
 
     def test_homothet_pair_is_isotropic(self):
-        dirs = haar_directions(4, 10, as_rng(4))
+        dirs = haar_directions(4, 10, 4)
         rel = relative_maps(K4, E4, dirs, tangent_frames(dirs))
         assert rel.shape == (10, 3, 3)
         assert np.allclose(rel, 0.7 * np.eye(3), atol=1e-10)
@@ -260,7 +260,7 @@ class TestRelativeMap:
 
 class TestWedgeIdentity:
     def test_homothet_pair_satisfies_identity_all_grades(self):
-        dirs = haar_directions(4, 25, as_rng(5))
+        dirs = haar_directions(4, 25, 5)
         worst, solved = wedge_identity_defects(K4, E4, [1, 2, 3], [0.7, 0.7**2, 0.7**3], dirs)
         assert worst.shape == (3,) and len(solved) == 3
         assert all(1 <= count <= 25 for count in solved)
@@ -268,7 +268,7 @@ class TestWedgeIdentity:
 
     def test_translation_invariance(self):
         shifted = Homothet(E4, 1.0, (0.4, -0.1, 0.0, 0.2))
-        dirs = haar_directions(4, 10, as_rng(6))
+        dirs = haar_directions(4, 10, 6)
         worst = wedge_identity_defects(shifted, E4, [2], [1.0], dirs)[0][0]
         assert worst < 1e-10
 
@@ -276,7 +276,7 @@ class TestWedgeIdentity:
         # a linear odd term would only translate the ball; the cubic term
         # genuinely breaks central symmetry of the curvature
         body = HarmonicPerturbation(Ball(4, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.4), 0.3)
-        dirs = haar_directions(4, 10, as_rng(7))
+        dirs = haar_directions(4, 10, 7)
         worst = wedge_identity_defects(body, Ball(4, 1.0), [2], [1.0], dirs)[0][0]
         assert worst > 1e-3
 
@@ -286,28 +286,28 @@ class TestWedgeIdentity:
             wedge_identity_defects(E4, asym, [1], [1.0], np.array([[1.0, 0.0, 0.0, 0.0]]))
         assert "centrally symmetric" in str(err.value)
         with pytest.raises(PreconditionError, match="centrally symmetric"):
-            wedge_identity_defects(E4, asym, [2], [1.0], haar_directions(4, 50, as_rng(13)))
+            wedge_identity_defects(E4, asym, [2], [1.0], haar_directions(4, 50, 13))
 
     def test_symmetry_check_asks_for_no_hessian(self):
         from brightlab import weingarten
 
         spy = SpyBall(4)
-        weingarten._check_symmetric_body(spy, haar_directions(4, 10, as_rng(3)))
+        weingarten._check_symmetric_body(spy, haar_directions(4, 10, 3))
         assert spy.columns == [0]
         # the identity then restricts the base's Hessians to the 3-column tangent frames
-        wedge_identity_defects(K4, spy, [1], [0.7], haar_directions(4, 5, as_rng(4)))
+        wedge_identity_defects(K4, spy, [1], [0.7], haar_directions(4, 5, 4))
         assert spy.columns == [0, 0, 3]
 
     def test_grades_and_betas_must_align(self):
         with pytest.raises(ValueError):
-            wedge_identity_defects(K4, E4, [1, 2], [0.7], haar_directions(4, 5, as_rng(17)))
+            wedge_identity_defects(K4, E4, [1, 2], [0.7], haar_directions(4, 5, 17))
 
     @pytest.mark.parametrize(
         "body, base, grades", [(K4, E4, (1, 2, 3)), (K6, E6, (2, 3, 4)), (E6, Ball(6, 1.0), (2, 5))]
     )
     def test_sweep_matches_per_direction_formula(self, body, base, grades):
         # the worst over one direction is that direction's defect
-        dirs = haar_directions(body.dim, 40, as_rng(14))
+        dirs = haar_directions(body.dim, 40, 14)
         betas = [0.7**k for k in grades]
         rows = np.array([wedge_identity_defects(body, base, grades, betas, u[None])[0] for u in dirs])
         for k, beta, swept in zip(grades, betas, rows.T):
@@ -316,7 +316,7 @@ class TestWedgeIdentity:
 
     @pytest.mark.parametrize("body, base", [(K4, E4), (K6, E6)])
     def test_grade_sweep_equals_per_grade_rows_bit_for_bit(self, body, base):
-        dirs = haar_directions(body.dim, 30, as_rng(15))
+        dirs = haar_directions(body.dim, 30, 15)
         grades, betas = [1, 2, 3], [0.7, 0.7**2, 0.7**3]
         for u in dirs:
             swept = wedge_identity_defects(body, base, grades, betas, u[None])[0]
@@ -337,7 +337,7 @@ class TestWedgeIdentity:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_stacked_worst_is_the_largest_single_row_defect(self, body, base, grades, scale, m, seed):
         betas = [scale**k for k in grades]
-        dirs = haar_directions(body.dim, m, as_rng(seed))
+        dirs = haar_directions(body.dim, m, seed)
         rows = np.array([wedge_identity_defects(body, base, grades, betas, u[None])[0] for u in dirs])
         worst, solved = wedge_identity_defects(body, base, grades, betas, dirs)
         assert np.array_equal(worst, rows.max(axis=0))
@@ -370,7 +370,7 @@ class TestWedgeIdentity:
         # eigvalsh alone reads only the lower triangle: a NaN at (0, 1) with k = 1 gives a
         # finite defect, one at (0, 0) with k = 2 raises "Eigenvalues did not converge",
         # and with k = 3 the worst defect is NaN
-        shape, dirs = np.diag([1.0, 1.69, 0.64, 1.21]), haar_directions(4, 10, as_rng(2))
+        shape, dirs = np.diag([1.0, 1.69, 0.64, 1.21]), haar_directions(4, 10, 2)
         for row in (3, 13):  # +u[3] and -u[3]
             with pytest.raises(PreconditionError, match=f"grade-{k} .* at direction 3 has an entry"):
                 wedge_identity_defects(NaNHessian(shape, row, entry), Ellipsoid(shape), [k], [1.0], dirs)
@@ -388,7 +388,7 @@ class TestWedgeIdentity:
     def test_eigvalsh_norm_matches_spectral_norm(self):
         # off-beta ratios make the defect matrices large, so the two norms
         # are compared far from the rounding floor
-        dirs = haar_directions(4, 20, as_rng(16))
+        dirs = haar_directions(4, 20, 16)
         for k in (1, 2, 3):
             beta = 1.1 * 0.7**k
             defects = [wedge_identity_defects(K4, E4, [k], [beta], u[None])[0][0] for u in dirs]
@@ -398,7 +398,7 @@ class TestWedgeIdentity:
             np.testing.assert_allclose(defects, expected, rtol=0, atol=1e-15 * scale)
 
     def test_relative_version_matches_and_diagonalizes(self):
-        dirs = haar_directions(4, 10, as_rng(8))
+        dirs = haar_directions(4, 10, 8)
         for k in (1, 2):
             beta = 0.7**k
             worst = max(relative_wedge_defect(K4, E4, k, beta, u) for u in dirs)
@@ -406,13 +406,13 @@ class TestWedgeIdentity:
 
     def test_relative_version_reports_violation(self):
         body = HarmonicPerturbation(Ball(4, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.4), 0.3)
-        u = haar_directions(4, 1, as_rng(9))[0]
+        u = haar_directions(4, 1, 9)[0]
         assert relative_wedge_defect(body, Ball(4, 1.0), 2, 1.0, u) > 1e-3
 
     def test_forms_from_both_sides_polarize_equal(self):
         # the two averaged wedge forms agree as forms, reconstructed from
         # decomposable evaluations alone
-        u = haar_directions(4, 1, as_rng(10))
+        u = haar_directions(4, 1, 10)
         frame = tangent_frames(u)
         k, beta = 2, 0.7**2
         (lu,) = K4.jets(u, frame)[2]
@@ -443,7 +443,7 @@ class TestUmbilic:
         assert body.columns == base.columns == [0]
 
     def test_ball_pair_is_umbilic_everywhere(self):
-        u = haar_directions(3, 1, as_rng(11))[0]
+        u = haar_directions(3, 1, 11)[0]
         res = umbilic_at(Ball(3, 2.0), Ball(3, 1.0), u)
         assert res.is_umbilic
         assert res.r0 == pytest.approx(2.0)
@@ -698,7 +698,7 @@ class TestUmbilic:
     def test_residual_matches_its_definition(self):
         body = HarmonicPerturbation(SPHEROID_5D, (0.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.3), 0.2)
         base = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21, 0.81]))
-        points = haar_directions(5, 3, as_rng(16))
+        points = haar_directions(5, 3, 16)
         frames = tangent_frames(points)
         v = np.stack([points, -points], axis=1).reshape(-1, 5)
         maps = relative_maps(body, base, v, frames.repeat(2, axis=0))
@@ -712,9 +712,9 @@ class TestUmbilic:
 
     @pytest.mark.parametrize("objective", ["umbilic", "antipodal"])
     def test_residual_does_not_depend_on_frame(self, objective):
-        points = haar_directions(5, 4, as_rng(13))
+        points = haar_directions(5, 4, 13)
         frames = tangent_frames(points)
-        q, _ = np.linalg.qr(as_rng(14).standard_normal((4, 4)))
+        q, _ = np.linalg.qr(np.random.default_rng(14).standard_normal((4, 4)))
         body = HarmonicPerturbation(SPHEROID_5D, (0.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.3), 0.2)
         base = Ellipsoid(np.diag([1.0, 1.69, 0.64, 1.21, 0.81]))
         v = np.stack([points, -points], axis=1).reshape(-1, 5)
@@ -728,7 +728,7 @@ class TestUmbilic:
         np.testing.assert_allclose(residuals[1], residuals[0], rtol=rtol, atol=atol)
 
     def test_residual_vanishes_for_a_ball_pair(self):
-        points = haar_directions(3, 6, as_rng(15))
+        points = haar_directions(3, 6, 15)
         frames = tangent_frames(points)
         v = np.stack([points, -points], axis=1).reshape(-1, 3)
         maps = relative_maps(Ball(3, 2.0), Ball(3, 1.0), v, frames.repeat(2, axis=0))
@@ -760,7 +760,7 @@ class TestUmbilic:
     def test_eigen_profile_is_sorted(self):
         # the relative radii the search compares are the ascending eigenvalues
         # of the relative maps; against the unit ball they are E4's radii
-        dirs = haar_directions(4, 5, as_rng(12))
+        dirs = haar_directions(4, 5, 12)
         frames = tangent_frames(dirs)
         radii = np.linalg.eigvalsh(relative_maps(E4, Ball(4, 1.0), dirs, frames))
         assert np.all(np.diff(radii, axis=1) >= 0)
@@ -876,7 +876,7 @@ class TestRevolutionStructure:
 
     def test_ball_gets_wildcard_axis(self):
         # every axis is an axis of revolution of a ball
-        for axis in haar_directions(4, 3, as_rng(4)):
+        for axis in haar_directions(4, 3, 4):
             u = np.array([1.0, 0.0, 0.0, 0.0])
             u -= (u @ axis) * axis
             es = revolution_eigenstructure(Ball(4, 2.0), axis, u / np.linalg.norm(u))
@@ -966,7 +966,7 @@ class TestRevolutionRelations:
 
     def test_isotropic_pair_holds_about_any_axis(self):
         body = Homothet(Ball(3, 1.0), 1.3)
-        for axis in haar_directions(3, 4, as_rng(9)):
+        for axis in haar_directions(3, 4, 9):
             u = np.cross(axis, [1.0, 0.0, 0.0])
             u /= np.linalg.norm(u)
             defects = revolution_relations_check(
