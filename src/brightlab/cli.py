@@ -6,13 +6,15 @@ writes a schema-versioned JSON report atomically.  Every check is the pair
 (value, tolerance) with pass defined uniformly as value <= tolerance.
 
 Exit status: 0 when every check passes, 1 when some check fails (the report
-is still written), 2 for configuration or validation errors.
+is still written), 2 for configuration or validation errors and for a report
+that cannot be written.
 
 Config schema (JSON object, all keys optional; a scenario takes exactly the
 keys its runner reads, and ``lemma-campaign``'s "mode", "antipodal" by default
 or "solver", picks its runner and keys).  Each check's tolerance is a constant
 of its scenario, and the seed and report path are the flags ``--seed`` and
-``--out`` only:
+``--out`` only.  ``schema``, if present, must be the integer 1, and a config
+that sets a key twice, at any depth, is refused:
 
     {"schema": 1, "scenario": "verify-wedge", ...scenario keys...}
 
@@ -126,13 +128,23 @@ _BALL_3D = {"family": "ball", "params": {"dim": 3, "radius": 1.0}}
 # config plumbing
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, refusing a key that it sets twice (json keeps the last)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"config sets the key {key!r} twice")
+        doc[key] = value
+    return doc
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -156,8 +168,8 @@ def _resolve_params(scenario: str, args: argparse.Namespace):
     entry of the scenario, or of its config's mode.  The seed and the report
     path are flags only, checked here against the scenario."""
     doc = {} if args.config is None else _load_config(args.config)
-    if doc.get("schema", 1) != 1:
-        raise ConfigError(f"unsupported config schema {doc.get('schema')!r}; expected 1")
+    if "schema" in doc and not (_is_int(doc["schema"]) and doc["schema"] == 1):
+        raise ConfigError(f"'schema' must be the integer 1, got {doc['schema']!r}")
     if "scenario" in doc and doc["scenario"] != scenario:
         raise ConfigError(
             f"config is for scenario {doc['scenario']!r} but subcommand is {scenario!r}"
@@ -175,6 +187,12 @@ def _resolve_params(scenario: str, args: argparse.Namespace):
     if args.csv and args.out is not None and Path(args.out).suffix == ".csv":
         # the CSV goes to the report path with the suffix .csv, here the report itself
         raise ConfigError(f"--csv would write its CSV over the report {args.out!r}")
+    out = _report_path(args)
+    if not out.name:
+        raise ConfigError(f"--out {args.out!r} names no file")
+    for path in (out, out.with_suffix(".csv")) if args.csv else (out,):
+        if path.is_dir():
+            raise ConfigError(f"cannot write {str(path)!r}: it is a directory")
     if args.seed is not None and not spec.seeded:
         raise ConfigError(f"scenario {label} draws nothing at random and takes no seed")
     if args.seed is not None and args.seed < 0:
@@ -258,7 +276,8 @@ _WEDGE_TOL = 1e-8
 
 def _run_verify_wedge(params: dict, seed: int):
     body, base = _pair(params)
-    grades, scale = params["grades"], float(params["scale"])
+    grades = [_proper_grade("grades", k, body.dim) for k in params["grades"]]
+    scale = float(params["scale"])
     if scale <= 0:
         raise ConfigError(f"'scale' must be positive, as K = scale K0 + t needs, got {scale!r}")
     betas = [scale**k for k in grades]  # K = scale K0 + t: beta_k = scale^k
@@ -268,13 +287,13 @@ def _run_verify_wedge(params: dict, seed: int):
     return checks, {"exact_norms": solved}
 
 
-def _proper_grade(params: dict, key: str, dim: int) -> int:
-    """``params[key]``, refused outside 1 ... dim - 1: a grade-n shadow is the body itself."""
-    k = params[key]
+def _proper_grade(key: str, k: int, dim: int) -> int:
+    """The grade k of config key ``key``, refused outside 1 ... dim - 1: a grade-n
+    shadow is the body itself, so a grade-n projection function is a constant."""
     if k == dim:
         raise ConfigError(
             f"{key!r} = {dim} is the bodies' dimension, where every shadow is the body itself "
-            f"and the check measures only quadrature noise; use {key} < n"
+            f"and the projection function a constant; use {key} < n"
         )
     if not 1 <= k < dim:
         raise ConfigError(f"{key!r} must be a grade 1 ... n - 1 = {dim - 1}, got {k}")
@@ -286,7 +305,7 @@ _BRIGHTNESS_TOL = 1e-6
 
 def _run_brightness(params: dict, seed: int):
     body = _body(params, "body")
-    k = _proper_grade(params, "k", body.dim)
+    k = _proper_grade("k", params["k"], body.dim)
     frames, nodes = params["num_frames"], params["nodes"]
     vols = shadow_volumes([body], k, frames, seed, nodes, ("body",))[1][:, 0]
     mid = median(vols)
@@ -305,7 +324,7 @@ _PROPORTIONALITY_TOL = 1e-5
 
 def _run_proportionality(params: dict, seed: int):
     body, base = _pair(params)
-    k = _proper_grade(params, "k", body.dim)
+    k = _proper_grade("k", params["k"], body.dim)
     report = proportionality_test(body, base, k, params["num_frames"], seed, params["nodes"])
     checks = [
         Check("proportionality_max_rel_deviation", report.max_rel_deviation, _PROPORTIONALITY_TOL)
@@ -319,20 +338,16 @@ _SEARCH_TOL = 1e-6
 def _run_umbilic_search(params: dict, seed: int):
     body, base = _pair(params)
     objective = str(params["objective"])
-    result = antipodal_search(
-        body, base, seed=seed, budget=params["budget"], objective=objective, tol=_SEARCH_TOL
-    )
-    value = result.r_defect if objective == "antipodal" else result.umbilic.defect
+    result = antipodal_search(body, base, seed=seed, budget=params["budget"], objective=objective)
+    value = result.r_defect if objective == "antipodal" else result.umbilic_defect
     checks = [Check("search_defect", value, _SEARCH_TOL)]
     extras = {
-        "u0": [float(v) for v in result.umbilic.u0],
-        "r0": result.umbilic.r0,
-        "umbilic_defect": result.umbilic.defect,
+        "u0": [float(v) for v in result.u0],
+        "r0": result.r0,
+        "umbilic_defect": result.umbilic_defect,
         "r_defect": result.r_defect,
-        "converged": result.converged,
         "evaluations": result.evaluations,
         "gauss_newton_steps": result.gauss_newton_steps,
-        "objective": objective,
     }
     return checks, extras
 
@@ -399,7 +414,7 @@ _RATIO_E48_TOL = 1e-6
 
 def _run_ratio_e48(params: dict, seed: int):
     body, base = _pair(params)
-    grades = _proper_grade(params, "i", body.dim), _proper_grade(params, "j", body.dim)
+    grades = _proper_grade("i", params["i"], body.dim), _proper_grade("j", params["j"], body.dim)
     if grades[0] == grades[1]:
         raise ConfigError(f"grades must differ, got i = j = {grades[0]}")
     reports = [
@@ -473,6 +488,10 @@ _SCENARIOS: dict[str, Scenario | dict[str, Scenario]] = {
 
 # ---------------------------------------------------------------------------
 # report assembly and output
+
+
+def _report_path(args: argparse.Namespace) -> Path:
+    return Path(args.out if args.out is not None else f"{args.command}-report.json")
 
 
 def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
@@ -705,10 +724,16 @@ def main(argv=None) -> int:
         "wall_time_s": wall,
         "version": __version__,
     }
-    out_path = Path(args.out if args.out is not None else f"{args.command}-report.json")
-    _write_atomic(out_path, [(json.dumps(_strict(report), indent=2, allow_nan=False) + "\n").encode()])
-    if args.csv:
-        _write_atomic(out_path.with_suffix(".csv"), csv_chunks())
+    out_path = path = _report_path(args)
+    try:
+        _write_atomic(path, [(json.dumps(_strict(report), indent=2, allow_nan=False) + "\n").encode()])
+        if args.csv:
+            path = out_path.with_suffix(".csv")
+            _write_atomic(path, csv_chunks())
+    except OSError as exc:
+        # say, a file where the path needs a directory: the run is lost, not failed
+        print(f"error: cannot write {str(path)!r}: {exc}", file=sys.stderr)
+        return 2
 
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

@@ -34,8 +34,9 @@ the worst defect is returned.  Every relative map comes from
 ``relative_maps``; the umbilic search takes the maps at +-p for a stack of
 points p, each pair in the frame built at p, in one call for its whole grid
 (``sampling.hemisphere_grid``, seeded Haar directions flipped onto a
-hemisphere), one per Gauss-Newton iteration and one for the final
-certificate.
+hemisphere), one per Gauss-Newton iteration and one for the defects at
+the point it returns: measurements only, which the caller compares with
+its own tolerance.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .errors import PreconditionError
 from .sampling import haar_directions, hemisphere_grid
 
 __all__ = [
-    "UmbilicResult",
     "AntipodalSearchResult",
     "RevolutionEigenstructure",
     "RevolutionRelationDefects",
@@ -214,47 +214,33 @@ def relative_wedge_defect(body, base, k: int, beta: float, u) -> float:
 
 
 @dataclass(frozen=True)
-class UmbilicResult:
-    """Certificate that both maps at +-u0 are (close to) r0 times identity.
+class AntipodalSearchResult:
+    """Measurements of ``antipodal_search`` at the direction u0 it returns.
 
-    ``defect`` is max over the two signs of the operator norm of
-    M(+-u0) - r0 Id, with r0 the mean of all 2(n-1) eigenvalues;
-    ``boundary_points`` are the support gradients at +-u0 (their tangent
-    hyperplanes are parallel by construction).
+    ``umbilic_defect`` is the max over the two signs of the operator norm of
+    M(+-u0) - r0 Id, with r0 the mean of all 2(n-1) eigenvalues of M(+-u0);
+    ``r_defect`` is the norm of the difference of their ascending radii.
+    ``evaluations`` counts the grid directions and the 2n - 1 directions of
+    each Gauss-Newton iteration; the budget applies to it.
+    ``gauss_newton_steps`` counts those iterations, each one stacked
+    ``relative_maps`` call, so evaluations = grid + (2n - 1) steps.  The
+    caller judges the defects: no tolerance is applied here.
     """
 
     u0: np.ndarray
     r0: float
-    defect: float
-    boundary_points: tuple
-    is_umbilic: bool
-
-
-@dataclass(frozen=True)
-class AntipodalSearchResult:
-    """Outcome of ``antipodal_search``.
-
-    ``evaluations`` counts the grid directions and the 2n - 1 directions of
-    each Gauss-Newton iteration; the budget applies to it.
-    ``gauss_newton_steps`` counts those iterations, each one stacked
-    ``relative_maps`` call, so evaluations = grid + (2n - 1) steps.
-    """
-
-    umbilic: UmbilicResult
+    umbilic_defect: float
     r_defect: float
-    converged: bool
     evaluations: int
-    objective: str
     gauss_newton_steps: int
 
 
-def _umbilic(body, u0, maps: np.ndarray, tol: float) -> UmbilicResult:
-    """The umbilic certificate of +-u0 from its relative maps, both in the frame built at u0."""
+def _umbilic(maps: np.ndarray) -> tuple[float, float]:
+    """(r0, defect) of the relative maps at +-u0, both in one frame: r0 is the mean
+    of their eigenvalues, and defect the max over the two of ||M - r0 Id||_2."""
     nm1 = maps.shape[1]
     r0 = float((np.trace(maps[0]) + np.trace(maps[1])) / (2 * nm1))
-    defect = float(np.linalg.norm(maps - r0 * np.eye(nm1), 2, axis=(1, 2)).max())
-    points = tuple(body.jets(np.stack([u0, -u0]), np.empty((2, len(u0), 0)))[1])
-    return UmbilicResult(u0, r0, defect, points, bool(defect <= tol))
+    return r0, float(np.linalg.norm(maps - r0 * np.eye(nm1), 2, axis=(1, 2)).max())
 
 
 def _search_objective(body, base, u: np.ndarray, objective: str) -> np.ndarray:
@@ -290,20 +276,15 @@ def _residuals(maps: np.ndarray, bases: np.ndarray, objective: str) -> np.ndarra
 
 
 def antipodal_search(
-    body,
-    base,
-    seed=0,
-    budget: int = 4000,
-    objective: str = "umbilic",
-    tol: float = 1e-6,
+    body, base, seed=0, budget: int = 4000, objective: str = "umbilic"
 ) -> AntipodalSearchResult:
     """Locate a direction where the antipodal eigenvalue profiles match.
 
-    The default objective adds the isotropy defect of both profiles, so a
-    converged minimum certifies an antipodal pair of relative umbilics
-    (M(+-u0) = r0 Id).  ``objective="antipodal"`` minimizes only
-    |R(u) - R(-u)|^2, the quantity whose zero is guaranteed for continuous
-    odd-symmetric data; use it to study generic body pairs.
+    The default objective adds the isotropy defect of both profiles, so its
+    zero is an antipodal pair of relative umbilics (M(+-u0) = r0 Id).
+    ``objective="antipodal"`` minimizes only |R(u) - R(-u)|^2, the quantity
+    whose zero is guaranteed for continuous odd-symmetric data; use it to
+    study generic body pairs.
 
     The search scores ``hemisphere_grid(n, max(8, budget // 20), seed)``,
     seeded Haar directions on a closed hemisphere, by the eigenvalues of one
@@ -328,10 +309,11 @@ def antipodal_search(
     for ``antipodal``; a step from it would be a step from noise.  For the
     same reason lstsq drops the singular values of J at or below that norm
     over h, J's central-difference noise, so on a curve of zeros, where J is
-    rank 1 up to noise, no step follows the noise.  If the final defect
-    exceeds ``tol`` the point is returned flagged unconverged.  The base
-    body must be centrally symmetric; this is checked once, on the grid and
-    8 Haar directions of seed 0, before the grid is scored.
+    rank 1 up to noise, no step follows the noise.  The maps at +-u0 are
+    taken once more for the returned defects, which the caller compares
+    with its own tolerance.  The base body must be centrally symmetric; this
+    is checked once, on the grid and 8 Haar directions of seed 0, before the
+    grid is scored.
     """
     if objective not in ("umbilic", "antipodal"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -384,17 +366,9 @@ def antipodal_search(
         u = u / np.linalg.norm(u)
 
     maps = _antipodal_maps(body, base, u[None])[0]
-    umb = _umbilic(body, u, maps, tol)
+    r0, defect = _umbilic(maps)
     r_defect = float(np.linalg.norm(np.subtract(*np.linalg.eigvalsh(maps))))
-    converged = r_defect <= tol if objective == "antipodal" else umb.defect <= tol
-    return AntipodalSearchResult(
-        umbilic=umb,
-        r_defect=r_defect,
-        converged=bool(converged),
-        evaluations=evals,
-        objective=objective,
-        gauss_newton_steps=steps,
-    )
+    return AntipodalSearchResult(u, r0, defect, r_defect, evals, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,10 @@ class TestExitCodes:
              "the rule at k = 1 is {+1, -1} and takes no nodes, got 3"),
             ("brightness", {"k": 1, "nodes": 3}, (),
              "the rule at k = 1 is {+1, -1} and takes no nodes, got 3"),
+            # verify-wedge's grades by the same rule, before any jets are built
+            ("verify-wedge", {"grades": [4]}, (), "'grades' = 4 is the bodies' dimension"),
+            ("verify-wedge", {"grades": [1, 0]}, (), "'grades' must be a grade 1 ... n - 1 = 3, got 0"),
+            ("verify-wedge", {"grades": [-1]}, (), "'grades' must be a grade 1 ... n - 1 = 3, got -1"),
         ],
     )
     def test_unread_keys_and_improper_grades_exit_two(
@@ -416,6 +420,64 @@ class TestExitCodes:
         assert cli.main(["verify-wedge", "--seed", "1", "--out", str(path), "--csv"]) == 2
         assert f"--csv would write its CSV over the report {str(path)!r}" in capsys.readouterr().err
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["gallery", "--out", ""], "--out '' names no file"),
+            (["verify-wedge", "--seed", "1", "--out", "."], "--out '.' names no file"),
+            (["verify-wedge", "--seed", "1", "--out", "d"], "cannot write 'd': it is a directory"),
+            # the CSV goes beside the report, with the suffix .csv
+            (["verify-wedge", "--seed", "1", "--out", "r.json", "--csv"],
+             "cannot write 'r.csv': it is a directory"),
+            # a file where the report needs a directory is met only when writing, after the run
+            (["verify-wedge", "--seed", "1", "--out", "f/r.json"], "cannot write 'f/r.json'"),
+        ],
+    )
+    def test_report_that_cannot_be_written_exits_two(self, tmp_path, argv, needle):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "r.csv").mkdir()
+        (tmp_path / "f").write_text("")
+        proc = run_cli(*argv, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert needle in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""  # the checks are printed after the report is written
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["d", "f", "r.csv"]
+
+    def test_failed_rename_exits_two_and_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        out = tmp_path / "r.json"
+        assert cli.main(["verify-wedge", "--seed", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"cannot write {str(out)!r}: [Errno 13] Permission denied" in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            # json.loads keeps the last value of a repeated key; the config is refused instead
+            ('{"body": {"family": "ball", "params": {"dim": 3, "radius": 1.0, "radius": 2.0}}}',
+             "config sets the key 'radius' twice"),
+            ('{"k": 2, "k": 1}', "config sets the key 'k' twice"),
+            # a bool is no integer, and 1.0 no integer either
+            ('{"schema": true}', "'schema' must be the integer 1, got True"),
+            ('{"schema": 1.0}', "'schema' must be the integer 1, got 1.0"),
+            ('{"schema": 2}', "'schema' must be the integer 1, got 2"),
+        ],
+    )
+    def test_repeated_keys_and_a_schema_that_is_not_one_exit_two(
+        self, tmp_path, capsys, text, needle
+    ):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        out = tmp_path / "r.json"
+        assert cli.main(["brightness", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert needle in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_unrepresentable_solver_target_exits_two_quietly(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"mode": "solver", "a": 1.0, "b": 1e300})

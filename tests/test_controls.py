@@ -42,7 +42,7 @@ class Control(NamedTuple):
 
 def spheroid_pole(x):
     """The default pair's umbilics are the poles +-e5, with relative radius a^2/b = 1/1.4."""
-    return x["converged"] and abs(x["r0"] - 1.0 / 1.4) <= 1e-6 and abs(x["u0"][-1]) > 0.999
+    return abs(x["r0"] - 1.0 / 1.4) <= 1e-6 and abs(x["u0"][-1]) > 0.999
 
 
 def polished_to_rounding(x):
